@@ -1,9 +1,10 @@
 """Run the full structure-check sweep over seeded random cospans.
 
-Usage:  python scripts/run_property_suite.py [N_SEEDS] [--null-every K]
+Usage:  python scripts/run_property_suite.py [N_SEEDS]
 
-Every Nth cospan (default every 5th) gets an engineered null orbit in the
-base unit measure. Prints one line per failing seed (none expected) and a
+Every fifth cospan gets an engineered null orbit in the base unit measure.
+Each cospan's pullback goes through every claim of `mgpd check`. Prints one
+line per failing seed with its failing claim ids (none expected) and a
 summary with timing.
 """
 
@@ -12,64 +13,26 @@ from __future__ import annotations
 import argparse
 import time
 
-from measured_groupoids import (
-    alternate_disintegration,
-    build_weak_pullback,
-    check_commuting_diamond,
-    check_disintegration_independence,
-    check_expanding_lemma,
-    check_fiber_product_lemma,
-    check_haar_theorem,
-    check_projection_homs,
-    check_quasi_invariance_and_modular,
-    check_triple_integral_lemma,
-    random_cospan,
-    validate_groupoid,
-)
+from measured_groupoids import build_weak_pullback, random_cospan
+from measured_groupoids.cli import run_claims
 
 
-def run_seed(seed: int, with_null: bool) -> list[str]:
-    failures: list[str] = []
-    c = random_cospan(seed, with_null_base=with_null)
+def run_seed(seed: int) -> list[str]:
+    """The ids of the claims that fail on the seed's cospan."""
+    c = random_cospan(seed, with_null_base=seed % 5 == 4)
     w = build_weak_pullback(c, validate=False)
-    if not validate_groupoid(w.groupoid).ok:
-        failures.append("groupoid-axioms")
-    if not check_fiber_product_lemma(w):
-        failures.append("fiber-lemma")
-    if not check_haar_theorem(w).ok:
-        failures.append("haar-system")
-    mc = check_quasi_invariance_and_modular(w)
-    if not mc.quasi_invariant:
-        failures.append("quasi-invariance")
-    if mc.mismatches:
-        failures.append("modular-formula")
-    if not check_projection_homs(w).ok:
-        failures.append("projection-homs")
-    alt_l = alternate_disintegration(w.disint_left, c.base.unit_measure, scale=3)
-    alt_r = alternate_disintegration(w.disint_right, c.base.unit_measure, scale=5)
-    if not check_disintegration_independence(c, alt_l, alt_r, result=w):
-        failures.append("disintegration-independence")
-    if not check_commuting_diamond(w):
-        failures.append("diamond")
-    if not check_triple_integral_lemma(c, result=w):
-        failures.append("triple-integrals")
-    if not check_expanding_lemma(w):
-        failures.append("expanding-integral")
-    return failures
+    return [claim for claim, (ok, _) in run_claims(c, w).items() if not ok]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("seeds", nargs="?", type=int, default=200)
-    parser.add_argument("--null-every", type=int, default=5)
     args = parser.parse_args()
 
     start = time.perf_counter()
     bad = 0
-    sizes = []
     for seed in range(args.seeds):
-        with_null = args.null_every > 0 and seed % args.null_every == args.null_every - 1
-        failures = run_seed(seed, with_null)
+        failures = run_seed(seed)
         if failures:
             bad += 1
             print(f"seed {seed}: FAIL {', '.join(failures)}")

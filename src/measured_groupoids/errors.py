@@ -9,10 +9,6 @@ class MalformedInput(GroupoidError):
     """Structurally broken input: dangling ids, non-total tables, bad ids."""
 
 
-class NotAUnit(GroupoidError):
-    pass
-
-
 class BaseMismatch(GroupoidError):
     """Two measures that were expected to live on the same base set do not."""
 
@@ -43,10 +39,6 @@ class InvalidCospan(GroupoidError):
 
 
 class NotADisintegration(GroupoidError):
-    pass
-
-
-class IncompatibleFibredProduct(GroupoidError):
     pass
 
 

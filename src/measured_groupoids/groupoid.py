@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MalformedInput, NotAUnit
+from .errors import MalformedInput
 
 
 def check_element_id(x: str) -> str:
@@ -43,13 +43,6 @@ class ValidationReport:
 
     def summary(self) -> str:
         return "ok" if self.ok else "\n".join(str(v) for v in self.violations)
-
-    @staticmethod
-    def merge(*reports: "ValidationReport") -> "ValidationReport":
-        out: list[Violation] = []
-        for r in reports:
-            out.extend(r.violations)
-        return ValidationReport(tuple(out))
 
 
 class FiniteGroupoid:
@@ -117,9 +110,6 @@ class FiniteGroupoid:
     def inv(self, x: str) -> str:
         return self.inverse_map[x]
 
-    def is_unit(self, x: str) -> bool:
-        return x in self.unit_set
-
     def composable(self, x: str, y: str) -> bool:
         return self.source_map[x] == self.range_map[y]
 
@@ -129,17 +119,6 @@ class FiniteGroupoid:
     def fiber(self, u: str) -> tuple[str, ...]:
         """All x with r(x) = u, in canonical order (no unit check)."""
         return tuple(self._r_fibers.get(u, ()))
-
-    def between(self, u: str, v: str) -> tuple[str, ...]:
-        """All x with r(x) = u and d(x) = v."""
-        return tuple(x for x in self.fiber(u) if self.source_map[x] == v)
-
-
-def r_fiber(g: FiniteGroupoid, u: str) -> frozenset[str]:
-    """{x : r(x) = u}; raises NotAUnit when u is not a unit of g."""
-    if u not in g.unit_set:
-        raise NotAUnit(f"{u!r} is not a unit")
-    return frozenset(g.fiber(u))
 
 
 def _referential_check(g: FiniteGroupoid) -> None:
@@ -237,9 +216,6 @@ class OrbitPartition:
     blocks: tuple[tuple[str, ...], ...]
     index: Mapping[str, int]
 
-    def same_orbit(self, u: str, v: str) -> bool:
-        return self.index[u] == self.index[v]
-
 
 def orbits(g: FiniteGroupoid) -> OrbitPartition:
     """Connected components of the unit set under u ~ d(x) for r(x) = u."""
@@ -291,12 +267,6 @@ def identity_hom(g: FiniteGroupoid) -> GroupoidHom:
     return GroupoidHom(g, g, {x: x for x in g.elements})
 
 
-def compose_homs(second: GroupoidHom, first: GroupoidHom) -> GroupoidHom:
-    if first.codomain != second.domain:
-        raise MalformedInput("homomorphisms not composable: codomain/domain mismatch")
-    return GroupoidHom(first.domain, second.codomain, {x: second.mapping[first.mapping[x]] for x in first.domain.elements})
-
-
 def validate_hom(p: GroupoidHom) -> ValidationReport:
     """Check unit preservation, compatibility with r/d/inverse and products."""
     dom, cod = p.domain, p.codomain
@@ -330,10 +300,3 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
         elif image != f[z]:
             bad.append(Violation("hom-preserves-product", (x, y), f"p({x})p({y}) = {image} != p({x}{y}) = {f[z]}"))
     return ValidationReport(tuple(bad))
-
-
-def orbit_map_through(p: GroupoidHom) -> dict[str, int]:
-    """x -> orbit index of r(p(x)) in the codomain's orbit partition."""
-    part = orbits(p.codomain)
-    cod = p.codomain
-    return {x: part.index[cod.range_map[p.mapping[x]]] for x in p.domain.elements}

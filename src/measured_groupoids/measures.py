@@ -11,12 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import (
-    BaseMismatch,
-    IncompatibleFibredProduct,
-    MalformedInput,
-    NotMeasureClassPreserving,
-)
+from .errors import BaseMismatch, MalformedInput, NotMeasureClassPreserving
 from .groupoid import ValidationReport, Violation
 
 ZERO = Fraction(0)
@@ -52,9 +47,6 @@ class FiniteMeasure:
     def support(self) -> frozenset[str]:
         return frozenset(self.weights)
 
-    def mass(self) -> Fraction:
-        return sum(self.weights.values(), ZERO)
-
     def is_zero(self) -> bool:
         return not self.weights
 
@@ -69,10 +61,6 @@ class FiniteMeasure:
     def __repr__(self) -> str:
         inside = ", ".join(f"{x}: {v}" for x, v in sorted(self.weights.items()))
         return f"FiniteMeasure({{{inside}}} on {len(self.base)} points)"
-
-
-def dirac(base: Iterable[str], x: str) -> FiniteMeasure:
-    return FiniteMeasure(base, {x: ONE})
 
 
 def counting(base: Iterable[str], subset: Iterable[str] | None = None) -> FiniteMeasure:
@@ -123,21 +111,6 @@ class MeasureSystem:
 
     def __repr__(self) -> str:
         return f"MeasureSystem({len(self.domain)} -> {len(self.codomain)})"
-
-
-def dirac_system(base: Iterable[str]) -> MeasureSystem:
-    """The system of point masses over the identity map of a finite set."""
-    base = tuple(sorted(base))
-    return MeasureSystem({x: x for x in base}, base, base, {x: dirac(base, x) for x in base})
-
-
-def counting_system(over: Mapping[str, str], domain: Iterable[str], codomain: Iterable[str]) -> MeasureSystem:
-    """Counting measure on every fiber of the given map."""
-    domain = tuple(sorted(domain))
-    fam: dict[str, dict[str, Fraction]] = {}
-    for x in domain:
-        fam.setdefault(over[x], {})[x] = ONE
-    return MeasureSystem(over, domain, codomain, {y: FiniteMeasure(domain, w) for y, w in fam.items()})
 
 
 def _system_structural_check(s: MeasureSystem) -> None:
@@ -230,103 +203,3 @@ def disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> 
         else:
             family[y] = counting(mu.base, fibers[y])
     return MeasureSystem(dict(f), mu.base, nu.base, family)
-
-
-def pair_key(x: str, y: str) -> str:
-    return f"{x}|{y}"
-
-
-class PairedSet:
-    """A fibred product enumerated as explicit pairs with canonical ids."""
-
-    def __init__(self, pairs: Iterable[tuple[str, str]]):
-        self.pairs: tuple[tuple[str, str], ...] = tuple(sorted(set(pairs)))
-        self.ids: tuple[str, ...] = tuple(pair_key(x, y) for x, y in self.pairs)
-        if len(set(self.ids)) != len(self.ids):
-            raise MalformedInput("ambiguous pair ids in fibred product")
-        self.components: dict[str, tuple[str, str]] = dict(zip(self.ids, self.pairs))
-        self.id_of: dict[tuple[str, str], str] = {p: i for i, p in zip(self.ids, self.pairs)}
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self.id_of
-
-
-def fibred_product(left: Iterable[str], right: Iterable[str], to_base_left: Mapping[str, str], to_base_right: Mapping[str, str]) -> PairedSet:
-    """{(x, y) : maps agree on the common base}, enumerated."""
-    by_value: dict[str, list[str]] = {}
-    for y in right:
-        by_value.setdefault(to_base_right[y], []).append(y)
-    pairs = [(x, y) for x in left for y in by_value.get(to_base_left[x], ())]
-    return PairedSet(pairs)
-
-
-def product_system(
-    alpha: MeasureSystem,
-    beta: MeasureSystem,
-    domain_pairs: PairedSet,
-    codomain_pairs: PairedSet,
-) -> MeasureSystem:
-    """Fibrewise product: the measure over (x0, y0) weighs (x, y) by
-    alpha^{x0}(x) * beta^{y0}(y), restricted to the given fibred product."""
-    over: dict[str, str] = {}
-    for pid, (x, y) in domain_pairs.components.items():
-        image = (alpha.over[x], beta.over[y])
-        if image not in codomain_pairs:
-            raise IncompatibleFibredProduct(
-                f"pair ({x!r}, {y!r}) maps to {image!r}, outside the codomain fibred product"
-            )
-        over[pid] = codomain_pairs.id_of[image]
-    family: dict[str, dict[str, Fraction]] = {}
-    for pid, (x, y) in domain_pairs.components.items():
-        x0, y0 = alpha.over[x], beta.over[y]
-        w = alpha.weight(x0, x) * beta.weight(y0, y)
-        if w:
-            family.setdefault(over[pid], {})[pid] = w
-    return MeasureSystem(
-        over,
-        domain_pairs.ids,
-        codomain_pairs.ids,
-        {y: FiniteMeasure(domain_pairs.ids, ws) for y, ws in family.items()},
-    )
-
-
-def lift_system(gamma: MeasureSystem, bottom: Mapping[str, str], bottom_domain: Iterable[str]) -> tuple[PairedSet, MeasureSystem]:
-    """Lift gamma (on the right edge f: X -> Y of a pullback square) along the
-    bottom edge h: W -> Y. Returns the corner W*X = {(w, x) : h(w) = f(x)}
-    and the system over its projection to W: (h^* gamma)^w = delta_w x gamma^{h(w)}.
-    """
-    w_elems = tuple(sorted(bottom_domain))
-    corner = fibred_product(w_elems, gamma.domain, dict(bottom), gamma.over)
-    over = {pid: wx[0] for pid, wx in corner.components.items()}
-    family: dict[str, dict[str, Fraction]] = {}
-    for pid, (w, x) in corner.components.items():
-        v = gamma.weight(bottom[w], x)
-        if v:
-            family.setdefault(w, {})[pid] = v
-    system = MeasureSystem(
-        over, corner.ids, w_elems, {w: FiniteMeasure(corner.ids, ws) for w, ws in family.items()}
-    )
-    return corner, system
-
-
-def compose_systems(alpha: MeasureSystem, beta: MeasureSystem) -> MeasureSystem:
-    """Composite system over q∘p for alpha over p: X -> Y and beta over q: Y -> Z,
-    characterised by iterating the two integrals: (beta∘alpha)^z weighs x by
-    sum_y alpha^y(x) beta^z(y)."""
-    if alpha.codomain != beta.domain:
-        raise MalformedInput("systems are not composable: codomain/domain mismatch")
-    over = {x: beta.over[alpha.over[x]] for x in alpha.domain}
-    family: dict[str, dict[str, Fraction]] = {}
-    for z in beta.codomain:
-        ws: dict[str, Fraction] = {}
-        for y, vy in beta.family[z].weights.items():
-            for x, vx in alpha.family[y].weights.items():
-                ws[x] = ws.get(x, ZERO) + vx * vy
-        if ws:
-            family[z] = ws
-    return MeasureSystem(
-        over, alpha.domain, beta.codomain, {z: FiniteMeasure(alpha.domain, ws) for z, ws in family.items()}
-    )

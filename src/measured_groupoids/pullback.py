@@ -363,24 +363,18 @@ def _verify_disintegration(system: MeasureSystem, f: Mapping[str, str], mu: Fini
         raise NotADisintegration(f"{label}: reconstruction identity fails")
 
 
-def check_disintegration_independence(
-    c: Cospan,
-    alt_left: MeasureSystem,
-    alt_right: MeasureSystem,
-    result: WeakPullbackResult | None = None,
-) -> bool:
+def check_disintegration_independence(w: WeakPullbackResult, alt_left: MeasureSystem, alt_right: MeasureSystem) -> bool:
     """The pullback unit measure does not depend on which disintegrations are
     used. Alternates must genuinely disintegrate the same measures; the only
     freedom is on null fibers, and it is washed out by the null weights."""
-    if result is None:
-        result = build_weak_pullback(c)
+    c = w.cospan
     unit_map_left = {u: c.left_map.mapping[u] for u in c.left.groupoid.units}
     unit_map_right = {u: c.right_map.mapping[u] for u in c.right.groupoid.units}
     _verify_disintegration(alt_left, unit_map_left, c.left.unit_measure, c.base.unit_measure, "left")
     _verify_disintegration(alt_right, unit_map_right, c.right.unit_measure, c.base.unit_measure, "right")
-    eta_alt = _eta_system(result.algebraic, c, alt_left, alt_right)
-    mu_alt = compose_with_measure(eta_alt, result.base_induced)
-    return mu_alt == result.unit_measure
+    eta_alt = _eta_system(w.algebraic, c, alt_left, alt_right)
+    mu_alt = compose_with_measure(eta_alt, w.base_induced)
+    return mu_alt == w.unit_measure
 
 
 def _base_leg_pairs(leg_g: FiniteGroupoid, base_g: FiniteGroupoid, leg_map: Mapping[str, str]) -> list[tuple[str, str]]:
@@ -405,14 +399,13 @@ def _triple_integral_sides(
     return lhs, rhs
 
 
-def check_triple_integral_lemma(c: Cospan, result: WeakPullbackResult | None = None) -> bool:
+def check_triple_integral_lemma(w: WeakPullbackResult) -> bool:
     """Exchanging the base integral with the leg double integral is exact for
     every base unit and every singleton indicator, on both legs."""
-    if result is None:
-        result = build_weak_pullback(c)
+    c = w.cospan
     sides = (
-        (c.left, c.left_map.mapping, result.disint_left),
-        (c.right, c.right_map.mapping, result.disint_right),
+        (c.left, c.left_map.mapping, w.disint_left),
+        (c.right, c.right_map.mapping, w.disint_right),
     )
     base = c.base
     for leg, leg_map, gamma in sides:

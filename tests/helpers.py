@@ -126,15 +126,46 @@ def literal_expanding_rhs(w, target_triple):
     return total
 
 
-def literal_eq3_sides(alpha, beta, z, x0):
-    """Eq-style characterisation of system composition on the indicator of
-    x0: direct evaluation vs the iterated double sum."""
-    composed = None  # caller compares against library composition separately
-    rhs = ZERO
-    for y in beta.domain:
-        inner = ZERO
-        for x in alpha.domain:
-            if x == x0:
-                inner += alpha.weight(y, x)
-        rhs += inner * beta.weight(z, y)
-    return rhs
+def literal_product_haar_weight(c, unit, element):
+    """lam_S^s x delta_g x lam_T^t at one pullback element, for the pullback
+    unit (s, g, t): a double sum over every pair of leg elements."""
+    s, g, t = unit
+    lam_s = c.left.haar
+    lam_t = c.right.haar
+    total = ZERO
+    for sigma in c.left.groupoid.elements:
+        for tau in c.right.groupoid.elements:
+            if (sigma, g, tau) != element:
+                continue
+            total += lam_s.weight(s, sigma) * lam_t.weight(t, tau)
+    return total
+
+
+def literal_lifted_eta_weight(w, x, unit):
+    """gamma_p x gamma_q lifted along the base arrow x -> (r(x), d(x)), at one
+    pullback unit: a double sum over every pair of leg units, restricted to
+    the corner of the lift, {(s, t) : p(s) = r(x) and q(t) = d(x)}."""
+    c = w.cospan
+    base = c.base.groupoid
+    p = c.left_map.mapping
+    q = c.right_map.mapping
+    total = ZERO
+    for s in c.left.groupoid.units:
+        for t in c.right.groupoid.units:
+            if (s, x, t) != unit or (p[s], q[t]) != (base.r(x), base.d(x)):
+                continue
+            total += w.disint_left.weight(base.r(x), s) * w.disint_right.weight(base.d(x), t)
+    return total
+
+
+def literal_orbit_label(g, u):
+    """The least unit joined to u by an arrow. In a groupoid the orbit of u
+    is the set of sources of the arrows that end at u."""
+    return min(g.d(y) for y in g.elements if g.r(y) == u)
+
+
+def literal_orbits_through(w, leg_map, proj):
+    """x -> base orbit of r(leg(proj(x))) for every pullback element, with the
+    two homomorphisms composed table by table."""
+    base = w.cospan.base.groupoid
+    return {x: literal_orbit_label(base, base.r(leg_map[proj[x]])) for x in w.groupoid.elements}

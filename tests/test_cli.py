@@ -1,4 +1,6 @@
+import json
 import pathlib
+import random
 
 import pytest
 
@@ -125,3 +127,51 @@ def test_verbose_env_adds_detail(monkeypatch, capsys):
     assert main(["check", str(FIXTURES / "z2_cospan.json")]) == 0
     out = capsys.readouterr().out
     assert "checked" in out  # modular claim detail becomes visible
+
+
+def _string_leaves(node, path=()):
+    """(path, value) for every string that is a list item or a dict value."""
+    if isinstance(node, str):
+        yield path, node
+    elif isinstance(node, dict):
+        for k, v in node.items():
+            yield from _string_leaves(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _string_leaves(v, path + (i,))
+
+
+def _mutants(text, rng, count):
+    """Copies of a document with one string leaf replaced by another string
+    that occurs in the same document."""
+    leaves = list(_string_leaves(json.loads(text)))
+    pool = sorted({v for _, v in leaves})
+    for _ in range(count):
+        doc = json.loads(text)
+        path, old = rng.choice(leaves)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = rng.choice([v for v in pool if v != old])
+        yield json.dumps(doc)
+
+
+def test_mutated_fixtures_end_in_documented_exit_codes(tmp_path, capsys):
+    # every document that parses must end in a documented exit code, never
+    # in an exception: validators run their dependent checks only on tables
+    # that passed the checks those rely on
+    escaped = []
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        rng = random.Random(fixture.name)
+        for n, text in enumerate(_mutants(fixture.read_text(encoding="utf-8"), rng, 60)):
+            doc = tmp_path / "mutant.json"
+            doc.write_text(text, encoding="utf-8")
+            for args in (["validate", str(doc)], ["check", str(doc)], ["pullback", str(doc), "--out", str(tmp_path / "p.json")]):
+                try:
+                    rc = main(args)
+                except Exception as e:  # any escape is the failure this test looks for
+                    escaped.append(f"{fixture.name} mutant {n}, {args[0]}: {type(e).__name__}: {e}")
+                else:
+                    assert rc in (0, 1, 2, 3), (fixture.name, n, args[0], rc)
+                capsys.readouterr()
+    assert not escaped, "\n".join(escaped)

@@ -82,7 +82,7 @@ def test_cech_orbits_identify_points():
 
     for u in g.units:
         for v in g.units:
-            assert part.same_orbit(u, v) == (point_of(u) == point_of(v))
+            assert (part.index[u] == part.index[v]) == (point_of(u) == point_of(v))
 
 
 def test_cech_hom_identity_and_mismatch():

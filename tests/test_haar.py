@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from measured_groupoids import (
+    FiniteGroupoid,
     FiniteMeasure,
     HaarGroupoid,
     NotQuasiInvariant,
@@ -19,9 +20,11 @@ from measured_groupoids import (
     is_quasi_invariant,
     modular_function,
     pair_groupoid,
+    push_forward,
     random_haar_groupoid,
-    range_class_check,
+    same_measure_class,
     trivial_group,
+    validate_groupoid,
     validate_haar_groupoid,
     validate_haar_hom,
     with_counting_haar,
@@ -111,6 +114,19 @@ def test_quasi_invariance_fails_with_documented_witness():
     assert mu("1-2") == 1 and mu("2-1") == 0
 
 
+def test_validate_haar_groupoid_stops_after_axiom_failure():
+    # the Haar checks compose by the table, so a table missing a product
+    # gets its axiom report and no further checks
+    g = pair_groupoid(["1", "2"])
+    compose = dict(g.compose_map)
+    del compose[("1-2", "2-1")]
+    broken = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, g.inverse_map, compose)
+    h = HaarGroupoid(broken, counting_haar_system(broken), FiniteMeasure(g.units, {"1-1": 1, "2-2": 1}))
+    report = validate_haar_groupoid(h)
+    assert report == validate_groupoid(broken)
+    assert any(v.rule == "compose-total" for v in report.violations)
+
+
 def test_zero_unit_measure_rejected_upstream():
     g = pair_groupoid(["1", "2"])
     h = HaarGroupoid(g, counting_haar_system(g), FiniteMeasure(g.units))
@@ -165,15 +181,18 @@ def test_validate_haar_hom_vanishing_codomain_measure():
 
 
 def test_range_class_check_examples():
-    assert range_class_check(pair_with_units(1, 2))
-    assert range_class_check(with_counting_haar(trivial_group()))
+    # r_*(mu) is in the class of mu0 on every valid Haar groupoid
+    for h in (pair_with_units(1, 2), with_counting_haar(trivial_group())):
+        pushed = push_forward(h.groupoid.range_map, induced_measure(h), h.groupoid.units)
+        assert same_measure_class(pushed, h.unit_measure)
 
 
 @given(st.integers(0, 300))
 def test_random_haar_groupoids_validate(seed):
     h = random_haar_groupoid(seed)
     assert validate_haar_groupoid(h).ok
-    assert range_class_check(h)
+    pushed = push_forward(h.groupoid.range_map, induced_measure(h), h.groupoid.units)
+    assert same_measure_class(pushed, h.unit_measure)
 
 
 @given(st.integers(0, 200))

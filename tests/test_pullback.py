@@ -28,7 +28,6 @@ from measured_groupoids import (
     pair_groupoid,
     random_cospan,
     random_cotrivial_cospan,
-    r_fiber,
     trivial_group,
     validate_cospan,
     validate_groupoid,
@@ -38,10 +37,12 @@ from measured_groupoids import (
 from measured_groupoids.families import cotrivial_comparison_hom, regular_pullback
 from measured_groupoids.groupoid import GroupoidHom, identity_hom
 from measured_groupoids.haar import HaarGroupoid
-from measured_groupoids.measures import fibred_product, lift_system, product_system
 
 from helpers import (
     literal_expanding_rhs,
+    literal_lifted_eta_weight,
+    literal_orbits_through,
+    literal_product_haar_weight,
     literal_triple_integral_sides,
     pair_trivial_cospan,
     z2_cospan,
@@ -71,7 +72,7 @@ def test_z2_unit_space_contents(z2_result):
 def test_z2_fiber_lemma_and_size(z2_result):
     _, w = z2_result
     assert check_fiber_product_lemma(w)
-    assert len(r_fiber(w.groupoid, "g0|g0|g0")) == 4
+    assert len(w.groupoid.fiber("g0|g0|g0")) == 4
 
 
 def test_z2_all_checks(z2_result):
@@ -83,7 +84,7 @@ def test_z2_all_checks(z2_result):
     assert set(w.modular.values.values()) == {F(1)}
     assert check_projection_homs(w).ok
     assert check_commuting_diamond(w)
-    assert check_triple_integral_lemma(c, result=w)
+    assert check_triple_integral_lemma(w)
     assert check_expanding_lemma(w)
 
 
@@ -152,7 +153,7 @@ def test_pair_trivial_full_suite():
     assert check_haar_theorem(w).ok
     assert check_projection_homs(w).ok
     assert check_commuting_diamond(w)
-    assert check_triple_integral_lemma(c, result=w)
+    assert check_triple_integral_lemma(w)
     assert check_expanding_lemma(w)
 
 
@@ -208,62 +209,42 @@ def test_corrupted_haar_weight_is_detected():
 
 
 def test_leg_haar_product_system_on_z2_cospan():
-    # the fibred product of the two leg Haar systems over the range maps has
-    # weight one on every pair for the all-ones cospan
+    # lam_P is the fibrewise product lam_S x delta_g x lam_T, checked at every
+    # (unit, element) pair; the seeded cospans carry non-uniform Haar weights
     c = z2_cospan()
-    s_g = c.left.groupoid
-    t_g = c.right.groupoid
-    dom = fibred_product(s_g.elements, t_g.elements, {x: "*" for x in s_g.elements}, {x: "*" for x in t_g.elements})
-    cod = fibred_product(s_g.units, t_g.units, {u: "*" for u in s_g.units}, {u: "*" for u in t_g.units})
-    prod = product_system(c.left.haar, c.right.haar, dom, cod)
-    from measured_groupoids import validate_system
-
-    assert validate_system(prod, require_full=True).ok
-    for cod_id in prod.codomain:
-        fiber = prod.fiber(cod_id)
-        assert len(fiber) == 4  # 2 x 2 leg fibers
-        assert all(prod.weight(cod_id, pid) == 1 for pid in fiber)
-
-
-def test_compose_leg_haar_with_disintegration_double_sum():
-    # composite system over p ∘ r for the pair-groupoid cospan, checked
-    # against the brute-force iterated double sum on every singleton
-    from measured_groupoids import compose_systems
-
-    c = pair_trivial_cospan()
     w = build_weak_pullback(c)
-    lam_s = c.left.haar
-    gamma_p = w.disint_left
-    composed = compose_systems(lam_s, gamma_p)
-    for z in composed.codomain:
-        for x0 in composed.domain:
-            double_sum = sum(
-                (lam_s.weight(y, x0) * gamma_p.weight(z, y) for y in gamma_p.domain), F(0)
-            )
-            assert composed.weight(z, x0) == double_sum
+    for u in w.groupoid.units:
+        fiber = w.groupoid.fiber(u)
+        assert len(fiber) == 4  # 2 x 2 leg fibers
+        assert all(w.haar.weight(u, pid) == 1 for pid in fiber)
+    for c in (c, pair_trivial_cospan(), random_cospan(3), random_cospan(9, with_null_base=True)):
+        w = build_weak_pullback(c, validate=False)
+        for u in w.groupoid.units:
+            for pid in w.groupoid.elements:
+                expected = literal_product_haar_weight(c, w.algebraic.triples[u], w.algebraic.triples[pid])
+                assert w.haar.weight(u, pid) == expected
 
 
 def test_eta_system_is_lift_of_disintegration_product():
     # the unit-space system equals the lift of (gamma_p * gamma_q) along the
     # (range, source) map of the base, up to the pairing of coordinates
-    c = z2_cospan()
-    w = build_weak_pullback(c)
-    base = c.base.groupoid
-    s0 = c.left.groupoid.units
-    t0 = c.right.groupoid.units
-    p = c.left_map.mapping
-    q = c.right_map.mapping
-    dom_pairs = fibred_product(s0, t0, {u: "*" for u in s0}, {v: "*" for v in t0})
-    cod_pairs = fibred_product(base.units, base.units, {u: "*" for u in base.units}, {v: "*" for v in base.units})
-    gp_gq = product_system(w.disint_left, w.disint_right, dom_pairs, cod_pairs)
-    bottom = {x: cod_pairs.id_of[(base.r(x), base.d(x))] for x in base.elements}
-    corner, lifted = lift_system(gp_gq, bottom, base.elements)
-    # corner pairs are (base arrow, unit-pair); pullback units are triples
-    assert len(corner) == len(w.groupoid.units)
-    for pid, (x, st_pair) in corner.components.items():
-        s, t = dom_pairs.components[st_pair]
-        triple = w.algebraic.id_of[(s, x, t)]
-        assert lifted.weight(x, pid) == w.eta.weight(x, triple)
+    for c in (z2_cospan(), pair_trivial_cospan(), random_cospan(11, with_null_base=True)):
+        w = build_weak_pullback(c, validate=False)
+        base = c.base.groupoid
+        p = c.left_map.mapping
+        q = c.right_map.mapping
+        # the corner {(x, s, t) : (r(x), d(x)) = (p(s), q(t))} is the unit space
+        corner = [
+            (s, x, t)
+            for x in base.elements
+            for s in c.left.groupoid.units
+            for t in c.right.groupoid.units
+            if (p[s], q[t]) == (base.r(x), base.d(x))
+        ]
+        assert sorted(corner) == sorted(w.algebraic.triples[u] for u in w.groupoid.units)
+        for x in base.elements:
+            for u in w.groupoid.units:
+                assert w.eta.weight(x, u) == literal_lifted_eta_weight(w, x, w.algebraic.triples[u])
 
 
 def test_disintegration_independence_on_engineered_null_units():
@@ -272,13 +253,13 @@ def test_disintegration_independence_on_engineered_null_units():
     alt_left = alternate_disintegration(w.disint_left, c.base.unit_measure, scale=3)
     alt_right = alternate_disintegration(w.disint_right, c.base.unit_measure, scale=F(1, 2))
     assert alt_left != w.disint_left  # there is genuine freedom
-    assert check_disintegration_independence(c, alt_left, alt_right, result=w)
+    assert check_disintegration_independence(w, alt_left, alt_right)
 
 
 def test_disintegration_independence_canonical_vs_itself():
     c = z2_cospan()
     w = build_weak_pullback(c)
-    assert check_disintegration_independence(c, w.disint_left, w.disint_right, result=w)
+    assert check_disintegration_independence(w, w.disint_left, w.disint_right)
 
 
 def test_disintegration_independence_rejects_non_disintegration():
@@ -292,7 +273,7 @@ def test_disintegration_independence_rejects_non_disintegration():
         {y: w.disint_left.at(y).scaled(2) for y in w.disint_left.codomain},
     )
     with pytest.raises(NotADisintegration):
-        check_disintegration_independence(c, broken, w.disint_right, result=w)
+        check_disintegration_independence(w, broken, w.disint_right)
 
 
 def test_cotrivial_base_matches_regular_pullback():
@@ -333,20 +314,18 @@ def test_random_cospans_small_sweep():
         assert mc.ok() and mc.checked > 0
         assert check_projection_homs(w).ok
         assert check_commuting_diamond(w)
-        assert check_triple_integral_lemma(c, result=w)
+        assert check_triple_integral_lemma(w)
         assert check_expanding_lemma(w)
 
 
 def test_commuting_diamond_via_composed_homs():
-    # the diamond is literally orbit_map_through of the two composites
-    from measured_groupoids import compose_homs, orbit_map_through
-
-    c = z2_cospan()
-    w = build_weak_pullback(c)
-    through_left = orbit_map_through(compose_homs(c.left_map, w.proj_left))
-    through_right = orbit_map_through(compose_homs(c.right_map, w.proj_right))
-    assert through_left == through_right
-    assert check_commuting_diamond(w)
+    # the diamond compares the base orbits reached through the two composites
+    for c in (z2_cospan(), *(random_cospan(seed) for seed in range(6))):
+        w = build_weak_pullback(c, validate=False)
+        through_left = literal_orbits_through(w, c.left_map.mapping, w.proj_left.mapping)
+        through_right = literal_orbits_through(w, c.right_map.mapping, w.proj_right.mapping)
+        assert through_left == through_right
+        assert check_commuting_diamond(w)
 
 
 def test_unit_level_class_preservation_implied_on_generated_legs():
