@@ -5,7 +5,8 @@ Usage:  python scripts/run_property_suite.py [N_SEEDS]
 Every fifth cospan gets an engineered null orbit in the base unit measure.
 Each cospan's pullback goes through every claim of `mgpd check`. Prints one
 line per failing seed with its failing claim ids (none expected) and a
-summary with timing.
+summary with the total time and the summed time of each stage (generate,
+build, run_claims).
 """
 
 from __future__ import annotations
@@ -17,11 +18,22 @@ from measured_groupoids import build_weak_pullback, random_cospan
 from measured_groupoids.cli import run_claims
 
 
-def run_seed(seed: int) -> list[str]:
-    """The ids of the claims that fail on the seed's cospan."""
+STAGES = ("generate", "build", "run_claims")
+
+
+def run_seed(seed: int, seconds: dict[str, float]) -> list[str]:
+    """The ids of the claims that fail on the seed's cospan. Adds each
+    stage's time to `seconds`."""
+    t0 = time.perf_counter()
     c = random_cospan(seed, with_null_base=seed % 5 == 4)
+    t1 = time.perf_counter()
     w = build_weak_pullback(c, validate=False)
-    return [claim for claim, (ok, _) in run_claims(c, w).items() if not ok]
+    t2 = time.perf_counter()
+    results = run_claims(c, w)
+    t3 = time.perf_counter()
+    for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
+        seconds[stage] += dt
+    return [claim for claim, (ok, _) in results.items() if not ok]
 
 
 def main() -> int:
@@ -30,14 +42,16 @@ def main() -> int:
     args = parser.parse_args()
 
     start = time.perf_counter()
+    seconds = dict.fromkeys(STAGES, 0.0)
     bad = 0
     for seed in range(args.seeds):
-        failures = run_seed(seed)
+        failures = run_seed(seed, seconds)
         if failures:
             bad += 1
             print(f"seed {seed}: FAIL {', '.join(failures)}")
     elapsed = time.perf_counter() - start
-    print(f"{args.seeds - bad}/{args.seeds} cospans passed every check in {elapsed:.1f}s")
+    stages = ", ".join(f"{stage} {seconds[stage]:.1f}s" for stage in STAGES)
+    print(f"{args.seeds - bad}/{args.seeds} cospans passed every check in {elapsed:.1f}s ({stages})")
     return 0 if bad == 0 else 1
 
 

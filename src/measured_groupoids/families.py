@@ -17,7 +17,7 @@ from .errors import (
     NotEquivariant,
     PrecomputedConditionFailed,
 )
-from .groupoid import FiniteGroupoid, GroupoidHom, check_element_id, validate_hom
+from .groupoid import FiniteGroupoid, GroupoidHom, check_element_id, validate_groupoid, validate_hom
 from .haar import HaarGroupoid, counting_haar_system
 from .measures import counting, push_forward, same_measure_class
 from .pullback import PullbackGroupoid, weak_pullback_groupoid
@@ -233,6 +233,10 @@ class CechCospanData:
     def __post_init__(self):
         if self.cover_left.index_set != self.cover_right.index_set:
             raise ImageMismatch("covers must share one index set")
+        for name, cover, f in (("left", self.cover_left, self.map_left), ("right", self.cover_right, self.map_right)):
+            for y in cover.space:
+                if y not in f:
+                    raise MalformedInput(f"{name} map undefined at {y!r}")
         blocks = {}
         for a in self.cover_left.index_set:
             li = frozenset(self.map_left[y] for y in self.cover_left.blocks[a])
@@ -305,6 +309,9 @@ class GroupAction:
     def __init__(self, group: FiniteGroupoid, space: Iterable[str], act: Mapping[tuple[str, str], str]):
         if len(group.units) != 1:
             raise MalformedInput("acting groupoid must have a single unit")
+        report = validate_groupoid(group)
+        if not report.ok:
+            raise MalformedInput(f"acting group fails the groupoid axioms:\n{report.summary()}")
         self.group = group
         self.space = tuple(sorted(set(space)))
         self.act = dict(act)
@@ -377,6 +384,7 @@ class TransformationCospanData:
             for y in action.space:
                 if f.get(y) not in base:
                     raise MalformedInput(f"{name} map undefined or leaves the base at {y!r}")
+            for y in action.space:
                 for gm in action.group.elements:
                     if f[action.act[(y, gm)]] != f[y]:
                         raise NotEquivariant(f"{name} map is not invariant under the action at ({y!r}, {gm!r})")

@@ -8,8 +8,10 @@ fold of two copies, thickening by a pair groupoid, action and pair covers of
 a group base) so that measure-class preservation holds by construction, and
 are still re-validated with resampling as a safety net.
 
-`bounds` is (max_units, max_elements) per groupoid. The defaults stay well
-below the point where the pullback's cubic axiom sweep stops being cheap.
+`bounds` is (max_units, max_elements) per groupoid. The defaults keep the
+pullbacks at desk scale (at most about a thousand elements), where the
+structure-theorem checks, which sum over the pullback's elements and fibers,
+stay cheap.
 """
 
 from __future__ import annotations

@@ -17,7 +17,13 @@ from measured_groupoids import (
     trivial_group,
     with_counting_haar,
 )
-from measured_groupoids.groupoid import GroupoidHom, identity_hom
+from measured_groupoids.groupoid import (
+    GroupoidHom,
+    ValidationReport,
+    Violation,
+    _referential_check,
+    identity_hom,
+)
 from measured_groupoids.haar import HaarGroupoid, counting_haar_system
 
 F = Fraction
@@ -169,3 +175,69 @@ def literal_orbits_through(w, leg_map, proj):
     two homomorphisms composed table by table."""
     base = w.cospan.base.groupoid
     return {x: literal_orbit_label(base, base.r(leg_map[proj[x]])) for x in w.groupoid.elements}
+
+
+def literal_groupoid_report(g: FiniteGroupoid) -> ValidationReport:
+    """The groupoid axioms by exhaustive enumeration: every pair of elements
+    for the compose domain and every composable triple for associativity.
+    The oracle for validate_groupoid, which must return this same report."""
+    _referential_check(g)
+    bad: list[Violation] = []
+
+    for x in g.elements:
+        if g.range_map[x] not in g.unit_set:
+            bad.append(Violation("range-into-units", (x,), f"r({x}) = {g.range_map[x]} is not a unit"))
+        if g.source_map[x] not in g.unit_set:
+            bad.append(Violation("source-into-units", (x,), f"d({x}) = {g.source_map[x]} is not a unit"))
+
+    for u in g.units:
+        if g.range_map[u] != u or g.source_map[u] != u:
+            bad.append(Violation("unit-fixed", (u,), f"r({u}) = {g.range_map[u]}, d({u}) = {g.source_map[u]}, expected both {u}"))
+
+    # compose defined exactly on composable pairs, with correct range/source
+    defined = set(g.compose_map)
+    for x in g.elements:
+        for y in g.elements:
+            if g.source_map[x] == g.range_map[y]:
+                if (x, y) not in defined:
+                    bad.append(Violation("compose-total", (x, y), "composable pair has no product"))
+            elif (x, y) in defined:
+                bad.append(Violation("compose-domain", (x, y), "product defined on a non-composable pair"))
+    for (x, y), z in sorted(g.compose_map.items()):
+        if g.source_map[x] != g.range_map[y]:
+            continue
+        if g.range_map[z] != g.range_map[x]:
+            bad.append(Violation("range-of-product", (x, y, z), f"r({x}{y}) = {g.range_map[z]} != r({x})"))
+        if g.source_map[z] != g.source_map[y]:
+            bad.append(Violation("source-of-product", (x, y, z), f"d({x}{y}) = {g.source_map[z]} != d({y})"))
+
+    # associativity on all composable triples
+    for (x, y), xy in sorted(g.compose_map.items()):
+        if g.source_map[x] != g.range_map[y]:
+            continue
+        for z in g.fiber(g.source_map[y]):
+            lhs = g.compose_map.get((xy, z))
+            yz = g.compose_map.get((y, z))
+            rhs = g.compose_map.get((x, yz)) if yz is not None else None
+            if lhs is None or rhs is None or lhs != rhs:
+                bad.append(Violation("associativity", (x, y, z), f"({x}{y}){z} = {lhs}, {x}({y}{z}) = {rhs}"))
+
+    for x in g.elements:
+        if g.compose_map.get((x, g.source_map[x])) != x:
+            bad.append(Violation("right-unit-law", (x,), f"{x}·d({x}) != {x}"))
+        if g.compose_map.get((g.range_map[x], x)) != x:
+            bad.append(Violation("left-unit-law", (x,), f"r({x})·{x} != {x}"))
+
+    for x in g.elements:
+        xi = g.inverse_map[x]
+        if g.inverse_map.get(xi) != x:
+            bad.append(Violation("inverse-involution", (x,), f"inverse(inverse({x})) = {g.inverse_map.get(xi)}"))
+        if g.range_map[xi] != g.source_map[x] or g.source_map[xi] != g.range_map[x]:
+            bad.append(Violation("inverse-swaps-ends", (x,), f"r/d of inverse({x}) do not swap r/d of {x}"))
+            continue
+        if g.compose_map.get((x, xi)) != g.range_map[x]:
+            bad.append(Violation("inverse-law", (x,), f"{x}·{x}⁻¹ != r({x})"))
+        if g.compose_map.get((xi, x)) != g.source_map[x]:
+            bad.append(Violation("inverse-law", (x,), f"{x}⁻¹·{x} != d({x})"))
+
+    return ValidationReport(tuple(bad))

@@ -175,3 +175,57 @@ def test_mutated_fixtures_end_in_documented_exit_codes(tmp_path, capsys):
                     assert rc in (0, 1, 2, 3), (fixture.name, n, args[0], rc)
                 capsys.readouterr()
     assert not escaped, "\n".join(escaped)
+
+
+def _entries(node, path=()):
+    """The path of every list item and every dict entry, at any depth."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield path + (k,)
+            yield from _entries(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield path + (i,)
+            yield from _entries(v, path + (i,))
+
+
+def _deletion_mutants(text, rng, count):
+    """Copies of a document with one list item or dict entry deleted."""
+    paths = list(_entries(json.loads(text)))
+    for path in rng.sample(paths, min(count, len(paths))):
+        doc = json.loads(text)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        yield json.dumps(doc)
+
+
+def test_deletion_mutants_end_in_documented_exit_codes(tmp_path, capsys):
+    # a missing table entry must be reported, never looked up: this reaches
+    # the parameter documents' maps and acting groups, which string swaps
+    # leave total
+    examples = {"cech_params.json": "cech", "transformation_params.json": "transformation"}
+    escaped = []
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        rng = random.Random(fixture.name)
+        for n, text in enumerate(_deletion_mutants(fixture.read_text(encoding="utf-8"), rng, 80)):
+            doc = tmp_path / "mutant.json"
+            doc.write_text(text, encoding="utf-8")
+            runs = [
+                ["validate", str(doc)],
+                ["check", str(doc)],
+                ["pullback", str(doc), "--out", str(tmp_path / "p.json")],
+                ["modular", str(doc)],
+            ]
+            if fixture.name in examples:
+                runs.append(["example", examples[fixture.name], "--params", str(doc), "--out", str(tmp_path / "e.json")])
+            for args in runs:
+                try:
+                    rc = main(args)
+                except Exception as e:  # any escape is the failure this test looks for
+                    escaped.append(f"{fixture.name} mutant {n}, {args[0]}: {type(e).__name__}: {e}")
+                else:
+                    assert rc in (0, 1, 2, 3), (fixture.name, n, args[0], rc)
+                capsys.readouterr()
+    assert not escaped, "\n".join(escaped)

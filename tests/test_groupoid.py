@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,14 +12,16 @@ from measured_groupoids import (
     disjoint_union,
     orbits,
     pair_groupoid,
+    random_cospan,
     random_groupoid,
     trivial_group,
     validate_groupoid,
     validate_hom,
+    weak_pullback_groupoid,
 )
 from measured_groupoids.groupoid import GroupoidHom, identity_hom
 
-from helpers import manual_pair_groupoid
+from helpers import literal_groupoid_report, manual_pair_groupoid
 
 
 def test_trivial_group_is_valid():
@@ -172,3 +176,104 @@ def test_empty_groupoid_is_a_valid_bare_groupoid():
     empty = HaarGroupoid(g, MeasureSystem({}, [], [], {}), FiniteMeasure([]))
     report = validate_haar_groupoid(empty)
     assert any(v.rule == "nonzero-unit-measure" for v in report.violations)
+
+
+# validate_groupoid against the exhaustive enumeration: the same report, with
+# the same violations in the same order
+
+SWEEP_SEEDS = range(200)
+# every leg is mutated, and the pullbacks up to this size: the enumeration
+# takes seconds on each mutant of the largest ones
+MUTATED_PULLBACK_MAX = 64
+
+
+def _sweep_groupoids(seed):
+    """The three legs and the pullback groupoid of one property-sweep cospan."""
+    c = random_cospan(seed, with_null_base=seed % 5 == 4)
+    legs = (c.left.groupoid, c.base.groupoid, c.right.groupoid)
+    pullback = weak_pullback_groupoid(*legs, c.left_map.mapping, c.right_map.mapping).groupoid
+    return legs, pullback
+
+
+def _replace(g, inverse_map=None, compose_map=None):
+    return FiniteGroupoid(
+        g.elements,
+        g.units,
+        g.range_map,
+        g.source_map,
+        g.inverse_map if inverse_map is None else inverse_map,
+        g.compose_map if compose_map is None else compose_map,
+    )
+
+
+def _mutants(g, rng):
+    """(name, mutant) pairs, each with one table entry broken. A kind of
+    mutant that g has no room for (say, no non-composable pair) is left out."""
+    keys = sorted(g.compose_map)
+    ranges = set(g.range_map.values())
+    hom: dict[tuple[str, str], list[str]] = {}
+    for z in g.elements:
+        hom.setdefault((g.r(z), g.d(z)), []).append(z)
+    out = []
+
+    swappable = [
+        k
+        for k in keys
+        if g.unit_set.isdisjoint((*k, g.compose_map[k])) and len(hom[(g.r(k[0]), g.d(k[1]))]) > 1
+    ]
+    if swappable:
+        k = rng.choice(swappable)
+        z = rng.choice([z for z in hom[(g.r(k[0]), g.d(k[1]))] if z != g.compose_map[k]])
+        out.append(("swapped-product", _replace(g, compose_map={**g.compose_map, k: z})))
+
+    compose = dict(g.compose_map)
+    del compose[rng.choice(keys)]
+    out.append(("deleted-entry", _replace(g, compose_map=compose)))
+
+    if len(ranges) > 1:
+        x = rng.choice(g.elements)
+        y = rng.choice([y for y in g.elements if g.r(y) != g.d(x)])
+        out.append(("non-composable-entry", _replace(g, compose_map={**g.compose_map, (x, y): rng.choice(g.elements)})))
+
+        k = rng.choice(keys)
+        z = rng.choice([z for z in g.elements if g.r(z) != g.r(k[0])])
+        out.append(("wrong-range", _replace(g, compose_map={**g.compose_map, k: z})))
+
+    if len(g) > 1:
+        x = rng.choice(g.elements)
+        y = rng.choice([y for y in g.elements if y != g.inv(x)])
+        out.append(("broken-inverse", _replace(g, inverse_map={**g.inverse_map, x: y})))
+    return out
+
+
+def test_validate_groupoid_matches_enumeration_on_small_groupoids():
+    empty = FiniteGroupoid([], [], {}, {}, {}, {})
+    lone_arrow = FiniteGroupoid(["a"], [], {"a": "a"}, {"a": "a"}, {"a": "a"}, {("a", "a"): "a"})
+    no_product = FiniteGroupoid(["e"], ["e"], {"e": "e"}, {"e": "e"}, {"e": "e"}, {})
+    for g in (empty, trivial_group(), lone_arrow, no_product):
+        assert validate_groupoid(g) == literal_groupoid_report(g)
+    assert not validate_groupoid(lone_arrow).ok and not validate_groupoid(no_product).ok
+
+
+def test_validate_groupoid_matches_enumeration_on_sweep_and_mutants():
+    # one pass builds each sweep groupoid once for both comparisons
+    swapped = 0
+    for seed in SWEEP_SEEDS:
+        rng = random.Random(seed)
+        legs, pullback = _sweep_groupoids(seed)
+        for g in (*legs, pullback):
+            report = validate_groupoid(g)
+            assert report.ok, seed
+            assert report == literal_groupoid_report(g), seed
+            if len(g) > MUTATED_PULLBACK_MAX:
+                continue
+            for name, mutant in _mutants(g, rng):
+                expected = literal_groupoid_report(mutant)
+                assert not expected.ok, (seed, name)
+                assert validate_groupoid(mutant) == expected, (seed, name)
+                if name == "swapped-product":
+                    # the domain and every linear law still hold, so the
+                    # failure is found by the generating-set stage
+                    assert {v.rule for v in expected.violations} == {"associativity"}, seed
+                    swapped += 1
+    assert swapped > 200
