@@ -27,8 +27,8 @@ from .families import canonical_iso_cech, canonical_iso_transformation, is_isomo
 from .generate import alternate_disintegration, random_cospan, random_haar_groupoid
 from .groupoid import GroupoidHom, ValidationReport, validate_groupoid
 from .haar import (
+    HaarGroupoid,
     is_haar,
-    modular_function,
     validate_haar_groupoid,
     validate_haar_hom,
     validate_unit_measure,
@@ -79,7 +79,15 @@ def _print_report(report: ValidationReport, label: str) -> bool:
     return False
 
 
-def _validate_groupoid_document(doc: GroupoidDocument) -> bool:
+def _measured(doc: GroupoidDocument) -> HaarGroupoid | None:
+    """The document as a Haar groupoid, or None when it lacks a measure."""
+    return doc.to_haar_groupoid() if doc.haar is not None and doc.unit_measure is not None else None
+
+
+def _validate_groupoid_document(doc: GroupoidDocument, h: HaarGroupoid | None) -> bool:
+    """The axioms, then the measures the document carries. `h` is
+    `_measured(doc)`, which the caller keeps so that its measures are derived
+    once."""
     # the measure checks compose and index by the tables, so they run only
     # on a groupoid that satisfies the axioms
     if not _print_report(validate_groupoid(doc.groupoid), "groupoid axioms"):
@@ -87,23 +95,21 @@ def _validate_groupoid_document(doc: GroupoidDocument) -> bool:
     ok = True
     if doc.haar is not None:
         ok = _print_report(is_haar(doc.groupoid, doc.haar), "haar system")
-    if doc.haar is not None and doc.unit_measure is not None:
-        ok &= _print_report(validate_unit_measure(doc.to_haar_groupoid()), "haar groupoid")
+    if h is not None:
+        ok &= _print_report(validate_unit_measure(h), "haar groupoid")
     return ok
 
 
-def _validate_cospan_document(doc: CospanDocument) -> bool:
-    return _print_report(validate_cospan(doc.to_cospan()), "cospan")
-
-
 def _validate_pullback_document(doc: PullbackDocument) -> bool:
-    ok = _validate_cospan_document(doc.cospan)
-    ok &= _validate_groupoid_document(doc.result)
+    cospan = doc.cospan.to_cospan()
+    ok = _print_report(validate_cospan(cospan), "cospan")
+    h = _measured(doc.result)
+    ok &= _validate_groupoid_document(doc.result, h)
     if ok:
-        h = doc.result.to_haar_groupoid()
+        if h is None:
+            h = doc.result.to_haar_groupoid()  # raises: the result lacks a measure
         try:
-            delta = modular_function(h)
-            if dict(delta.values) != doc.modular:
+            if dict(h.modular.values) != doc.modular:
                 print("violation: stored modular table does not match the stored measures")
                 ok = False
             else:
@@ -111,7 +117,6 @@ def _validate_pullback_document(doc: PullbackDocument) -> bool:
         except NotQuasiInvariant as e:
             print(f"violation: stored pullback is not quasi-invariant: {e}")
             ok = False
-        cospan = doc.cospan.to_cospan()
         for name, mapping, leg in (
             ("proj_left", doc.proj_left, cospan.left),
             ("proj_right", doc.proj_right, cospan.right),
@@ -124,9 +129,9 @@ def _validate_pullback_document(doc: PullbackDocument) -> bool:
 def cmd_validate(args) -> int:
     doc = _read(args.file)
     if isinstance(doc, GroupoidDocument):
-        ok = _validate_groupoid_document(doc)
+        ok = _validate_groupoid_document(doc, _measured(doc))
     elif isinstance(doc, CospanDocument):
-        ok = _validate_cospan_document(doc)
+        ok = _print_report(validate_cospan(doc.to_cospan()), "cospan")
     elif isinstance(doc, PullbackDocument):
         ok = _validate_pullback_document(doc)
     elif isinstance(doc, (CechExampleDocument, TransformationExampleDocument)):
@@ -303,7 +308,7 @@ def cmd_modular(args) -> int:
     if not report.ok:
         _print_report(report, "haar groupoid")
         return EXIT_VALIDATION
-    delta = modular_function(h)
+    delta = h.modular
     for x in sorted(delta.values):
         print(f"{x}\t{weight_to_str(delta(x))}")
     return EXIT_OK

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .families import (
     GroupAction,
     TransformationCospanData,
 )
-from .groupoid import FiniteGroupoid, GroupoidHom
+from .groupoid import FiniteGroupoid, GroupoidHom, check_map, check_references
 from .haar import HaarGroupoid
 from .measures import FiniteMeasure, MeasureSystem
 from .pullback import Cospan, WeakPullbackResult
@@ -107,7 +108,7 @@ class PullbackDocument:
         return PullbackDocument(
             CospanDocument.of(w.cospan),
             GroupoidDocument(w.groupoid, w.haar, w.unit_measure),
-            dict(w.modular.values),
+            dict(w.haar_groupoid.modular.values),
             dict(w.proj_left.mapping),
             dict(w.proj_right.mapping),
         )
@@ -286,6 +287,24 @@ def _str_map(obj: dict, key: str, path: str) -> dict[str, str]:
     return val
 
 
+@contextmanager
+def _reported_at(path: str, kind: type[ParseError] = ParseError):
+    """Re-raise the block's MalformedInput as `kind`, prefixed with the path
+    of the document field it came from."""
+    try:
+        yield
+    except MalformedInput as e:
+        raise kind(f"{path}: {e}") from e
+
+
+def _element_map(obj: dict, key: str, path: str, dom: FiniteGroupoid, cod: FiniteGroupoid) -> dict[str, str]:
+    """A map field from the elements of `dom` to those of `cod`."""
+    mapping = _str_map(obj, key, path)
+    with _reported_at(f"{path}.{key}", DanglingReference):
+        check_map(mapping, dom.element_set, cod.element_set, "map")
+    return dict(mapping)
+
+
 def _parse_groupoid(obj: dict, path: str) -> FiniteGroupoid:
     elements = _str_list(obj, "elements", path)
     units = _str_list(obj, "units", path)
@@ -293,34 +312,19 @@ def _parse_groupoid(obj: dict, path: str) -> FiniteGroupoid:
     source_map = _str_map(obj, "source", path)
     inverse_map = _str_map(obj, "inverse", path)
     compose_raw = _get(obj, "compose", list, path)
-    element_set = set(elements)
-    for u in units:
-        if u not in element_set:
-            raise DanglingReference(f"{path}.units: unknown element {u!r}")
-    for name, table in (("range", range_map), ("source", source_map), ("inverse", inverse_map)):
-        for x, y in table.items():
-            if x not in element_set:
-                raise DanglingReference(f"{path}.{name}: unknown element {x!r}")
-            if y not in element_set:
-                raise DanglingReference(f"{path}.{name}[{x!r}]: unknown element {y!r}")
-        for x in elements:
-            if x not in table:
-                raise ParseError(f"{path}.{name}: no entry for element {x!r}")
     compose: dict[tuple[str, str], str] = {}
     for i, entry in enumerate(compose_raw):
         if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(e, str) for e in entry)):
             raise ParseError(f"{path}.compose[{i}]: expected a triple of element ids")
         x, y, z = entry
-        for e in entry:
-            if e not in element_set:
-                raise DanglingReference(f"{path}.compose[{i}]: unknown element {e!r}")
         if (x, y) in compose:
             raise ParseError(f"{path}.compose[{i}]: duplicate entry for ({x!r}, {y!r})")
         compose[(x, y)] = z
-    try:
-        return FiniteGroupoid(elements, units, range_map, source_map, inverse_map, compose)
-    except MalformedInput as e:
-        raise ParseError(f"{path}: {e}") from e
+    with _reported_at(path):
+        g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, compose)
+    with _reported_at(path, DanglingReference):
+        check_references(g)
+    return g
 
 
 def _parse_groupoid_document(obj: dict, path: str) -> GroupoidDocument:
@@ -352,26 +356,13 @@ def _parse_groupoid_document(obj: dict, path: str) -> GroupoidDocument:
     return GroupoidDocument(g, haar, unit_measure)
 
 
-def _check_map_refs(mapping: dict[str, str], dom: FiniteGroupoid, cod: FiniteGroupoid, path: str) -> None:
-    for x, y in mapping.items():
-        if x not in dom.element_set:
-            raise DanglingReference(f"{path}: unknown domain element {x!r}")
-        if y not in cod.element_set:
-            raise DanglingReference(f"{path}[{x!r}]: unknown codomain element {y!r}")
-    for x in dom.elements:
-        if x not in mapping:
-            raise ParseError(f"{path}: no entry for element {x!r}")
-
-
 def _parse_cospan(obj: dict, path: str) -> CospanDocument:
     left = _parse_groupoid_document(_get(obj, "left", dict, path), f"{path}.left")
     base = _parse_groupoid_document(_get(obj, "base", dict, path), f"{path}.base")
     right = _parse_groupoid_document(_get(obj, "right", dict, path), f"{path}.right")
-    left_map = _str_map(obj, "left_map", path)
-    right_map = _str_map(obj, "right_map", path)
-    _check_map_refs(left_map, left.groupoid, base.groupoid, f"{path}.left_map")
-    _check_map_refs(right_map, right.groupoid, base.groupoid, f"{path}.right_map")
-    return CospanDocument(left, base, right, dict(left_map), dict(right_map))
+    left_map = _element_map(obj, "left_map", path, left.groupoid, base.groupoid)
+    right_map = _element_map(obj, "right_map", path, right.groupoid, base.groupoid)
+    return CospanDocument(left, base, right, left_map, right_map)
 
 
 def _parse_cover(obj: dict, path: str) -> FiniteCover:
@@ -382,10 +373,8 @@ def _parse_cover(obj: dict, path: str) -> FiniteCover:
         if not (isinstance(pts, list) and all(isinstance(p, str) for p in pts)):
             raise ParseError(f"{path}.blocks[{i!r}]: expected a list of points")
         blocks[i] = pts
-    try:
+    with _reported_at(path):
         return FiniteCover.build(space, blocks)
-    except MalformedInput as e:
-        raise ParseError(f"{path}: {e}") from e
 
 
 def _parse_action(obj: dict, path: str) -> GroupAction:
@@ -400,10 +389,8 @@ def _parse_action(obj: dict, path: str) -> GroupAction:
             if not isinstance(img, str):
                 raise ParseError(f"{path}.act[{y!r}][{gm!r}]: expected a point id")
             act[(y, gm)] = img
-    try:
+    with _reported_at(path):
         return GroupAction(group, space, act)
-    except MalformedInput as e:
-        raise ParseError(f"{path}: {e}") from e
 
 
 def parse_document(text: str) -> Document:
@@ -431,21 +418,17 @@ def parse_document(text: str) -> Document:
             if x not in result.groupoid.element_set:
                 raise DanglingReference(f"$.modular: unknown element {x!r}")
             modular[x] = str_to_weight(w, f"$.modular[{x!r}]")
-        proj_left = _str_map(obj, "proj_left", "$")
-        proj_right = _str_map(obj, "proj_right", "$")
-        _check_map_refs(proj_left, result.groupoid, cospan.left.groupoid, "$.proj_left")
-        _check_map_refs(proj_right, result.groupoid, cospan.right.groupoid, "$.proj_right")
-        return PullbackDocument(cospan, result, modular, dict(proj_left), dict(proj_right))
+        proj_left = _element_map(obj, "proj_left", "$", result.groupoid, cospan.left.groupoid)
+        proj_right = _element_map(obj, "proj_right", "$", result.groupoid, cospan.right.groupoid)
+        return PullbackDocument(cospan, result, modular, proj_left, proj_right)
     if kind == "cech_example":
         cover_left = _parse_cover(_get(obj, "left_cover", dict, "$"), "$.left_cover")
         cover_right = _parse_cover(_get(obj, "right_cover", dict, "$"), "$.right_cover")
         base_space = _str_list(obj, "base_space", "$")
         left_map = _str_map(obj, "left_map", "$")
         right_map = _str_map(obj, "right_map", "$")
-        try:
+        with _reported_at("$"):
             data = CechCospanData(cover_left, cover_right, tuple(sorted(set(base_space))), dict(left_map), dict(right_map))
-        except MalformedInput as e:
-            raise ParseError(f"$: {e}") from e
         return CechExampleDocument(data)
     if kind == "transformation_example":
         action_left = _parse_action(_get(obj, "left_action", dict, "$"), "$.left_action")
@@ -453,12 +436,10 @@ def parse_document(text: str) -> Document:
         base_space = _str_list(obj, "base_space", "$")
         left_map = _str_map(obj, "left_map", "$")
         right_map = _str_map(obj, "right_map", "$")
-        try:
+        with _reported_at("$"):
             data = TransformationCospanData(
                 action_left, action_right, tuple(sorted(set(base_space))), dict(left_map), dict(right_map)
             )
-        except MalformedInput as e:
-            raise ParseError(f"$: {e}") from e
         return TransformationExampleDocument(data)
     if kind == "example_result":
         left = _parse_groupoid(_get(obj, "left", dict, "$"), "$.left")
@@ -466,17 +447,14 @@ def parse_document(text: str) -> Document:
         right = _parse_groupoid(_get(obj, "right", dict, "$"), "$.right")
         pullback = _parse_groupoid(_get(obj, "pullback", dict, "$"), "$.pullback")
         target = _parse_groupoid(_get(obj, "target", dict, "$"), "$.target")
-        left_map = _str_map(obj, "left_map", "$")
-        right_map = _str_map(obj, "right_map", "$")
-        iso_map = _str_map(obj, "iso_map", "$")
-        _check_map_refs(left_map, left, base, "$.left_map")
-        _check_map_refs(right_map, right, base, "$.right_map")
-        _check_map_refs(iso_map, pullback, target, "$.iso_map")
+        left_map = _element_map(obj, "left_map", "$", left, base)
+        right_map = _element_map(obj, "right_map", "$", right, base)
+        iso_map = _element_map(obj, "iso_map", "$", pullback, target)
         verdict = obj.get("is_isomorphism")
         if not isinstance(verdict, bool):
             raise ParseError("$.is_isomorphism: expected a boolean")
         construction = _get(obj, "construction", str, "$")
         return ExampleResultDocument(
-            construction, left, base, right, dict(left_map), dict(right_map), pullback, target, dict(iso_map), verdict
+            construction, left, base, right, left_map, right_map, pullback, target, iso_map, verdict
         )
     raise ParseError(f"unknown document kind {kind!r}")

@@ -232,7 +232,7 @@ class CechCospanData:
 
     def __post_init__(self):
         if self.cover_left.index_set != self.cover_right.index_set:
-            raise ImageMismatch("covers must share one index set")
+            raise MalformedInput("covers must share one index set")
         for name, cover, f in (("left", self.cover_left, self.map_left), ("right", self.cover_right, self.map_right)):
             for y in cover.space:
                 if y not in f:
@@ -500,10 +500,8 @@ def is_isomorphism(f: GroupoidHom, dom: HaarGroupoid | None = None, cod: HaarGro
     bij = len(image) == len(f.domain.elements) and image == set(f.codomain.elements)
     measures = None
     if bij and dom is not None and cod is not None:
-        from .haar import induced_measure
-
-        mu_dom = induced_measure(dom)
-        mu_cod = induced_measure(cod)
+        mu_dom = dom.induced
+        mu_cod = cod.induced
         forward = same_measure_class(push_forward(f.mapping, mu_dom, cod.groupoid.elements), mu_cod)
         backward_map = {v: k for k, v in f.mapping.items()}
         backward = same_measure_class(push_forward(backward_map, mu_cod, dom.groupoid.elements), mu_dom)

@@ -11,8 +11,9 @@ visit every pair or every composable triple; see :func:`validate_groupoid`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import MalformedInput
 
@@ -124,24 +125,34 @@ class FiniteGroupoid:
         return tuple(self._r_fibers.get(u, ()))
 
 
-def _referential_check(g: FiniteGroupoid) -> None:
+def check_map(mapping: Mapping[str, str], dom: AbstractSet[str], cod: AbstractSet[str], name: str) -> None:
+    """The map is defined on exactly the ids in `dom` and takes its values in
+    `cod`. Raises MalformedInput naming an offending id; the ids are visited
+    one by one only after a set test has failed."""
+    keys = mapping.keys()
+    if not keys >= dom:
+        raise MalformedInput(f"{name} undefined at {min(dom - keys)!r}")
+    if not keys <= dom:
+        x = next(x for x in mapping if x not in dom)
+        raise MalformedInput(f"{name} keyed by unknown id {x!r}")
+    if not cod.issuperset(mapping.values()):
+        x = next(x for x, y in mapping.items() if y not in cod)
+        raise MalformedInput(f"{name} sends {x!r} to unknown id {mapping[x]!r}")
+
+
+def check_references(g: FiniteGroupoid) -> None:
+    """Every id the tables name is an element, and the structure maps are
+    defined on every element. Raises MalformedInput naming an offending id."""
     els = g.element_set
     for name, table in (("range", g.range_map), ("source", g.source_map), ("inverse", g.inverse_map)):
-        for x in g.elements:
-            if x not in table:
-                raise MalformedInput(f"{name} map undefined at {x!r}")
-        for x, y in table.items():
-            if x not in els:
-                raise MalformedInput(f"{name} map keyed by unknown id {x!r}")
-            if y not in els:
-                raise MalformedInput(f"{name} map sends {x!r} to unknown id {y!r}")
-    for u in g.units:
-        if u not in els:
-            raise MalformedInput(f"unit {u!r} is not an element")
-    for (x, y), z in g.compose_map.items():
-        for w in (x, y, z):
-            if w not in els:
-                raise MalformedInput(f"compose entry ({x!r}, {y!r}) -> {z!r} references unknown id {w!r}")
+        check_map(table, els, els, f"{name} map")
+    if not g.unit_set <= els:
+        raise MalformedInput(f"unit {min(g.unit_set - els)!r} is not an element")
+    compose = g.compose_map
+    if not (els.issuperset(chain.from_iterable(compose)) and els.issuperset(compose.values())):
+        (x, y), z = next((k, z) for k, z in compose.items() if not els.issuperset((*k, z)))
+        w = next(w for w in (x, y, z) if w not in els)
+        raise MalformedInput(f"compose entry ({x!r}, {y!r}) -> {z!r} references unknown id {w!r}")
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
@@ -166,7 +177,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     stage it relies on failed, so violations are named, and ordered, as by
     the exhaustive check.
     """
-    _referential_check(g)
+    check_references(g)
     bad: list[Violation] = []
 
     for x in g.elements:
@@ -370,14 +381,7 @@ def identity_hom(g: FiniteGroupoid) -> GroupoidHom:
 def validate_hom(p: GroupoidHom) -> ValidationReport:
     """Check unit preservation, compatibility with r/d/inverse and products."""
     dom, cod = p.domain, p.codomain
-    for x in dom.elements:
-        if x not in p.mapping:
-            raise MalformedInput(f"hom undefined at {x!r}")
-    for x, y in p.mapping.items():
-        if x not in dom.element_set:
-            raise MalformedInput(f"hom keyed by unknown id {x!r}")
-        if y not in cod.element_set:
-            raise MalformedInput(f"hom sends {x!r} to unknown id {y!r}")
+    check_map(p.mapping, dom.element_set, cod.element_set, "hom")
 
     bad: list[Violation] = []
     f = p.mapping

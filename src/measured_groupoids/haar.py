@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import MalformedInput, NotQuasiInvariant
@@ -26,23 +27,34 @@ from .measures import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class HaarGroupoid:
-    """Bundle of a groupoid, a Haar system over its range map, and a unit
-    measure. A plain data holder; `validate_haar_groupoid` checks the laws."""
+    """An object of HG: a groupoid, a Haar system over its range map, and a
+    unit measure. These fix the induced measure and the modular function,
+    which are derived on first read and then kept; the instance is frozen so
+    that what is kept cannot go stale. `validate_haar_groupoid` checks the
+    laws."""
 
     groupoid: FiniteGroupoid
     haar: MeasureSystem
     unit_measure: FiniteMeasure
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HaarGroupoid):
-            return NotImplemented
-        return (
-            self.groupoid == other.groupoid
-            and self.haar == other.haar
-            and self.unit_measure == other.unit_measure
-        )
+    @cached_property
+    def induced(self) -> FiniteMeasure:
+        """mu(x) = lam^{r(x)}(x) · mu0(r(x)), i.e. the system composed with mu0."""
+        return compose_with_measure(self.haar, self.unit_measure)
+
+    @cached_property
+    def modular(self) -> ModularFunction:
+        """Delta(x) = mu(x)/mu(x^{-1}) on the support of mu. Raises
+        NotQuasiInvariant with a witness, on every read, when mu and its
+        inverse image differ in support."""
+        ok, witness = is_quasi_invariant(self)
+        if not ok:
+            raise NotQuasiInvariant(f"unit measure is not quasi-invariant, witness {witness!r}", witness=witness)
+        mu = self.induced
+        g = self.groupoid
+        return ModularFunction({x: mu(x) / mu(g.inv(x)) for x in sorted(mu.support)})
 
 
 def haar_system_from_source_weights(g: FiniteGroupoid, source_weight: Mapping[str, object]) -> MeasureSystem:
@@ -84,11 +96,6 @@ def is_haar(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def induced_measure(h: HaarGroupoid) -> FiniteMeasure:
-    """mu(x) = lam^{r(x)}(x) · mu0(r(x)), i.e. the system composed with mu0."""
-    return compose_with_measure(h.haar, h.unit_measure)
-
-
 def inverse_measure(mu: FiniteMeasure, g: FiniteGroupoid) -> FiniteMeasure:
     """Image of mu under inversion: (mu^{-1})(x) = mu(x^{-1})."""
     if mu.base != g.elements:
@@ -99,7 +106,7 @@ def inverse_measure(mu: FiniteMeasure, g: FiniteGroupoid) -> FiniteMeasure:
 def is_quasi_invariant(h: HaarGroupoid) -> tuple[bool, str | None]:
     """Support equality of the induced measure and its inverse image;
     returns a witnessing element on failure."""
-    mu = induced_measure(h)
+    mu = h.induced
     mu_inv = inverse_measure(mu, h.groupoid)
     if same_measure_class(mu, mu_inv):
         return True, None
@@ -160,15 +167,6 @@ class ModularFunction:
         return self.values == other.values
 
 
-def modular_function(h: HaarGroupoid) -> ModularFunction:
-    ok, witness = is_quasi_invariant(h)
-    if not ok:
-        raise NotQuasiInvariant(f"unit measure is not quasi-invariant, witness {witness!r}", witness=witness)
-    mu = induced_measure(h)
-    g = h.groupoid
-    return ModularFunction({x: mu(x) / mu(g.inv(x)) for x in sorted(mu.support)})
-
-
 def validate_haar_hom(p: GroupoidHom, dom: HaarGroupoid, cod: HaarGroupoid) -> ValidationReport:
     """Algebraic homomorphism plus measure-class preservation of the induced
     measures; also reports the derived unit-space class check, which can never
@@ -176,8 +174,8 @@ def validate_haar_hom(p: GroupoidHom, dom: HaarGroupoid, cod: HaarGroupoid) -> V
     if p.domain != dom.groupoid or p.codomain != cod.groupoid:
         raise MalformedInput("hom endpoints do not match the given Haar groupoids")
     bad = list(validate_hom(p).violations)
-    pushed = push_forward(p.mapping, induced_measure(dom), cod.groupoid.elements)
-    target = induced_measure(cod)
+    pushed = push_forward(p.mapping, dom.induced, cod.groupoid.elements)
+    target = cod.induced
     if not same_measure_class(pushed, target):
         w = class_witness(pushed, target)
         bad.append(

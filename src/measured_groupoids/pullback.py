@@ -15,8 +15,9 @@ unit maps. Every check below is an exact rational identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
@@ -29,11 +30,8 @@ from .groupoid import (
 )
 from .haar import (
     HaarGroupoid,
-    ModularFunction,
-    induced_measure,
     is_haar,
     is_quasi_invariant,
-    modular_function,
     validate_haar_groupoid,
     validate_haar_hom,
 )
@@ -149,11 +147,12 @@ def weak_pullback_groupoid(
     return PullbackGroupoid(pg, by_id, id_of, proj_left, proj_right, {pid: tr[1] for pid, tr in by_id.items()})
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeakPullbackResult:
     """The measured weak pullback: groupoid, projections, Haar system,
-    disintegrations, the system eta over the mediator map, the unit measure
-    and the modular function, with the induced measure cached."""
+    disintegrations, the system eta over the mediator map and the unit
+    measure. Its induced measure and modular function are those of
+    `haar_groupoid`, which is built on first read and kept."""
 
     cospan: Cospan
     algebraic: PullbackGroupoid
@@ -162,19 +161,12 @@ class WeakPullbackResult:
     disint_right: MeasureSystem
     eta: MeasureSystem
     unit_measure: FiniteMeasure
-    base_induced: FiniteMeasure
-    induced: FiniteMeasure = field(init=False)
-    modular: ModularFunction = field(init=False)
     # boundedness side conditions of the general theory; automatic on finite
     # sets, recorded so reports can say so explicitly
     assumptions: tuple[str, ...] = (
         "disintegrations are bounded (finite fibers)",
         "the base modular function is bounded (finite support)",
     )
-
-    def __post_init__(self):
-        self.induced = compose_with_measure(self.haar, self.unit_measure)
-        self.modular = modular_function(self.haar_groupoid)
 
     @property
     def groupoid(self) -> FiniteGroupoid:
@@ -188,7 +180,7 @@ class WeakPullbackResult:
     def proj_right(self) -> GroupoidHom:
         return self.algebraic.proj_right
 
-    @property
+    @cached_property
     def haar_groupoid(self) -> HaarGroupoid:
         return HaarGroupoid(self.algebraic.groupoid, self.haar, self.unit_measure)
 
@@ -245,9 +237,8 @@ def build_weak_pullback(c: Cospan, validate: bool = True) -> WeakPullbackResult:
     unit_map_right = {u: c.right_map.mapping[u] for u in c.right.groupoid.units}
     gamma_p = disintegrate(unit_map_left, c.left.unit_measure, c.base.unit_measure)
     gamma_q = disintegrate(unit_map_right, c.right.unit_measure, c.base.unit_measure)
-    mu_g = induced_measure(c.base)
     eta = _eta_system(alg, c, gamma_p, gamma_q)
-    mu_p0 = compose_with_measure(eta, mu_g)
+    mu_p0 = compose_with_measure(eta, c.base.induced)
     return WeakPullbackResult(
         cospan=c,
         algebraic=alg,
@@ -256,7 +247,6 @@ def build_weak_pullback(c: Cospan, validate: bool = True) -> WeakPullbackResult:
         disint_right=gamma_q,
         eta=eta,
         unit_measure=mu_p0,
-        base_induced=mu_g,
     )
 
 
@@ -298,23 +288,25 @@ def check_quasi_invariance_and_modular(w: WeakPullbackResult) -> ModularCheck:
     Delta_P(σ,x,τ) · Delta_G(q(τ)) = Delta_S(σ) · Delta_T(τ) in multiplied-out
     form on every support triple whose constituents are all on-support;
     off-support triples are skipped and counted."""
-    qi, witness = is_quasi_invariant(w.haar_groupoid)
+    h_p = w.haar_groupoid
+    qi, witness = is_quasi_invariant(h_p)
     if not qi:
         return ModularCheck(False, witness, 0, 0, ())
     c = w.cospan
-    delta_s = modular_function(c.left)
-    delta_t = modular_function(c.right)
-    delta_g = modular_function(c.base)
+    delta_p = h_p.modular
+    delta_s = c.left.modular
+    delta_t = c.right.modular
+    delta_g = c.base.modular
     q = c.right_map.mapping
     checked = skipped = 0
     mismatches: list[str] = []
-    for pid in sorted(w.induced.support):
+    for pid in sorted(h_p.induced.support):
         sigma, _, tau = w.algebraic.triples[pid]
         if not (delta_s.defined_at(sigma) and delta_t.defined_at(tau) and delta_g.defined_at(q[tau])):
             skipped += 1
             continue
         checked += 1
-        if w.modular(pid) * delta_g(q[tau]) != delta_s(sigma) * delta_t(tau):
+        if delta_p(pid) * delta_g(q[tau]) != delta_s(sigma) * delta_t(tau):
             mismatches.append(pid)
     return ModularCheck(True, None, checked, skipped, tuple(mismatches))
 
@@ -373,7 +365,7 @@ def check_disintegration_independence(w: WeakPullbackResult, alt_left: MeasureSy
     _verify_disintegration(alt_left, unit_map_left, c.left.unit_measure, c.base.unit_measure, "left")
     _verify_disintegration(alt_right, unit_map_right, c.right.unit_measure, c.base.unit_measure, "right")
     eta_alt = _eta_system(w.algebraic, c, alt_left, alt_right)
-    mu_alt = compose_with_measure(eta_alt, w.base_induced)
+    mu_alt = compose_with_measure(eta_alt, c.base.induced)
     return mu_alt == w.unit_measure
 
 
@@ -431,9 +423,10 @@ def check_expanding_lemma(w: WeakPullbackResult) -> bool:
     mu_g0 = c.base.unit_measure
     gamma_p = w.disint_left
     gamma_q = w.disint_right
+    mu_p = w.haar_groupoid.induced
     for pid in w.groupoid.elements:
         sigma0, x0, tau0 = w.algebraic.triples[pid]
-        lhs = w.induced(pid)
+        lhs = mu_p(pid)
         left_sum = ZERO
         for s in s_g.units:
             left_sum += gamma_p.weight(base.r(x0), s) * lam_s.weight(s, sigma0)

@@ -21,7 +21,7 @@ from measured_groupoids.groupoid import (
     GroupoidHom,
     ValidationReport,
     Violation,
-    _referential_check,
+    check_references,
     identity_hom,
 )
 from measured_groupoids.haar import HaarGroupoid, counting_haar_system
@@ -181,7 +181,7 @@ def literal_groupoid_report(g: FiniteGroupoid) -> ValidationReport:
     """The groupoid axioms by exhaustive enumeration: every pair of elements
     for the compose domain and every composable triple for associativity.
     The oracle for validate_groupoid, which must return this same report."""
-    _referential_check(g)
+    check_references(g)
     bad: list[Violation] = []
 
     for x in g.elements:

@@ -20,11 +20,9 @@ from measured_groupoids import (
     check_disintegration_independence,
     check_quasi_invariance_and_modular,
     cyclic_group,
-    induced_measure,
     is_haar,
     is_isomorphism,
     is_quasi_invariant,
-    modular_function,
     outer_square_counterexample,
     random_cospan,
     random_cotrivial_cospan,
@@ -74,7 +72,7 @@ def test_criterion_1_z2_cospan_fixture(capsys):
     assert len(w.groupoid.elements) == 8
     assert len(w.groupoid.units) == 2
     _all_claims_hold(c, w)
-    assert set(w.modular.values.values()) == {F(1)}
+    assert set(w.haar_groupoid.modular.values.values()) == {F(1)}
     assert main(["check", str(FIXTURES / "z2_cospan.json")]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 10 and "FAIL" not in out
@@ -159,15 +157,15 @@ def test_criterion_6_modular_function_laws():
     for seed in range(200):
         h = random_haar_groupoid(seed)
         g = h.groupoid
-        delta = modular_function(h)
+        delta = h.modular
         support = delta.domain
-        assert support == frozenset(induced_measure(h).support)
+        assert support == frozenset(h.induced.support)
         for x in support:
             assert delta(g.inv(x)) == 1 / delta(x)
         for (x, y), z in g.compose_map.items():
             if x in support and y in support and z in support:
                 assert delta(z) == delta(x) * delta(y)
-        mu = induced_measure(h)
+        mu = h.induced
         for x0 in g.elements:
             lhs = (1 / delta(x0)) * mu(x0) if x0 in support else F(0)
             assert lhs == mu(g.inv(x0))
@@ -193,7 +191,7 @@ def test_criterion_7_negative_controls():
     h = HaarGroupoid(g, counting_haar_system(g), FiniteMeasure(g.units, {"1-1": 1}))
     ok, witness = is_quasi_invariant(h)
     assert not ok and witness == "1-2"
-    mu = induced_measure(h)
+    mu = h.induced
     assert mu("1-2") == 1 and mu("2-1") == 0
 
     # (b) the outer square genuinely fails to commute on the Z2 cospan

@@ -81,6 +81,18 @@ def test_example_transformation(tmp_path, capsys):
     assert main(["validate", str(out)]) == 0
 
 
+def test_cech_index_set_mismatch_is_a_parse_error(tmp_path, capsys):
+    # covers over different index sets are a malformed document, reported
+    # with its path like the other malformed parameter documents
+    params = json.loads((FIXTURES / "cech_params.json").read_text(encoding="utf-8"))
+    del params["right_cover"]["blocks"]["2"]
+    doc = tmp_path / "cech.json"
+    doc.write_text(json.dumps(params), encoding="utf-8")
+    for args in (["validate", str(doc)], ["example", "cech", "--params", str(doc), "--out", str(tmp_path / "e.json")]):
+        assert main(args) == 1
+        assert "error: $: covers must share one index set" in capsys.readouterr().err
+
+
 def test_modular_prints_table(tmp_path, capsys):
     gout = tmp_path / "g.json"
     assert main(["gen", "groupoid", "--seed", "5", "--bounds", "3,12", "--out", str(gout)]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,15 @@ from measured_groupoids import (
     FiniteMeasure,
     HaarGroupoid,
     NotQuasiInvariant,
+    compose_with_measure,
     cotrivial_groupoid,
     counting_haar_system,
     cyclic_group,
     disjoint_union,
     haar_system_from_source_weights,
-    induced_measure,
     inverse_measure,
     is_haar,
     is_quasi_invariant,
-    modular_function,
     pair_groupoid,
     push_forward,
     random_haar_groupoid,
@@ -42,12 +42,12 @@ def pair_with_units(w1, w2) -> HaarGroupoid:
 
 def test_induced_measure_trivial():
     h = with_counting_haar(trivial_group())
-    assert induced_measure(h)("e") == 1
+    assert h.induced("e") == 1
 
 
 def test_induced_measure_pair_groupoid():
     h = pair_with_units(1, 2)
-    mu = induced_measure(h)
+    mu = h.induced
     assert (mu("1-1"), mu("1-2"), mu("2-1"), mu("2-2")) == (1, 1, 2, 2)
 
 
@@ -55,7 +55,7 @@ def test_induced_measure_group_invariance_forces_constant():
     z2 = cyclic_group(2)
     haar = haar_system_from_source_weights(z2, {"g0": 3})
     h = HaarGroupoid(z2, haar, FiniteMeasure(z2.units, {"g0": 5}))
-    mu = induced_measure(h)
+    mu = h.induced
     assert (mu("g0"), mu("g1")) == (15, 15)
 
 
@@ -67,7 +67,7 @@ def test_inverse_measure_symmetric_on_group():
 
 def test_inverse_measure_pair_groupoid():
     h = pair_with_units(1, 2)
-    mu_inv = inverse_measure(induced_measure(h), h.groupoid)
+    mu_inv = inverse_measure(h.induced, h.groupoid)
     assert mu_inv("1-2") == 2
 
 
@@ -110,7 +110,7 @@ def test_quasi_invariance_fails_with_documented_witness():
     ok, witness = is_quasi_invariant(pair_with_units(1, 0))
     assert not ok
     assert witness == "1-2"
-    mu = induced_measure(pair_with_units(1, 0))
+    mu = pair_with_units(1, 0).induced
     assert mu("1-2") == 1 and mu("2-1") == 0
 
 
@@ -135,24 +135,50 @@ def test_zero_unit_measure_rejected_upstream():
 
 
 def test_modular_uniform_group_is_one():
-    delta = modular_function(with_counting_haar(cyclic_group(2)))
+    delta = with_counting_haar(cyclic_group(2)).modular
     assert set(delta.values.values()) == {F(1)}
 
 
 def test_modular_pair_groupoid_ratios():
-    delta = modular_function(pair_with_units(1, 2))
+    delta = pair_with_units(1, 2).modular
     assert delta("1-2") == F(1, 2)
     assert delta("2-1") == F(2)
 
 
 def test_modular_units_only_is_one():
     h = with_counting_haar(cotrivial_groupoid(["x", "y"]))
-    assert set(modular_function(h).values.values()) == {F(1)}
+    assert set(h.modular.values.values()) == {F(1)}
 
 
 def test_modular_requires_quasi_invariance():
     with pytest.raises(NotQuasiInvariant):
-        modular_function(pair_with_units(1, 0))
+        pair_with_units(1, 0).modular
+
+
+def test_modular_raises_on_every_read():
+    # a read that raises is not cached
+    h = pair_with_units(1, 0)
+    for _ in range(2):
+        with pytest.raises(NotQuasiInvariant) as err:
+            h.modular
+        assert err.value.witness == "1-2"
+
+
+def test_haar_groupoid_is_frozen():
+    h = pair_with_units(1, 2)
+    for field in ("groupoid", "haar", "unit_measure"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, field, getattr(h, field))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_derived_measures_match_their_definitions(seed):
+    h = random_haar_groupoid(seed)
+    g = h.groupoid
+    mu = compose_with_measure(h.haar, h.unit_measure)
+    assert h.induced == mu and h.induced is h.induced
+    assert h.modular.values == {x: mu(x) / mu(g.inv(x)) for x in mu.support}
+    assert h.modular is h.modular
 
 
 def test_validate_haar_hom_identity():
@@ -183,7 +209,7 @@ def test_validate_haar_hom_vanishing_codomain_measure():
 def test_range_class_check_examples():
     # r_*(mu) is in the class of mu0 on every valid Haar groupoid
     for h in (pair_with_units(1, 2), with_counting_haar(trivial_group())):
-        pushed = push_forward(h.groupoid.range_map, induced_measure(h), h.groupoid.units)
+        pushed = push_forward(h.groupoid.range_map, h.induced, h.groupoid.units)
         assert same_measure_class(pushed, h.unit_measure)
 
 
@@ -191,7 +217,7 @@ def test_range_class_check_examples():
 def test_random_haar_groupoids_validate(seed):
     h = random_haar_groupoid(seed)
     assert validate_haar_groupoid(h).ok
-    pushed = push_forward(h.groupoid.range_map, induced_measure(h), h.groupoid.units)
+    pushed = push_forward(h.groupoid.range_map, h.induced, h.groupoid.units)
     assert same_measure_class(pushed, h.unit_measure)
 
 
@@ -208,7 +234,7 @@ def test_left_invariance_corollary(seed):
 def test_modular_laws_on_random_instances(seed):
     h = random_haar_groupoid(seed)
     g = h.groupoid
-    delta = modular_function(h)
+    delta = h.modular
     support = delta.domain
     for x in support:
         assert delta(g.inv(x)) == 1 / delta(x)
@@ -225,8 +251,8 @@ def test_useful_formula_on_singletons(seed):
     # sum_x f(x) Delta^{-1}(x) mu(x) = sum_x f(x^{-1}) mu(x), literal sums
     h = random_haar_groupoid(seed)
     g = h.groupoid
-    mu = induced_measure(h)
-    delta = modular_function(h)
+    mu = h.induced
+    delta = h.modular
     for x0 in g.elements:
         lhs = sum(((1 / delta(x)) * mu(x) for x in delta.domain if x == x0), F(0))
         rhs = sum((mu(x) for x in g.elements if g.inv(x) == x0), F(0))

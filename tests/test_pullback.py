@@ -23,7 +23,6 @@ from measured_groupoids import (
     direct_product,
     is_haar,
     is_isomorphism,
-    modular_function,
     outer_square_counterexample,
     pair_groupoid,
     random_cospan,
@@ -81,7 +80,7 @@ def test_z2_all_checks(z2_result):
     mc = check_quasi_invariance_and_modular(w)
     assert mc.ok(strict=True)
     assert mc.checked == 8 and mc.skipped == 0
-    assert set(w.modular.values.values()) == {F(1)}
+    assert set(w.haar_groupoid.modular.values.values()) == {F(1)}
     assert check_projection_homs(w).ok
     assert check_commuting_diamond(w)
     assert check_triple_integral_lemma(w)
@@ -138,11 +137,11 @@ def test_pair_trivial_modular_identity_against_closed_form():
     w = build_weak_pullback(c)
     mc = check_quasi_invariance_and_modular(w)
     assert mc.ok(strict=True)
-    delta_s = modular_function(c.left)
-    delta_t = modular_function(c.right)
-    for pid in sorted(w.induced.support):
+    delta_s = c.left.modular
+    delta_t = c.right.modular
+    for pid in sorted(w.haar_groupoid.induced.support):
         sigma, _, tau = w.algebraic.triples[pid]
-        assert w.modular(pid) == delta_s(sigma) * delta_t(tau)
+        assert w.haar_groupoid.modular(pid) == delta_s(sigma) * delta_t(tau)
 
 
 def test_pair_trivial_full_suite():
@@ -181,7 +180,7 @@ def test_expanding_lemma_literal_oracle_on_fixtures():
     for c in (z2_cospan(), pair_trivial_cospan()):
         w = build_weak_pullback(c)
         for pid in w.groupoid.elements:
-            assert w.induced(pid) == literal_expanding_rhs(w, w.algebraic.triples[pid])
+            assert w.haar_groupoid.induced(pid) == literal_expanding_rhs(w, w.algebraic.triples[pid])
 
 
 def test_trivial_one_point_cospan_expanding():
@@ -190,7 +189,7 @@ def test_trivial_one_point_cospan_expanding():
     w = build_weak_pullback(c)
     assert len(w.groupoid.elements) == 1
     assert check_expanding_lemma(w)
-    assert w.induced("e|e|e") == literal_expanding_rhs(w, ("e", "e", "e"))
+    assert w.haar_groupoid.induced("e|e|e") == literal_expanding_rhs(w, ("e", "e", "e"))
 
 
 def test_corrupted_haar_weight_is_detected():
@@ -355,3 +354,33 @@ def test_algebraic_pullback_without_measures():
 
     assert validate_hom(alg.proj_left).ok
     assert validate_hom(alg.proj_right).ok
+
+
+def test_each_haar_groupoid_derives_its_induced_measure_once(monkeypatch):
+    # an induced measure is a Haar system composed with its unit measure;
+    # count those compositions, by system, wherever a module binds the
+    # function, over the whole verdict on a freshly generated cospan
+    import sys
+
+    from measured_groupoids import measures
+    from measured_groupoids.cli import run_claims
+
+    original = measures.compose_with_measure
+    calls = []
+
+    def counted(s, nu):
+        calls.append(s)
+        return original(s, nu)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("measured_groupoids") and getattr(module, "compose_with_measure", None) is original:
+            monkeypatch.setattr(module, "compose_with_measure", counted)
+    for seed in range(10):
+        calls.clear()
+        c = random_cospan(seed)
+        assert validate_cospan(c).ok
+        w = build_weak_pullback(c, validate=False)
+        assert all(ok for ok, _ in run_claims(c, w).values())
+        for h in (c.left, c.base, c.right, w.haar_groupoid):
+            assert sum(s is h.haar for s in calls) <= 1, seed
+        assert len(calls) <= 8, seed
