@@ -4,9 +4,9 @@ Usage:  python scripts/run_property_suite.py [N_SEEDS]
 
 Every fifth cospan gets an engineered null orbit in the base unit measure.
 Each cospan's pullback goes through every claim of `mgpd check`. Prints one
-line per failing seed with its failing claim ids (none expected) and a
-summary with the total time and the summed time of each stage (generate,
-build, run_claims).
+line per failing claim (none expected): the seed, the claim id and the first
+line of its report, which names a witness. Then a summary with the total
+time and the summed time of each stage (generate, build, run_claims).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from measured_groupoids.cli import run_claims
 STAGES = ("generate", "build", "run_claims")
 
 
-def run_seed(seed: int, seconds: dict[str, float]) -> list[str]:
-    """The ids of the claims that fail on the seed's cospan. Adds each
-    stage's time to `seconds`."""
+def run_seed(seed: int, seconds: dict[str, float]) -> dict[str, str]:
+    """The claims that fail on the seed's cospan, each with the first line of
+    its report. Adds each stage's time to `seconds`."""
     t0 = time.perf_counter()
     c = random_cospan(seed, with_null_base=seed % 5 == 4)
     t1 = time.perf_counter()
@@ -33,7 +33,7 @@ def run_seed(seed: int, seconds: dict[str, float]) -> list[str]:
     t3 = time.perf_counter()
     for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)):
         seconds[stage] += dt
-    return [claim for claim, (ok, _) in results.items() if not ok]
+    return {claim: detail.splitlines()[0] for claim, (ok, detail) in results.items() if not ok}
 
 
 def main() -> int:
@@ -48,7 +48,8 @@ def main() -> int:
         failures = run_seed(seed, seconds)
         if failures:
             bad += 1
-            print(f"seed {seed}: FAIL {', '.join(failures)}")
+        for claim, detail in failures.items():
+            print(f"seed {seed}: FAIL {claim} — {detail}")
     elapsed = time.perf_counter() - start
     stages = ", ".join(f"{stage} {seconds[stage]:.1f}s" for stage in STAGES)
     print(f"{args.seeds - bad}/{args.seeds} cospans passed every check in {elapsed:.1f}s ({stages})")

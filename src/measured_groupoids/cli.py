@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from operator import attrgetter
 
 from .documents import (
     CechExampleDocument,
@@ -23,7 +24,13 @@ from .documents import (
     weight_to_str,
 )
 from .errors import GroupoidError, InvalidCospan, NotQuasiInvariant, ParseError
-from .families import canonical_iso_cech, canonical_iso_transformation, is_isomorphism
+from .families import (
+    canonical_iso_cech,
+    canonical_iso_transformation,
+    cech_cospan_groupoids,
+    is_isomorphism,
+    transformation_cospan_groupoids,
+)
 from .generate import alternate_disintegration, random_cospan, random_haar_groupoid
 from .groupoid import GroupoidHom, ValidationReport, validate_groupoid
 from .haar import (
@@ -63,6 +70,8 @@ def _read(path: str):
     except OSError as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -100,6 +109,10 @@ def _validate_groupoid_document(doc: GroupoidDocument, h: HaarGroupoid | None) -
     return ok
 
 
+# the fields of a pullback document that its cospan determines
+_PULLBACK_FIELDS = ("result.groupoid", "result.haar", "result.unit_measure", "modular", "proj_left", "proj_right")
+
+
 def _validate_pullback_document(doc: PullbackDocument) -> bool:
     cospan = doc.cospan.to_cospan()
     ok = _print_report(validate_cospan(cospan), "cospan")
@@ -123,6 +136,13 @@ def _validate_pullback_document(doc: PullbackDocument) -> bool:
         ):
             hom = GroupoidHom(h.groupoid, leg.groupoid, mapping)
             ok &= _print_report(validate_haar_hom(hom, h, leg), name)
+    if ok:
+        # the laws above hold for many results; the construction fixes one
+        built = PullbackDocument.of(build_weak_pullback(cospan, validate=False))
+        for field in _PULLBACK_FIELDS:
+            if attrgetter(field)(doc) != attrgetter(field)(built):
+                print(f"violation: stored {field} is not that of the weak pullback of the stored cospan")
+                return False
     return ok
 
 
@@ -143,7 +163,7 @@ def cmd_validate(args) -> int:
             ok &= _print_report(validate_groupoid(g), f"{label} groupoid axioms")
         if ok:
             iso = is_isomorphism(GroupoidHom(doc.pullback, doc.target, doc.iso_map))
-            if bool(iso) != doc.is_isomorphism:
+            if iso.ok != doc.is_isomorphism:
                 print("violation: stored isomorphism verdict does not match the stored map")
                 ok = False
             else:
@@ -186,46 +206,26 @@ CLAIMS = (
 
 
 def run_claims(cospan, w, strict: bool = False) -> dict[str, tuple[bool, str]]:
-    """Evaluate every structure claim on a built pullback; returns
-    claim id -> (passed, detail)."""
-    results: dict[str, tuple[bool, str]] = {}
-
-    rep = validate_groupoid(w.groupoid)
-    results["axioms.pullback_groupoid"] = (rep.ok, rep.summary())
-
-    ok = check_fiber_product_lemma(w)
-    results["lemma.fiber_product"] = (ok, "fibers match leg-fiber products" if ok else "fiber mismatch")
-
-    rep = check_haar_theorem(w)
-    results["thm.haar_system"] = (rep.ok, rep.summary())
-
-    mc = check_quasi_invariance_and_modular(w)
-    results["prop.quasi_invariance"] = (
-        mc.quasi_invariant,
-        "support symmetric under inversion" if mc.quasi_invariant else f"witness {mc.witness}",
-    )
-    detail = f"checked {mc.checked}, skipped {mc.skipped}"
-    if mc.mismatches:
-        detail += f", mismatched at {mc.mismatches[0]}"
-    results["remark.modular_formula"] = (mc.ok(strict=strict), detail)
-
-    rep = check_projection_homs(w)
-    results["prop.projection_homs"] = (rep.ok, rep.summary())
-
-    alt_left = alternate_disintegration(w.disint_left, cospan.base.unit_measure)
-    alt_right = alternate_disintegration(w.disint_right, cospan.base.unit_measure)
-    same = check_disintegration_independence(w, alt_left, alt_right)
-    results["prop.disintegration_independence"] = (same, "unit measure unchanged under alternate disintegrations")
-
-    ok = check_commuting_diamond(w)
-    results["diamond.commutes"] = (ok, "orbit diamond commutes" if ok else "orbit mismatch")
-
-    ok = check_triple_integral_lemma(w)
-    results["lemma.triple_integrals"] = (ok, "integral exchange exact" if ok else "sides differ")
-
-    ok = check_expanding_lemma(w)
-    results["lemma.expanding_integral"] = (ok, "six-fold expansion exact" if ok else "sides differ")
-    return results
+    """Evaluate every structure claim on a built pullback, in `CLAIMS` order;
+    returns claim id -> (passed, the report's summary). Each check is looked
+    up in this module when it is called, so it can be wrapped from outside."""
+    quasi, modular = check_quasi_invariance_and_modular(w, strict=strict)
+    base_mu0 = cospan.base.unit_measure
+    reports = {
+        "axioms.pullback_groupoid": validate_groupoid(w.groupoid),
+        "lemma.fiber_product": check_fiber_product_lemma(w),
+        "thm.haar_system": check_haar_theorem(w),
+        "prop.quasi_invariance": quasi,
+        "remark.modular_formula": modular,
+        "prop.projection_homs": check_projection_homs(w),
+        "prop.disintegration_independence": check_disintegration_independence(
+            w, alternate_disintegration(w.disint_left, base_mu0), alternate_disintegration(w.disint_right, base_mu0)
+        ),
+        "diamond.commutes": check_commuting_diamond(w),
+        "lemma.triple_integrals": check_triple_integral_lemma(w),
+        "lemma.expanding_integral": check_expanding_lemma(w),
+    }
+    return {claim: (r.ok, r.summary()) for claim, r in reports.items()}
 
 
 def cmd_check(args) -> int:
@@ -262,16 +262,12 @@ def cmd_example(args) -> int:
             print("error: expected cech_example parameters", file=sys.stderr)
             return EXIT_PARSE
         alg, target, iso = canonical_iso_cech(doc.data)
-        from .families import cech_cospan_groupoids
-
         left, base, right, hl, hr = cech_cospan_groupoids(doc.data)
     else:
         if not isinstance(doc, TransformationExampleDocument):
             print("error: expected transformation_example parameters", file=sys.stderr)
             return EXIT_PARSE
         alg, target, iso = canonical_iso_transformation(doc.data)
-        from .families import transformation_cospan_groupoids
-
         left, base, right, hl, hr = transformation_cospan_groupoids(doc.data)
     verdict = is_isomorphism(iso)
     result = ExampleResultDocument(
@@ -284,14 +280,14 @@ def cmd_example(args) -> int:
         alg.groupoid,
         target,
         dict(iso.mapping),
-        bool(verdict),
+        verdict.ok,
     )
     _write(args.out, serialize(result))
     print(
         f"{args.family}: pullback {len(alg.groupoid.elements)} elements, target {len(target.elements)} elements, "
-        f"canonical map is {'an isomorphism' if verdict else 'NOT an isomorphism'} -> {args.out}"
+        f"canonical map is {'an isomorphism' if verdict.ok else 'NOT an isomorphism'} -> {args.out}"
     )
-    return EXIT_OK if verdict else EXIT_CHECK
+    return EXIT_OK if verdict.ok else EXIT_CHECK
 
 
 def cmd_modular(args) -> int:
@@ -315,7 +311,10 @@ def cmd_modular(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    bounds = tuple(int(b) for b in args.bounds.split(","))
+    try:
+        bounds = tuple(int(b) for b in args.bounds.split(","))
+    except ValueError:
+        bounds = ()
     if len(bounds) != 2:
         print("error: --bounds must be 'max_units,max_elements'", file=sys.stderr)
         return EXIT_PARSE

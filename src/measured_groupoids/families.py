@@ -17,9 +17,10 @@ from .errors import (
     NotEquivariant,
     PrecomputedConditionFailed,
 )
-from .groupoid import FiniteGroupoid, GroupoidHom, check_element_id, validate_groupoid, validate_hom
+from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation
+from .groupoid import check_element_id, validate_groupoid, validate_hom
 from .haar import HaarGroupoid, counting_haar_system
-from .measures import counting, push_forward, same_measure_class
+from .measures import counting
 from .pullback import PullbackGroupoid, weak_pullback_groupoid
 
 
@@ -481,29 +482,20 @@ def cotrivial_comparison_hom(alg: PullbackGroupoid, regular: FiniteGroupoid, com
     return GroupoidHom(alg.groupoid, regular, mapping)
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    is_isomorphism: bool
-    measure_class_both_ways: bool | None = None
-
-    def __bool__(self) -> bool:
-        return self.is_isomorphism
-
-
-def is_isomorphism(f: GroupoidHom, dom: HaarGroupoid | None = None, cod: HaarGroupoid | None = None) -> IsoVerdict:
-    """True iff f is a valid homomorphism and a bijection on elements. With
-    measured arguments, additionally reports whether f preserves the induced
-    measure class in both directions."""
-    if not validate_hom(f).ok:
-        return IsoVerdict(False)
-    image = set(f.mapping.values())
-    bij = len(image) == len(f.domain.elements) and image == set(f.codomain.elements)
-    measures = None
-    if bij and dom is not None and cod is not None:
-        mu_dom = dom.induced
-        mu_cod = cod.induced
-        forward = same_measure_class(push_forward(f.mapping, mu_dom, cod.groupoid.elements), mu_cod)
-        backward_map = {v: k for k, v in f.mapping.items()}
-        backward = same_measure_class(push_forward(backward_map, mu_cod, dom.groupoid.elements), mu_dom)
-        measures = forward and backward
-    return IsoVerdict(bij, measures)
+def is_isomorphism(f: GroupoidHom) -> ValidationReport:
+    """f is a valid homomorphism and a bijection on elements: the violations
+    of `validate_hom`, plus a `bijection` violation naming two elements with
+    one image or an element of the codomain outside the image."""
+    bad = list(validate_hom(f).violations)
+    preimage: dict[str, str] = {}
+    for x in sorted(f.mapping):
+        y = f.mapping[x]
+        if y in preimage:
+            bad.append(Violation("bijection", (preimage[y], x), f"both map to {y}"))
+            break
+        preimage[y] = x
+    else:
+        missed = sorted(f.codomain.element_set - preimage.keys())
+        if missed:
+            bad.append(Violation("bijection", (missed[0],), f"{missed[0]} is not in the image"))
+    return ValidationReport(tuple(bad))

@@ -39,14 +39,20 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The verdict of every validator and claim check: its violations, and
+    `(name, n)` work counts that the summary shows when there are none."""
+
     violations: tuple[Violation, ...]
+    counts: tuple[tuple[str, int], ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def summary(self) -> str:
-        return "ok" if self.ok else "\n".join(str(v) for v in self.violations)
+        if not self.ok:
+            return "\n".join(str(v) for v in self.violations)
+        return ", ".join(f"{name} {n}" for name, n in self.counts) or "ok"
 
 
 class FiniteGroupoid:

@@ -47,10 +47,11 @@ class HaarGroupoid:
     @cached_property
     def modular(self) -> ModularFunction:
         """Delta(x) = mu(x)/mu(x^{-1}) on the support of mu. Raises
-        NotQuasiInvariant with a witness, on every read, when mu and its
-        inverse image differ in support."""
-        ok, witness = is_quasi_invariant(self)
-        if not ok:
+        NotQuasiInvariant with the witness of `is_quasi_invariant`, on every
+        read, when mu and its inverse image differ in support."""
+        report = is_quasi_invariant(self)
+        if not report.ok:
+            (witness,) = report.violations[0].witnesses
             raise NotQuasiInvariant(f"unit measure is not quasi-invariant, witness {witness!r}", witness=witness)
         mu = self.induced
         g = self.groupoid
@@ -103,14 +104,17 @@ def inverse_measure(mu: FiniteMeasure, g: FiniteGroupoid) -> FiniteMeasure:
     return FiniteMeasure(g.elements, {x: mu(g.inv(x)) for x in g.elements})
 
 
-def is_quasi_invariant(h: HaarGroupoid) -> tuple[bool, str | None]:
-    """Support equality of the induced measure and its inverse image;
-    returns a witnessing element on failure."""
+def is_quasi_invariant(h: HaarGroupoid) -> ValidationReport:
+    """Support equality of the induced measure and its inverse image; on
+    failure one `quasi-invariance` violation names a witnessing element."""
     mu = h.induced
     mu_inv = inverse_measure(mu, h.groupoid)
     if same_measure_class(mu, mu_inv):
-        return True, None
-    return False, class_witness(mu, mu_inv)
+        return ValidationReport(())
+    witness = class_witness(mu, mu_inv)
+    return ValidationReport(
+        (Violation("quasi-invariance", (witness,), f"induced measure and its inverse differ in support at {witness}"),)
+    )
 
 
 def validate_unit_measure(h: HaarGroupoid) -> ValidationReport:
@@ -121,15 +125,7 @@ def validate_unit_measure(h: HaarGroupoid) -> ValidationReport:
     bad: list[Violation] = []
     if h.unit_measure.is_zero():
         bad.append(Violation("nonzero-unit-measure", (), "the unit-space measure is identically zero"))
-    ok, witness = is_quasi_invariant(h)
-    if not ok:
-        bad.append(
-            Violation(
-                "quasi-invariance",
-                (witness,),
-                f"induced measure and its inverse differ in support at {witness}",
-            )
-        )
+    bad.extend(is_quasi_invariant(h).violations)
     return ValidationReport(tuple(bad))
 
 

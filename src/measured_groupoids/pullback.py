@@ -84,7 +84,6 @@ class PullbackGroupoid:
 
     groupoid: FiniteGroupoid
     triples: dict[str, tuple[str, str, str]]
-    id_of: dict[tuple[str, str, str], str]
     proj_left: GroupoidHom
     proj_right: GroupoidHom
     mediator: dict[str, str]  # id -> middle component, the arrow of the base
@@ -144,7 +143,7 @@ def weak_pullback_groupoid(
     pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, compose_map)
     proj_left = GroupoidHom(pg, s_g, {pid: tr[0] for pid, tr in by_id.items()})
     proj_right = GroupoidHom(pg, t_g, {pid: tr[2] for pid, tr in by_id.items()})
-    return PullbackGroupoid(pg, by_id, id_of, proj_left, proj_right, {pid: tr[1] for pid, tr in by_id.items()})
+    return PullbackGroupoid(pg, by_id, proj_left, proj_right, {pid: tr[1] for pid, tr in by_id.items()})
 
 
 @dataclass(frozen=True)
@@ -250,48 +249,41 @@ def build_weak_pullback(c: Cospan, validate: bool = True) -> WeakPullbackResult:
     )
 
 
-def check_fiber_product_lemma(w: WeakPullbackResult) -> bool:
-    """Every r-fiber of the pullback is S^s x {g} x T^t."""
+def check_fiber_product_lemma(w: WeakPullbackResult) -> ValidationReport:
+    """Every r-fiber of the pullback is S^s x {g} x T^t; a violation names
+    the unit (s, g, t) and the first element in just one of the two."""
     pg = w.groupoid
     s_g = w.cospan.left.groupoid
     t_g = w.cospan.right.groupoid
+    bad: list[Violation] = []
     for u in pg.units:
         s, g, t = w.algebraic.triples[u]
         expected = {
             triple_id(sigma, g, tau) for sigma in s_g.fiber(s) for tau in t_g.fiber(t)
         }
-        if set(pg.fiber(u)) != expected:
-            return False
-    return True
+        odd = sorted(expected.symmetric_difference(pg.fiber(u)))
+        if odd:
+            detail = f"r-fiber and S^{s} x {{{g}}} x T^{t} differ at {odd[0]}"
+            bad.append(Violation("fiber-product", (u, odd[0]), detail))
+    return ValidationReport(tuple(bad))
 
 
 def check_haar_theorem(w: WeakPullbackResult) -> ValidationReport:
     return is_haar(w.groupoid, w.haar)
 
 
-@dataclass
-class ModularCheck:
-    quasi_invariant: bool
-    witness: str | None
-    checked: int
-    skipped: int
-    mismatches: tuple[str, ...]
-
-    def ok(self, strict: bool = False) -> bool:
-        if not self.quasi_invariant or self.mismatches:
-            return False
-        return not (strict and self.skipped)
-
-
-def check_quasi_invariance_and_modular(w: WeakPullbackResult) -> ModularCheck:
-    """Quasi-invariance of the pullback unit measure, and the modular identity
-    Delta_P(σ,x,τ) · Delta_G(q(τ)) = Delta_S(σ) · Delta_T(τ) in multiplied-out
-    form on every support triple whose constituents are all on-support;
-    off-support triples are skipped and counted."""
+def check_quasi_invariance_and_modular(
+    w: WeakPullbackResult, strict: bool = False
+) -> tuple[ValidationReport, ValidationReport]:
+    """Two reports: quasi-invariance of the pullback unit measure (without it
+    Delta_P is undefined, and both reports are this one), then the modular
+    identity Delta_P(σ,x,τ) · Delta_G(q(τ)) = Delta_S(σ) · Delta_T(τ) on every
+    support triple whose constituents are all on-support. The others are
+    skipped (violations under `strict`), and both kinds are counted."""
     h_p = w.haar_groupoid
-    qi, witness = is_quasi_invariant(h_p)
-    if not qi:
-        return ModularCheck(False, witness, 0, 0, ())
+    quasi = is_quasi_invariant(h_p)
+    if not quasi.ok:
+        return quasi, quasi
     c = w.cospan
     delta_p = h_p.modular
     delta_s = c.left.modular
@@ -299,16 +291,20 @@ def check_quasi_invariance_and_modular(w: WeakPullbackResult) -> ModularCheck:
     delta_g = c.base.modular
     q = c.right_map.mapping
     checked = skipped = 0
-    mismatches: list[str] = []
+    bad: list[Violation] = []
     for pid in sorted(h_p.induced.support):
         sigma, _, tau = w.algebraic.triples[pid]
         if not (delta_s.defined_at(sigma) and delta_t.defined_at(tau) and delta_g.defined_at(q[tau])):
             skipped += 1
+            if strict:
+                bad.append(Violation("modular-off-support", (pid,), f"a leg or base Delta is undefined at {pid}"))
             continue
         checked += 1
-        if delta_p(pid) * delta_g(q[tau]) != delta_s(sigma) * delta_t(tau):
-            mismatches.append(pid)
-    return ModularCheck(True, None, checked, skipped, tuple(mismatches))
+        lhs = delta_p(pid) * delta_g(q[tau])
+        rhs = delta_s(sigma) * delta_t(tau)
+        if lhs != rhs:
+            bad.append(Violation("modular-formula", (pid,), f"Delta_P·Delta_G = {lhs} != Delta_S·Delta_T = {rhs}"))
+    return quasi, ValidationReport(tuple(bad), (("checked", checked), ("skipped", skipped)))
 
 
 def check_projection_homs(w: WeakPullbackResult) -> ValidationReport:
@@ -321,17 +317,20 @@ def check_projection_homs(w: WeakPullbackResult) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def check_commuting_diamond(w: WeakPullbackResult) -> bool:
-    """Through the orbit space of the base the two composite maps agree."""
+def check_commuting_diamond(w: WeakPullbackResult) -> ValidationReport:
+    """Through the orbit space of the base the two composite maps agree; a
+    violation names the pullback element whose legs reach different orbits."""
     base = w.cospan.base.groupoid
     part = orbits(base)
     p = w.cospan.left_map.mapping
     q = w.cospan.right_map.mapping
+    bad: list[Violation] = []
     for pid in w.groupoid.elements:
         s, _, t = w.algebraic.triples[pid]
-        if part.index[base.r(p[s])] != part.index[base.r(q[t])]:
-            return False
-    return True
+        left, right = base.r(p[s]), base.r(q[t])
+        if part.index[left] != part.index[right]:
+            bad.append(Violation("orbit-diamond", (pid,), f"r(p({s})) = {left} and r(q({t})) = {right} differ in orbit"))
+    return ValidationReport(tuple(bad))
 
 
 def outer_square_counterexample(w: WeakPullbackResult) -> str | None:
@@ -355,10 +354,13 @@ def _verify_disintegration(system: MeasureSystem, f: Mapping[str, str], mu: Fini
         raise NotADisintegration(f"{label}: reconstruction identity fails")
 
 
-def check_disintegration_independence(w: WeakPullbackResult, alt_left: MeasureSystem, alt_right: MeasureSystem) -> bool:
-    """The pullback unit measure does not depend on which disintegrations are
-    used. Alternates must genuinely disintegrate the same measures; the only
-    freedom is on null fibers, and it is washed out by the null weights."""
+def check_disintegration_independence(
+    w: WeakPullbackResult, alt_left: MeasureSystem, alt_right: MeasureSystem
+) -> ValidationReport:
+    """The pullback unit measure does not depend on the disintegrations used;
+    a violation names a unit whose weight moves. Alternates must disintegrate
+    the same measures (else NotADisintegration): the only freedom is on null
+    fibers, where the null weights wash it out."""
     c = w.cospan
     unit_map_left = {u: c.left_map.mapping[u] for u in c.left.groupoid.units}
     unit_map_right = {u: c.right_map.mapping[u] for u in c.right.groupoid.units}
@@ -366,12 +368,12 @@ def check_disintegration_independence(w: WeakPullbackResult, alt_left: MeasureSy
     _verify_disintegration(alt_right, unit_map_right, c.right.unit_measure, c.base.unit_measure, "right")
     eta_alt = _eta_system(w.algebraic, c, alt_left, alt_right)
     mu_alt = compose_with_measure(eta_alt, c.base.induced)
-    return mu_alt == w.unit_measure
-
-
-def _base_leg_pairs(leg_g: FiniteGroupoid, base_g: FiniteGroupoid, leg_map: Mapping[str, str]) -> list[tuple[str, str]]:
-    """Pairs (y, σ) of a base arrow and a leg arrow with r(y) = p(r(σ))."""
-    return [(y, sigma) for sigma in leg_g.elements for y in base_g.fiber(base_g.r(leg_map[sigma]))]
+    bad = [
+        Violation("disintegration-independence", (u,), f"mu_P0({u}) = {w.unit_measure(u)}, alternates give {mu_alt(u)}")
+        for u in w.groupoid.units
+        if mu_alt(u) != w.unit_measure(u)
+    ]
+    return ValidationReport(tuple(bad))
 
 
 def _triple_integral_sides(
@@ -391,28 +393,32 @@ def _triple_integral_sides(
     return lhs, rhs
 
 
-def check_triple_integral_lemma(w: WeakPullbackResult) -> bool:
+def check_triple_integral_lemma(w: WeakPullbackResult) -> ValidationReport:
     """Exchanging the base integral with the leg double integral is exact for
-    every base unit and every singleton indicator, on both legs."""
+    every base unit u and every singleton indicator (y0, σ0), on both legs; a
+    violation names the indicator as (u, y0, σ0)."""
     c = w.cospan
-    sides = (
-        (c.left, c.left_map.mapping, w.disint_left),
-        (c.right, c.right_map.mapping, w.disint_right),
-    )
     base = c.base
-    for leg, leg_map, gamma in sides:
-        pairs = _base_leg_pairs(leg.groupoid, base.groupoid, leg_map)
-        for u in base.groupoid.units:
+    base_g = base.groupoid
+    bad: list[Violation] = []
+    for name, leg, leg_map, gamma in (
+        ("left", c.left, c.left_map.mapping, w.disint_left),
+        ("right", c.right, c.right_map.mapping, w.disint_right),
+    ):
+        # pairs (y0, σ0) of a base arrow and a leg arrow with r(y0) = p(r(σ0))
+        pairs = [(y, sigma) for sigma in leg.groupoid.elements for y in base_g.fiber(base_g.r(leg_map[sigma]))]
+        for u in base_g.units:
             for y0, sigma0 in pairs:
                 lhs, rhs = _triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0)
                 if lhs != rhs:
-                    return False
-    return True
+                    bad.append(Violation("triple-integral", (u, y0, sigma0), f"{name} leg: {lhs} != {rhs}"))
+    return ValidationReport(tuple(bad))
 
 
-def check_expanding_lemma(w: WeakPullbackResult) -> bool:
+def check_expanding_lemma(w: WeakPullbackResult) -> ValidationReport:
     """The induced measure of the pullback equals the six-fold iterated sum
-    over (unit, base arrow, leg units, leg arrows), singleton by singleton."""
+    over (unit, base arrow, leg units, leg arrows), singleton by singleton; a
+    violation names the pullback element."""
     c = w.cospan
     base = c.base.groupoid
     s_g = c.left.groupoid
@@ -424,6 +430,7 @@ def check_expanding_lemma(w: WeakPullbackResult) -> bool:
     gamma_p = w.disint_left
     gamma_q = w.disint_right
     mu_p = w.haar_groupoid.induced
+    bad: list[Violation] = []
     for pid in w.groupoid.elements:
         sigma0, x0, tau0 = w.algebraic.triples[pid]
         lhs = mu_p(pid)
@@ -437,5 +444,5 @@ def check_expanding_lemma(w: WeakPullbackResult) -> bool:
         for u in base.units:
             rhs += mu_g0(u) * lam_g.weight(u, x0) * left_sum * right_sum
         if lhs != rhs:
-            return False
-    return True
+            bad.append(Violation("expanding-integral", (pid,), f"mu_P({pid}) = {lhs} != six-fold sum {rhs}"))
+    return ValidationReport(tuple(bad))

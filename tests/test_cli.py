@@ -48,6 +48,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
         main(["validate", str(missing)])
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    doc = tmp_path / "latin1.json"
+    doc.write_bytes('{"kind": "groupoïd"}'.encode("latin-1"))
+    assert main(["validate", str(doc)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {doc} is not UTF-8 text")
+
+
+def test_gen_rejects_non_integer_bounds(capsys):
+    assert main(["gen", "cospan", "--bounds", "x,y"]) == 1
+    assert capsys.readouterr().err == "error: --bounds must be 'max_units,max_elements'\n"
+
+
 def test_float_literal_exit_code(tmp_path):
     doc = tmp_path / "f.json"
     doc.write_text('{"format_version": 1, "kind": "groupoid", "w": 0.5}', encoding="utf-8")
@@ -62,6 +74,36 @@ def test_pullback_then_validate_roundtrip(tmp_path, capsys):
     from measured_groupoids.documents import parse_document, serialize
 
     assert serialize(parse_document(text)) == text
+
+
+def test_validate_rejects_a_result_that_is_not_the_pullback(tmp_path, capsys):
+    # one-weight changes that keep every law the validators check (the unit
+    # measure of an isolated unit, the Haar weight of a one-element fiber):
+    # only a comparison with the construction rejects them
+    cospan, doc, bad = tmp_path / "c.json", tmp_path / "p.json", tmp_path / "bad.json"
+    labels = ("cospan", "groupoid axioms", "haar system", "haar groupoid", "modular table", "proj_left", "proj_right")
+    sound = "".join(f"ok: {label}\n" for label in labels)
+    for seed, path in (
+        (109, ("unit_measure", 0)),
+        (109, ("haar", "m0.e|m0.e|m0.e", 0)),
+        (1, ("unit_measure", 3)),
+        (1, ("haar", "b.m0.e|m0.e|m0.e", 0)),
+    ):
+        assert main(["gen", "cospan", "--seed", str(seed), "--out", str(cospan)]) == 0
+        assert main(["pullback", str(cospan), "--out", str(doc)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(doc)]) == 0
+        assert capsys.readouterr().out == sound
+        data = json.loads(doc.read_text(encoding="utf-8"))
+        node = data["result"]
+        for key in path[:-1]:
+            node = node[key]
+        assert node[path[-1]] != "5/2"
+        node[path[-1]] = "5/2"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2, (seed, path)
+        mismatch = f"violation: stored result.{path[0]} is not that of the weak pullback of the stored cospan\n"
+        assert capsys.readouterr().out == sound + mismatch
 
 
 def test_example_cech(tmp_path, capsys):

@@ -21,6 +21,7 @@ from measured_groupoids import (
     transformation_groupoid,
     trivial_group,
     validate_groupoid,
+    validate_haar_hom,
     validate_hom,
     with_counting_haar,
 )
@@ -109,7 +110,7 @@ def test_canonical_iso_cech_worked_example():
     assert len(alg.groupoid.elements) == 8
     assert len(alg.groupoid.units) == 4
     assert len(target.elements) == 8
-    assert is_isomorphism(iso).is_isomorphism
+    assert is_isomorphism(iso).ok
 
 
 def test_canonical_iso_cech_one_point_trivial():
@@ -122,14 +123,14 @@ def test_canonical_iso_cech_one_point_trivial():
     )
     alg, target, iso = canonical_iso_cech(data)
     assert len(alg.groupoid.elements) == 1
-    assert is_isomorphism(iso).is_isomorphism
+    assert is_isomorphism(iso).ok
 
 
 def test_canonical_iso_cech_identity_cospan():
     cover = FiniteCover.build(["a", "b"], {"1": ["a", "b"], "2": ["b"]})
     data = CechCospanData(cover, cover, ("a", "b"), {"a": "a", "b": "b"}, {"a": "a", "b": "b"})
     alg, target, iso = canonical_iso_cech(data)
-    assert is_isomorphism(iso).is_isomorphism
+    assert is_isomorphism(iso).ok
 
 
 def test_cech_cospan_requires_equal_images():
@@ -199,7 +200,7 @@ def test_canonical_iso_transformation_worked_example():
     alg, target, iso = canonical_iso_transformation(data)
     assert len(alg.groupoid.elements) == 4
     assert len(target.elements) == 4
-    assert is_isomorphism(iso).is_isomorphism
+    assert is_isomorphism(iso).ok
 
 
 def test_canonical_iso_transformation_both_trivial_groups():
@@ -213,7 +214,7 @@ def test_canonical_iso_transformation_both_trivial_groups():
     alg, target, iso = canonical_iso_transformation(data)
     # cotrivial pullback: same count as the pullback set Y*Z
     assert len(alg.groupoid.elements) == 2
-    assert is_isomorphism(iso).is_isomorphism
+    assert is_isomorphism(iso).ok
 
 
 def test_transformation_cospan_rejects_non_equivariant():
@@ -230,13 +231,30 @@ def test_transformation_cospan_rejects_non_equivariant():
 
 def test_is_isomorphism_examples():
     z2 = cyclic_group(2)
-    assert is_isomorphism(identity_hom(z2)).is_isomorphism
+    assert is_isomorphism(identity_hom(z2)).ok
     collapse = GroupoidHom(z2, trivial_group(), {"g0": "e", "g1": "e"})
-    assert not is_isomorphism(collapse).is_isomorphism
+    assert not is_isomorphism(collapse).ok
+
+
+def test_is_isomorphism_names_a_bijection_witness():
+    z2 = cyclic_group(2)
+    # a homomorphism that is not injective: two elements with one image
+    collapse = is_isomorphism(GroupoidHom(z2, trivial_group(), {"g0": "e", "g1": "e"}))
+    assert [(v.rule, v.witnesses) for v in collapse.violations] == [("bijection", ("g0", "g1"))]
+    # nor surjective: an element of the codomain outside the image
+    include = is_isomorphism(GroupoidHom(trivial_group("g0"), z2, {"g0": "g0"}))
+    assert [(v.rule, v.witnesses) for v in include.violations] == [("bijection", ("g1",))]
+    # a bijection that is not a homomorphism keeps validate_hom's violations
+    swap = is_isomorphism(GroupoidHom(z2, z2, {"g0": "g1", "g1": "g0"}))
+    assert not swap.ok and all(v.rule.startswith("hom-") for v in swap.violations)
 
 
 def test_is_isomorphism_measured_report():
+    # an isomorphism of Haar groupoids preserves the induced measure class in
+    # both directions: the map and its inverse are Haar homomorphisms
     z2 = cyclic_group(2)
     h = with_counting_haar(z2)
-    verdict = is_isomorphism(identity_hom(z2), h, h)
-    assert verdict.is_isomorphism and verdict.measure_class_both_ways
+    f = identity_hom(z2)
+    assert is_isomorphism(f).ok
+    back = GroupoidHom(z2, z2, {y: x for x, y in f.mapping.items()})
+    assert validate_haar_hom(f, h, h).ok and validate_haar_hom(back, h, h).ok

@@ -102,14 +102,13 @@ def test_is_haar_units_only_any_full_system():
 
 
 def test_quasi_invariance_strictly_positive():
-    ok, witness = is_quasi_invariant(pair_with_units(1, 2))
-    assert ok and witness is None
+    assert is_quasi_invariant(pair_with_units(1, 2)).ok
 
 
 def test_quasi_invariance_fails_with_documented_witness():
-    ok, witness = is_quasi_invariant(pair_with_units(1, 0))
-    assert not ok
-    assert witness == "1-2"
+    (violation,) = is_quasi_invariant(pair_with_units(1, 0)).violations
+    assert violation.rule == "quasi-invariance"
+    assert violation.witnesses == ("1-2",)
     mu = pair_with_units(1, 0).induced
     assert mu("1-2") == 1 and mu("2-1") == 0
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from measured_groupoids import (
     check_projection_homs,
     check_quasi_invariance_and_modular,
     check_triple_integral_lemma,
+    cotrivial_groupoid,
     counting_haar_system,
     cyclic_group,
     direct_product,
@@ -70,21 +72,21 @@ def test_z2_unit_space_contents(z2_result):
 
 def test_z2_fiber_lemma_and_size(z2_result):
     _, w = z2_result
-    assert check_fiber_product_lemma(w)
+    assert check_fiber_product_lemma(w).ok
     assert len(w.groupoid.fiber("g0|g0|g0")) == 4
 
 
 def test_z2_all_checks(z2_result):
     c, w = z2_result
     assert check_haar_theorem(w).ok
-    mc = check_quasi_invariance_and_modular(w)
-    assert mc.ok(strict=True)
-    assert mc.checked == 8 and mc.skipped == 0
+    quasi, modular = check_quasi_invariance_and_modular(w, strict=True)
+    assert quasi.ok and modular.ok
+    assert modular.counts == (("checked", 8), ("skipped", 0))
     assert set(w.haar_groupoid.modular.values.values()) == {F(1)}
     assert check_projection_homs(w).ok
-    assert check_commuting_diamond(w)
-    assert check_triple_integral_lemma(w)
-    assert check_expanding_lemma(w)
+    assert check_commuting_diamond(w).ok
+    assert check_triple_integral_lemma(w).ok
+    assert check_expanding_lemma(w).ok
 
 
 def test_z2_outer_square_does_not_commute(z2_result):
@@ -112,7 +114,7 @@ def test_trivial_base_gives_direct_product():
         w.groupoid, prod, {pid: eid[(tr[0], tr[2])] for pid, tr in w.algebraic.triples.items()}
     )
     assert len(w.groupoid.elements) == len(s.elements) * len(t.elements)
-    assert is_isomorphism(hom).is_isomorphism
+    assert is_isomorphism(hom).ok
 
 
 def test_invalid_cospan_raises_with_report():
@@ -135,8 +137,8 @@ def test_pair_trivial_modular_identity_against_closed_form():
     # base is trivial, so Delta_G == 1 and Delta_P must be Delta_S * Delta_T
     c = pair_trivial_cospan(mu_left=(1, 2), mu_right=(1, 3))
     w = build_weak_pullback(c)
-    mc = check_quasi_invariance_and_modular(w)
-    assert mc.ok(strict=True)
+    quasi, modular = check_quasi_invariance_and_modular(w, strict=True)
+    assert quasi.ok and modular.ok
     delta_s = c.left.modular
     delta_t = c.right.modular
     for pid in sorted(w.haar_groupoid.induced.support):
@@ -148,12 +150,12 @@ def test_pair_trivial_full_suite():
     c = pair_trivial_cospan()
     w = build_weak_pullback(c)
     assert validate_groupoid(w.groupoid).ok
-    assert check_fiber_product_lemma(w)
+    assert check_fiber_product_lemma(w).ok
     assert check_haar_theorem(w).ok
     assert check_projection_homs(w).ok
-    assert check_commuting_diamond(w)
-    assert check_triple_integral_lemma(w)
-    assert check_expanding_lemma(w)
+    assert check_commuting_diamond(w).ok
+    assert check_triple_integral_lemma(w).ok
+    assert check_expanding_lemma(w).ok
 
 
 def test_triple_integral_literal_oracle_on_fixtures():
@@ -188,7 +190,7 @@ def test_trivial_one_point_cospan_expanding():
     c = Cospan(g, g, g, identity_hom(g.groupoid), identity_hom(g.groupoid))
     w = build_weak_pullback(c)
     assert len(w.groupoid.elements) == 1
-    assert check_expanding_lemma(w)
+    assert check_expanding_lemma(w).ok
     assert w.haar_groupoid.induced("e|e|e") == literal_expanding_rhs(w, ("e", "e", "e"))
 
 
@@ -252,13 +254,13 @@ def test_disintegration_independence_on_engineered_null_units():
     alt_left = alternate_disintegration(w.disint_left, c.base.unit_measure, scale=3)
     alt_right = alternate_disintegration(w.disint_right, c.base.unit_measure, scale=F(1, 2))
     assert alt_left != w.disint_left  # there is genuine freedom
-    assert check_disintegration_independence(w, alt_left, alt_right)
+    assert check_disintegration_independence(w, alt_left, alt_right).ok
 
 
 def test_disintegration_independence_canonical_vs_itself():
     c = z2_cospan()
     w = build_weak_pullback(c)
-    assert check_disintegration_independence(w, w.disint_left, w.disint_right)
+    assert check_disintegration_independence(w, w.disint_left, w.disint_right).ok
 
 
 def test_disintegration_independence_rejects_non_disintegration():
@@ -284,7 +286,7 @@ def test_cotrivial_base_matches_regular_pullback():
         )
         assert validate_groupoid(reg).ok
         hom = cotrivial_comparison_hom(w.algebraic, reg, components)
-        assert is_isomorphism(hom).is_isomorphism
+        assert is_isomorphism(hom).ok
 
 
 def test_shape_invariant_fiber_counts():
@@ -307,14 +309,14 @@ def test_random_cospans_small_sweep():
         assert validate_cospan(c).ok
         w = build_weak_pullback(c, validate=False)
         assert validate_groupoid(w.groupoid).ok
-        assert check_fiber_product_lemma(w)
+        assert check_fiber_product_lemma(w).ok
         assert check_haar_theorem(w).ok
-        mc = check_quasi_invariance_and_modular(w)
-        assert mc.ok() and mc.checked > 0
+        quasi, modular = check_quasi_invariance_and_modular(w)
+        assert quasi.ok and modular.ok and dict(modular.counts)["checked"] > 0
         assert check_projection_homs(w).ok
-        assert check_commuting_diamond(w)
-        assert check_triple_integral_lemma(w)
-        assert check_expanding_lemma(w)
+        assert check_commuting_diamond(w).ok
+        assert check_triple_integral_lemma(w).ok
+        assert check_expanding_lemma(w).ok
 
 
 def test_commuting_diamond_via_composed_homs():
@@ -324,7 +326,7 @@ def test_commuting_diamond_via_composed_homs():
         through_left = literal_orbits_through(w, c.left_map.mapping, w.proj_left.mapping)
         through_right = literal_orbits_through(w, c.right_map.mapping, w.proj_right.mapping)
         assert through_left == through_right
-        assert check_commuting_diamond(w)
+        assert check_commuting_diamond(w).ok
 
 
 def test_unit_level_class_preservation_implied_on_generated_legs():
@@ -384,3 +386,88 @@ def test_each_haar_groupoid_derives_its_induced_measure_once(monkeypatch):
         for h in (c.left, c.base, c.right, w.haar_groupoid):
             assert sum(s is h.haar for s in calls) <= 1, seed
         assert len(calls) <= 8, seed
+
+
+def _two_orbit_cospan() -> Cospan:
+    """Two points a, b over two base points x, y, on both legs: the base has
+    two orbits and every leg fiber is a single point."""
+    space = cotrivial_groupoid(["a", "b"])
+    base = cotrivial_groupoid(["x", "y"])
+    leg = GroupoidHom(space, base, {"a": "x", "b": "y"})
+    return Cospan(with_counting_haar(space), with_counting_haar(base), with_counting_haar(space), leg, leg)
+
+
+def _with_triple(w, pid, triple):
+    """The result with the triple recorded for one pullback element replaced."""
+    return replace(w, algebraic=replace(w.algebraic, triples={**w.algebraic.triples, pid: triple}))
+
+
+def _names(report, x) -> bool:
+    return not report.ok and any(x in v.witnesses for v in report.violations)
+
+
+def test_negative_controls_name_the_tampered_element():
+    # each former yes/no check fails on a result tampered in one component,
+    # and one of its violations names the tampered element
+    c = pair_trivial_cospan(mu_left=(1, 2), mu_right=(1, 3))
+    w = build_weak_pullback(c)
+    u = "1-1|e|1-1"
+    assert u in w.groupoid.units
+    # a unit's triple: its r-fiber is no longer S^s x {g} x T^t
+    assert _names(check_fiber_product_lemma(_with_triple(w, u, ("2-2", "e", "1-1"))), u)
+    # an element's triple: Delta_S(1-2) = 1/2 where Delta_P still says 1
+    pid = "1-1|e|1-2"
+    assert _names(check_quasi_invariance_and_modular(_with_triple(w, pid, ("1-2", "e", "1-2")))[1], pid)
+    # the unit measure: the induced measure and the disintegrated one move apart
+    weights = dict(w.unit_measure.weights)
+    weights[u] += 1
+    heavier = replace(w, unit_measure=FiniteMeasure(w.groupoid.units, weights))
+    assert _names(check_expanding_lemma(heavier), u)
+    assert _names(check_disintegration_independence(heavier, w.disint_left, w.disint_right), u)
+
+    c = _two_orbit_cospan()
+    w = build_weak_pullback(c)
+    assert w.groupoid.elements == ("a|x|a", "b|y|b")
+    assert check_commuting_diamond(w).ok and check_triple_integral_lemma(w).ok
+    # a triple whose legs reach the orbits of x and y
+    assert _names(check_commuting_diamond(_with_triple(w, "a|x|a", ("b", "x", "a"))), "a|x|a")
+    # gamma_p^x given mass off the fiber p^-1(x) = {a}
+    family = dict(w.disint_left.family)
+    family["x"] = FiniteMeasure(w.disint_left.domain, {"a": 1, "b": 1})
+    off_fiber = MeasureSystem(w.disint_left.over, w.disint_left.domain, w.disint_left.codomain, family)
+    report = check_triple_integral_lemma(replace(w, disint_left=off_fiber))
+    assert _names(report, "x")
+    assert ("x", "y", "b") in {v.witnesses for v in report.violations}
+
+
+def test_strict_modular_check_names_skipped_triples():
+    # on a valid cospan every support triple has on-support constituents, so
+    # a triple is skipped only when it is tampered: here one names the leg
+    # point b, where the leg's unit measure vanishes and Delta_S is undefined
+    s = cotrivial_groupoid(["a", "b"])
+    base = with_counting_haar(trivial_group())
+    leg = HaarGroupoid(s, counting_haar_system(s), FiniteMeasure(s.units, {"a": 1}))
+    hom = GroupoidHom(s, base.groupoid, {"a": "e", "b": "e"})
+    w = build_weak_pullback(Cospan(leg, base, base, hom, identity_hom(base.groupoid)))
+    assert w.haar_groupoid.induced.support == {"a|e|e"}
+    assert all(r.ok for r in check_quasi_invariance_and_modular(w, strict=True))
+    tampered = _with_triple(w, "a|e|e", ("b", "e", "e"))
+    quasi, lenient = check_quasi_invariance_and_modular(tampered)
+    assert quasi.ok and lenient.ok and lenient.counts == (("checked", 0), ("skipped", 1))
+    _, strict = check_quasi_invariance_and_modular(tampered, strict=True)
+    assert strict.counts == lenient.counts and _names(strict, "a|e|e")
+
+
+def test_run_claims_follows_claim_order_and_names_witnesses():
+    from measured_groupoids.cli import CLAIMS, run_claims
+
+    c = pair_trivial_cospan()
+    w = build_weak_pullback(c)
+    assert tuple(run_claims(c, w)) == CLAIMS
+    # a failing claim's detail is its report's summary, which names a witness
+    weights = dict(w.unit_measure.weights)
+    weights["1-1|e|1-1"] += 1
+    results = run_claims(c, replace(w, unit_measure=FiniteMeasure(w.groupoid.units, weights)))
+    assert tuple(results) == CLAIMS
+    ok, detail = results["lemma.expanding_integral"]
+    assert not ok and detail.startswith("expanding-integral [1-1|e|1-1]")
