@@ -1,8 +1,10 @@
 """Command-line driver.
 
 Subcommands: validate, pullback, check, example, modular, gen. Exit codes:
-0 success, 1 parse failure, 2 validation failure, 3 theorem-check failure.
-Set MGPD_VERBOSE=1 for per-claim detail in reports.
+0 success, 1 parse failure or bad argument, 2 validation failure,
+3 theorem-check failure, 4 internal error (any other exception, reported as
+`error: internal: <type>: <message>`). Set MGPD_VERBOSE=1 for per-claim
+detail in reports and for the traceback of an internal error.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from .documents import (
     weight_to_str,
 )
 from .errors import GroupoidError, InvalidCospan, NotQuasiInvariant, ParseError
-from .families import (
-    canonical_iso_cech,
-    canonical_iso_transformation,
-    cech_cospan_groupoids,
-    is_isomorphism,
-    transformation_cospan_groupoids,
-)
+from .families import canonical_iso_cech, canonical_iso_transformation, is_isomorphism
 from .generate import alternate_disintegration, random_cospan, random_haar_groupoid
 from .groupoid import GroupoidHom, ValidationReport, validate_groupoid
 from .haar import (
@@ -57,6 +53,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_CHECK = 3
+EXIT_INTERNAL = 4
 
 
 def _verbose() -> bool:
@@ -122,7 +119,7 @@ def _validate_pullback_document(doc: PullbackDocument) -> bool:
         if h is None:
             h = doc.result.to_haar_groupoid()  # raises: the result lacks a measure
         try:
-            if dict(h.modular.values) != doc.modular:
+            if dict(h.modular) != doc.modular:
                 print("violation: stored modular table does not match the stored measures")
                 ok = False
             else:
@@ -261,14 +258,12 @@ def cmd_example(args) -> int:
         if not isinstance(doc, CechExampleDocument):
             print("error: expected cech_example parameters", file=sys.stderr)
             return EXIT_PARSE
-        alg, target, iso = canonical_iso_cech(doc.data)
-        left, base, right, hl, hr = cech_cospan_groupoids(doc.data)
+        (left, base, right, hl, hr), alg, target, iso = canonical_iso_cech(doc.data)
     else:
         if not isinstance(doc, TransformationExampleDocument):
             print("error: expected transformation_example parameters", file=sys.stderr)
             return EXIT_PARSE
-        alg, target, iso = canonical_iso_transformation(doc.data)
-        left, base, right, hl, hr = transformation_cospan_groupoids(doc.data)
+        (left, base, right, hl, hr), alg, target, iso = canonical_iso_transformation(doc.data)
     verdict = is_isomorphism(iso)
     result = ExampleResultDocument(
         args.family,
@@ -305,8 +300,8 @@ def cmd_modular(args) -> int:
         _print_report(report, "haar groupoid")
         return EXIT_VALIDATION
     delta = h.modular
-    for x in sorted(delta.values):
-        print(f"{x}\t{weight_to_str(delta(x))}")
+    for x in sorted(delta):
+        print(f"{x}\t{weight_to_str(delta[x])}")
     return EXIT_OK
 
 
@@ -317,6 +312,9 @@ def cmd_gen(args) -> int:
         bounds = ()
     if len(bounds) != 2:
         print("error: --bounds must be 'max_units,max_elements'", file=sys.stderr)
+        return EXIT_PARSE
+    if min(bounds) < 1:
+        print("error: --bounds must be at least 1,1", file=sys.stderr)
         return EXIT_PARSE
     if args.what == "groupoid":
         h = random_haar_groupoid(args.seed, bounds, null_orbits=args.null)
@@ -380,6 +378,13 @@ def main(argv=None) -> int:
     except GroupoidError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as e:
+        if _verbose():
+            import traceback  # only here, to keep it off every run's start-up
+
+            traceback.print_exc()
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -108,7 +108,7 @@ class PullbackDocument:
         return PullbackDocument(
             CospanDocument.of(w.cospan),
             GroupoidDocument(w.groupoid, w.haar, w.unit_measure),
-            dict(w.haar_groupoid.modular.values),
+            dict(w.haar_groupoid.modular),
             dict(w.proj_left.mapping),
             dict(w.proj_right.mapping),
         )

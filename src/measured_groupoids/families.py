@@ -1,8 +1,8 @@
 """Example families of groupoids and the canonical identifications of their
 weak pullbacks: open-cover (Čech) groupoids, transformation groupoids of
 group actions, cotrivial groupoids, pair groupoids, cyclic groups, disjoint
-unions and direct products, the regular pullback, and an isomorphism verifier
-driven by explicit maps (never by isomorphism search).
+unions and direct products, and an isomorphism verifier driven by explicit
+maps (never by isomorphism search).
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .groupoid import check_element_id, validate_groupoid, validate_hom
 from .haar import HaarGroupoid, counting_haar_system
 from .measures import counting
 from .pullback import PullbackGroupoid, weak_pullback_groupoid
+
+# left, base, right and the two legs of a cospan of bare groupoids
+CospanGroupoids = tuple[FiniteGroupoid, FiniteGroupoid, FiniteGroupoid, GroupoidHom, GroupoidHom]
 
 
 def _join(parts: Iterable[str], sep: str) -> str:
@@ -202,9 +205,11 @@ def cech_groupoid(cover: FiniteCover) -> FiniteGroupoid:
     return FiniteGroupoid(els, units, range_map, source_map, inverse_map, compose)
 
 
-def cech_hom(f: Mapping[str, str], cover_dom: FiniteCover, cover_cod: FiniteCover) -> GroupoidHom:
+def cech_hom(f: Mapping[str, str], cover_dom: FiniteCover, cover_cod: FiniteCover, cod: FiniteGroupoid) -> GroupoidHom:
     """(a, y, b) -> (a, f(y), b); requires f to send each block into the
-    correspondingly indexed block of the codomain cover."""
+    correspondingly indexed block of the codomain cover. `cod` is
+    `cech_groupoid(cover_cod)`, built once by the caller for every hom into
+    it."""
     if cover_dom.index_set != cover_cod.index_set:
         raise ImageMismatch("covers are not matched by a common index set")
     for a in cover_dom.index_set:
@@ -212,7 +217,6 @@ def cech_hom(f: Mapping[str, str], cover_dom: FiniteCover, cover_cod: FiniteCove
         if not image <= cover_cod.blocks[a]:
             raise ImageMismatch(f"image of block {a!r} leaves the target block")
     dom = cech_groupoid(cover_dom)
-    cod = cech_groupoid(cover_cod)
     mapping = {}
     for x in dom.elements:
         a, y, b = x.split(":")
@@ -248,14 +252,11 @@ class CechCospanData:
         self.base_cover = FiniteCover.build(self.base_space, blocks)
 
 
-def cech_cospan_groupoids(data: CechCospanData) -> tuple[FiniteGroupoid, FiniteGroupoid, FiniteGroupoid, GroupoidHom, GroupoidHom]:
-    left = cech_groupoid(data.cover_left)
-    right = cech_groupoid(data.cover_right)
+def cech_cospan_groupoids(data: CechCospanData) -> CospanGroupoids:
     base = cech_groupoid(data.base_cover)
-    hom_left = cech_hom(data.map_left, data.cover_left, data.base_cover)
-    hom_right = cech_hom(data.map_right, data.cover_right, data.base_cover)
-    assert hom_left.codomain == base and hom_right.codomain == base
-    return left, base, right, GroupoidHom(left, base, hom_left.mapping), GroupoidHom(right, base, hom_right.mapping)
+    hom_left = cech_hom(data.map_left, data.cover_left, data.base_cover, base)
+    hom_right = cech_hom(data.map_right, data.cover_right, data.base_cover, base)
+    return hom_left.domain, base, hom_right.domain, hom_left, hom_right
 
 
 def product_cover(data: CechCospanData) -> FiniteCover:
@@ -277,14 +278,15 @@ def product_cover(data: CechCospanData) -> FiniteCover:
     return FiniteCover.build(tuple(pullback_pts), blocks)
 
 
-def canonical_iso_cech(data: CechCospanData) -> tuple[PullbackGroupoid, FiniteGroupoid, GroupoidHom]:
-    """The identification of the weak pullback of a cover cospan with the
-    open-cover groupoid of the product cover:
+def canonical_iso_cech(data: CechCospanData) -> tuple[CospanGroupoids, PullbackGroupoid, FiniteGroupoid, GroupoidHom]:
+    """The cospan, its weak pullback, and the identification of that with
+    the open-cover groupoid of the product cover:
     ((a,y,b), (a,x,e), (e,z,f)) -> ((a,e), (y,z), (b,f)).
 
     Raises PrecomputedConditionFailed if some pullback triple does not have
     the forced canonical shape, which would signal an upstream bug."""
-    left, base, right, hom_left, hom_right = cech_cospan_groupoids(data)
+    cospan = cech_cospan_groupoids(data)
+    left, base, right, hom_left, hom_right = cospan
     alg = weak_pullback_groupoid(left, base, right, hom_left.mapping, hom_right.mapping)
     target = cech_groupoid(product_cover(data))
     mapping = {}
@@ -297,7 +299,7 @@ def canonical_iso_cech(data: CechCospanData) -> tuple[PullbackGroupoid, FiniteGr
                 f"pullback triple {pid!r} is not in canonical cover form"
             )
         mapping[pid] = cech_id(_join((a, e), ","), _join((y, z), ","), _join((b, f), ","))
-    return alg, target, GroupoidHom(alg.groupoid, target, mapping)
+    return cospan, alg, target, GroupoidHom(alg.groupoid, target, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +393,7 @@ class TransformationCospanData:
                         raise NotEquivariant(f"{name} map is not invariant under the action at ({y!r}, {gm!r})")
 
 
-def transformation_cospan_groupoids(
-    data: TransformationCospanData,
-) -> tuple[FiniteGroupoid, FiniteGroupoid, FiniteGroupoid, GroupoidHom, GroupoidHom]:
+def transformation_cospan_groupoids(data: TransformationCospanData) -> CospanGroupoids:
     left = transformation_groupoid(data.action_left)
     right = transformation_groupoid(data.action_right)
     base = cotrivial_groupoid(data.base_space)
@@ -408,11 +408,14 @@ def transformation_cospan_groupoids(
     return left, base, right, GroupoidHom(left, base, map_left), GroupoidHom(right, base, map_right)
 
 
-def canonical_iso_transformation(data: TransformationCospanData) -> tuple[PullbackGroupoid, FiniteGroupoid, GroupoidHom]:
-    """The identification of the weak pullback over a cotrivial base with the
-    transformation groupoid of the product action on the pullback space:
-    ((y,γ), x, (z,λ)) -> ((y,z), (γ,λ))."""
-    left, base, right, hom_left, hom_right = transformation_cospan_groupoids(data)
+def canonical_iso_transformation(
+    data: TransformationCospanData,
+) -> tuple[CospanGroupoids, PullbackGroupoid, FiniteGroupoid, GroupoidHom]:
+    """The cospan, its weak pullback over a cotrivial base, and the
+    identification of that with the transformation groupoid of the product
+    action on the pullback space: ((y,γ), x, (z,λ)) -> ((y,z), (γ,λ))."""
+    cospan = transformation_cospan_groupoids(data)
+    left, base, right, hom_left, hom_right = cospan
     alg = weak_pullback_groupoid(left, base, right, hom_left.mapping, hom_right.mapping)
     product_group, gid = direct_product(data.action_left.group, data.action_right.group)
     pull_pts = {
@@ -436,50 +439,11 @@ def canonical_iso_transformation(data: TransformationCospanData) -> tuple[Pullba
         if g != data.map_left[y] or g != data.map_right[z]:
             raise PrecomputedConditionFailed(f"pullback triple {pid!r} is not in canonical action form")
         mapping[pid] = transformation_id(_join((y, z), ","), gid[(g1, g2)])
-    return alg, target, GroupoidHom(alg.groupoid, target, mapping)
+    return cospan, alg, target, GroupoidHom(alg.groupoid, target, mapping)
 
 
 # ---------------------------------------------------------------------------
-# regular pullback and the isomorphism verifier
-
-
-def regular_pullback(
-    s_g: FiniteGroupoid, base: FiniteGroupoid, t_g: FiniteGroupoid, p: Mapping[str, str], q: Mapping[str, str]
-) -> tuple[FiniteGroupoid, dict[str, tuple[str, str]]]:
-    """{(s, t) : p(s) = q(t)} with componentwise structure."""
-    pairs = [(s, t) for s in s_g.elements for t in t_g.elements if p[s] == q[t]]
-    ids = {pr: _join(pr, "|") for pr in pairs}
-    if len(set(ids.values())) != len(ids):
-        raise MalformedInput("element ids collide under the s|t encoding")
-    els = sorted(ids.values())
-    units = [ids[(u, v)] for (u, v) in pairs if u in s_g.unit_set and v in t_g.unit_set]
-    range_map = {ids[(s, t)]: ids[(s_g.r(s), t_g.r(t))] for (s, t) in pairs}
-    source_map = {ids[(s, t)]: ids[(s_g.d(s), t_g.d(t))] for (s, t) in pairs}
-    inverse_map = {ids[(s, t)]: ids[(s_g.inv(s), t_g.inv(t))] for (s, t) in pairs}
-    compose = {}
-    pair_set = set(pairs)
-    for (s, t) in pairs:
-        for (s2, t2) in pairs:
-            if s_g.composable(s, s2) and t_g.composable(t, t2):
-                target = (s_g.compose(s, s2), t_g.compose(t, t2))
-                if target not in pair_set:
-                    raise MalformedInput("regular pullback is not closed under composition")
-                compose[(ids[(s, t)], ids[(s2, t2)])] = ids[target]
-    g = FiniteGroupoid(els, units, range_map, source_map, inverse_map, compose)
-    return g, {i: pr for pr, i in ids.items()}
-
-
-def cotrivial_comparison_hom(alg: PullbackGroupoid, regular: FiniteGroupoid, components: dict[str, tuple[str, str]]) -> GroupoidHom:
-    """(s, g, t) -> (s, t), the explicit comparison with the regular pullback;
-    an isomorphism exactly when the base is cotrivial."""
-    reverse = {pr: i for i, pr in components.items()}
-    mapping = {}
-    for pid, (s, _, t) in alg.triples.items():
-        key = (s, t)
-        if key not in reverse:
-            raise MalformedInput(f"pullback triple {pid!r} has no counterpart in the regular pullback")
-        mapping[pid] = reverse[key]
-    return GroupoidHom(alg.groupoid, regular, mapping)
+# the isomorphism verifier
 
 
 def is_isomorphism(f: GroupoidHom) -> ValidationReport:

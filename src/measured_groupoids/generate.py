@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .errors import GenerationExhausted
 from .families import (
-    cotrivial_groupoid,
     cyclic_group,
     direct_product,
     disjoint_union,
@@ -89,11 +88,16 @@ def _random_component(rng: random.Random, max_units: int, max_elements: int, tag
     return trivial_group()
 
 
-def random_groupoid(seed, bounds=DEFAULT_BOUNDS) -> FiniteGroupoid:
-    """A valid finite groupoid: a disjoint union of random components."""
+def _checked_bounds(bounds) -> tuple[int, int]:
     max_units, max_elements = bounds
     if max_units < 1 or max_elements < 1:
         raise GenerationExhausted("bounds must be at least (1, 1)")
+    return max_units, max_elements
+
+
+def random_groupoid(seed, bounds=DEFAULT_BOUNDS) -> FiniteGroupoid:
+    """A valid finite groupoid: a disjoint union of random components."""
+    max_units, max_elements = _checked_bounds(bounds)
     rng = _rng(seed, "structure")
     comps: list[FiniteGroupoid] = []
     units_left, els_left = max_units, max_elements
@@ -236,7 +240,7 @@ def random_cospan(seed, bounds=DEFAULT_BOUNDS, with_null_base: bool = False) -> 
     measure vanishes on a union of orbits and the legs have nonempty fibers
     over the null part, which is what the disintegration-independence theorem
     needs to say anything."""
-    max_units, max_elements = bounds
+    max_units, max_elements = _checked_bounds(bounds)
     for attempt in range(_MAX_TRIES):
         rng = _rng(seed, f"cospan{attempt}")
         base_is_group = rng.random() < 0.4 and not with_null_base
@@ -264,40 +268,6 @@ def random_cospan(seed, bounds=DEFAULT_BOUNDS, with_null_base: bool = False) -> 
         if validate_cospan(c).ok:
             return c
     raise GenerationExhausted(f"no valid cospan for seed {seed!r} within {_MAX_TRIES} attempts")
-
-
-def random_cotrivial_cospan(seed, bounds=DEFAULT_BOUNDS) -> Cospan:
-    """A valid cospan whose base is cotrivial (units only), for comparing the
-    weak pullback against the regular pullback."""
-    max_units, max_elements = bounds
-    for attempt in range(_MAX_TRIES):
-        rng = _rng(seed, f"cotrivial{attempt}")
-        k = rng.randint(1, min(4, max_units))
-        base_g = cotrivial_groupoid([f"x{i}" for i in range(k)])
-        base_h = attach_random_haar(rng, base_g)
-
-        def leg(tag: str):
-            m = rng.randint(k, min(4, max_units))
-            comps = []
-            for i in range(m):
-                comps.append(_random_component(rng, 1, max(1, max_elements // m), f"{tag}{i}q"))
-            g, renamings = disjoint_union(comps, [f"{tag}{i}" for i in range(m)])
-            targets = [f"x{i}" for i in range(k)] + [f"x{rng.randrange(k)}" for _ in range(m - k)]
-            rng.shuffle(targets)
-            mapping = {}
-            for comp_index, ren in enumerate(renamings):
-                for new_id in ren.values():
-                    mapping[new_id] = targets[comp_index]
-            return g, mapping
-
-        left_g, left_map = leg("s")
-        right_g, right_map = leg("t")
-        left_h, left_hom = _measured_leg(rng, left_g, left_map, base_h)
-        right_h, right_hom = _measured_leg(rng, right_g, right_map, base_h)
-        c = Cospan(left_h, base_h, right_h, left_hom, right_hom)
-        if validate_cospan(c).ok:
-            return c
-    raise GenerationExhausted(f"no valid cotrivial cospan for seed {seed!r} within {_MAX_TRIES} attempts")
 
 
 def alternate_disintegration(gamma: MeasureSystem, nu: FiniteMeasure, scale=2) -> MeasureSystem:

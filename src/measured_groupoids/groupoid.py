@@ -120,9 +120,6 @@ class FiniteGroupoid:
     def inv(self, x: str) -> str:
         return self.inverse_map[x]
 
-    def composable(self, x: str, y: str) -> bool:
-        return self.source_map[x] == self.range_map[y]
-
     def compose(self, x: str, y: str) -> str:
         return self.compose_map[(x, y)]
 

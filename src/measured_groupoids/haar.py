@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import MalformedInput, NotQuasiInvariant
@@ -45,17 +46,18 @@ class HaarGroupoid:
         return compose_with_measure(self.haar, self.unit_measure)
 
     @cached_property
-    def modular(self) -> ModularFunction:
-        """Delta(x) = mu(x)/mu(x^{-1}) on the support of mu. Raises
-        NotQuasiInvariant with the witness of `is_quasi_invariant`, on every
-        read, when mu and its inverse image differ in support."""
+    def modular(self) -> Mapping[str, Fraction]:
+        """Delta(x) = mu(x)/mu(x^{-1}), keyed by the support of mu and
+        read-only. Raises NotQuasiInvariant with the witness of
+        `is_quasi_invariant`, on every read, when mu and its inverse image
+        differ in support."""
         report = is_quasi_invariant(self)
         if not report.ok:
             (witness,) = report.violations[0].witnesses
             raise NotQuasiInvariant(f"unit measure is not quasi-invariant, witness {witness!r}", witness=witness)
         mu = self.induced
         g = self.groupoid
-        return ModularFunction({x: mu(x) / mu(g.inv(x)) for x in sorted(mu.support)})
+        return MappingProxyType({x: mu(x) / mu(g.inv(x)) for x in sorted(mu.support)})
 
 
 def haar_system_from_source_weights(g: FiniteGroupoid, source_weight: Mapping[str, object]) -> MeasureSystem:
@@ -139,28 +141,6 @@ def validate_haar_groupoid(h: HaarGroupoid) -> ValidationReport:
     bad = list(is_haar(h.groupoid, h.haar).violations)
     bad.extend(validate_unit_measure(h).violations)
     return ValidationReport(tuple(bad))
-
-
-class ModularFunction:
-    """Delta(x) = mu(x)/mu(x^{-1}), defined exactly on the support of mu."""
-
-    def __init__(self, values: Mapping[str, Fraction]):
-        self.values = dict(values)
-
-    def __call__(self, x: str) -> Fraction:
-        return self.values[x]
-
-    def defined_at(self, x: str) -> bool:
-        return x in self.values
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModularFunction):
-            return NotImplemented
-        return self.values == other.values
 
 
 def validate_haar_hom(p: GroupoidHom, dom: HaarGroupoid, cod: HaarGroupoid) -> ValidationReport:

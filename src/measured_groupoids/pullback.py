@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
 from .groupoid import (
@@ -86,7 +86,6 @@ class PullbackGroupoid:
     triples: dict[str, tuple[str, str, str]]
     proj_left: GroupoidHom
     proj_right: GroupoidHom
-    mediator: dict[str, str]  # id -> middle component, the arrow of the base
 
 
 def weak_pullback_groupoid(
@@ -143,14 +142,14 @@ def weak_pullback_groupoid(
     pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, compose_map)
     proj_left = GroupoidHom(pg, s_g, {pid: tr[0] for pid, tr in by_id.items()})
     proj_right = GroupoidHom(pg, t_g, {pid: tr[2] for pid, tr in by_id.items()})
-    return PullbackGroupoid(pg, by_id, proj_left, proj_right, {pid: tr[1] for pid, tr in by_id.items()})
+    return PullbackGroupoid(pg, by_id, proj_left, proj_right)
 
 
 @dataclass(frozen=True)
 class WeakPullbackResult:
     """The measured weak pullback: groupoid, projections, Haar system,
-    disintegrations, the system eta over the mediator map and the unit
-    measure. Its induced measure and modular function are those of
+    disintegrations, the system eta over the base arrow of each unit and
+    the unit measure. Its induced measure and modular function are those of
     `haar_groupoid`, which is built on first read and kept."""
 
     cospan: Cospan
@@ -206,7 +205,7 @@ def _eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_
     the map sending a pullback unit to its mediating base arrow."""
     pg = alg.groupoid
     base = c.base.groupoid
-    over = {u: alg.mediator[u] for u in pg.units}
+    over = {u: alg.triples[u][1] for u in pg.units}
     by_arrow: dict[str, list[str]] = {}
     for u in pg.units:
         by_arrow.setdefault(over[u], []).append(u)
@@ -222,6 +221,22 @@ def _eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_
     return MeasureSystem(over, pg.units, base.elements, family)
 
 
+def _unit_measure(
+    alg: PullbackGroupoid,
+    c: Cospan,
+    disintegration: Callable[[str, Mapping[str, str], FiniteMeasure, FiniteMeasure], MeasureSystem],
+) -> tuple[MeasureSystem, MeasureSystem, MeasureSystem, FiniteMeasure]:
+    """gamma_p, gamma_q, eta and mu_P0 = eta composed with the base induced
+    measure. Each gamma is `disintegration(label, unit map, leg unit measure,
+    base unit measure)` on the leg labelled "left" or "right"."""
+    gamma_p, gamma_q = (
+        disintegration(label, {u: hom.mapping[u] for u in leg.groupoid.units}, leg.unit_measure, c.base.unit_measure)
+        for label, leg, hom in (("left", c.left, c.left_map), ("right", c.right, c.right_map))
+    )
+    eta = _eta_system(alg, c, gamma_p, gamma_q)
+    return gamma_p, gamma_q, eta, compose_with_measure(eta, c.base.induced)
+
+
 def build_weak_pullback(c: Cospan, validate: bool = True) -> WeakPullbackResult:
     """Construct the measured weak pullback of a valid cospan."""
     if validate:
@@ -232,12 +247,7 @@ def build_weak_pullback(c: Cospan, validate: bool = True) -> WeakPullbackResult:
         c.left.groupoid, c.base.groupoid, c.right.groupoid, c.left_map.mapping, c.right_map.mapping
     )
     lam_p = _pullback_haar_system(alg, c)
-    unit_map_left = {u: c.left_map.mapping[u] for u in c.left.groupoid.units}
-    unit_map_right = {u: c.right_map.mapping[u] for u in c.right.groupoid.units}
-    gamma_p = disintegrate(unit_map_left, c.left.unit_measure, c.base.unit_measure)
-    gamma_q = disintegrate(unit_map_right, c.right.unit_measure, c.base.unit_measure)
-    eta = _eta_system(alg, c, gamma_p, gamma_q)
-    mu_p0 = compose_with_measure(eta, c.base.induced)
+    gamma_p, gamma_q, eta, mu_p0 = _unit_measure(alg, c, lambda _, f, mu, nu: disintegrate(f, mu, nu))
     return WeakPullbackResult(
         cospan=c,
         algebraic=alg,
@@ -294,14 +304,14 @@ def check_quasi_invariance_and_modular(
     bad: list[Violation] = []
     for pid in sorted(h_p.induced.support):
         sigma, _, tau = w.algebraic.triples[pid]
-        if not (delta_s.defined_at(sigma) and delta_t.defined_at(tau) and delta_g.defined_at(q[tau])):
+        if not (sigma in delta_s and tau in delta_t and q[tau] in delta_g):
             skipped += 1
             if strict:
                 bad.append(Violation("modular-off-support", (pid,), f"a leg or base Delta is undefined at {pid}"))
             continue
         checked += 1
-        lhs = delta_p(pid) * delta_g(q[tau])
-        rhs = delta_s(sigma) * delta_t(tau)
+        lhs = delta_p[pid] * delta_g[q[tau]]
+        rhs = delta_s[sigma] * delta_t[tau]
         if lhs != rhs:
             bad.append(Violation("modular-formula", (pid,), f"Delta_P·Delta_G = {lhs} != Delta_S·Delta_T = {rhs}"))
     return quasi, ValidationReport(tuple(bad), (("checked", checked), ("skipped", skipped)))
@@ -333,25 +343,16 @@ def check_commuting_diamond(w: WeakPullbackResult) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def outer_square_counterexample(w: WeakPullbackResult) -> str | None:
-    """First pullback element where p(proj_left) != q(proj_right), if any.
-    The outer square famously need not commute; this exhibits the failure."""
-    p = w.cospan.left_map.mapping
-    q = w.cospan.right_map.mapping
-    for pid in w.groupoid.elements:
-        s, _, t = w.algebraic.triples[pid]
-        if p[s] != q[t]:
-            return pid
-    return None
-
-
-def _verify_disintegration(system: MeasureSystem, f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure, label: str) -> None:
+def _verified_disintegration(
+    system: MeasureSystem, f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure, label: str
+) -> MeasureSystem:
     if system.over != dict(f):
         raise NotADisintegration(f"{label}: system is over the wrong map")
     if not validate_system(system).ok:
         raise NotADisintegration(f"{label}: system is not concentrated on fibers")
     if compose_with_measure(system, nu) != mu:
         raise NotADisintegration(f"{label}: reconstruction identity fails")
+    return system
 
 
 def check_disintegration_independence(
@@ -361,13 +362,10 @@ def check_disintegration_independence(
     a violation names a unit whose weight moves. Alternates must disintegrate
     the same measures (else NotADisintegration): the only freedom is on null
     fibers, where the null weights wash it out."""
-    c = w.cospan
-    unit_map_left = {u: c.left_map.mapping[u] for u in c.left.groupoid.units}
-    unit_map_right = {u: c.right_map.mapping[u] for u in c.right.groupoid.units}
-    _verify_disintegration(alt_left, unit_map_left, c.left.unit_measure, c.base.unit_measure, "left")
-    _verify_disintegration(alt_right, unit_map_right, c.right.unit_measure, c.base.unit_measure, "right")
-    eta_alt = _eta_system(w.algebraic, c, alt_left, alt_right)
-    mu_alt = compose_with_measure(eta_alt, c.base.induced)
+    alternates = {"left": alt_left, "right": alt_right}
+    *_, mu_alt = _unit_measure(
+        w.algebraic, w.cospan, lambda label, f, mu, nu: _verified_disintegration(alternates[label], f, mu, nu, label)
+    )
     bad = [
         Violation("disintegration-independence", (u,), f"mu_P0({u}) = {w.unit_measure(u)}, alternates give {mu_alt(u)}")
         for u in w.groupoid.units

@@ -2,20 +2,37 @@
 
 The oracles deliberately brute-force the stated nested sums with no
 concentration shortcuts, so they stay independent of the library's paths.
+The regular pullback and its comparison map are a second pullback
+construction, kept here as the oracle for cotrivial bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from measured_groupoids import (
     Cospan,
     FiniteGroupoid,
     FiniteMeasure,
+    GenerationExhausted,
+    MalformedInput,
+    cotrivial_groupoid,
     cyclic_group,
+    disjoint_union,
     pair_groupoid,
     trivial_group,
+    validate_cospan,
     with_counting_haar,
+)
+from measured_groupoids.families import _join
+from measured_groupoids.generate import (
+    DEFAULT_BOUNDS,
+    _MAX_TRIES,
+    _measured_leg,
+    _random_component,
+    _rng,
+    attach_random_haar,
 )
 from measured_groupoids.groupoid import (
     GroupoidHom,
@@ -25,6 +42,7 @@ from measured_groupoids.groupoid import (
     identity_hom,
 )
 from measured_groupoids.haar import HaarGroupoid, counting_haar_system
+from measured_groupoids.pullback import PullbackGroupoid, WeakPullbackResult
 
 F = Fraction
 ZERO = F(0)
@@ -241,3 +259,88 @@ def literal_groupoid_report(g: FiniteGroupoid) -> ValidationReport:
             bad.append(Violation("inverse-law", (x,), f"{x}⁻¹·{x} != d({x})"))
 
     return ValidationReport(tuple(bad))
+
+
+def regular_pullback(
+    s_g: FiniteGroupoid, base: FiniteGroupoid, t_g: FiniteGroupoid, p: Mapping[str, str], q: Mapping[str, str]
+) -> tuple[FiniteGroupoid, dict[str, tuple[str, str]]]:
+    """{(s, t) : p(s) = q(t)} with componentwise structure."""
+    pairs = [(s, t) for s in s_g.elements for t in t_g.elements if p[s] == q[t]]
+    ids = {pr: _join(pr, "|") for pr in pairs}
+    if len(set(ids.values())) != len(ids):
+        raise MalformedInput("element ids collide under the s|t encoding")
+    els = sorted(ids.values())
+    units = [ids[(u, v)] for (u, v) in pairs if u in s_g.unit_set and v in t_g.unit_set]
+    range_map = {ids[(s, t)]: ids[(s_g.r(s), t_g.r(t))] for (s, t) in pairs}
+    source_map = {ids[(s, t)]: ids[(s_g.d(s), t_g.d(t))] for (s, t) in pairs}
+    inverse_map = {ids[(s, t)]: ids[(s_g.inv(s), t_g.inv(t))] for (s, t) in pairs}
+    compose = {}
+    pair_set = set(pairs)
+    for (s, t) in pairs:
+        for (s2, t2) in pairs:
+            if s_g.source_map[s] == s_g.range_map[s2] and t_g.source_map[t] == t_g.range_map[t2]:
+                target = (s_g.compose(s, s2), t_g.compose(t, t2))
+                if target not in pair_set:
+                    raise MalformedInput("regular pullback is not closed under composition")
+                compose[(ids[(s, t)], ids[(s2, t2)])] = ids[target]
+    g = FiniteGroupoid(els, units, range_map, source_map, inverse_map, compose)
+    return g, {i: pr for pr, i in ids.items()}
+
+
+def cotrivial_comparison_hom(alg: PullbackGroupoid, regular: FiniteGroupoid, components: dict[str, tuple[str, str]]) -> GroupoidHom:
+    """(s, g, t) -> (s, t), the explicit comparison with the regular pullback;
+    an isomorphism exactly when the base is cotrivial."""
+    reverse = {pr: i for i, pr in components.items()}
+    mapping = {}
+    for pid, (s, _, t) in alg.triples.items():
+        key = (s, t)
+        if key not in reverse:
+            raise MalformedInput(f"pullback triple {pid!r} has no counterpart in the regular pullback")
+        mapping[pid] = reverse[key]
+    return GroupoidHom(alg.groupoid, regular, mapping)
+
+
+def random_cotrivial_cospan(seed, bounds=DEFAULT_BOUNDS) -> Cospan:
+    """A valid cospan whose base is cotrivial (units only), for comparing the
+    weak pullback against the regular pullback."""
+    max_units, max_elements = bounds
+    for attempt in range(_MAX_TRIES):
+        rng = _rng(seed, f"cotrivial{attempt}")
+        k = rng.randint(1, min(4, max_units))
+        base_g = cotrivial_groupoid([f"x{i}" for i in range(k)])
+        base_h = attach_random_haar(rng, base_g)
+
+        def leg(tag: str):
+            m = rng.randint(k, min(4, max_units))
+            comps = []
+            for i in range(m):
+                comps.append(_random_component(rng, 1, max(1, max_elements // m), f"{tag}{i}q"))
+            g, renamings = disjoint_union(comps, [f"{tag}{i}" for i in range(m)])
+            targets = [f"x{i}" for i in range(k)] + [f"x{rng.randrange(k)}" for _ in range(m - k)]
+            rng.shuffle(targets)
+            mapping = {}
+            for comp_index, ren in enumerate(renamings):
+                for new_id in ren.values():
+                    mapping[new_id] = targets[comp_index]
+            return g, mapping
+
+        left_g, left_map = leg("s")
+        right_g, right_map = leg("t")
+        left_h, left_hom = _measured_leg(rng, left_g, left_map, base_h)
+        right_h, right_hom = _measured_leg(rng, right_g, right_map, base_h)
+        c = Cospan(left_h, base_h, right_h, left_hom, right_hom)
+        if validate_cospan(c).ok:
+            return c
+    raise GenerationExhausted(f"no valid cotrivial cospan for seed {seed!r} within {_MAX_TRIES} attempts")
+
+
+def outer_square_counterexample(w: WeakPullbackResult) -> str | None:
+    """First pullback element where p(proj_left) != q(proj_right), if any.
+    The outer square famously need not commute; this exhibits the failure."""
+    p = w.cospan.left_map.mapping
+    q = w.cospan.right_map.mapping
+    for pid in w.groupoid.elements:
+        s, _, t = w.algebraic.triples[pid]
+        if p[s] != q[t]:
+            return pid
+    return None

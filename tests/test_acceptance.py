@@ -23,9 +23,7 @@ from measured_groupoids import (
     is_haar,
     is_isomorphism,
     is_quasi_invariant,
-    outer_square_counterexample,
     random_cospan,
-    random_cotrivial_cospan,
     random_haar_groupoid,
 )
 from measured_groupoids.cli import CLAIMS, main, run_claims
@@ -36,16 +34,18 @@ from measured_groupoids.documents import (
     parse_document,
     serialize,
 )
-from measured_groupoids.families import (
-    GroupAction,
-    cotrivial_comparison_hom,
-    regular_pullback,
-    trivial_action,
-)
+from measured_groupoids.families import GroupAction, trivial_action
 from measured_groupoids.haar import HaarGroupoid, counting_haar_system
 from measured_groupoids.measures import FiniteMeasure, MeasureSystem
 
-from helpers import pair_trivial_cospan, z2_cospan
+from helpers import (
+    cotrivial_comparison_hom,
+    outer_square_counterexample,
+    pair_trivial_cospan,
+    random_cotrivial_cospan,
+    regular_pullback,
+    z2_cospan,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 F = Fraction
@@ -73,7 +73,7 @@ def test_criterion_1_z2_cospan_fixture(capsys):
     assert len(w.groupoid.elements) == 8
     assert len(w.groupoid.units) == 2
     _all_claims_hold(c, w)
-    assert set(w.haar_groupoid.modular.values.values()) == {F(1)}
+    assert set(w.haar_groupoid.modular.values()) == {F(1)}
     assert main(["check", str(FIXTURES / "z2_cospan.json")]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 10 and "FAIL" not in out
@@ -91,7 +91,7 @@ def test_criterion_2_cech_worked_example():
         {"y1": "x", "y2": "x"},
         {"z1": "x"},
     )
-    alg, target, iso = canonical_iso_cech(data)
+    _, alg, target, iso = canonical_iso_cech(data)
     assert len(alg.groupoid.elements) == 8
     assert is_isomorphism(iso).ok
     elapsed = time.perf_counter() - start
@@ -114,7 +114,7 @@ def test_criterion_3_transformation_worked_example():
         {"y1": "x", "y2": "x"},
         {"z1": "x"},
     )
-    alg, target, iso = canonical_iso_transformation(data)
+    _, alg, target, iso = canonical_iso_transformation(data)
     assert len(alg.groupoid.elements) == 4
     assert is_isomorphism(iso).ok
     elapsed = time.perf_counter() - start
@@ -159,16 +159,16 @@ def test_criterion_6_modular_function_laws():
         h = random_haar_groupoid(seed)
         g = h.groupoid
         delta = h.modular
-        support = delta.domain
+        support = delta.keys()
         assert support == frozenset(h.induced.support)
         for x in support:
-            assert delta(g.inv(x)) == 1 / delta(x)
+            assert delta[g.inv(x)] == 1 / delta[x]
         for (x, y), z in g.compose_map.items():
             if x in support and y in support and z in support:
-                assert delta(z) == delta(x) * delta(y)
+                assert delta[z] == delta[x] * delta[y]
         mu = h.induced
         for x0 in g.elements:
-            lhs = (1 / delta(x0)) * mu(x0) if x0 in support else F(0)
+            lhs = (1 / delta[x0]) * mu(x0) if x0 in support else F(0)
             assert lhs == mu(g.inv(x0))
         for x in g.elements:
             assert h.haar.weight(g.r(x), x) == h.haar.weight(g.d(x), g.d(x))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from measured_groupoids import cli
+from measured_groupoids import cli, families
 from measured_groupoids.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -58,6 +58,29 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
 def test_gen_rejects_non_integer_bounds(capsys):
     assert main(["gen", "cospan", "--bounds", "x,y"]) == 1
     assert capsys.readouterr().err == "error: --bounds must be 'max_units,max_elements'\n"
+
+
+@pytest.mark.parametrize("bounds", ["0,0", "1,0", "-1,5"])
+@pytest.mark.parametrize("what", ["groupoid", "cospan"])
+def test_gen_rejects_bounds_below_one(what, bounds, tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    assert main(["gen", what, f"--bounds={bounds}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --bounds must be at least 1,1\n"
+    assert not out.exists()
+
+
+def test_unexpected_exception_exits_four(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    assert main(["check", str(FIXTURES / "z2_cospan.json")]) == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
+    # verbose runs keep the traceback, ahead of the same line
+    monkeypatch.setenv("MGPD_VERBOSE", "1")
+    assert main(["check", str(FIXTURES / "z2_cospan.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n") and err.endswith("error: internal: RuntimeError: boom\n")
 
 
 def test_float_literal_exit_code(tmp_path):
@@ -121,6 +144,26 @@ def test_example_transformation(tmp_path, capsys):
     )
     assert rc == 0
     assert main(["validate", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "family, builder, builds",
+    # cech: left, right, base and target; transformation: left, right and
+    # target (the base is cotrivial)
+    [("cech", "cech_groupoid", 4), ("transformation", "transformation_groupoid", 3)],
+)
+def test_example_builds_each_groupoid_once(family, builder, builds, monkeypatch, tmp_path, capsys):
+    built = []
+    real = getattr(families, builder)
+
+    def counted(arg):
+        built.append(arg)
+        return real(arg)
+
+    monkeypatch.setattr(families, builder, counted)
+    params = FIXTURES / f"{family}_params.json"
+    assert main(["example", family, "--params", str(params), "--out", str(tmp_path / "e.json")]) == 0
+    assert len(built) == builds
 
 
 def test_cech_index_set_mismatch_is_a_parse_error(tmp_path, capsys):
@@ -221,13 +264,12 @@ def test_mutated_fixtures_end_in_documented_exit_codes(tmp_path, capsys):
             doc = tmp_path / "mutant.json"
             doc.write_text(text, encoding="utf-8")
             for args in (["validate", str(doc)], ["check", str(doc)], ["pullback", str(doc), "--out", str(tmp_path / "p.json")]):
-                try:
-                    rc = main(args)
-                except Exception as e:  # any escape is the failure this test looks for
-                    escaped.append(f"{fixture.name} mutant {n}, {args[0]}: {type(e).__name__}: {e}")
+                rc = main(args)
+                err = capsys.readouterr().err
+                if rc == cli.EXIT_INTERNAL:  # an escaped exception is the failure this test looks for
+                    escaped.append(f"{fixture.name} mutant {n}, {args[0]}: {err.strip()}")
                 else:
                     assert rc in (0, 1, 2, 3), (fixture.name, n, args[0], rc)
-                capsys.readouterr()
     assert not escaped, "\n".join(escaped)
 
 
@@ -275,11 +317,10 @@ def test_deletion_mutants_end_in_documented_exit_codes(tmp_path, capsys):
             if fixture.name in examples:
                 runs.append(["example", examples[fixture.name], "--params", str(doc), "--out", str(tmp_path / "e.json")])
             for args in runs:
-                try:
-                    rc = main(args)
-                except Exception as e:  # any escape is the failure this test looks for
-                    escaped.append(f"{fixture.name} mutant {n}, {args[0]}: {type(e).__name__}: {e}")
+                rc = main(args)
+                err = capsys.readouterr().err
+                if rc == cli.EXIT_INTERNAL:  # an escaped exception is the failure this test looks for
+                    escaped.append(f"{fixture.name} mutant {n}, {args[0]}: {err.strip()}")
                 else:
                     assert rc in (0, 1, 2, 3), (fixture.name, n, args[0], rc)
-                capsys.readouterr()
     assert not escaped, "\n".join(escaped)

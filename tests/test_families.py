@@ -88,12 +88,12 @@ def test_cech_orbits_identify_points():
 
 def test_cech_hom_identity_and_mismatch():
     cover = FiniteCover.build(["y1"], {"1": ["y1"]})
-    hom = cech_hom({"y1": "y1"}, cover, cover)
+    hom = cech_hom({"y1": "y1"}, cover, cover, cech_groupoid(cover))
     assert validate_hom(hom).ok
     dom = FiniteCover.build(["y1", "y2"], {"1": ["y1", "y2"], "2": ["y2"]})
     cod = FiniteCover.build(["x1", "x2"], {"1": ["x1", "x2"], "2": ["x1"]})
     with pytest.raises(ImageMismatch):
-        cech_hom({"y1": "x1", "y2": "x2"}, dom, cod)
+        cech_hom({"y1": "x1", "y2": "x2"}, dom, cod, cech_groupoid(cod))
 
 
 def test_cech_worked_example_collapse_hom():
@@ -106,7 +106,7 @@ def test_cech_worked_example_collapse_hom():
 
 
 def test_canonical_iso_cech_worked_example():
-    alg, target, iso = canonical_iso_cech(worked_cech_data())
+    _, alg, target, iso = canonical_iso_cech(worked_cech_data())
     assert len(alg.groupoid.elements) == 8
     assert len(alg.groupoid.units) == 4
     assert len(target.elements) == 8
@@ -121,7 +121,7 @@ def test_canonical_iso_cech_one_point_trivial():
         {"y": "x"},
         {"z": "x"},
     )
-    alg, target, iso = canonical_iso_cech(data)
+    _, alg, target, iso = canonical_iso_cech(data)
     assert len(alg.groupoid.elements) == 1
     assert is_isomorphism(iso).ok
 
@@ -129,7 +129,7 @@ def test_canonical_iso_cech_one_point_trivial():
 def test_canonical_iso_cech_identity_cospan():
     cover = FiniteCover.build(["a", "b"], {"1": ["a", "b"], "2": ["b"]})
     data = CechCospanData(cover, cover, ("a", "b"), {"a": "a", "b": "b"}, {"a": "a", "b": "b"})
-    alg, target, iso = canonical_iso_cech(data)
+    _, alg, target, iso = canonical_iso_cech(data)
     assert is_isomorphism(iso).ok
 
 
@@ -197,7 +197,7 @@ def test_canonical_iso_transformation_worked_example():
         {"y1": "x", "y2": "x"},
         {"z1": "x"},
     )
-    alg, target, iso = canonical_iso_transformation(data)
+    _, alg, target, iso = canonical_iso_transformation(data)
     assert len(alg.groupoid.elements) == 4
     assert len(target.elements) == 4
     assert is_isomorphism(iso).ok
@@ -211,7 +211,7 @@ def test_canonical_iso_transformation_both_trivial_groups():
         {"y1": "x", "y2": "x"},
         {"z1": "x"},
     )
-    alg, target, iso = canonical_iso_transformation(data)
+    _, alg, target, iso = canonical_iso_transformation(data)
     # cotrivial pullback: same count as the pullback set Y*Z
     assert len(alg.groupoid.elements) == 2
     assert is_isomorphism(iso).ok

@@ -4,12 +4,13 @@ from measured_groupoids import (
     GenerationExhausted,
     build_weak_pullback,
     random_cospan,
-    random_cotrivial_cospan,
     random_haar_groupoid,
     validate_cospan,
     validate_groupoid,
 )
 from measured_groupoids.haar import validate_haar_groupoid
+
+from helpers import random_cotrivial_cospan
 
 
 def test_same_seed_same_instance():
@@ -41,8 +42,10 @@ def test_bounds_two_two_valid():
 
 
 def test_invalid_bounds_exhaust():
-    with pytest.raises(GenerationExhausted):
-        random_haar_groupoid(0, bounds=(0, 0))
+    for generator in (random_haar_groupoid, random_cospan):
+        for bounds in ((0, 0), (1, 0), (-1, 5)):
+            with pytest.raises(GenerationExhausted):
+                generator(0, bounds=bounds)
 
 
 def test_generated_cospans_respect_bounds_and_validate():
