@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Subcommands: validate, pullback, check, example, modular, gen. Exit codes:
-0 success, 1 parse failure or bad argument, 2 validation failure,
-3 theorem-check failure, 4 internal error (any other exception, reported as
-`error: internal: <type>: <message>`). Set MGPD_VERBOSE=1 for per-claim
-detail in reports and for the traceback of an internal error.
+0 success, 1 parse failure or bad argument (usage errors included),
+2 validation failure, 3 theorem-check failure, 4 internal error (any other
+exception, reported as `error: internal: <type>: <message>`). Set
+MGPD_VERBOSE=1 for per-claim detail in reports and for the traceback of an
+internal error.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .documents import (
     serialize,
     weight_to_str,
 )
-from .errors import GroupoidError, InvalidCospan, NotQuasiInvariant, ParseError
+from .errors import GroupoidError, NotQuasiInvariant, ParseError
 from .families import canonical_iso_cech, canonical_iso_transformation, is_isomorphism
 from .generate import alternate_disintegration, random_cospan, random_haar_groupoid
-from .groupoid import GroupoidHom, ValidationReport, validate_groupoid
+from .groupoid import GroupoidHom, ValidationReport, validate_groupoid, validate_hom
 from .haar import (
     HaarGroupoid,
     is_haar,
@@ -47,6 +48,7 @@ from .pullback import (
     check_projection_homs,
     check_triple_integral_lemma,
     validate_cospan,
+    weak_pullback_groupoid,
 )
 
 EXIT_OK = 0
@@ -65,8 +67,7 @@ def _read(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return parse_document(fh.read())
     except OSError as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise ParseError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not UTF-8 text: {e}") from None
 
@@ -143,6 +144,32 @@ def _validate_pullback_document(doc: PullbackDocument) -> bool:
     return ok
 
 
+def _validate_example_result(doc: ExampleResultDocument) -> bool:
+    ok = True
+    for label, g in (("left", doc.left), ("base", doc.base), ("right", doc.right), ("pullback", doc.pullback), ("target", doc.target)):
+        ok &= _print_report(validate_groupoid(g), f"{label} groupoid axioms")
+    if not ok:
+        return False
+    # the legs and the pullback print only their violations, so that a sound
+    # document reads as it did before they were checked
+    for name, leg, mapping in (("left_map", doc.left, doc.left_map), ("right_map", doc.right, doc.right_map)):
+        for v in validate_hom(GroupoidHom(leg, doc.base, mapping)).violations:
+            print(f"violation: {name}: {v}")
+            ok = False
+    if not ok:
+        return False
+    built = weak_pullback_groupoid(doc.left, doc.base, doc.right, doc.left_map, doc.right_map).groupoid
+    if built != doc.pullback:
+        print("violation: stored pullback is not the weak pullback of the stored cospan")
+        return False
+    iso = is_isomorphism(GroupoidHom(doc.pullback, doc.target, doc.iso_map))
+    if iso.ok != doc.is_isomorphism:
+        print("violation: stored isomorphism verdict does not match the stored map")
+        return False
+    print("ok: isomorphism verdict")
+    return True
+
+
 def cmd_validate(args) -> int:
     doc = _read(args.file)
     if isinstance(doc, GroupoidDocument):
@@ -155,16 +182,7 @@ def cmd_validate(args) -> int:
         print("ok: example parameters are well formed")
         ok = True
     elif isinstance(doc, ExampleResultDocument):
-        ok = True
-        for label, g in (("left", doc.left), ("base", doc.base), ("right", doc.right), ("pullback", doc.pullback), ("target", doc.target)):
-            ok &= _print_report(validate_groupoid(g), f"{label} groupoid axioms")
-        if ok:
-            iso = is_isomorphism(GroupoidHom(doc.pullback, doc.target, doc.iso_map))
-            if iso.ok != doc.is_isomorphism:
-                print("violation: stored isomorphism verdict does not match the stored map")
-                ok = False
-            else:
-                print("ok: isomorphism verdict")
+        ok = _validate_example_result(doc)
     else:
         print(f"error: cannot validate {type(doc).__name__}", file=sys.stderr)
         return EXIT_PARSE
@@ -366,15 +384,15 @@ def main(argv=None) -> int:
     s.add_argument("--out")
     s.set_defaults(func=cmd_gen)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse has printed the help, or the usage and its error
+        return EXIT_OK if e.code == 0 else EXIT_PARSE
     try:
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except InvalidCospan as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except GroupoidError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -22,7 +22,7 @@ from .families import (
     GroupAction,
     TransformationCospanData,
 )
-from .groupoid import FiniteGroupoid, GroupoidHom, check_map, check_references
+from .groupoid import FiniteGroupoid, GroupoidHom, check_ids, check_map, check_references
 from .haar import HaarGroupoid
 from .measures import FiniteMeasure, MeasureSystem
 from .pullback import Cospan, WeakPullbackResult
@@ -341,9 +341,8 @@ def _parse_groupoid_document(obj: dict, path: str) -> GroupoidDocument:
             family[u] = FiniteMeasure(
                 g.elements, {x: str_to_weight(w, f"{path}.haar[{u!r}]") for x, w in zip(fiberu, row)}
             )
-        for u in table:
-            if u not in g.unit_set:
-                raise DanglingReference(f"{path}.haar: unknown unit {u!r}")
+        with _reported_at(f"{path}.haar", DanglingReference):
+            check_ids(table, g.unit_set, "unknown unit")
         haar = MeasureSystem(dict(g.range_map), g.elements, g.units, family)
     unit_measure = None
     if "unit_measure" in obj:
@@ -413,11 +412,9 @@ def parse_document(text: str) -> Document:
         cospan = _parse_cospan(_get(obj, "cospan", dict, "$"), "$.cospan")
         result = _parse_groupoid_document(_get(obj, "result", dict, "$"), "$.result")
         modular_raw = _get(obj, "modular", dict, "$")
-        modular = {}
-        for x, w in modular_raw.items():
-            if x not in result.groupoid.element_set:
-                raise DanglingReference(f"$.modular: unknown element {x!r}")
-            modular[x] = str_to_weight(w, f"$.modular[{x!r}]")
+        with _reported_at("$.modular", DanglingReference):
+            check_ids(modular_raw, result.groupoid.element_set, "unknown element")
+        modular = {x: str_to_weight(w, f"$.modular[{x!r}]") for x, w in modular_raw.items()}
         proj_left = _element_map(obj, "proj_left", "$", result.groupoid, cospan.left.groupoid)
         proj_right = _element_map(obj, "proj_right", "$", result.groupoid, cospan.right.groupoid)
         return PullbackDocument(cospan, result, modular, proj_left, proj_right)

@@ -8,6 +8,7 @@ maps (never by isomorphism search).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -18,7 +19,7 @@ from .errors import (
     PrecomputedConditionFailed,
 )
 from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation
-from .groupoid import check_element_id, validate_groupoid, validate_hom
+from .groupoid import check_element_id, check_ids, check_map, validate_groupoid, validate_hom
 from .haar import HaarGroupoid, counting_haar_system
 from .measures import counting
 from .pullback import PullbackGroupoid, weak_pullback_groupoid
@@ -78,12 +79,17 @@ def cyclic_group(n: int, prefix: str = "g") -> FiniteGroupoid:
     )
 
 
+def pair_id(a: str, b: str) -> str:
+    return _join((a, b), "-")
+
+
 def pair_groupoid(points: Iterable[str]) -> FiniteGroupoid:
-    """Elements (a, b) written "a-b"; (a,b)(b,c) = (a,c), units on the diagonal."""
+    """Elements (a, b) written `pair_id(a, b)` = "a-b"; (a,b)(b,c) = (a,c),
+    units on the diagonal."""
     pts = tuple(sorted(set(points)))
     if not pts:
         raise EmptySpace("pair groupoid needs a nonempty point set")
-    eid = {(a, b): _join((a, b), "-") for a in pts for b in pts}
+    eid = {(a, b): pair_id(a, b) for a in pts for b in pts}
     if len(set(eid.values())) != len(eid):
         raise MalformedInput("point names collide under the a-b encoding")
     els = sorted(eid.values())
@@ -161,13 +167,8 @@ class FiniteCover:
         pts = tuple(sorted(set(space)))
         blk = {check_element_id(i): frozenset(b) for i, b in blocks.items()}
         for i, b in blk.items():
-            stray = b - set(pts)
-            if stray:
-                raise MalformedInput(f"cover block {i!r} contains unknown points {sorted(stray)}")
-        covered = frozenset().union(*blk.values()) if blk else frozenset()
-        if covered != frozenset(pts):
-            missing = sorted(set(pts) - covered)
-            raise MalformedInput(f"blocks do not cover the space; missing {missing}")
+            check_ids(sorted(b), frozenset(pts), f"cover block {i!r} contains unknown point")
+        check_ids(pts, frozenset().union(*blk.values()), "blocks do not cover the space; missing")
         return FiniteCover(pts, blk)
 
     @property
@@ -238,10 +239,9 @@ class CechCospanData:
     def __post_init__(self):
         if self.cover_left.index_set != self.cover_right.index_set:
             raise MalformedInput("covers must share one index set")
+        base = frozenset(self.base_space)
         for name, cover, f in (("left", self.cover_left, self.map_left), ("right", self.cover_right, self.map_right)):
-            for y in cover.space:
-                if y not in f:
-                    raise MalformedInput(f"{name} map undefined at {y!r}")
+            check_map(f, frozenset(cover.space), base, f"{name} map")
         blocks = {}
         for a in self.cover_left.index_set:
             li = frozenset(self.map_left[y] for y in self.cover_left.blocks[a])
@@ -319,12 +319,7 @@ class GroupAction:
         self.space = tuple(sorted(set(space)))
         self.act = dict(act)
         e = group.units[0]
-        pts = frozenset(self.space)
-        for y in self.space:
-            for gm in group.elements:
-                img = self.act.get((y, gm))
-                if img is None or img not in pts:
-                    raise MalformedInput(f"action undefined or leaves the space at ({y!r}, {gm!r})")
+        check_map(self.act, frozenset(product(self.space, group.elements)), frozenset(self.space), "action")
         for y in self.space:
             if self.act[(y, e)] != y:
                 raise MalformedInput(f"unit must act trivially, fails at {y!r}")
@@ -384,9 +379,7 @@ class TransformationCospanData:
             ("left", self.action_left, self.map_left),
             ("right", self.action_right, self.map_right),
         ):
-            for y in action.space:
-                if f.get(y) not in base:
-                    raise MalformedInput(f"{name} map undefined or leaves the base at {y!r}")
+            check_map(f, frozenset(action.space), base, f"{name} map")
             for y in action.space:
                 for gm in action.group.elements:
                     if f[action.act[(y, gm)]] != f[y]:

@@ -25,7 +25,9 @@ from .families import (
     direct_product,
     disjoint_union,
     pair_groupoid,
+    pair_id,
     transformation_groupoid,
+    transformation_id,
     trivial_group,
     GroupAction,
     trivial_action,
@@ -173,7 +175,7 @@ def _leg_action_cover(rng, base: FiniteGroupoid):
     mapping = {}
     for y in points:
         for gm in base.elements:
-            mapping[f"{y}:{gm}"] = gm
+            mapping[transformation_id(y, gm)] = gm
     return leg, mapping
 
 
@@ -186,7 +188,7 @@ def _leg_pair_cover(rng, base: FiniteGroupoid):
     mapping = {}
     for i in range(n):
         for j in range(n):
-            mapping[f"q{i}-q{j}"] = order[(i - j) % n]
+            mapping[pair_id(f"q{i}", f"q{j}")] = order[(i - j) % n]
     return leg, mapping
 
 

@@ -11,7 +11,7 @@ visit every pair or every composable triple; see :func:`validate_groupoid`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Mapping
 
@@ -128,19 +128,24 @@ class FiniteGroupoid:
         return tuple(self._r_fibers.get(u, ()))
 
 
+def check_ids(ids: Iterable[str], known: AbstractSet[str], what: str) -> None:
+    """Every id in `ids` is in `known`. Raises MalformedInput with `what`
+    followed by the first id that is not; the test runs in one pass in C,
+    so `ids` may be an iterator."""
+    for x in filterfalse(known.__contains__, ids):
+        raise MalformedInput(f"{what} {x!r}")
+
+
 def check_map(mapping: Mapping[str, str], dom: AbstractSet[str], cod: AbstractSet[str], name: str) -> None:
-    """The map is defined on exactly the ids in `dom` and takes its values in
-    `cod`. Raises MalformedInput naming an offending id; the ids are visited
-    one by one only after a set test has failed."""
+    """The map is total on `dom`: defined on exactly its ids, with values in
+    `cod`. Raises MalformedInput naming the least id of `dom` it misses, or
+    else, through :func:`check_ids`, the first key outside `dom` or value
+    outside `cod`."""
     keys = mapping.keys()
     if not keys >= dom:
         raise MalformedInput(f"{name} undefined at {min(dom - keys)!r}")
-    if not keys <= dom:
-        x = next(x for x in mapping if x not in dom)
-        raise MalformedInput(f"{name} keyed by unknown id {x!r}")
-    if not cod.issuperset(mapping.values()):
-        x = next(x for x, y in mapping.items() if y not in cod)
-        raise MalformedInput(f"{name} sends {x!r} to unknown id {mapping[x]!r}")
+    check_ids(keys, dom, f"{name} keyed by unknown id")
+    check_ids(mapping.values(), cod, f"{name} takes the unknown value")
 
 
 def check_references(g: FiniteGroupoid) -> None:
@@ -149,13 +154,9 @@ def check_references(g: FiniteGroupoid) -> None:
     els = g.element_set
     for name, table in (("range", g.range_map), ("source", g.source_map), ("inverse", g.inverse_map)):
         check_map(table, els, els, f"{name} map")
-    if not g.unit_set <= els:
-        raise MalformedInput(f"unit {min(g.unit_set - els)!r} is not an element")
+    check_ids(g.units, els, "unit list names unknown id")
     compose = g.compose_map
-    if not (els.issuperset(chain.from_iterable(compose)) and els.issuperset(compose.values())):
-        (x, y), z = next((k, z) for k, z in compose.items() if not els.issuperset((*k, z)))
-        w = next(w for w in (x, y, z) if w not in els)
-        raise MalformedInput(f"compose entry ({x!r}, {y!r}) -> {z!r} references unknown id {w!r}")
+    check_ids(chain(chain.from_iterable(compose), compose.values()), els, "compose table references unknown id")
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:

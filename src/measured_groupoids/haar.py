@@ -15,7 +15,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import MalformedInput, NotQuasiInvariant
-from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, validate_groupoid, validate_hom
+from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, check_ids
+from .groupoid import validate_groupoid, validate_hom
 from .measures import (
     FiniteMeasure,
     MeasureSystem,
@@ -65,9 +66,10 @@ def haar_system_from_source_weights(g: FiniteGroupoid, source_weight: Mapping[st
     weights c on the units. Every Haar system on a finite groupoid arises this
     way, so this is also the random-instance parametrisation."""
     c = {u: Fraction(v) for u, v in source_weight.items()}
+    check_ids(g.units, c.keys(), "source weight missing at unit")
     for u in g.units:
-        if u not in c or c[u] <= 0:
-            raise MalformedInput(f"source weight missing or non-positive at unit {u!r}")
+        if c[u] <= 0:
+            raise MalformedInput(f"source weight non-positive at unit {u!r}")
     family = {
         u: FiniteMeasure(g.elements, {x: c[g.d(x)] for x in g.fiber(u)}) for u in g.units
     }

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import BaseMismatch, MalformedInput, NotMeasureClassPreserving
-from .groupoid import ValidationReport, Violation
+from .groupoid import ValidationReport, Violation, check_ids, check_map
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,11 +30,9 @@ class FiniteMeasure:
 
     def __init__(self, base: Iterable[str], weights: Mapping[str, object] = ()):
         self.base: tuple[str, ...] = tuple(sorted(base))
-        base_set = frozenset(self.base)
+        check_ids(weights, frozenset(self.base), "weight assigned to unknown point")
         w: dict[str, Fraction] = {}
         for x, v in dict(weights).items():
-            if x not in base_set:
-                raise MalformedInput(f"weight assigned to {x!r}, not in the base set")
             fv = as_weight(v)
             if fv:
                 w[x] = fv
@@ -73,6 +71,7 @@ class MeasureSystem:
     """Family {lam^y} over a map f: X -> Y, one finite measure per y in Y.
 
     `family` may omit points of Y; missing entries denote the zero measure.
+    It may not be indexed by any other point.
     """
 
     def __init__(
@@ -87,6 +86,7 @@ class MeasureSystem:
         self.over = dict(over)
         zero = FiniteMeasure(self.domain)
         fam = dict(family)
+        check_ids(fam, frozenset(self.codomain), "family indexed by unknown point")
         self.family: dict[str, FiniteMeasure] = {y: fam.get(y, zero) for y in self.codomain}
 
     def at(self, y: str) -> FiniteMeasure:
@@ -115,15 +115,8 @@ class MeasureSystem:
 
 def _system_structural_check(s: MeasureSystem) -> None:
     dom = frozenset(s.domain)
-    cod = frozenset(s.codomain)
-    for x in s.domain:
-        if x not in s.over:
-            raise MalformedInput(f"system map undefined at {x!r}")
-        if s.over[x] not in cod:
-            raise MalformedInput(f"system map sends {x!r} outside the codomain")
+    check_map(s.over, dom, frozenset(s.codomain), "system map")
     for y, m in s.family.items():
-        if y not in cod:
-            raise MalformedInput(f"family indexed by unknown point {y!r}")
         if frozenset(m.base) != dom:
             raise MalformedInput(f"family member at {y!r} lives on the wrong base set")
 
@@ -147,9 +140,8 @@ def push_forward(f: Mapping[str, str], mu: FiniteMeasure, codomain: Iterable[str
     """(f_* mu)(y) = sum of mu over the fiber of y; total mass is preserved."""
     codomain = tuple(codomain)
     out: dict[str, Fraction] = {}
+    check_ids(mu.weights, f.keys(), "pushforward map undefined at")
     for x, v in mu.weights.items():
-        if x not in f:
-            raise MalformedInput(f"pushforward map undefined at {x!r}")
         y = f[x]
         out[y] = out.get(y, ZERO) + v
     return FiniteMeasure(codomain, out)

@@ -10,6 +10,13 @@ from measured_groupoids.cli import main
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
+def _validate_json(data, tmp_path, capsys) -> tuple[int, str]:
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["validate", str(doc)])
+    return rc, capsys.readouterr().out
+
+
 def test_check_z2_fixture_passes(capsys):
     rc = main(["check", str(FIXTURES / "z2_cospan.json")])
     out = capsys.readouterr().out
@@ -44,8 +51,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert main(["validate", str(bad)]) == 1
     missing = tmp_path / "missing.json"
-    with pytest.raises(SystemExit):
-        main(["validate", str(missing)])
+    capsys.readouterr()
+    assert main(["validate", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["check", "--fast", str(FIXTURES / "z2_cospan.json")], ["gen", "cospan", "--bounds", "-1,5"]],
+    ids=["missing-subcommand", "unknown-flag", "option-like-bounds"],
+)
+def test_usage_errors_exit_one(argv, capsys):
+    # argparse prints the usage and its error; the exit code is that of a
+    # bad argument, not of a validation failure
+    assert main(argv) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mgpd")
 
 
 def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
@@ -129,6 +154,33 @@ def test_validate_rejects_a_result_that_is_not_the_pullback(tmp_path, capsys):
         assert capsys.readouterr().out == sound + mismatch
 
 
+def _pullback_document(tmp_path, capsys):
+    doc = tmp_path / "p.json"
+    assert main(["pullback", str(FIXTURES / "z2_cospan.json"), "--out", str(doc)]) == 0
+    capsys.readouterr()
+    return json.loads(doc.read_text(encoding="utf-8"))
+
+
+def test_validate_names_a_changed_modular_entry(tmp_path, capsys):
+    data = _pullback_document(tmp_path, capsys)
+    x = sorted(data["modular"])[0]
+    assert data["modular"][x] != "5/2"
+    data["modular"][x] = "5/2"
+    rc, out = _validate_json(data, tmp_path, capsys)
+    assert rc == 2
+    assert "violation: stored modular table does not match the stored measures\n" in out
+    assert "ok: modular table" not in out
+
+
+def test_validate_rejects_a_result_without_unit_measure(tmp_path, capsys):
+    data = _pullback_document(tmp_path, capsys)
+    del data["result"]["unit_measure"]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: document lacks haar weights or a unit measure\n"
+
+
 def test_example_cech(tmp_path, capsys):
     out = tmp_path / "cech.json"
     rc = main(["example", "cech", "--params", str(FIXTURES / "cech_params.json"), "--out", str(out)])
@@ -144,6 +196,91 @@ def test_example_transformation(tmp_path, capsys):
     )
     assert rc == 0
     assert main(["validate", str(out)]) == 0
+
+
+def _example_result(family, params, tmp_path, capsys):
+    out = tmp_path / f"{family}.json"
+    assert main(["example", family, "--params", str(params), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+_EXAMPLE_AXIOMS_OK = "".join(f"ok: {g} groupoid axioms\n" for g in ("left", "base", "right", "pullback", "target"))
+
+
+def _transformation_params_with_spare_base_point(tmp_path):
+    # the fixture's base is one point, so there is no other base element to
+    # send a leg to; a second, unused base point makes one
+    params = json.loads((FIXTURES / "transformation_params.json").read_text(encoding="utf-8"))
+    params["base_space"] = sorted(params["base_space"] + ["w"])
+    path = tmp_path / "transformation_params.json"
+    path.write_text(json.dumps(params), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("family", ["cech", "transformation"])
+def test_validate_example_result_checks_the_pullback(family, tmp_path, capsys):
+    data = _example_result(family, FIXTURES / f"{family}_params.json", tmp_path, capsys)
+    assert _validate_json(data, tmp_path, capsys) == (0, _EXAMPLE_AXIOMS_OK + "ok: isomorphism verdict\n")
+    # the target stored as the pullback, with the identity as the canonical
+    # map: every groupoid is sound and the map is an isomorphism
+    data["pullback"] = data["target"]
+    data["iso_map"] = {x: x for x in data["target"]["elements"]}
+    mismatch = "violation: stored pullback is not the weak pullback of the stored cospan\n"
+    assert _validate_json(data, tmp_path, capsys) == (2, _EXAMPLE_AXIOMS_OK + mismatch)
+
+
+@pytest.mark.parametrize(
+    "family, params, entry, image",
+    [
+        ("cech", lambda tmp_path: FIXTURES / "cech_params.json", "1:y1:1", "1:x:2"),
+        ("transformation", _transformation_params_with_spare_base_point, "y1:g0", "w"),
+    ],
+    ids=["cech", "transformation"],
+)
+def test_validate_example_result_checks_the_legs(family, params, entry, image, tmp_path, capsys):
+    data = _example_result(family, params(tmp_path), tmp_path, capsys)
+    assert _validate_json(data, tmp_path, capsys)[0] == 0
+    assert data["left_map"][entry] != image
+    data["left_map"][entry] = image
+    rc, out = _validate_json(data, tmp_path, capsys)
+    assert rc == 2
+    assert out.startswith(_EXAMPLE_AXIOMS_OK + "violation: left_map: ")
+    assert f"[{entry}" in out
+    assert "isomorphism verdict" not in out
+
+
+@pytest.mark.parametrize("family", ["cech", "transformation"])
+def test_validate_example_result_checks_the_verdict(family, tmp_path, capsys):
+    data = _example_result(family, FIXTURES / f"{family}_params.json", tmp_path, capsys)
+    assert data["is_isomorphism"] is True
+    data["is_isomorphism"] = False
+    flipped = "violation: stored isomorphism verdict does not match the stored map\n"
+    assert _validate_json(data, tmp_path, capsys) == (2, _EXAMPLE_AXIOMS_OK + flipped)
+
+
+@pytest.mark.parametrize(
+    "family, field, key, value",
+    [
+        ("cech", "left_map", "ghost", "x"),
+        ("transformation", "left_map", "ghost", "x"),
+        ("transformation", "left_action", "act", {"ghost": {"g0": "y1", "g1": "y2"}}),
+    ],
+    ids=["cech-map", "transformation-map", "action-row"],
+)
+def test_example_parameters_keyed_by_unknown_ids_are_parse_errors(family, field, key, value, tmp_path, capsys):
+    params = json.loads((FIXTURES / f"{family}_params.json").read_text(encoding="utf-8"))
+    if isinstance(value, dict):
+        params[field][key].update(value)
+    else:
+        params[field][key] = value
+    doc = tmp_path / "params.json"
+    doc.write_text(json.dumps(params), encoding="utf-8")
+    for args in (["validate", str(doc)], ["example", family, "--params", str(doc), "--out", str(tmp_path / "e.json")]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: $") and "'ghost'" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -12,14 +12,12 @@ from measured_groupoids import (
     disjoint_union,
     orbits,
     pair_groupoid,
-    random_cospan,
     random_groupoid,
     trivial_group,
     validate_groupoid,
     validate_hom,
-    weak_pullback_groupoid,
 )
-from measured_groupoids.groupoid import GroupoidHom, identity_hom
+from measured_groupoids.groupoid import GroupoidHom, check_ids, check_map, identity_hom
 
 from helpers import literal_groupoid_report, manual_pair_groupoid
 
@@ -52,6 +50,38 @@ def test_dangling_reference_raises():
     bad = FiniteGroupoid(g.elements, g.units, broken, g.source_map, g.inverse_map, g.compose_map)
     with pytest.raises(MalformedInput):
         validate_groupoid(bad)
+
+
+def test_check_ids_names_the_first_unknown_id():
+    check_ids(iter(["a", "b", "a"]), frozenset("ab"), "unknown id")
+    with pytest.raises(MalformedInput, match="^table names unknown id 'c'$"):
+        check_ids(iter(["a", "c", "d"]), frozenset("ab"), "table names unknown id")
+
+
+def test_check_map_names_a_missing_key_an_unknown_key_and_an_unknown_value():
+    dom, cod = frozenset("ab"), frozenset("xy")
+    check_map({"a": "x", "b": "x"}, dom, cod, "map")
+    for mapping, message in (
+        ({"a": "x"}, "^map undefined at 'b'$"),
+        ({"a": "x", "b": "y", "ghost": "x"}, "^map keyed by unknown id 'ghost'$"),
+        ({"a": "x", "b": "ghost"}, "^map takes the unknown value 'ghost'$"),
+    ):
+        with pytest.raises(MalformedInput, match=message):
+            check_map(mapping, dom, cod, "map")
+
+
+def test_validate_hom_names_inverse_and_composability_witnesses():
+    # g2 -> g1 keeps the unit and the ends, so only inverses and products break
+    z3 = cyclic_group(3)
+    report = validate_hom(GroupoidHom(z3, z3, {"g0": "g0", "g1": "g1", "g2": "g1"}))
+    assert [v.witnesses for v in report.violations if v.rule == "hom-preserves-inverse"] == [("g1",), ("g2",)]
+    # the two units of the pair groupoid go to different points, so the
+    # pairs through 2-2 have images that do not compose
+    two_points = cotrivial_groupoid(["a", "b"])
+    p = GroupoidHom(pair_groupoid(["1", "2"]), two_points, {"1-1": "a", "1-2": "a", "2-1": "a", "2-2": "b"})
+    report = validate_hom(p)
+    composability = [v.witnesses for v in report.violations if v.rule == "hom-preserves-composability"]
+    assert composability == [("1-2", "2-2"), ("2-2", "2-1")]
 
 
 def test_bad_ids_rejected():
@@ -181,18 +211,9 @@ def test_empty_groupoid_is_a_valid_bare_groupoid():
 # validate_groupoid against the exhaustive enumeration: the same report, with
 # the same violations in the same order
 
-SWEEP_SEEDS = range(200)
 # every leg is mutated, and the pullbacks up to this size: the enumeration
 # takes seconds on each mutant of the largest ones
 MUTATED_PULLBACK_MAX = 64
-
-
-def _sweep_groupoids(seed):
-    """The three legs and the pullback groupoid of one property-sweep cospan."""
-    c = random_cospan(seed, with_null_base=seed % 5 == 4)
-    legs = (c.left.groupoid, c.base.groupoid, c.right.groupoid)
-    pullback = weak_pullback_groupoid(*legs, c.left_map.mapping, c.right_map.mapping).groupoid
-    return legs, pullback
 
 
 def _replace(g, inverse_map=None, compose_map=None):
@@ -255,13 +276,14 @@ def test_validate_groupoid_matches_enumeration_on_small_groupoids():
     assert not validate_groupoid(lone_arrow).ok and not validate_groupoid(no_product).ok
 
 
-def test_validate_groupoid_matches_enumeration_on_sweep_and_mutants():
-    # one pass builds each sweep groupoid once for both comparisons
+def test_validate_groupoid_matches_enumeration_on_sweep_and_mutants(sweep):
+    # the three legs and the pullback groupoid of every property-sweep cospan
     swapped = 0
-    for seed in SWEEP_SEEDS:
+    assert [seed for seed, _ in sweep.pullbacks] == list(range(200))
+    for seed, w in sweep.pullbacks:
         rng = random.Random(seed)
-        legs, pullback = _sweep_groupoids(seed)
-        for g in (*legs, pullback):
+        c = w.cospan
+        for g in (c.left.groupoid, c.base.groupoid, c.right.groupoid, w.groupoid):
             report = validate_groupoid(g)
             assert report.ok, seed
             assert report == literal_groupoid_report(g), seed

@@ -64,6 +64,30 @@ def test_same_measure_class_examples():
         same_measure_class(mu, FiniteMeasure(X3, {"a": 1}))
 
 
+def test_references_off_the_base_are_rejected_with_the_id():
+    with pytest.raises(MalformedInput, match="^weight assigned to unknown point 'd'$"):
+        FiniteMeasure(X3, {"a": 1, "d": 1})
+    with pytest.raises(MalformedInput, match="^pushforward map undefined at 'c'$"):
+        push_forward({"a": "1"}, FiniteMeasure(X3, {"a": 1, "c": 1}), Y2)
+
+
+def test_system_family_outside_the_codomain_is_rejected():
+    # a member at an unknown point used to be dropped without a word
+    with pytest.raises(MalformedInput, match="^family indexed by unknown point '3'$"):
+        MeasureSystem(F32, X3, Y2, {"1": FiniteMeasure(X3, {"a": 1}), "3": FiniteMeasure(X3, {"c": 1})})
+
+
+def test_validate_system_checks_the_map_is_total_into_the_codomain():
+    family = COUNTING_F32.family
+    for over, message in (
+        ({"a": "1", "b": "1"}, "^system map undefined at 'c'$"),
+        ({**F32, "d": "2"}, "^system map keyed by unknown id 'd'$"),
+        ({**F32, "c": "3"}, "^system map takes the unknown value '3'$"),
+    ):
+        with pytest.raises(MalformedInput, match=message):
+            validate_system(MeasureSystem(over, X3, Y2, family))
+
+
 def test_validate_system_dirac_and_counting_full():
     assert validate_system(DIRAC_X3, require_full=True).ok
     assert validate_system(COUNTING_F32, require_full=True).ok

@@ -441,6 +441,32 @@ def test_negative_controls_name_the_tampered_element():
     assert ("x", "y", "b") in {v.witnesses for v in report.violations}
 
 
+def test_quasi_invariance_failure_is_both_reports():
+    # with one unit charged, 1-1|e|1-2 runs from an uncharged unit into it:
+    # the induced measure charges it and not its inverse, and Delta_P is
+    # undefined, so the modular report is the quasi-invariance one
+    w = build_weak_pullback(pair_trivial_cospan())
+    lopsided = replace(w, unit_measure=FiniteMeasure(w.groupoid.units, {"1-1|e|1-1": 1}))
+    quasi, modular = check_quasi_invariance_and_modular(lopsided)
+    assert modular is quasi
+    assert [(v.rule, v.witnesses) for v in quasi.violations] == [("quasi-invariance", ("1-1|e|1-2",))]
+
+
+def test_disintegration_independence_rejects_other_maps_and_off_fiber_mass():
+    w = build_weak_pullback(pair_trivial_cospan())
+    gamma = w.disint_left
+    other_map = MeasureSystem({"1-1": "e"}, gamma.domain, gamma.codomain, gamma.family)
+    with pytest.raises(NotADisintegration, match="^left: system is over the wrong map$"):
+        check_disintegration_independence(w, other_map, w.disint_right)
+    # gamma_q^y given mass off the fiber q^-1(y) = {b}
+    w = build_weak_pullback(_two_orbit_cospan())
+    gamma = w.disint_right
+    family = {**gamma.family, "y": FiniteMeasure(gamma.domain, {"a": 1, "b": 1})}
+    off_fiber = MeasureSystem(gamma.over, gamma.domain, gamma.codomain, family)
+    with pytest.raises(NotADisintegration, match="^right: system is not concentrated on fibers$"):
+        check_disintegration_independence(w, w.disint_left, off_fiber)
+
+
 def test_strict_modular_check_names_skipped_triples():
     # on a valid cospan every support triple has on-support constituents, so
     # a triple is skipped only when it is tampered: here one names the leg
