@@ -112,16 +112,19 @@ _PULLBACK_FIELDS = ("result.groupoid", "result.haar", "result.unit_measure", "mo
 
 
 def _validate_pullback_document(doc: PullbackDocument) -> bool:
-    cospan = doc.cospan.to_cospan()
+    cospan = doc.cospan.to_cospan("cospan.")
     ok = _print_report(validate_cospan(cospan), "cospan")
     h = _measured(doc.result)
     ok &= _validate_groupoid_document(doc.result, h)
     if ok:
         if h is None:
-            h = doc.result.to_haar_groupoid()  # raises: the result lacks a measure
+            h = doc.result.to_haar_groupoid("result.")  # raises: the result lacks a measure
         try:
-            if dict(h.modular) != doc.modular:
-                print("violation: stored modular table does not match the stored measures")
+            derived = dict(h.modular)
+            if derived != doc.modular:
+                x = next(x for x in sorted(derived.keys() | doc.modular.keys()) if derived.get(x) != doc.modular.get(x))
+                stored, want = (weight_to_str(t[x]) if x in t else "undefined" for t in (doc.modular, derived))
+                print(f"violation: stored modular table does not match the stored measures at {x}: stored {stored}, derived {want}")
                 ok = False
             else:
                 print("ok: modular table")

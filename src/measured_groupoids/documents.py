@@ -56,9 +56,12 @@ class GroupoidDocument:
     haar: MeasureSystem | None = None
     unit_measure: FiniteMeasure | None = None
 
-    def to_haar_groupoid(self) -> HaarGroupoid:
-        if self.haar is None or self.unit_measure is None:
-            raise MalformedInput("document lacks haar weights or a unit measure")
+    def to_haar_groupoid(self, where: str = "") -> HaarGroupoid:
+        """Raises MalformedInput naming the first missing measure field, as
+        `where` (the path of this groupoid in its document) plus the field."""
+        for name, value in (("haar", self.haar), ("unit_measure", self.unit_measure)):
+            if value is None:
+                raise MalformedInput(f"document lacks {where}{name}")
         return HaarGroupoid(self.groupoid, self.haar, self.unit_measure)
 
     @staticmethod
@@ -74,8 +77,11 @@ class CospanDocument:
     left_map: dict[str, str]
     right_map: dict[str, str]
 
-    def to_cospan(self) -> Cospan:
-        lg, bg, rg = self.left.to_haar_groupoid(), self.base.to_haar_groupoid(), self.right.to_haar_groupoid()
+    def to_cospan(self, where: str = "") -> Cospan:
+        lg, bg, rg = (
+            doc.to_haar_groupoid(f"{where}{name}.")
+            for name, doc in (("left", self.left), ("base", self.base), ("right", self.right))
+        )
         return Cospan(
             lg,
             bg,

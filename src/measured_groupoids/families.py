@@ -307,7 +307,7 @@ def canonical_iso_cech(data: CechCospanData) -> tuple[CospanGroupoids, PullbackG
 
 
 class GroupAction:
-    """A right action of a one-unit groupoid (a group) on a finite set."""
+    """A right action of a one-unit groupoid (a group) on a nonempty finite set."""
 
     def __init__(self, group: FiniteGroupoid, space: Iterable[str], act: Mapping[tuple[str, str], str]):
         if len(group.units) != 1:
@@ -320,6 +320,8 @@ class GroupAction:
         self.act = dict(act)
         e = group.units[0]
         check_map(self.act, frozenset(product(self.space, group.elements)), frozenset(self.space), "action")
+        if not self.space:
+            raise EmptySpace("group action needs a nonempty space")
         for y in self.space:
             if self.act[(y, e)] != y:
                 raise MalformedInput(f"unit must act trivially, fails at {y!r}")
@@ -423,8 +425,10 @@ def canonical_iso_transformation(
             for g2 in data.action_right.group.elements:
                 moved = (data.action_left.act[(y, g1)], data.action_right.act[(z, g2)])
                 act[(pt, gid[(g1, g2)])] = _join(moved, ",")
-    product_action = GroupAction(product_group, tuple(pull_pts), act)
-    target = transformation_groupoid(product_action)
+    if pull_pts:
+        target = transformation_groupoid(GroupAction(product_group, tuple(pull_pts), act))
+    else:  # no points meet over the base: the pullback is empty, and so is the target
+        target = FiniteGroupoid([], [], {}, {}, {}, {})
     mapping = {}
     for pid, (s, g, t) in alg.triples.items():
         y, g1 = s.split(":")

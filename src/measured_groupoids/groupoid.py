@@ -92,6 +92,7 @@ class FiniteGroupoid:
             u = self.range_map.get(x)
             if u is not None:
                 self._r_fibers.setdefault(u, []).append(x)
+        self._generating_set: GeneratingSet | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -126,6 +127,43 @@ class FiniteGroupoid:
     def fiber(self, u: str) -> tuple[str, ...]:
         """All x with r(x) = u, in canonical order (no unit check)."""
         return tuple(self._r_fibers.get(u, ()))
+
+    @property
+    def generating_set(self) -> "GeneratingSet":
+        """The stages of the product table that checks on generators rely on,
+        and the generating set when they hold (see :class:`GeneratingSet`).
+
+        Decided on first read and then kept. That is sound because the
+        constructor copies every table and nothing mutates them afterwards.
+        Raises MalformedInput, through :func:`check_references`, when the
+        tables name unknown ids. Kept in an attribute that the constructor
+        sets, not through `functools.cached_property`: writing the instance
+        `__dict__` would slow every later attribute read on the groupoid.
+        """
+        if self._generating_set is None:
+            self._generating_set = _generating_set(self)
+        return self._generating_set
+
+
+@dataclass(frozen=True)
+class GeneratingSet:
+    """Three stages of a product table, checked without enumeration (see
+    :func:`validate_groupoid`), and the greedy generating set.
+
+    * `domain_ok`: the product is defined on exactly the composable pairs;
+    * `ends_ok`: r(xy) = r(x) and d(xy) = d(y) on every composable key;
+    * `generators`: the elements, in canonical order, that the earlier ones
+      do not reach by right multiplication, when both stages hold and Light's
+      test passes on them; None when a stage failed or Light's test did.
+
+    When `generators` is set, every element is a product of generators and
+    the product is associative, so a property that holds on the generators
+    and is closed under products holds everywhere.
+    """
+
+    domain_ok: bool
+    ends_ok: bool
+    generators: tuple[str, ...] | None
 
 
 def check_ids(ids: Iterable[str], known: AbstractSet[str], what: str) -> None:
@@ -164,7 +202,8 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
 
     Raises MalformedInput when tables reference unknown ids; otherwise returns
     a report naming every violated axiom with witnessing elements. The two
-    super-linear stages are checked without enumeration while they hold:
+    super-linear stages are checked without enumeration while they hold, once
+    per groupoid, by `FiniteGroupoid.generating_set`:
 
     * Compose domain: every key (x, y) has d(x) = r(y), and there are
       sum_v |d^-1(v)| * |r^-1(v)| keys. Keys are distinct, so together these
@@ -181,7 +220,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     stage it relies on failed, so violations are named, and ordered, as by
     the exhaustive check.
     """
-    check_references(g)
+    stages = g.generating_set
     bad: list[Violation] = []
 
     for x in g.elements:
@@ -194,28 +233,11 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         if g.range_map[u] != u or g.source_map[u] != u:
             bad.append(Violation("unit-fixed", (u,), f"r({u}) = {g.range_map[u]}, d({u}) = {g.source_map[u]}, expected both {u}"))
 
-    # rows[x][y] = xy over the composable keys, checking keys and the ends of
-    # products in one pass over the table
-    rng, src = g.range_map, g.source_map
-    rows: dict[str, dict[str, str]] = {x: {} for x in g.elements}
-    domain_ok = ends_ok = True
-    for (x, y), z in g.compose_map.items():
-        if src[x] != rng[y]:
-            domain_ok = False
-            continue
-        rows[x][y] = z
-        if rng[z] != rng[x] or src[z] != src[y]:
-            ends_ok = False
-    d_fibers: dict[str, list[str]] = {}
-    for x in g.elements:
-        d_fibers.setdefault(src[x], []).append(x)
-    domain_ok = domain_ok and len(g.compose_map) == sum(len(xs) * len(g.fiber(v)) for v, xs in d_fibers.items())
-
-    if not domain_ok:
+    if not stages.domain_ok:
         bad.extend(_compose_domain_violations(g))
-    if not ends_ok:
+    if not stages.ends_ok:
         bad.extend(_product_end_violations(g))
-    if not (domain_ok and ends_ok and _light_associative(g, rows, d_fibers)):
+    if stages.generators is None:
         bad.extend(_associativity_violations(g))
 
     for x in g.elements:
@@ -239,7 +261,34 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def _generators(g: FiniteGroupoid, rows: Mapping[str, Mapping[str, str]]) -> list[str]:
+def _generating_set(g: FiniteGroupoid) -> GeneratingSet:
+    """The three stages in one pass over the table, then Light's test."""
+    check_references(g)
+    # rows[x][y] = xy over the composable keys, checking keys and the ends of
+    # products in one pass over the table
+    rng, src = g.range_map, g.source_map
+    rows: dict[str, dict[str, str]] = {x: {} for x in g.elements}
+    domain_ok = ends_ok = True
+    for (x, y), z in g.compose_map.items():
+        if src[x] != rng[y]:
+            domain_ok = False
+            continue
+        rows[x][y] = z
+        if rng[z] != rng[x] or src[z] != src[y]:
+            ends_ok = False
+    d_fibers: dict[str, list[str]] = {}
+    for x in g.elements:
+        d_fibers.setdefault(src[x], []).append(x)
+    domain_ok = domain_ok and len(g.compose_map) == sum(len(xs) * len(g.fiber(v)) for v, xs in d_fibers.items())
+    generators = None
+    if domain_ok and ends_ok:
+        generators = _generators(g, rows)
+        if not _light_associative(g, rows, d_fibers, generators):
+            generators = None
+    return GeneratingSet(domain_ok, ends_ok, generators)
+
+
+def _generators(g: FiniteGroupoid, rows: Mapping[str, Mapping[str, str]]) -> tuple[str, ...]:
     """The elements, in canonical order, that the earlier ones do not reach
     by right multiplication: a generating set under the partial product."""
     rng, src = g.range_map, g.source_map
@@ -259,14 +308,16 @@ def _generators(g: FiniteGroupoid, rows: Mapping[str, Mapping[str, str]]) -> lis
                 reached.add(w)
                 reached_by_source.setdefault(src[w], []).append(w)
                 todo.extend(rows[w][b] for b in gens_by_range.get(src[w], ()))
-    return gens
+    return tuple(gens)
 
 
-def _light_associative(g: FiniteGroupoid, rows: Mapping[str, Mapping[str, str]], d_fibers: Mapping[str, list[str]]) -> bool:
+def _light_associative(
+    g: FiniteGroupoid, rows: Mapping[str, Mapping[str, str]], d_fibers: Mapping[str, list[str]], generators: tuple[str, ...]
+) -> bool:
     """(xa)y = x(ay) for every generator a and all x, y composable with it.
     Needs the product defined on exactly the composable pairs, with
     r(xy) = r(x) and d(xy) = d(y): then rows[x] is keyed by r^-1(d(x))."""
-    for a in _generators(g, rows):
+    for a in generators:
         ys = g.fiber(g.source_map[a])
         xs = d_fibers.get(g.range_map[a], ())
         if not ys or not xs:
@@ -383,7 +434,21 @@ def identity_hom(g: FiniteGroupoid) -> GroupoidHom:
 
 
 def validate_hom(p: GroupoidHom) -> ValidationReport:
-    """Check unit preservation, compatibility with r/d/inverse and products."""
+    """Check unit preservation, compatibility with r/d/inverse and products.
+
+    Units, ends and inverses are checked element by element. Products are
+    checked on the domain's generators when the domain and the codomain both
+    pass the three stages of `FiniteGroupoid.generating_set`. Let Q(x) mean
+    f(xy) = f(x)f(y) for every y composable with x. Q is closed under
+    products: for Q(a), Q(b) with d(a) = r(b), and y with r(y) = d(b), the
+    arrow by lies over r(b) = d(a), so
+        f((ab)y) = f(a(by)) = f(a)(f(b)f(y)) = (f(a)f(b))f(y) = f(ab)f(y),
+    using associativity in the domain, Q(a), Q(b), associativity in the
+    codomain and Q(a) again. Every element is a product of generators, so Q
+    on the generators gives Q everywhere. When a stage fails, or a generator
+    fails Q, every composable pair is checked as before, so violations keep
+    their order and text.
+    """
     dom, cod = p.domain, p.codomain
     check_map(p.mapping, dom.element_set, cod.element_set, "hom")
 
@@ -399,6 +464,8 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
             bad.append(Violation("hom-commutes-with-source", (x,), f"d(p({x})) != p(d({x}))"))
         if cod.inverse_map[f[x]] != f[dom.inverse_map[x]]:
             bad.append(Violation("hom-preserves-inverse", (x,), f"p({x})⁻¹ != p({x}⁻¹)"))
+    if _products_preserved_on_generators(p):
+        return ValidationReport(tuple(bad))
     for (x, y), z in sorted(dom.compose_map.items()):
         if dom.source_map[x] != dom.range_map[y]:
             continue
@@ -408,3 +475,31 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
         elif image != f[z]:
             bad.append(Violation("hom-preserves-product", (x, y), f"p({x})p({y}) = {image} != p({x}{y}) = {f[z]}"))
     return ValidationReport(tuple(bad))
+
+
+def _products_preserved_on_generators(p: GroupoidHom) -> bool:
+    """Q(a) for every generator a of the domain, when both ends have a
+    generating set; False when either has none."""
+    dom, cod, f = p.domain, p.codomain, p.mapping
+    gens = dom.generating_set.generators
+    if gens is None or cod.generating_set.generators is None:
+        return False
+    dom_compose, cod_compose = dom.compose_map, cod.compose_map
+    for a in gens:
+        fa = f[a]
+        for y in dom.fiber(dom.source_map[a]):
+            if cod_compose.get((fa, f[y])) != f[dom_compose[(a, y)]]:
+                return False
+    return True
+
+
+def generator_work(g: FiniteGroupoid, *codomains: FiniteGroupoid) -> tuple[tuple[str, int], ...]:
+    """Work counts of a passing check of a property closed under products on
+    g (left invariance in `is_haar`, products in `validate_hom`): its
+    generators and the (generator, fiber element) pairs it visits when g and
+    every codomain have a generating set, else the compose entries of the
+    exhaustive loop."""
+    gens = g.generating_set.generators
+    if gens is None or any(h.generating_set.generators is None for h in codomains):
+        return (("compose entries", len(g.compose_map)),)
+    return (("generators", len(gens)), ("generator pairs", sum(len(g.fiber(g.source_map[a])) for a in gens)))

@@ -71,7 +71,8 @@ class MeasureSystem:
     """Family {lam^y} over a map f: X -> Y, one finite measure per y in Y.
 
     `family` may omit points of Y; missing entries denote the zero measure.
-    It may not be indexed by any other point.
+    It may not be indexed by any other point. The fibers of the map are
+    indexed once, at construction.
     """
 
     def __init__(
@@ -88,6 +89,11 @@ class MeasureSystem:
         fam = dict(family)
         check_ids(fam, frozenset(self.codomain), "family indexed by unknown point")
         self.family: dict[str, FiniteMeasure] = {y: fam.get(y, zero) for y in self.codomain}
+        self._fibers: dict[str, list[str]] = {}
+        for x in self.domain:
+            y = self.over.get(x)
+            if y is not None:
+                self._fibers.setdefault(y, []).append(x)
 
     def at(self, y: str) -> FiniteMeasure:
         return self.family[y]
@@ -97,7 +103,8 @@ class MeasureSystem:
         return m(x) if m is not None else ZERO
 
     def fiber(self, y: str) -> tuple[str, ...]:
-        return tuple(x for x in self.domain if self.over.get(x) == y)
+        """All x over y, in canonical order."""
+        return tuple(self._fibers.get(y, ()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasureSystem):

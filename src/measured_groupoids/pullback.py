@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
@@ -26,6 +26,7 @@ from .groupoid import (
     GroupoidHom,
     ValidationReport,
     Violation,
+    generator_work,
     orbits,
 )
 from .haar import (
@@ -279,7 +280,9 @@ def check_fiber_product_lemma(w: WeakPullbackResult) -> ValidationReport:
 
 
 def check_haar_theorem(w: WeakPullbackResult) -> ValidationReport:
-    return is_haar(w.groupoid, w.haar)
+    """lam_P is a Haar system; counts the left-invariance work (see
+    `generator_work`)."""
+    return ValidationReport(is_haar(w.groupoid, w.haar).violations, generator_work(w.groupoid))
 
 
 def check_quasi_invariance_and_modular(
@@ -318,13 +321,15 @@ def check_quasi_invariance_and_modular(
 
 
 def check_projection_homs(w: WeakPullbackResult) -> ValidationReport:
-    """Both projections are homomorphisms of Haar groupoids."""
+    """Both projections are homomorphisms of Haar groupoids; counts the
+    product-check work of each (see `generator_work`)."""
     h_p = w.haar_groupoid
-    left = validate_haar_hom(w.proj_left, h_p, w.cospan.left)
-    right = validate_haar_hom(w.proj_right, h_p, w.cospan.right)
-    bad = [Violation(f"proj_left.{v.rule}", v.witnesses, v.detail) for v in left.violations]
-    bad += [Violation(f"proj_right.{v.rule}", v.witnesses, v.detail) for v in right.violations]
-    return ValidationReport(tuple(bad))
+    bad: list[Violation] = []
+    counts: list[tuple[str, int]] = []
+    for name, proj, leg in (("proj_left", w.proj_left, w.cospan.left), ("proj_right", w.proj_right, w.cospan.right)):
+        bad += [Violation(f"{name}.{v.rule}", v.witnesses, v.detail) for v in validate_haar_hom(proj, h_p, leg).violations]
+        counts += [(f"{name} {what}", n) for what, n in generator_work(w.groupoid, leg.groupoid)]
+    return ValidationReport(tuple(bad), tuple(counts))
 
 
 def check_commuting_diamond(w: WeakPullbackResult) -> ValidationReport:
@@ -374,73 +379,92 @@ def check_disintegration_independence(
     return ValidationReport(tuple(bad))
 
 
-def _triple_integral_sides(
-    leg: HaarGroupoid, base: HaarGroupoid, leg_map: Mapping[str, str], gamma: MeasureSystem, u: str, y0: str, sigma0: str
-) -> tuple[Fraction, Fraction]:
-    """Both orders of integration for the singleton indicator at (y0, σ0):
-    base arrow innermost on the left, outermost on the right."""
-    leg_g = leg.groupoid
-    base_g = base.groupoid
-    lam_leg = leg.haar
-    lam_base = base.haar
-    lhs = ZERO
-    rhs = ZERO
-    for s in leg_g.units:
-        lhs += lam_base.weight(base_g.r(leg_map[sigma0]), y0) * lam_leg.weight(s, sigma0) * gamma.weight(u, s)
-        rhs += lam_leg.weight(s, sigma0) * gamma.weight(base_g.r(y0), s) * lam_base.weight(u, y0)
-    return lhs, rhs
+def _leg_sums(gamma: MeasureSystem, leg: HaarGroupoid) -> Callable[[str, str], Fraction]:
+    """(v, σ) -> sum over the leg's units s of gamma^v(s) · lam^s(σ), each
+    from the systems and each pair summed once; `cache_info().currsize` of
+    the result counts the distinct sums."""
+    units, lam = leg.groupoid.units, leg.haar
+
+    @cache
+    def leg_sum(v: str, sigma: str) -> Fraction:
+        total = ZERO
+        for s in units:
+            total += gamma.weight(v, s) * lam.weight(s, sigma)
+        return total
+
+    return leg_sum
 
 
 def check_triple_integral_lemma(w: WeakPullbackResult) -> ValidationReport:
     """Exchanging the base integral with the leg double integral is exact for
     every base unit u and every singleton indicator (y0, σ0), on both legs; a
-    violation names the indicator as (u, y0, σ0)."""
+    violation names the indicator as (u, y0, σ0).
+
+    With A(v, σ0) = sum_s lam^s(σ0) · gamma^v(s) over the leg units, the base
+    arrow innermost gives lam_G^{r(p(σ0))}(y0) · A(u, σ0) and outermost gives
+    A(r(y0), σ0) · lam_G^u(y0). Each A is summed once per (v, σ0); every
+    comparison still runs, and the counts give the distinct sums per leg."""
     c = w.cospan
     base = c.base
     base_g = base.groupoid
+    lam_base = base.haar
     bad: list[Violation] = []
+    counts: list[tuple[str, int]] = []
     for name, leg, leg_map, gamma in (
         ("left", c.left, c.left_map.mapping, w.disint_left),
         ("right", c.right, c.right_map.mapping, w.disint_right),
     ):
-        # pairs (y0, σ0) of a base arrow and a leg arrow with r(y0) = p(r(σ0))
-        pairs = [(y, sigma) for sigma in leg.groupoid.elements for y in base_g.fiber(base_g.r(leg_map[sigma]))]
+        leg_sum = _leg_sums(gamma, leg)
+        # pairs (y0, σ0) of a base arrow and a leg arrow with r(y0) = p(r(σ0)),
+        # each with lam_G^{r(p(σ0))}(y0)
+        pairs = []
+        for sigma in leg.groupoid.elements:
+            v = base_g.r(leg_map[sigma])
+            pairs += [(y, sigma, lam_base.weight(v, y)) for y in base_g.fiber(v)]
         for u in base_g.units:
-            for y0, sigma0 in pairs:
-                lhs, rhs = _triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0)
+            for y0, sigma0, inner in pairs:
+                lhs = inner * leg_sum(u, sigma0)
+                rhs = leg_sum(base_g.r(y0), sigma0) * lam_base.weight(u, y0)
                 if lhs != rhs:
                     bad.append(Violation("triple-integral", (u, y0, sigma0), f"{name} leg: {lhs} != {rhs}"))
-    return ValidationReport(tuple(bad))
+        counts.append((f"{name} leg sums", leg_sum.cache_info().currsize))
+    return ValidationReport(tuple(bad), tuple(counts))
 
 
 def check_expanding_lemma(w: WeakPullbackResult) -> ValidationReport:
     """The induced measure of the pullback equals the six-fold iterated sum
     over (unit, base arrow, leg units, leg arrows), singleton by singleton; a
-    violation names the pullback element."""
+    violation names the pullback element.
+
+    At (σ0, x0, τ0) the sum factors as B(x0) · L(r(x0), σ0) · R(d(x0), τ0),
+    with B(x0) = sum_u mu_G0(u) · lam_G^u(x0) and L, R the leg sums
+    sum_s gamma^v(s) · lam^s(σ). Each factor is summed from the systems,
+    never from mu_P, once per key; the counts give the distinct sums."""
     c = w.cospan
     base = c.base.groupoid
-    s_g = c.left.groupoid
-    t_g = c.right.groupoid
-    lam_s = c.left.haar
-    lam_t = c.right.haar
     lam_g = c.base.haar
     mu_g0 = c.base.unit_measure
-    gamma_p = w.disint_left
-    gamma_q = w.disint_right
+    left = _leg_sums(w.disint_left, c.left)
+    right = _leg_sums(w.disint_right, c.right)
+
+    @cache
+    def base_sum(x0: str) -> Fraction:
+        total = ZERO
+        for u in base.units:
+            total += mu_g0(u) * lam_g.weight(u, x0)
+        return total
+
     mu_p = w.haar_groupoid.induced
     bad: list[Violation] = []
     for pid in w.groupoid.elements:
         sigma0, x0, tau0 = w.algebraic.triples[pid]
         lhs = mu_p(pid)
-        left_sum = ZERO
-        for s in s_g.units:
-            left_sum += gamma_p.weight(base.r(x0), s) * lam_s.weight(s, sigma0)
-        right_sum = ZERO
-        for t in t_g.units:
-            right_sum += gamma_q.weight(base.d(x0), t) * lam_t.weight(t, tau0)
-        rhs = ZERO
-        for u in base.units:
-            rhs += mu_g0(u) * lam_g.weight(u, x0) * left_sum * right_sum
+        rhs = base_sum(x0) * left(base.r(x0), sigma0) * right(base.d(x0), tau0)
         if lhs != rhs:
             bad.append(Violation("expanding-integral", (pid,), f"mu_P({pid}) = {lhs} != six-fold sum {rhs}"))
-    return ValidationReport(tuple(bad))
+    counts = (
+        ("base sums", base_sum.cache_info().currsize),
+        ("left leg sums", left.cache_info().currsize),
+        ("right leg sums", right.cache_info().currsize),
+    )
+    return ValidationReport(tuple(bad), counts)

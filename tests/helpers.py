@@ -38,10 +38,12 @@ from measured_groupoids.groupoid import (
     GroupoidHom,
     ValidationReport,
     Violation,
+    check_map,
     check_references,
     identity_hom,
 )
 from measured_groupoids.haar import HaarGroupoid, counting_haar_system
+from measured_groupoids.measures import MeasureSystem, validate_system
 from measured_groupoids.pullback import PullbackGroupoid, WeakPullbackResult
 
 F = Fraction
@@ -87,7 +89,9 @@ def pair_trivial_cospan(mu_left=(1, 2), mu_right=(1, 3)) -> Cospan:
 
 def literal_triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0):
     """Both sides of the integral-exchange identity for the indicator of
-    (y0, sigma0), as fully nested sums over everything."""
+    (y0, sigma0), as fully nested sums over everything. The indicator is
+    the product of one indicator per arrow coordinate, each applied where
+    its coordinate is bound."""
     leg_g = leg.groupoid
     base_g = base.groupoid
     lam_leg = leg.haar
@@ -95,8 +99,10 @@ def literal_triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0):
     lhs = ZERO
     for s in leg_g.units:
         for sigma in leg_g.elements:
+            if sigma != sigma0:
+                continue
             for y in base_g.elements:
-                if (y, sigma) != (y0, sigma0):
+                if y != y0:
                     continue
                 lhs += (
                     lam_base.weight(base_g.r(leg_map[sigma]), y)
@@ -105,9 +111,11 @@ def literal_triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0):
                 )
     rhs = ZERO
     for y in base_g.elements:
+        if y != y0:
+            continue
         for s in leg_g.units:
             for sigma in leg_g.elements:
-                if (y, sigma) != (y0, sigma0):
+                if sigma != sigma0:
                     continue
                 rhs += (
                     lam_leg.weight(s, sigma)
@@ -119,7 +127,10 @@ def literal_triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0):
 
 def literal_expanding_rhs(w, target_triple):
     """The six-fold nested sum for the indicator of one pullback element,
-    looping over every unit/arrow combination with no shortcuts."""
+    looping over every unit/arrow combination with no shortcuts. The
+    indicator is the product of one indicator per arrow coordinate, each
+    applied where its coordinate is bound."""
+    sigma0, y0, tau0 = target_triple
     c = w.cospan
     base = c.base.groupoid
     s_g = c.left.groupoid
@@ -133,11 +144,15 @@ def literal_expanding_rhs(w, target_triple):
     total = ZERO
     for u in base.units:
         for y in base.elements:
+            if y != y0:
+                continue
             for s in s_g.units:
                 for sigma in s_g.elements:
+                    if sigma != sigma0:
+                        continue
                     for t in t_g.units:
                         for tau in t_g.elements:
-                            if (sigma, y, tau) != target_triple:
+                            if tau != tau0:
                                 continue
                             total += (
                                 lam_t.weight(t, tau)
@@ -148,6 +163,57 @@ def literal_expanding_rhs(w, target_triple):
                                 * mu_g0(u)
                             )
     return total
+
+
+def literal_triple_integral_report(w):
+    """check_triple_integral_lemma's comparisons, in its order and with its
+    violation text, each side summed by literal_triple_integral_sides."""
+    c = w.cospan
+    base_g = c.base.groupoid
+    bad = []
+    for name, leg, leg_map, gamma in (
+        ("left", c.left, c.left_map.mapping, w.disint_left),
+        ("right", c.right, c.right_map.mapping, w.disint_right),
+    ):
+        pairs = [(y, sigma) for sigma in leg.groupoid.elements for y in base_g.fiber(base_g.r(leg_map[sigma]))]
+        for u in base_g.units:
+            for y0, sigma0 in pairs:
+                lhs, rhs = literal_triple_integral_sides(leg, c.base, leg_map, gamma, u, y0, sigma0)
+                if lhs != rhs:
+                    bad.append(Violation("triple-integral", (u, y0, sigma0), f"{name} leg: {lhs} != {rhs}"))
+    return ValidationReport(tuple(bad))
+
+
+def unmemoised_expanding_report(w):
+    """check_expanding_lemma with every leg sum and base sum recomputed for
+    each pullback element: its violations, in its order and text."""
+    c = w.cospan
+    base = c.base.groupoid
+    s_g = c.left.groupoid
+    t_g = c.right.groupoid
+    lam_s = c.left.haar
+    lam_t = c.right.haar
+    lam_g = c.base.haar
+    mu_g0 = c.base.unit_measure
+    gamma_p = w.disint_left
+    gamma_q = w.disint_right
+    mu_p = w.haar_groupoid.induced
+    bad = []
+    for pid in w.groupoid.elements:
+        sigma0, x0, tau0 = w.algebraic.triples[pid]
+        lhs = mu_p(pid)
+        left_sum = ZERO
+        for s in s_g.units:
+            left_sum += gamma_p.weight(base.r(x0), s) * lam_s.weight(s, sigma0)
+        right_sum = ZERO
+        for t in t_g.units:
+            right_sum += gamma_q.weight(base.d(x0), t) * lam_t.weight(t, tau0)
+        rhs = ZERO
+        for u in base.units:
+            rhs += mu_g0(u) * lam_g.weight(u, x0) * left_sum * right_sum
+        if lhs != rhs:
+            bad.append(Violation("expanding-integral", (pid,), f"mu_P({pid}) = {lhs} != six-fold sum {rhs}"))
+    return ValidationReport(tuple(bad))
 
 
 def literal_product_haar_weight(c, unit, element):
@@ -259,6 +325,118 @@ def literal_groupoid_report(g: FiniteGroupoid) -> ValidationReport:
             bad.append(Violation("inverse-law", (x,), f"{x}⁻¹·{x} != d({x})"))
 
     return ValidationReport(tuple(bad))
+
+
+def literal_haar_report(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
+    """Full support and left invariance at every element and every y in the
+    fiber over its source. The oracle for is_haar, which must return this
+    same report."""
+    if s.over != g.range_map or frozenset(s.codomain) != g.unit_set:
+        raise MalformedInput("system is not over the range map of the groupoid")
+    report = validate_system(s, require_full=True)
+    bad = list(report.violations)
+    for x in g.elements:
+        lam_d = s.family[g.d(x)]
+        lam_r = s.family[g.r(x)]
+        for y in g.fiber(g.d(x)):
+            if lam_d(y) != lam_r(g.compose(x, y)):
+                bad.append(
+                    Violation(
+                        "left-invariance",
+                        (x, y),
+                        f"lam^d(x)({y}) = {lam_d(y)} != lam^r(x)({g.compose(x, y)}) = {lam_r(g.compose(x, y))}",
+                    )
+                )
+    return ValidationReport(tuple(bad))
+
+
+def literal_hom_report(p: GroupoidHom) -> ValidationReport:
+    """Units, ends and inverses at every element, products at every
+    composable pair. The oracle for validate_hom, which must return this
+    same report."""
+    dom, cod = p.domain, p.codomain
+    check_map(p.mapping, dom.element_set, cod.element_set, "hom")
+
+    bad: list[Violation] = []
+    f = p.mapping
+    for u in dom.units:
+        if f[u] not in cod.unit_set:
+            bad.append(Violation("hom-preserves-units", (u,), f"image {f[u]} is not a unit"))
+    for x in dom.elements:
+        if cod.range_map[f[x]] != f[dom.range_map[x]]:
+            bad.append(Violation("hom-commutes-with-range", (x,), f"r(p({x})) != p(r({x}))"))
+        if cod.source_map[f[x]] != f[dom.source_map[x]]:
+            bad.append(Violation("hom-commutes-with-source", (x,), f"d(p({x})) != p(d({x}))"))
+        if cod.inverse_map[f[x]] != f[dom.inverse_map[x]]:
+            bad.append(Violation("hom-preserves-inverse", (x,), f"p({x})⁻¹ != p({x}⁻¹)"))
+    for (x, y), z in sorted(dom.compose_map.items()):
+        if dom.source_map[x] != dom.range_map[y]:
+            continue
+        image = cod.compose_map.get((f[x], f[y]))
+        if image is None:
+            bad.append(Violation("hom-preserves-composability", (x, y), f"images {f[x]}, {f[y]} are not composable"))
+        elif image != f[z]:
+            bad.append(Violation("hom-preserves-product", (x, y), f"p({x})p({y}) = {image} != p({x}{y}) = {f[z]}"))
+    return ValidationReport(tuple(bad))
+
+
+def outcome(check, *args):
+    """What a check gives: its report, or the type and text of what it raised."""
+    try:
+        return check(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def replace_tables(g, inverse_map=None, compose_map=None):
+    return FiniteGroupoid(
+        g.elements,
+        g.units,
+        g.range_map,
+        g.source_map,
+        g.inverse_map if inverse_map is None else inverse_map,
+        g.compose_map if compose_map is None else compose_map,
+    )
+
+
+def table_mutants(g, rng):
+    """(name, mutant) pairs, each with one table entry broken. A kind of
+    mutant that g has no room for (say, no non-composable pair) is left out."""
+    keys = sorted(g.compose_map)
+    ranges = set(g.range_map.values())
+    hom: dict[tuple[str, str], list[str]] = {}
+    for z in g.elements:
+        hom.setdefault((g.r(z), g.d(z)), []).append(z)
+    out = []
+
+    swappable = [
+        k
+        for k in keys
+        if g.unit_set.isdisjoint((*k, g.compose_map[k])) and len(hom[(g.r(k[0]), g.d(k[1]))]) > 1
+    ]
+    if swappable:
+        k = rng.choice(swappable)
+        z = rng.choice([z for z in hom[(g.r(k[0]), g.d(k[1]))] if z != g.compose_map[k]])
+        out.append(("swapped-product", replace_tables(g, compose_map={**g.compose_map, k: z})))
+
+    compose = dict(g.compose_map)
+    del compose[rng.choice(keys)]
+    out.append(("deleted-entry", replace_tables(g, compose_map=compose)))
+
+    if len(ranges) > 1:
+        x = rng.choice(g.elements)
+        y = rng.choice([y for y in g.elements if g.r(y) != g.d(x)])
+        out.append(("non-composable-entry", replace_tables(g, compose_map={**g.compose_map, (x, y): rng.choice(g.elements)})))
+
+        k = rng.choice(keys)
+        z = rng.choice([z for z in g.elements if g.r(z) != g.r(k[0])])
+        out.append(("wrong-range", replace_tables(g, compose_map={**g.compose_map, k: z})))
+
+    if len(g) > 1:
+        x = rng.choice(g.elements)
+        y = rng.choice([y for y in g.elements if y != g.inv(x)])
+        out.append(("broken-inverse", replace_tables(g, inverse_map={**g.inverse_map, x: y})))
+    return out
 
 
 def regular_pullback(

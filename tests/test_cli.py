@@ -164,12 +164,18 @@ def _pullback_document(tmp_path, capsys):
 def test_validate_names_a_changed_modular_entry(tmp_path, capsys):
     data = _pullback_document(tmp_path, capsys)
     x = sorted(data["modular"])[0]
-    assert data["modular"][x] != "5/2"
+    derived = data["modular"][x]
+    assert derived != "5/2"
     data["modular"][x] = "5/2"
     rc, out = _validate_json(data, tmp_path, capsys)
     assert rc == 2
-    assert "violation: stored modular table does not match the stored measures\n" in out
+    assert f"violation: stored modular table does not match the stored measures at {x}: stored 5/2, derived {derived}\n" in out
     assert "ok: modular table" not in out
+    # a missing entry is named the same way
+    del data["modular"][x]
+    rc, out = _validate_json(data, tmp_path, capsys)
+    assert rc == 2
+    assert f"violation: stored modular table does not match the stored measures at {x}: stored undefined, derived {derived}\n" in out
 
 
 def test_validate_rejects_a_result_without_unit_measure(tmp_path, capsys):
@@ -178,7 +184,13 @@ def test_validate_rejects_a_result_without_unit_measure(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(data), encoding="utf-8")
     assert main(["validate", str(doc)]) == 2
-    assert capsys.readouterr().err == "error: document lacks haar weights or a unit measure\n"
+    assert capsys.readouterr().err == "error: document lacks result.unit_measure\n"
+    # a leg of the stored cospan without its Haar weights
+    data = _pullback_document(tmp_path, capsys)
+    del data["cospan"]["right"]["haar"]
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: document lacks cospan.right.haar\n"
 
 
 def test_example_cech(tmp_path, capsys):
@@ -301,6 +313,35 @@ def test_example_builds_each_groupoid_once(family, builder, builds, monkeypatch,
     params = FIXTURES / f"{family}_params.json"
     assert main(["example", family, "--params", str(params), "--out", str(tmp_path / "e.json")]) == 0
     assert len(built) == builds
+
+
+def test_transformation_action_on_an_empty_space_is_rejected(tmp_path, capsys):
+    params = json.loads((FIXTURES / "transformation_params.json").read_text(encoding="utf-8"))
+    params["right_action"]["space"] = []
+    params["right_action"]["act"] = {}
+    params["right_map"] = {}
+    doc = tmp_path / "tr.json"
+    doc.write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "e.json"
+    for args in (["validate", str(doc)], ["example", "transformation", "--params", str(doc), "--out", str(out)]):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: group action needs a nonempty space\n")
+    assert not out.exists()
+
+
+def test_transformation_legs_over_different_base_points_have_an_empty_pullback(tmp_path, capsys):
+    # nonempty actions whose maps meet nowhere over the base: the pullback and
+    # the target are both empty, and the canonical map between them is an
+    # isomorphism
+    params = json.loads(_transformation_params_with_spare_base_point(tmp_path).read_text(encoding="utf-8"))
+    params["right_map"] = {z: "w" for z in params["right_map"]}
+    doc = tmp_path / "tr.json"
+    doc.write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "e.json"
+    assert main(["example", "transformation", "--params", str(doc), "--out", str(out)]) == 0
+    assert "pullback 0 elements, target 0 elements, canonical map is an isomorphism" in capsys.readouterr().out
+    assert main(["validate", str(out)]) == 0
 
 
 def test_cech_index_set_mismatch_is_a_parse_error(tmp_path, capsys):

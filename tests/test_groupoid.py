@@ -19,7 +19,13 @@ from measured_groupoids import (
 )
 from measured_groupoids.groupoid import GroupoidHom, check_ids, check_map, identity_hom
 
-from helpers import literal_groupoid_report, manual_pair_groupoid
+from helpers import (
+    literal_groupoid_report,
+    literal_hom_report,
+    manual_pair_groupoid,
+    outcome,
+    table_mutants,
+)
 
 
 def test_trivial_group_is_valid():
@@ -216,57 +222,6 @@ def test_empty_groupoid_is_a_valid_bare_groupoid():
 MUTATED_PULLBACK_MAX = 64
 
 
-def _replace(g, inverse_map=None, compose_map=None):
-    return FiniteGroupoid(
-        g.elements,
-        g.units,
-        g.range_map,
-        g.source_map,
-        g.inverse_map if inverse_map is None else inverse_map,
-        g.compose_map if compose_map is None else compose_map,
-    )
-
-
-def _mutants(g, rng):
-    """(name, mutant) pairs, each with one table entry broken. A kind of
-    mutant that g has no room for (say, no non-composable pair) is left out."""
-    keys = sorted(g.compose_map)
-    ranges = set(g.range_map.values())
-    hom: dict[tuple[str, str], list[str]] = {}
-    for z in g.elements:
-        hom.setdefault((g.r(z), g.d(z)), []).append(z)
-    out = []
-
-    swappable = [
-        k
-        for k in keys
-        if g.unit_set.isdisjoint((*k, g.compose_map[k])) and len(hom[(g.r(k[0]), g.d(k[1]))]) > 1
-    ]
-    if swappable:
-        k = rng.choice(swappable)
-        z = rng.choice([z for z in hom[(g.r(k[0]), g.d(k[1]))] if z != g.compose_map[k]])
-        out.append(("swapped-product", _replace(g, compose_map={**g.compose_map, k: z})))
-
-    compose = dict(g.compose_map)
-    del compose[rng.choice(keys)]
-    out.append(("deleted-entry", _replace(g, compose_map=compose)))
-
-    if len(ranges) > 1:
-        x = rng.choice(g.elements)
-        y = rng.choice([y for y in g.elements if g.r(y) != g.d(x)])
-        out.append(("non-composable-entry", _replace(g, compose_map={**g.compose_map, (x, y): rng.choice(g.elements)})))
-
-        k = rng.choice(keys)
-        z = rng.choice([z for z in g.elements if g.r(z) != g.r(k[0])])
-        out.append(("wrong-range", _replace(g, compose_map={**g.compose_map, k: z})))
-
-    if len(g) > 1:
-        x = rng.choice(g.elements)
-        y = rng.choice([y for y in g.elements if y != g.inv(x)])
-        out.append(("broken-inverse", _replace(g, inverse_map={**g.inverse_map, x: y})))
-    return out
-
-
 def test_validate_groupoid_matches_enumeration_on_small_groupoids():
     empty = FiniteGroupoid([], [], {}, {}, {}, {})
     lone_arrow = FiniteGroupoid(["a"], [], {"a": "a"}, {"a": "a"}, {"a": "a"}, {("a", "a"): "a"})
@@ -289,7 +244,7 @@ def test_validate_groupoid_matches_enumeration_on_sweep_and_mutants(sweep):
             assert report == literal_groupoid_report(g), seed
             if len(g) > MUTATED_PULLBACK_MAX:
                 continue
-            for name, mutant in _mutants(g, rng):
+            for name, mutant in table_mutants(g, rng):
                 expected = literal_groupoid_report(mutant)
                 assert not expected.ok, (seed, name)
                 assert validate_groupoid(mutant) == expected, (seed, name)
@@ -299,3 +254,42 @@ def test_validate_groupoid_matches_enumeration_on_sweep_and_mutants(sweep):
                     assert {v.rule for v in expected.violations} == {"associativity"}, seed
                     swapped += 1
     assert swapped > 200
+
+
+def test_validate_hom_matches_enumeration_on_sweep_and_mutants(sweep):
+    # both leg maps and both projections of every sweep cospan; then one
+    # projection with one image moved within its hom-set; then identity maps
+    # from and to each table mutant, whose missing generating set takes the
+    # exhaustive loop
+    moved = 0
+    for seed, w in sweep.pullbacks:
+        rng = random.Random(seed)
+        c = w.cospan
+        for hom in (c.left_map, c.right_map, w.proj_left, w.proj_right):
+            report = validate_hom(hom)
+            assert report.ok, seed
+            assert report == literal_hom_report(hom), seed
+
+        proj = w.proj_left if seed % 2 else w.proj_right
+        leg = proj.codomain
+        hom_sets: dict[tuple[str, str], list[str]] = {}
+        for z in leg.elements:
+            hom_sets.setdefault((leg.r(z), leg.d(z)), []).append(z)
+        movable = [x for x in proj.domain.elements if len(hom_sets[(leg.r(proj(x)), leg.d(proj(x)))]) > 1]
+        if movable:
+            x = rng.choice(movable)
+            z = rng.choice([z for z in hom_sets[(leg.r(proj(x)), leg.d(proj(x)))] if z != proj(x)])
+            mutant = GroupoidHom(proj.domain, leg, {**proj.mapping, x: z})
+            expected = literal_hom_report(mutant)
+            assert not expected.ok, seed
+            assert validate_hom(mutant) == expected, seed
+            moved += 1
+
+        for g in (c.left.groupoid, c.base.groupoid, c.right.groupoid, w.groupoid):
+            if len(g) > MUTATED_PULLBACK_MAX:
+                continue
+            identity = {x: x for x in g.elements}
+            for name, mutant in table_mutants(g, rng):
+                for hom in (GroupoidHom(mutant, g, identity), GroupoidHom(g, mutant, identity)):
+                    assert outcome(validate_hom, hom) == outcome(literal_hom_report, hom), (seed, name)
+    assert moved > 100

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,9 @@ from measured_groupoids import (
 )
 from measured_groupoids.groupoid import GroupoidHom, identity_hom
 from measured_groupoids.haar import validate_haar_groupoid as _validate
+from measured_groupoids.measures import MeasureSystem
+
+from helpers import literal_haar_report, outcome, table_mutants
 
 F = Fraction
 
@@ -269,3 +273,41 @@ def test_unit_level_class_preservation_follows(seed):
     hom = identity_hom(h.groupoid)
     report = validate_haar_hom(hom, h, h)
     assert report.ok
+
+
+# is_haar against the exhaustive loop: the same report, with the same
+# violations in the same order. Systems on groupoids up to this size are
+# mutated: the exhaustive loop takes milliseconds on each larger pullback.
+MUTATED_MAX = 64
+
+
+def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
+    # the three legs and the pullback of every sweep cospan; then one Haar
+    # weight raised at an element that left invariance constrains; then the
+    # system on each table mutant, whose missing generating set takes the
+    # exhaustive loop
+    changed = 0
+    for seed, w in sweep.pullbacks:
+        rng = random.Random(seed)
+        c = w.cospan
+        for g, s in ((c.left.groupoid, c.left.haar), (c.base.groupoid, c.base.haar), (c.right.groupoid, c.right.haar), (w.groupoid, w.haar)):
+            report = is_haar(g, s)
+            assert report.ok, seed
+            assert report == literal_haar_report(g, s), seed
+            if len(g) > MUTATED_MAX:
+                continue
+            # y over u is constrained by every arrow x with d(x) = u that is
+            # not a unit: lam^u(y) = lam^{r(x)}(xy), and xy != y
+            constrained = sorted({(g.d(x), y) for x in g.elements if x not in g.unit_set for y in g.fiber(g.d(x))})
+            if constrained:
+                u, y = rng.choice(constrained)
+                m = s.at(u)
+                family = {**s.family, u: FiniteMeasure(m.base, {**m.weights, y: m(y) + 1})}
+                mutant = MeasureSystem(s.over, s.domain, s.codomain, family)
+                expected = literal_haar_report(g, mutant)
+                assert not expected.ok, seed
+                assert is_haar(g, mutant) == expected, seed
+                changed += 1
+            for name, mutant_g in table_mutants(g, rng):
+                assert outcome(is_haar, mutant_g, s) == outcome(literal_haar_report, mutant_g, s), (seed, name)
+    assert changed > 400

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -42,11 +43,13 @@ from helpers import (
     literal_lifted_eta_weight,
     literal_orbits_through,
     literal_product_haar_weight,
+    literal_triple_integral_report,
     literal_triple_integral_sides,
     outer_square_counterexample,
     pair_trivial_cospan,
     random_cotrivial_cospan,
     regular_pullback,
+    unmemoised_expanding_report,
     z2_cospan,
 )
 
@@ -498,3 +501,50 @@ def test_run_claims_follows_claim_order_and_names_witnesses():
     assert tuple(results) == CLAIMS
     ok, detail = results["lemma.expanding_integral"]
     assert not ok and detail.startswith("expanding-integral [1-1|e|1-1]")
+
+
+def test_memoised_lemmas_match_the_literal_sums_on_the_sweep(sweep):
+    for seed, w in sweep.pullbacks:
+        triple = check_triple_integral_lemma(w)
+        assert triple.ok, seed
+        assert triple.violations == literal_triple_integral_report(w).violations, seed
+        assert check_expanding_lemma(w).ok, seed
+        # the literal six-fold sum at elements that between them meet every
+        # memoised base sum and leg sum
+        base = w.cospan.base.groupoid
+        seen: set[tuple[str, ...]] = set()
+        for pid in w.groupoid.elements:
+            sigma0, x0, tau0 = w.algebraic.triples[pid]
+            keys = {("base", x0), ("left", base.r(x0), sigma0), ("right", base.d(x0), tau0)}
+            if keys <= seen:
+                continue
+            seen |= keys
+            assert w.haar_groupoid.induced(pid) == literal_expanding_rhs(w, (sigma0, x0, tau0)), (seed, pid)
+
+
+def _doubled(system: MeasureSystem, y: str, x: str) -> MeasureSystem:
+    m = system.at(y)
+    family = {**system.family, y: FiniteMeasure(m.base, {**m.weights, x: 2 * m(x)})}
+    return MeasureSystem(system.over, system.domain, system.codomain, family)
+
+
+def test_memoised_lemmas_name_the_unmemoised_witnesses_on_tampered_results(sweep):
+    # one disint_left weight, then one left or right leg Haar weight, doubled
+    # on every tenth sweep seed: the same violations, in the same order and
+    # text, as the sums recomputed for every comparison
+    failed = 0
+    for seed, w in sweep.pullbacks[::10]:
+        rng = random.Random(seed)
+        gamma = w.disint_left
+        v, s = rng.choice(sorted((v, s) for v, m in gamma.family.items() for s in m.weights))
+        side = "left" if seed % 20 else "right"
+        leg = getattr(w.cospan, side)
+        u, y = rng.choice(sorted((u, y) for u, m in leg.haar.family.items() for y in m.weights))
+        tampered_leg = replace(leg, haar=_doubled(leg.haar, u, y))
+        for t in (replace(w, disint_left=_doubled(gamma, v, s)), replace(w, cospan=replace(w.cospan, **{side: tampered_leg}))):
+            expanding = check_expanding_lemma(t)
+            assert expanding.violations == unmemoised_expanding_report(t).violations, seed
+            triple = check_triple_integral_lemma(t)
+            assert triple.violations == literal_triple_integral_report(t).violations, seed
+            failed += (not expanding.ok) + (not triple.ok)
+    assert failed > 20
