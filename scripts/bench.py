@@ -1,19 +1,20 @@
-"""Benchmark a checkout, optionally against a baseline checkout, into one JSON file.
+"""Benchmark this checkout against a baseline checkout into one JSON file.
 
 Usage:
-    python scripts/bench.py --out BENCH.json [--baseline DIR] [--pairs N] [--seconds S]
+    python scripts/bench.py --out BENCH.json --baseline DIR
 
 Runs, in each checkout, the existing harness unchanged:
 `perfbench/run.py --workload sweep|cli --seed 0 --seconds S --trace 0` once
-per pair, keeping each run's context line and result line. The first pair
-also runs each workload at `--trace 1` for the per-layer metrics, the sweep
-script `scripts/run_property_suite.py 200` for its stage times, and the
-tier-1 suite for its wall time and five slowest tests. With --baseline, the
-two checkouts are measured in alternating pairs on this machine, the order
-swapped every other pair, and the file ends with each checkout's median and
-quartiles of every end-to-end metric, their ratio, and the pairs the change
-wins. A checkout without its own copy of this script is measured the same
-way, since only the harness, the sweep script and the suite are run.
+per pair, S being `run_seconds` of BENCHMARK.json, and keeps each run's
+context line and result line. The first pair also runs each workload at
+`--trace 1` for the per-layer metrics, the sweep script
+`scripts/run_property_suite.py 200` for its stage times, and the tier-1
+suite for its wall time and five slowest tests. The two checkouts are
+measured in ten alternating pairs on this machine, the order swapped every
+other pair, and the file ends with each checkout's median and quartiles of
+every end-to-end metric, their ratio, and the pairs the change wins. A
+baseline without its own copy of this script is measured the same way,
+since only the harness, the sweep script and the suite are run.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "cli")
 SWEEP_LINE = re.compile(r"in ([\d.]+)s \((.*)\)$")
+PAIRS = 10
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def _run(checkout: Path, args: list[str]) -> tuple[subprocess.CompletedProcess, float]:
@@ -100,7 +103,7 @@ def spread(samples: list[dict]) -> dict:
     for w in WORKLOADS:
         out[w] = {}
         for name, v in _metrics(samples, w).items():
-            q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else (v[0],) * 3
+            q1, _, q3 = statistics.quantiles(v, n=4)
             out[w][name] = {"median": statistics.median(v), "q1": q1, "q3": q3}
     return out
 
@@ -122,36 +125,33 @@ def wins(baseline: list[dict], change: list[dict], better: dict[str, str]) -> di
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--baseline", type=Path, help="a second checkout, measured in alternating pairs with this one")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0, help="--seconds of each harness run")
+    parser.add_argument("--baseline", required=True, type=Path, help="a second checkout, measured in alternating pairs with this one")
     args = parser.parse_args()
 
-    checkouts = {"change": ROOT}
-    if args.baseline is not None:
-        checkouts = {"baseline": args.baseline.resolve(), "change": ROOT}
+    seconds = BENCHMARK["run_seconds"]
+    checkouts = {"baseline": args.baseline.resolve(), "change": ROOT}
     samples: dict[str, list[dict]] = {label: [] for label in checkouts}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         order = list(checkouts) if pair % 2 == 0 else list(reversed(checkouts))
         for label in order:
             print(f"pair {pair}: {label}", file=sys.stderr, flush=True)
-            samples[label].append({"pair": pair, "first": label == order[0], **measure(checkouts[label], args.seconds, pair == 0)})
+            samples[label].append({"pair": pair, "first": label == order[0], **measure(checkouts[label], seconds, pair == 0)})
 
+    spreads = {label: spread(s) for label, s in samples.items()}
+    base, change = spreads["baseline"], spreads["change"]
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     report = {
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(), "platform": platform.platform()},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "workloads": list(WORKLOADS), "harness_seed": 0},
+        "settings": {"pairs": PAIRS, "seconds": seconds, "workloads": list(WORKLOADS), "harness_seed": 0},
         "checkouts": {label: {"commit": _commit(path)} for label, path in checkouts.items()},
         "samples": samples,
-        "spread": {label: spread(s) for label, s in samples.items()},
-    }
-    if "baseline" in checkouts:
-        better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-        base, change = report["spread"]["baseline"], report["spread"]["change"]
-        report["median_ratio_change_to_baseline"] = {
+        "spread": spreads,
+        "median_ratio_change_to_baseline": {
             w: {name: round(change[w][name]["median"] / v["median"], 4) for name, v in base[w].items() if v["median"]}
             for w in WORKLOADS
-        }
-        report["pairs_won_by_change"] = wins(samples["baseline"], samples["change"], better)
+        },
+        "pairs_won_by_change": wins(samples["baseline"], samples["change"], better),
+    }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

@@ -445,9 +445,9 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
         f((ab)y) = f(a(by)) = f(a)(f(b)f(y)) = (f(a)f(b))f(y) = f(ab)f(y),
     using associativity in the domain, Q(a), Q(b), associativity in the
     codomain and Q(a) again. Every element is a product of generators, so Q
-    on the generators gives Q everywhere. When a stage fails, or a generator
-    fails Q, every composable pair is checked as before, so violations keep
-    their order and text.
+    on the generators gives Q everywhere. When a stage fails, a table of
+    either end names an unknown id, or a generator fails Q, every composable
+    pair is checked as before, so violations keep their order and text.
     """
     dom, cod = p.domain, p.codomain
     check_map(p.mapping, dom.element_set, cod.element_set, "hom")
@@ -478,11 +478,11 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
 
 
 def _products_preserved_on_generators(p: GroupoidHom) -> bool:
-    """Q(a) for every generator a of the domain, when both ends have a
-    generating set; False when either has none."""
+    """Q(a) for every generator a of the domain; False when the gate of
+    :func:`checked_generators` is closed."""
     dom, cod, f = p.domain, p.codomain, p.mapping
-    gens = dom.generating_set.generators
-    if gens is None or cod.generating_set.generators is None:
+    gens = checked_generators(dom, cod)
+    if gens is None:
         return False
     dom_compose, cod_compose = dom.compose_map, cod.compose_map
     for a in gens:
@@ -493,13 +493,26 @@ def _products_preserved_on_generators(p: GroupoidHom) -> bool:
     return True
 
 
+def checked_generators(g: FiniteGroupoid, *codomains: FiniteGroupoid) -> tuple[str, ...] | None:
+    """The gate of every check on generators: g's generating set when g and
+    each codomain pass the three stages of `FiniteGroupoid.generating_set`,
+    else None. Also None when a table names an unknown id, so the caller's
+    exhaustive loop runs and reports what it reported before the gate."""
+    try:
+        if all(h.generating_set.generators is not None for h in codomains):
+            return g.generating_set.generators
+    except MalformedInput:
+        pass
+    return None
+
+
 def generator_work(g: FiniteGroupoid, *codomains: FiniteGroupoid) -> tuple[tuple[str, int], ...]:
     """Work counts of a passing check of a property closed under products on
     g (left invariance in `is_haar`, products in `validate_hom`): its
     generators and the (generator, fiber element) pairs it visits when g and
     every codomain have a generating set, else the compose entries of the
     exhaustive loop."""
-    gens = g.generating_set.generators
-    if gens is None or any(h.generating_set.generators is None for h in codomains):
+    gens = checked_generators(g, *codomains)
+    if gens is None:
         return (("compose entries", len(g.compose_map)),)
     return (("generators", len(gens)), ("generator pairs", sum(len(g.fiber(g.source_map[a])) for a in gens)))

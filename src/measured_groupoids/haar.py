@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import MalformedInput, NotQuasiInvariant
-from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, check_ids
+from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, check_ids, checked_generators
 from .groupoid import validate_groupoid, validate_hom
 from .measures import (
     FiniteMeasure,
@@ -92,8 +92,9 @@ def is_haar(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
     using P(b), P(a), associativity and r(ab) = r(a). Every element is a
     product of generators, so P on the generators gives P everywhere. When a
     stage fails, or a generator fails P, every element is checked as before,
-    so violations keep their order and text. Raises MalformedInput when the
-    system is not over the range map or the tables name unknown ids.
+    so violations keep their order and text; so does a groupoid whose tables
+    name unknown ids, which has no generating set. Raises MalformedInput when
+    the system is not over the range map.
     """
     if s.over != g.range_map or frozenset(s.codomain) != g.unit_set:
         raise MalformedInput("system is not over the range map of the groupoid")
@@ -117,9 +118,10 @@ def is_haar(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
 
 
 def _left_invariant_on_generators(g: FiniteGroupoid, s: MeasureSystem) -> bool:
-    """P(a) for every generator a of g; False when g has no generating set
-    or the system has no measure at an end of a generator."""
-    gens = g.generating_set.generators
+    """P(a) for every generator a of g; False when the gate of
+    `checked_generators` is closed or the system has no measure at an end of
+    a generator."""
+    gens = checked_generators(g)
     if gens is None:
         return False
     family, compose = s.family, g.compose_map

@@ -89,9 +89,7 @@ def pair_trivial_cospan(mu_left=(1, 2), mu_right=(1, 3)) -> Cospan:
 
 def literal_triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0):
     """Both sides of the integral-exchange identity for the indicator of
-    (y0, sigma0), as fully nested sums over everything. The indicator is
-    the product of one indicator per arrow coordinate, each applied where
-    its coordinate is bound."""
+    (y0, sigma0), as fully nested sums over everything."""
     leg_g = leg.groupoid
     base_g = base.groupoid
     lam_leg = leg.haar
@@ -99,10 +97,8 @@ def literal_triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0):
     lhs = ZERO
     for s in leg_g.units:
         for sigma in leg_g.elements:
-            if sigma != sigma0:
-                continue
             for y in base_g.elements:
-                if y != y0:
+                if (y, sigma) != (y0, sigma0):
                     continue
                 lhs += (
                     lam_base.weight(base_g.r(leg_map[sigma]), y)
@@ -111,11 +107,9 @@ def literal_triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0):
                 )
     rhs = ZERO
     for y in base_g.elements:
-        if y != y0:
-            continue
         for s in leg_g.units:
             for sigma in leg_g.elements:
-                if sigma != sigma0:
+                if (y, sigma) != (y0, sigma0):
                     continue
                 rhs += (
                     lam_leg.weight(s, sigma)
@@ -127,10 +121,7 @@ def literal_triple_integral_sides(leg, base, leg_map, gamma, u, y0, sigma0):
 
 def literal_expanding_rhs(w, target_triple):
     """The six-fold nested sum for the indicator of one pullback element,
-    looping over every unit/arrow combination with no shortcuts. The
-    indicator is the product of one indicator per arrow coordinate, each
-    applied where its coordinate is bound."""
-    sigma0, y0, tau0 = target_triple
+    looping over every unit/arrow combination with no shortcuts."""
     c = w.cospan
     base = c.base.groupoid
     s_g = c.left.groupoid
@@ -144,15 +135,11 @@ def literal_expanding_rhs(w, target_triple):
     total = ZERO
     for u in base.units:
         for y in base.elements:
-            if y != y0:
-                continue
             for s in s_g.units:
                 for sigma in s_g.elements:
-                    if sigma != sigma0:
-                        continue
                     for t in t_g.units:
                         for tau in t_g.elements:
-                            if tau != tau0:
+                            if (sigma, y, tau) != target_triple:
                                 continue
                             total += (
                                 lam_t.weight(t, tau)

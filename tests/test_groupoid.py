@@ -24,6 +24,7 @@ from helpers import (
     literal_hom_report,
     manual_pair_groupoid,
     outcome,
+    replace_tables,
     table_mutants,
 )
 
@@ -293,3 +294,23 @@ def test_validate_hom_matches_enumeration_on_sweep_and_mutants(sweep):
                 for hom in (GroupoidHom(mutant, g, identity), GroupoidHom(g, mutant, identity)):
                     assert outcome(validate_hom, hom) == outcome(literal_hom_report, hom), (seed, name)
     assert moved > 100
+
+
+def test_validate_hom_falls_back_on_a_dangling_compose_value():
+    # a compose value that names no element leaves the groupoid without a
+    # generating set: validate_hom then runs the exhaustive loop and gives
+    # what the enumeration gives, a product violation into the broken
+    # codomain, rather than raising
+    g = pair_groupoid(["a", "b"])
+    key = next(k for k in sorted(g.compose_map) if g.unit_set.isdisjoint(k))
+    ghost = replace_tables(g, compose_map={**g.compose_map, key: "ghost"})
+    identity = {x: x for x in g.elements}
+    into = GroupoidHom(g, ghost, identity)
+    report = validate_hom(into)
+    assert [v.rule for v in report.violations] == ["hom-preserves-product"]
+    assert report == literal_hom_report(into)
+    out_of = GroupoidHom(ghost, g, identity)
+    assert outcome(validate_hom, out_of) == outcome(literal_hom_report, out_of)
+    with pytest.raises(MalformedInput, match="'ghost'"):
+        validate_groupoid(ghost)
+

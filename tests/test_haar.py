@@ -311,3 +311,16 @@ def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
             for name, mutant_g in table_mutants(g, rng):
                 assert outcome(is_haar, mutant_g, s) == outcome(literal_haar_report, mutant_g, s), (seed, name)
     assert changed > 400
+
+
+def test_is_haar_falls_back_on_a_dangling_compose_value():
+    # as validate_hom: no generating set, so the exhaustive loop runs and
+    # names the left-invariance failures the enumeration names
+    g = pair_groupoid(["a", "b"])
+    key = next(k for k in sorted(g.compose_map) if g.unit_set.isdisjoint(k))
+    broken = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, g.inverse_map, {**g.compose_map, key: "ghost"})
+    s = counting_haar_system(broken)
+    report = is_haar(broken, s)
+    assert not report.ok
+    assert report == literal_haar_report(broken, s)
+
