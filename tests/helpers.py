@@ -426,6 +426,12 @@ def table_mutants(g, rng):
     return out
 
 
+def dangling_product(g):
+    """g with its last product naming an id that is no element: no
+    generating set, so checks on generators take their exhaustive loops."""
+    return replace_tables(g, compose_map={**g.compose_map, max(g.compose_map): "ghost"})
+
+
 def regular_pullback(
     s_g: FiniteGroupoid, base: FiniteGroupoid, t_g: FiniteGroupoid, p: Mapping[str, str], q: Mapping[str, str]
 ) -> tuple[FiniteGroupoid, dict[str, tuple[str, str]]]:

@@ -20,11 +20,11 @@ from measured_groupoids import (
 from measured_groupoids.groupoid import GroupoidHom, check_ids, check_map, identity_hom
 
 from helpers import (
+    dangling_product,
     literal_groupoid_report,
     literal_hom_report,
     manual_pair_groupoid,
     outcome,
-    replace_tables,
     table_mutants,
 )
 
@@ -260,8 +260,8 @@ def test_validate_groupoid_matches_enumeration_on_sweep_and_mutants(sweep):
 def test_validate_hom_matches_enumeration_on_sweep_and_mutants(sweep):
     # both leg maps and both projections of every sweep cospan; then one
     # projection with one image moved within its hom-set; then identity maps
-    # from and to each table mutant, whose missing generating set takes the
-    # exhaustive loop
+    # from and to each table mutant and a groupoid with a product naming no
+    # element, whose missing generating set takes the exhaustive loop
     moved = 0
     for seed, w in sweep.pullbacks:
         rng = random.Random(seed)
@@ -290,27 +290,7 @@ def test_validate_hom_matches_enumeration_on_sweep_and_mutants(sweep):
             if len(g) > MUTATED_PULLBACK_MAX:
                 continue
             identity = {x: x for x in g.elements}
-            for name, mutant in table_mutants(g, rng):
+            for name, mutant in [*table_mutants(g, rng), ("dangling-product", dangling_product(g))]:
                 for hom in (GroupoidHom(mutant, g, identity), GroupoidHom(g, mutant, identity)):
                     assert outcome(validate_hom, hom) == outcome(literal_hom_report, hom), (seed, name)
     assert moved > 100
-
-
-def test_validate_hom_falls_back_on_a_dangling_compose_value():
-    # a compose value that names no element leaves the groupoid without a
-    # generating set: validate_hom then runs the exhaustive loop and gives
-    # what the enumeration gives, a product violation into the broken
-    # codomain, rather than raising
-    g = pair_groupoid(["a", "b"])
-    key = next(k for k in sorted(g.compose_map) if g.unit_set.isdisjoint(k))
-    ghost = replace_tables(g, compose_map={**g.compose_map, key: "ghost"})
-    identity = {x: x for x in g.elements}
-    into = GroupoidHom(g, ghost, identity)
-    report = validate_hom(into)
-    assert [v.rule for v in report.violations] == ["hom-preserves-product"]
-    assert report == literal_hom_report(into)
-    out_of = GroupoidHom(ghost, g, identity)
-    assert outcome(validate_hom, out_of) == outcome(literal_hom_report, out_of)
-    with pytest.raises(MalformedInput, match="'ghost'"):
-        validate_groupoid(ghost)
-

@@ -34,7 +34,7 @@ from measured_groupoids.groupoid import GroupoidHom, identity_hom
 from measured_groupoids.haar import validate_haar_groupoid as _validate
 from measured_groupoids.measures import MeasureSystem
 
-from helpers import literal_haar_report, outcome, table_mutants
+from helpers import dangling_product, literal_haar_report, outcome, table_mutants
 
 F = Fraction
 
@@ -284,8 +284,8 @@ MUTATED_MAX = 64
 def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
     # the three legs and the pullback of every sweep cospan; then one Haar
     # weight raised at an element that left invariance constrains; then the
-    # system on each table mutant, whose missing generating set takes the
-    # exhaustive loop
+    # system on each table mutant and on a groupoid with a product naming no
+    # element, whose missing generating set takes the exhaustive loop
     changed = 0
     for seed, w in sweep.pullbacks:
         rng = random.Random(seed)
@@ -308,19 +308,6 @@ def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
                 assert not expected.ok, seed
                 assert is_haar(g, mutant) == expected, seed
                 changed += 1
-            for name, mutant_g in table_mutants(g, rng):
+            for name, mutant_g in [*table_mutants(g, rng), ("dangling-product", dangling_product(g))]:
                 assert outcome(is_haar, mutant_g, s) == outcome(literal_haar_report, mutant_g, s), (seed, name)
     assert changed > 400
-
-
-def test_is_haar_falls_back_on_a_dangling_compose_value():
-    # as validate_hom: no generating set, so the exhaustive loop runs and
-    # names the left-invariance failures the enumeration names
-    g = pair_groupoid(["a", "b"])
-    key = next(k for k in sorted(g.compose_map) if g.unit_set.isdisjoint(k))
-    broken = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, g.inverse_map, {**g.compose_map, key: "ghost"})
-    s = counting_haar_system(broken)
-    report = is_haar(broken, s)
-    assert not report.ok
-    assert report == literal_haar_report(broken, s)
-
