@@ -1,7 +1,7 @@
 """Benchmark this checkout against a baseline checkout into one JSON file.
 
 Usage:
-    python scripts/bench.py --out BENCH.json --baseline DIR
+    python scripts/bench.py --out BENCH.json --baseline DIR [--ladder]
 
 Runs, in each checkout, the existing harness unchanged:
 `perfbench/run.py --workload sweep|cli --seed 0 --seconds S --trace 0` once
@@ -15,12 +15,21 @@ other pair, and the file ends with each checkout's median and quartiles of
 every end-to-end metric, their ratio, and the pairs the change wins. A
 baseline without its own copy of this script is measured the same way,
 since only the harness, the sweep script and the suite are run.
+
+With --ladder the file also holds a size ladder of each checkout: the
+identity cospan of `cyclic_group(n)` with counting measures, for n = 4..12,
+each point in a fresh process on that checkout's `src`. A point records the
+pullback's elements, units and compose entries, and the seconds of the cospan
+validation, the build and every claim check, each the least of three runs on
+a freshly built cospan. Each stage also gets its growth exponent, the
+least-squares slope of log seconds against log compose entries.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -35,6 +44,21 @@ WORKLOADS = ("sweep", "cli")
 SWEEP_LINE = re.compile(r"in ([\d.]+)s \((.*)\)$")
 PAIRS = 10
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+LADDER = range(4, 13)
+LADDER_RUNS = 3
+# the bindings that `cli.run_claims` calls its checks through
+CLAIM_BINDINGS = (
+    "validate_groupoid",
+    "check_fiber_product_lemma",
+    "check_haar_theorem",
+    "check_quasi_invariance_and_modular",
+    "check_projection_homs",
+    "alternate_disintegration",
+    "check_disintegration_independence",
+    "check_commuting_diamond",
+    "check_triple_integral_lemma",
+    "check_expanding_lemma",
+)
 
 
 def _run(checkout: Path, args: list[str]) -> tuple[subprocess.CompletedProcess, float]:
@@ -122,10 +146,77 @@ def wins(baseline: list[dict], change: list[dict], better: dict[str, str]) -> di
     return out
 
 
+def ladder_point(n: int) -> dict:
+    """One ladder point, timed in this process on the `measured_groupoids`
+    that PYTHONPATH gives."""
+    from measured_groupoids import Cospan, build_weak_pullback, cli, cyclic_group, identity_hom, validate_cospan
+    from measured_groupoids import with_counting_haar
+
+    seconds: dict[str, float] = {}
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
+
+        return wrapper
+
+    for name in CLAIM_BINDINGS:
+        setattr(cli, name, timed(name, getattr(cli, name)))
+    best: dict[str, float] = {}
+    for _ in range(LADDER_RUNS):
+        seconds.clear()
+        g = cyclic_group(n)
+        h = with_counting_haar(g)
+        c = Cospan(h, h, h, identity_hom(g), identity_hom(g))
+        if not timed("validate_cospan", validate_cospan)(c).ok:
+            raise SystemExit(f"ladder n={n}: the cospan fails validation")
+        w = timed("build_weak_pullback", build_weak_pullback)(c, validate=False)
+        if not all(ok for ok, _ in cli.run_claims(c, w).values()):
+            raise SystemExit(f"ladder n={n}: a claim fails")
+        best = {k: min(v, best.get(k, v)) for k, v in seconds.items()}
+    g = w.groupoid
+    return {
+        "n": n,
+        "elements": len(g.elements),
+        "units": len(g.units),
+        "compose_entries": len(g.compose_map),
+        "seconds": {k: float(f"{v:.4g}") for k, v in best.items()},
+    }
+
+
+def ladder(checkout: Path) -> dict:
+    """The ladder points of one checkout and each stage's growth exponent."""
+    points = []
+    for n in LADDER:
+        proc, _ = _run(checkout, [str(Path(__file__).resolve()), "--ladder-point", str(n)])
+        if proc.returncode != 0:
+            raise SystemExit(f"{checkout}: ladder point n={n} failed:\n{proc.stderr}")
+        points.append(json.loads(proc.stdout))
+    xs = [math.log(p["compose_entries"]) for p in points]
+    mean_x = statistics.fmean(xs)
+    exponents = {}
+    for stage in points[0]["seconds"]:
+        ys = [math.log(p["seconds"][stage]) for p in points]
+        mean_y = statistics.fmean(ys)
+        slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
+        exponents[stage] = round(slope, 3)
+    return {"points": points, "exponent_vs_compose_entries": exponents}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--ladder-point", type=int, help=argparse.SUPPRESS)
+    args, _ = parser.parse_known_args()
+    if args.ladder_point is not None:
+        print(json.dumps(ladder_point(args.ladder_point)))
+        return 0
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--baseline", required=True, type=Path, help="a second checkout, measured in alternating pairs with this one")
+    parser.add_argument("--ladder", action="store_true", help="also record each checkout's size ladder")
     args = parser.parse_args()
 
     seconds = BENCHMARK["run_seconds"]
@@ -152,6 +243,8 @@ def main() -> int:
         },
         "pairs_won_by_change": wins(samples["baseline"], samples["change"], better),
     }
+    if args.ladder:
+        report["ladder"] = {label: ladder(path) for label, path in checkouts.items()}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

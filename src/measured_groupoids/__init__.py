@@ -43,7 +43,6 @@ from .haar import (
     HaarGroupoid,
     counting_haar_system,
     haar_system_from_source_weights,
-    inverse_measure,
     is_haar,
     is_quasi_invariant,
     validate_haar_groupoid,

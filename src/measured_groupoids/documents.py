@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DanglingReference, MalformedInput, ParseError, UnsupportedVersion
+from .errors import DanglingReference, EmptySpace, MalformedInput, ParseError, UnsupportedVersion
 from .families import (
     CechCospanData,
     FiniteCover,
@@ -295,11 +295,11 @@ def _str_map(obj: dict, key: str, path: str) -> dict[str, str]:
 
 @contextmanager
 def _reported_at(path: str, kind: type[ParseError] = ParseError):
-    """Re-raise the block's MalformedInput as `kind`, prefixed with the path
-    of the document field it came from."""
+    """Re-raise the block's MalformedInput or EmptySpace as `kind`, prefixed
+    with the path of the document field it came from."""
     try:
         yield
-    except MalformedInput as e:
+    except (MalformedInput, EmptySpace) as e:
         raise kind(f"{path}: {e}") from e
 
 

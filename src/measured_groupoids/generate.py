@@ -279,7 +279,7 @@ def alternate_disintegration(gamma: MeasureSystem, nu: FiniteMeasure, scale=2) -
     family = {}
     for y in gamma.codomain:
         m = gamma.at(y)
-        if nu(y) == 0 and not m.is_zero():
+        if y not in nu.nums and not m.is_zero():
             family[y] = m.scaled(scale)
         else:
             family[y] = m

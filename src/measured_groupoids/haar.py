@@ -8,9 +8,9 @@ measure on the unit space this makes the groupoid a Haar groupoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -20,7 +20,6 @@ from .groupoid import validate_groupoid, validate_hom
 from .measures import (
     FiniteMeasure,
     MeasureSystem,
-    ONE,
     class_witness,
     compose_with_measure,
     push_forward,
@@ -35,30 +34,41 @@ class HaarGroupoid:
     unit measure. These fix the induced measure and the modular function,
     which are derived on first read and then kept; the instance is frozen so
     that what is kept cannot go stale. `validate_haar_groupoid` checks the
-    laws."""
+    laws.
+
+    What is kept lives in fields that the constructor sets to None, not in
+    `functools.cached_property`s: writing the instance `__dict__` would slow
+    every later attribute read on the object."""
 
     groupoid: FiniteGroupoid
     haar: MeasureSystem
     unit_measure: FiniteMeasure
+    _induced: FiniteMeasure | None = field(default=None, init=False, repr=False, compare=False)
+    _modular: Mapping[str, Fraction] | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def induced(self) -> FiniteMeasure:
         """mu(x) = lam^{r(x)}(x) · mu0(r(x)), i.e. the system composed with mu0."""
-        return compose_with_measure(self.haar, self.unit_measure)
+        if self._induced is None:
+            object.__setattr__(self, "_induced", compose_with_measure(self.haar, self.unit_measure))
+        return self._induced
 
-    @cached_property
+    @property
     def modular(self) -> Mapping[str, Fraction]:
         """Delta(x) = mu(x)/mu(x^{-1}), keyed by the support of mu and
-        read-only. Raises NotQuasiInvariant with the witness of
+        read-only; the two numerators of mu over its one denominator give
+        each value. Raises NotQuasiInvariant with the witness of
         `is_quasi_invariant`, on every read, when mu and its inverse image
         differ in support."""
-        report = is_quasi_invariant(self)
-        if not report.ok:
-            (witness,) = report.violations[0].witnesses
-            raise NotQuasiInvariant(f"unit measure is not quasi-invariant, witness {witness!r}", witness=witness)
-        mu = self.induced
-        g = self.groupoid
-        return MappingProxyType({x: mu(x) / mu(g.inv(x)) for x in sorted(mu.support)})
+        if self._modular is None:
+            report = is_quasi_invariant(self)
+            if not report.ok:
+                (witness,) = report.violations[0].witnesses
+                raise NotQuasiInvariant(f"unit measure is not quasi-invariant, witness {witness!r}", witness=witness)
+            nums, inv = self.induced.nums, self.groupoid.inverse_map
+            delta = MappingProxyType({x: Fraction(nums[x], nums[inv[x]]) for x in sorted(nums)})
+            object.__setattr__(self, "_modular", delta)
+        return self._modular
 
 
 def haar_system_from_source_weights(g: FiniteGroupoid, source_weight: Mapping[str, object]) -> MeasureSystem:
@@ -70,14 +80,16 @@ def haar_system_from_source_weights(g: FiniteGroupoid, source_weight: Mapping[st
     for u in g.units:
         if c[u] <= 0:
             raise MalformedInput(f"source weight non-positive at unit {u!r}")
+    den = lcm(*(w.denominator for w in c.values()))
+    num = {u: w.numerator * (den // w.denominator) for u, w in c.items()}
     family = {
-        u: FiniteMeasure(g.elements, {x: c[g.d(x)] for x in g.fiber(u)}) for u in g.units
+        u: FiniteMeasure.from_numerators(g.elements, {x: num[g.d(x)] for x in g.fiber(u)}, den) for u in g.units
     }
     return MeasureSystem(dict(g.range_map), g.elements, g.units, family)
 
 
 def counting_haar_system(g: FiniteGroupoid) -> MeasureSystem:
-    return haar_system_from_source_weights(g, {u: ONE for u in g.units})
+    return haar_system_from_source_weights(g, dict.fromkeys(g.units, 1))
 
 
 def is_haar(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
@@ -102,16 +114,18 @@ def is_haar(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
     if _left_invariant_on_generators(g, s):
         return report
     bad = list(report.violations)
+    nums = s.nums
     for x in g.elements:
-        lam_d = s.family[g.d(x)]
-        lam_r = s.family[g.r(x)]
-        for y in g.fiber(g.d(x)):
-            if lam_d(y) != lam_r(g.compose(x, y)):
+        d, r = g.d(x), g.r(x)
+        lam_d, lam_r = nums[d], nums[r]
+        for y in g.fiber(d):
+            xy = g.compose(x, y)
+            if lam_d.get(y, 0) != lam_r.get(xy, 0):
                 bad.append(
                     Violation(
                         "left-invariance",
                         (x, y),
-                        f"lam^d(x)({y}) = {lam_d(y)} != lam^r(x)({g.compose(x, y)}) = {lam_r(g.compose(x, y))}",
+                        f"lam^d(x)({y}) = {s.weight(d, y)} != lam^r(x)({xy}) = {s.weight(r, xy)}",
                     )
                 )
     return ValidationReport(tuple(bad))
@@ -120,36 +134,35 @@ def is_haar(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
 def _left_invariant_on_generators(g: FiniteGroupoid, s: MeasureSystem) -> bool:
     """P(a) for every generator a of g; False when the gate of
     `checked_generators` is closed or the system has no measure at an end of
-    a generator."""
+    a generator. The two weights of P share the system's denominator, so
+    their numerators are compared."""
     gens = checked_generators(g)
     if gens is None:
         return False
-    family, compose = s.family, g.compose_map
+    nums, compose = s.nums, g.compose_map
     for a in gens:
-        lam_d, lam_r = family.get(g.d(a)), family.get(g.r(a))
+        lam_d, lam_r = nums.get(g.d(a)), nums.get(g.r(a))
         if lam_d is None or lam_r is None:
             return False
         for y in g.fiber(g.d(a)):
-            if lam_d(y) != lam_r(compose[(a, y)]):
+            if lam_d.get(y, 0) != lam_r.get(compose[(a, y)], 0):
                 return False
     return True
 
 
-def inverse_measure(mu: FiniteMeasure, g: FiniteGroupoid) -> FiniteMeasure:
-    """Image of mu under inversion: (mu^{-1})(x) = mu(x^{-1})."""
+def is_quasi_invariant(h: HaarGroupoid) -> ValidationReport:
+    """Support equality of the induced measure and its inverse image
+    x -> mu(x^{-1}); on failure one `quasi-invariance` violation names the
+    least element of the symmetric difference of the two supports."""
+    g = h.groupoid
+    mu = h.induced
     if mu.base != g.elements:
         raise MalformedInput("measure does not live on the groupoid's elements")
-    return FiniteMeasure(g.elements, {x: mu(g.inv(x)) for x in g.elements})
-
-
-def is_quasi_invariant(h: HaarGroupoid) -> ValidationReport:
-    """Support equality of the induced measure and its inverse image; on
-    failure one `quasi-invariance` violation names a witnessing element."""
-    mu = h.induced
-    mu_inv = inverse_measure(mu, h.groupoid)
-    if same_measure_class(mu, mu_inv):
+    support, inv = mu.nums.keys(), g.inverse_map
+    inverse_support = {x for x in g.elements if inv[x] in support}
+    if support == inverse_support:
         return ValidationReport(())
-    witness = class_witness(mu, mu_inv)
+    witness = min(support ^ inverse_support)
     return ValidationReport(
         (Violation("quasi-invariance", (witness,), f"induced measure and its inverse differ in support at {witness}"),)
     )

@@ -1,21 +1,29 @@
 """Measures and systems of measures on maps between finite sets.
 
-All weights are exact nonnegative rationals (`fractions.Fraction`), so
-measure equivalence is support equality and every identity below is decided
-with zero tolerance. A system of measures over f: X -> Y is one measure on X
-per point of Y, concentrated on the fiber over that point.
+All weights are exact nonnegative rationals, so measure equivalence is
+support equality and every identity below is decided with zero tolerance. A
+measure keeps its weights as integer numerators over one positive
+denominator, in lowest terms, and a system of measures keeps its whole
+family over one common denominator. Sums are then integer sums, two weights
+of one system compare as integers, and weights of different measures compare
+by cross-multiplication. `fractions.Fraction` appears only where weights
+come in (the `FiniteMeasure` constructor) and where they are read out
+(`FiniteMeasure.__call__`, `MeasureSystem.weight`).
+
+A system of measures over f: X -> Y is one measure on X per point of Y,
+concentrated on the fiber over that point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import BaseMismatch, MalformedInput, NotMeasureClassPreserving
 from .groupoid import ValidationReport, Violation, check_ids, check_map
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_weight(v) -> Fraction:
@@ -26,45 +34,72 @@ def as_weight(v) -> Fraction:
 
 
 class FiniteMeasure:
-    """Nonnegative rational weights on a finite base set, stored sparsely."""
+    """Nonnegative rational weights on a finite base set, stored sparsely.
+
+    The weight at x is `nums[x] / den`: `den` is positive, `nums` holds the
+    nonzero integer numerators, and gcd(den, all numerators) = 1. That form
+    is canonical, so equal measures have equal `den` and `nums`.
+    """
 
     def __init__(self, base: Iterable[str], weights: Mapping[str, object] = ()):
         self.base: tuple[str, ...] = tuple(sorted(base))
         check_ids(weights, frozenset(self.base), "weight assigned to unknown point")
-        w: dict[str, Fraction] = {}
-        for x, v in dict(weights).items():
-            fv = as_weight(v)
-            if fv:
-                w[x] = fv
-        self.weights = w
+        ws = [(x, as_weight(v)) for x, v in dict(weights).items()]
+        # the least common denominator of reduced fractions leaves the
+        # numerators without a common factor
+        den = lcm(*(w.denominator for _, w in ws))
+        self.den = den
+        self.nums: dict[str, int] = {x: w.numerator * (den // w.denominator) for x, w in ws if w}
+
+    @classmethod
+    def from_numerators(cls, base: Iterable[str], nums: Mapping[str, int], den: int) -> "FiniteMeasure":
+        """The measure with weight nums[x] / den at x, for integers nums[x]
+        and a positive den, reduced to lowest terms; rejects unknown points
+        and negative weights as the constructor does."""
+        m = cls.__new__(cls)
+        m.base = tuple(sorted(base))
+        check_ids(nums, frozenset(m.base), "weight assigned to unknown point")
+        if min(nums.values(), default=0) < 0:
+            n = next(n for n in nums.values() if n < 0)
+            raise MalformedInput(f"negative weight {Fraction(n, den)}")
+        kept = {x: n for x, n in nums.items() if n}
+        common = gcd(den, *kept.values())
+        if common > 1:
+            kept = {x: n // common for x, n in kept.items()}
+        m.den, m.nums = den // common, kept
+        return m
 
     def __call__(self, x: str) -> Fraction:
-        return self.weights.get(x, ZERO)
+        n = self.nums.get(x)
+        return Fraction(n, self.den) if n else ZERO
 
     @property
     def support(self) -> frozenset[str]:
-        return frozenset(self.weights)
+        return frozenset(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.weights
+        return not self.nums
 
     def scaled(self, c) -> "FiniteMeasure":
-        return FiniteMeasure(self.base, {x: v * Fraction(c) for x, v in self.weights.items()})
+        c = Fraction(c)
+        return FiniteMeasure.from_numerators(
+            self.base, {x: n * c.numerator for x, n in self.nums.items()}, self.den * c.denominator
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMeasure):
             return NotImplemented
-        return self.base == other.base and self.weights == other.weights
+        return self.base == other.base and self.den == other.den and self.nums == other.nums
 
     def __repr__(self) -> str:
-        inside = ", ".join(f"{x}: {v}" for x, v in sorted(self.weights.items()))
+        inside = ", ".join(f"{x}: {Fraction(n, self.den)}" for x, n in sorted(self.nums.items()))
         return f"FiniteMeasure({{{inside}}} on {len(self.base)} points)"
 
 
 def counting(base: Iterable[str], subset: Iterable[str] | None = None) -> FiniteMeasure:
     base = tuple(base)
     pts = base if subset is None else tuple(subset)
-    return FiniteMeasure(base, {x: ONE for x in pts})
+    return FiniteMeasure.from_numerators(base, dict.fromkeys(pts, 1), 1)
 
 
 class MeasureSystem:
@@ -72,7 +107,9 @@ class MeasureSystem:
 
     `family` may omit points of Y; missing entries denote the zero measure.
     It may not be indexed by any other point. The fibers of the map are
-    indexed once, at construction.
+    indexed once, at construction, and so is the family's common
+    denominator: lam^y(x) = nums[y][x] / den, with `nums` keyed by every
+    point of Y and holding the nonzero numerators.
     """
 
     def __init__(
@@ -89,6 +126,11 @@ class MeasureSystem:
         fam = dict(family)
         check_ids(fam, frozenset(self.codomain), "family indexed by unknown point")
         self.family: dict[str, FiniteMeasure] = {y: fam.get(y, zero) for y in self.codomain}
+        self.den = den = lcm(*(m.den for m in self.family.values()))
+        self.nums: dict[str, dict[str, int]] = {
+            y: m.nums if m.den == den else {x: n * (den // m.den) for x, n in m.nums.items()}
+            for y, m in self.family.items()
+        }
         self._fibers: dict[str, list[str]] = {}
         for x in self.domain:
             y = self.over.get(x)
@@ -145,37 +187,35 @@ def validate_system(s: MeasureSystem, require_full: bool = False) -> ValidationR
 
 def push_forward(f: Mapping[str, str], mu: FiniteMeasure, codomain: Iterable[str]) -> FiniteMeasure:
     """(f_* mu)(y) = sum of mu over the fiber of y; total mass is preserved."""
-    codomain = tuple(codomain)
-    out: dict[str, Fraction] = {}
-    check_ids(mu.weights, f.keys(), "pushforward map undefined at")
-    for x, v in mu.weights.items():
+    out: dict[str, int] = {}
+    check_ids(mu.nums, f.keys(), "pushforward map undefined at")
+    for x, n in mu.nums.items():
         y = f[x]
-        out[y] = out.get(y, ZERO) + v
-    return FiniteMeasure(codomain, out)
+        out[y] = out.get(y, 0) + n
+    return FiniteMeasure.from_numerators(codomain, out, mu.den)
 
 
 def same_measure_class(mu: FiniteMeasure, nu: FiniteMeasure) -> bool:
     """Mutual absolute continuity; exact support equality on a shared base."""
     if mu.base != nu.base:
         raise BaseMismatch("measures live on different base sets")
-    return mu.support == nu.support
+    return mu.nums.keys() == nu.nums.keys()
 
 
 def class_witness(mu: FiniteMeasure, nu: FiniteMeasure) -> str | None:
     """A point where exactly one of the measures vanishes, if any."""
-    diff = sorted(mu.support.symmetric_difference(nu.support))
-    return diff[0] if diff else None
+    return min(mu.nums.keys() ^ nu.nums.keys(), default=None)
 
 
 def compose_with_measure(s: MeasureSystem, nu: FiniteMeasure) -> FiniteMeasure:
     """mu(E) = sum_y lam^y(E) nu(y), the measure induced by a system."""
     if tuple(nu.base) != s.codomain:
         raise BaseMismatch("measure base does not match the system codomain")
-    out: dict[str, Fraction] = {}
-    for y, vy in nu.weights.items():
-        for x, w in s.family[y].weights.items():
-            out[x] = out.get(x, ZERO) + w * vy
-    return FiniteMeasure(s.domain, out)
+    out: dict[str, int] = {}
+    for y, vy in nu.nums.items():
+        for x, w in s.nums[y].items():
+            out[x] = out.get(x, 0) + w * vy
+    return FiniteMeasure.from_numerators(s.domain, out, s.den * nu.den)
 
 
 def disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> MeasureSystem:
@@ -197,8 +237,12 @@ def disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> 
         fibers[f[x]].append(x)
     family: dict[str, FiniteMeasure] = {}
     for y in nu.base:
-        if nu(y) > 0:
-            family[y] = FiniteMeasure(mu.base, {x: mu(x) / nu(y) for x in fibers[y]})
+        ny = nu.nums.get(y)
+        if ny:
+            # (mu.nums[x] / mu.den) / (ny / nu.den)
+            family[y] = FiniteMeasure.from_numerators(
+                mu.base, {x: mu.nums.get(x, 0) * nu.den for x in fibers[y]}, mu.den * ny
+            )
         else:
             family[y] = counting(mu.base, fibers[y])
     return MeasureSystem(dict(f), mu.base, nu.base, family)

@@ -15,9 +15,9 @@ unit maps. Every check below is an exact rational identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
@@ -39,7 +39,6 @@ from .haar import (
 from .measures import (
     FiniteMeasure,
     MeasureSystem,
-    ZERO,
     compose_with_measure,
     disintegrate,
     validate_system,
@@ -151,7 +150,8 @@ class WeakPullbackResult:
     """The measured weak pullback: groupoid, projections, Haar system,
     disintegrations, the system eta over the base arrow of each unit and
     the unit measure. Its induced measure and modular function are those of
-    `haar_groupoid`, which is built on first read and kept."""
+    `haar_groupoid`, which is built on first read and kept in a field that
+    the constructor sets to None, as in `HaarGroupoid`."""
 
     cospan: Cospan
     algebraic: PullbackGroupoid
@@ -166,6 +166,7 @@ class WeakPullbackResult:
         "disintegrations are bounded (finite fibers)",
         "the base modular function is bounded (finite support)",
     )
+    _haar_groupoid: HaarGroupoid | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def groupoid(self) -> FiniteGroupoid:
@@ -179,25 +180,28 @@ class WeakPullbackResult:
     def proj_right(self) -> GroupoidHom:
         return self.algebraic.proj_right
 
-    @cached_property
+    @property
     def haar_groupoid(self) -> HaarGroupoid:
-        return HaarGroupoid(self.algebraic.groupoid, self.haar, self.unit_measure)
+        if self._haar_groupoid is None:
+            object.__setattr__(self, "_haar_groupoid", HaarGroupoid(self.algebraic.groupoid, self.haar, self.unit_measure))
+        return self._haar_groupoid
 
 
 def _pullback_haar_system(alg: PullbackGroupoid, c: Cospan) -> MeasureSystem:
+    """lam_P^{(s,g,t)}(σ,g,τ) = lam_S^s(σ) · lam_T^t(τ): products of the
+    legs' numerators over the product of their denominators."""
     pg = alg.groupoid
-    lam_s = c.left.haar
-    lam_t = c.right.haar
+    lam_s, lam_t = c.left.haar, c.right.haar
+    den = lam_s.den * lam_t.den
     family: dict[str, FiniteMeasure] = {}
     for u in pg.units:
         s, _, t = alg.triples[u]
-        ws: dict[str, Fraction] = {}
+        lam_s_s, lam_t_t = lam_s.nums.get(s, {}), lam_t.nums.get(t, {})
+        ws: dict[str, int] = {}
         for pid in pg.fiber(u):
             sigma, _, tau = alg.triples[pid]
-            w = lam_s.weight(s, sigma) * lam_t.weight(t, tau)
-            if w:
-                ws[pid] = w
-        family[u] = FiniteMeasure(pg.elements, ws)
+            ws[pid] = lam_s_s.get(sigma, 0) * lam_t_t.get(tau, 0)
+        family[u] = FiniteMeasure.from_numerators(pg.elements, ws, den)
     return MeasureSystem(dict(pg.range_map), pg.elements, pg.units, family)
 
 
@@ -210,15 +214,15 @@ def _eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_
     by_arrow: dict[str, list[str]] = {}
     for u in pg.units:
         by_arrow.setdefault(over[u], []).append(u)
+    den = gamma_p.den * gamma_q.den
     family: dict[str, FiniteMeasure] = {}
     for x in base.elements:
-        ws: dict[str, Fraction] = {}
+        gamma_p_r, gamma_q_d = gamma_p.nums.get(base.r(x), {}), gamma_q.nums.get(base.d(x), {})
+        ws: dict[str, int] = {}
         for u in by_arrow.get(x, ()):
             s, _, t = alg.triples[u]
-            w = gamma_p.weight(base.r(x), s) * gamma_q.weight(base.d(x), t)
-            if w:
-                ws[u] = w
-        family[x] = FiniteMeasure(pg.units, ws)
+            ws[u] = gamma_p_r.get(s, 0) * gamma_q_d.get(t, 0)
+        family[x] = FiniteMeasure.from_numerators(pg.units, ws, den)
     return MeasureSystem(over, pg.units, base.elements, family)
 
 
@@ -292,30 +296,39 @@ def check_quasi_invariance_and_modular(
     Delta_P is undefined, and both reports are this one), then the modular
     identity Delta_P(σ,x,τ) · Delta_G(q(τ)) = Delta_S(σ) · Delta_T(τ) on every
     support triple whose constituents are all on-support. The others are
-    skipped (violations under `strict`), and both kinds are counted."""
+    skipped (violations under `strict`), and both kinds are counted.
+
+    Each Delta is mu(x)/mu(x^{-1}) for one induced measure, whose
+    denominator cancels, so the identity is checked as one integer equation
+    in the numerators of the four induced measures at x and at x^{-1}."""
     h_p = w.haar_groupoid
     quasi = is_quasi_invariant(h_p)
     if not quasi.ok:
         return quasi, quasi
     c = w.cospan
-    delta_p = h_p.modular
+    # reading a leg's or the base's Delta raises NotQuasiInvariant when its
+    # measure is not quasi-invariant; the keys are where each Delta is defined
     delta_s = c.left.modular
     delta_t = c.right.modular
     delta_g = c.base.modular
+    mu_p, mu_s, mu_t, mu_g = (h.induced.nums for h in (h_p, c.left, c.right, c.base))
+    inv_p, inv_s, inv_t, inv_g = (h.groupoid.inverse_map for h in (h_p, c.left, c.right, c.base))
     q = c.right_map.mapping
     checked = skipped = 0
     bad: list[Violation] = []
-    for pid in sorted(h_p.induced.support):
+    for pid in sorted(mu_p):
         sigma, _, tau = w.algebraic.triples[pid]
-        if not (sigma in delta_s and tau in delta_t and q[tau] in delta_g):
+        x = q[tau]
+        if not (sigma in delta_s and tau in delta_t and x in delta_g):
             skipped += 1
             if strict:
                 bad.append(Violation("modular-off-support", (pid,), f"a leg or base Delta is undefined at {pid}"))
             continue
         checked += 1
-        lhs = delta_p[pid] * delta_g[q[tau]]
-        rhs = delta_s[sigma] * delta_t[tau]
+        lhs = mu_p[pid] * mu_g[x] * mu_s[inv_s[sigma]] * mu_t[inv_t[tau]]
+        rhs = mu_s[sigma] * mu_t[tau] * mu_p[inv_p[pid]] * mu_g[inv_g[x]]
         if lhs != rhs:
+            lhs, rhs = h_p.modular[pid] * delta_g[x], delta_s[sigma] * delta_t[tau]
             bad.append(Violation("modular-formula", (pid,), f"Delta_P·Delta_G = {lhs} != Delta_S·Delta_T = {rhs}"))
     return quasi, ValidationReport(tuple(bad), (("checked", checked), ("skipped", skipped)))
 
@@ -371,28 +384,31 @@ def check_disintegration_independence(
     *_, mu_alt = _unit_measure(
         w.algebraic, w.cospan, lambda label, f, mu, nu: _verified_disintegration(alternates[label], f, mu, nu, label)
     )
+    mu = w.unit_measure
     bad = [
-        Violation("disintegration-independence", (u,), f"mu_P0({u}) = {w.unit_measure(u)}, alternates give {mu_alt(u)}")
+        Violation("disintegration-independence", (u,), f"mu_P0({u}) = {mu(u)}, alternates give {mu_alt(u)}")
         for u in w.groupoid.units
-        if mu_alt(u) != w.unit_measure(u)
+        if mu_alt.nums.get(u, 0) * mu.den != mu.nums.get(u, 0) * mu_alt.den
     ]
     return ValidationReport(tuple(bad))
 
 
-def _leg_sums(gamma: MeasureSystem, leg: HaarGroupoid) -> Callable[[str, str], Fraction]:
-    """(v, σ) -> sum over the leg's units s of gamma^v(s) · lam^s(σ), each
-    from the systems and each pair summed once; `cache_info().currsize` of
-    the result counts the distinct sums."""
-    units, lam = leg.groupoid.units, leg.haar
+def _leg_sums(gamma: MeasureSystem, leg: HaarGroupoid) -> tuple[Callable[[str, str], int], int]:
+    """(v, σ) -> sum over the leg's units s of gamma^v(s) · lam^s(σ), as a
+    numerator over the returned denominator gamma.den · lam.den. Each sum
+    is taken from the two systems, over the units that gamma^v charges, and
+    each pair is summed once; `cache_info().currsize` of the function counts
+    the distinct sums."""
+    gamma_nums, lam_nums = gamma.nums, leg.haar.nums
 
     @cache
-    def leg_sum(v: str, sigma: str) -> Fraction:
-        total = ZERO
-        for s in units:
-            total += gamma.weight(v, s) * lam.weight(s, sigma)
+    def leg_sum(v: str, sigma: str) -> int:
+        total = 0
+        for s, n in gamma_nums.get(v, {}).items():
+            total += n * lam_nums.get(s, {}).get(sigma, 0)
         return total
 
-    return leg_sum
+    return leg_sum, gamma.den * leg.haar.den
 
 
 def check_triple_integral_lemma(w: WeakPullbackResult) -> ValidationReport:
@@ -403,30 +419,36 @@ def check_triple_integral_lemma(w: WeakPullbackResult) -> ValidationReport:
     With A(v, σ0) = sum_s lam^s(σ0) · gamma^v(s) over the leg units, the base
     arrow innermost gives lam_G^{r(p(σ0))}(y0) · A(u, σ0) and outermost gives
     A(r(y0), σ0) · lam_G^u(y0). Each A is summed once per (v, σ0); every
-    comparison still runs, and the counts give the distinct sums per leg."""
+    comparison still runs, and the counts give the distinct sums per leg.
+    Both sides are numerators over the same denominator, the base system's
+    times that of A, so they are compared as integers."""
     c = w.cospan
     base = c.base
     base_g = base.groupoid
-    lam_base = base.haar
+    lam_base = base.haar.nums
     bad: list[Violation] = []
     counts: list[tuple[str, int]] = []
     for name, leg, leg_map, gamma in (
         ("left", c.left, c.left_map.mapping, w.disint_left),
         ("right", c.right, c.right_map.mapping, w.disint_right),
     ):
-        leg_sum = _leg_sums(gamma, leg)
+        leg_sum, leg_den = _leg_sums(gamma, leg)
+        den = base.haar.den * leg_den
         # pairs (y0, σ0) of a base arrow and a leg arrow with r(y0) = p(r(σ0)),
         # each with lam_G^{r(p(σ0))}(y0)
         pairs = []
         for sigma in leg.groupoid.elements:
             v = base_g.r(leg_map[sigma])
-            pairs += [(y, sigma, lam_base.weight(v, y)) for y in base_g.fiber(v)]
+            lam_v = lam_base.get(v, {})
+            pairs += [(y, sigma, lam_v.get(y, 0)) for y in base_g.fiber(v)]
         for u in base_g.units:
+            lam_u = lam_base.get(u, {})
             for y0, sigma0, inner in pairs:
                 lhs = inner * leg_sum(u, sigma0)
-                rhs = leg_sum(base_g.r(y0), sigma0) * lam_base.weight(u, y0)
+                rhs = leg_sum(base_g.r(y0), sigma0) * lam_u.get(y0, 0)
                 if lhs != rhs:
-                    bad.append(Violation("triple-integral", (u, y0, sigma0), f"{name} leg: {lhs} != {rhs}"))
+                    detail = f"{name} leg: {Fraction(lhs, den)} != {Fraction(rhs, den)}"
+                    bad.append(Violation("triple-integral", (u, y0, sigma0), detail))
         counts.append((f"{name} leg sums", leg_sum.cache_info().currsize))
     return ValidationReport(tuple(bad), tuple(counts))
 
@@ -439,29 +461,33 @@ def check_expanding_lemma(w: WeakPullbackResult) -> ValidationReport:
     At (σ0, x0, τ0) the sum factors as B(x0) · L(r(x0), σ0) · R(d(x0), τ0),
     with B(x0) = sum_u mu_G0(u) · lam_G^u(x0) and L, R the leg sums
     sum_s gamma^v(s) · lam^s(σ). Each factor is summed from the systems,
-    never from mu_P, once per key; the counts give the distinct sums."""
+    never from mu_P, once per key; the counts give the distinct sums. Every
+    factor is a numerator over its own denominator, and the two sides are
+    compared by cross-multiplication."""
     c = w.cospan
     base = c.base.groupoid
-    lam_g = c.base.haar
+    lam_g = c.base.haar.nums
     mu_g0 = c.base.unit_measure
-    left = _leg_sums(w.disint_left, c.left)
-    right = _leg_sums(w.disint_right, c.right)
+    left, left_den = _leg_sums(w.disint_left, c.left)
+    right, right_den = _leg_sums(w.disint_right, c.right)
+    rhs_den = mu_g0.den * c.base.haar.den * left_den * right_den
 
     @cache
-    def base_sum(x0: str) -> Fraction:
-        total = ZERO
-        for u in base.units:
-            total += mu_g0(u) * lam_g.weight(u, x0)
+    def base_sum(x0: str) -> int:
+        total = 0
+        for u, n in mu_g0.nums.items():
+            total += n * lam_g.get(u, {}).get(x0, 0)
         return total
 
     mu_p = w.haar_groupoid.induced
+    lhs_nums, lhs_den = mu_p.nums, mu_p.den
     bad: list[Violation] = []
     for pid in w.groupoid.elements:
         sigma0, x0, tau0 = w.algebraic.triples[pid]
-        lhs = mu_p(pid)
         rhs = base_sum(x0) * left(base.r(x0), sigma0) * right(base.d(x0), tau0)
-        if lhs != rhs:
-            bad.append(Violation("expanding-integral", (pid,), f"mu_P({pid}) = {lhs} != six-fold sum {rhs}"))
+        if lhs_nums.get(pid, 0) * rhs_den != rhs * lhs_den:
+            detail = f"mu_P({pid}) = {mu_p(pid)} != six-fold sum {Fraction(rhs, rhs_den)}"
+            bad.append(Violation("expanding-integral", (pid,), detail))
     counts = (
         ("base sums", base_sum.cache_info().currsize),
         ("left leg sums", left.cache_info().currsize),

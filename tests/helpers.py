@@ -3,20 +3,27 @@
 The oracles deliberately brute-force the stated nested sums with no
 concentration shortcuts, so they stay independent of the library's paths.
 The regular pullback and its comparison map are a second pullback
-construction, kept here as the oracle for cotrivial bases.
+construction, kept here as the oracle for cotrivial bases. The `fraction_`
+oracles are the measure layer's bodies in `fractions.Fraction` arithmetic,
+the oracles of its integer numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Mapping
 
 from measured_groupoids import (
+    BaseMismatch,
     Cospan,
     FiniteGroupoid,
     FiniteMeasure,
     GenerationExhausted,
     MalformedInput,
+    NotADisintegration,
+    NotMeasureClassPreserving,
+    NotQuasiInvariant,
     cotrivial_groupoid,
     cyclic_group,
     disjoint_union,
@@ -38,12 +45,19 @@ from measured_groupoids.groupoid import (
     GroupoidHom,
     ValidationReport,
     Violation,
+    check_ids,
     check_map,
     check_references,
     identity_hom,
 )
 from measured_groupoids.haar import HaarGroupoid, counting_haar_system
-from measured_groupoids.measures import MeasureSystem, validate_system
+from measured_groupoids.measures import (
+    MeasureSystem,
+    class_witness,
+    counting,
+    same_measure_class,
+    validate_system,
+)
 from measured_groupoids.pullback import PullbackGroupoid, WeakPullbackResult
 
 F = Fraction
@@ -515,3 +529,294 @@ def outer_square_counterexample(w: WeakPullbackResult) -> str | None:
         if p[s] != q[t]:
             return pid
     return None
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles of the integer measure layer: the library's bodies as they
+# were before measures kept integer numerators, reading every weight as a
+# Fraction through `FiniteMeasure.__call__` and `MeasureSystem.weight`.
+
+
+def fraction_weights(mu: FiniteMeasure) -> dict[str, Fraction]:
+    """The nonzero weights of mu, as Fractions."""
+    return {x: mu(x) for x in mu.nums}
+
+
+def fraction_scaled(mu: FiniteMeasure, c) -> FiniteMeasure:
+    return FiniteMeasure(mu.base, {x: v * Fraction(c) for x, v in fraction_weights(mu).items()})
+
+
+def fraction_push_forward(f: Mapping[str, str], mu: FiniteMeasure, codomain) -> FiniteMeasure:
+    """(f_* mu)(y) = sum of mu over the fiber of y; total mass is preserved."""
+    codomain = tuple(codomain)
+    out: dict[str, Fraction] = {}
+    check_ids(fraction_weights(mu), f.keys(), "pushforward map undefined at")
+    for x, v in fraction_weights(mu).items():
+        y = f[x]
+        out[y] = out.get(y, ZERO) + v
+    return FiniteMeasure(codomain, out)
+
+
+def fraction_compose_with_measure(s: MeasureSystem, nu: FiniteMeasure) -> FiniteMeasure:
+    """mu(E) = sum_y lam^y(E) nu(y), the measure induced by a system."""
+    if tuple(nu.base) != s.codomain:
+        raise BaseMismatch("measure base does not match the system codomain")
+    out: dict[str, Fraction] = {}
+    for y, vy in fraction_weights(nu).items():
+        for x, w in fraction_weights(s.family[y]).items():
+            out[x] = out.get(x, ZERO) + w * vy
+    return FiniteMeasure(s.domain, out)
+
+
+def fraction_disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> MeasureSystem:
+    """Split mu along f into fiberwise measures gamma^y with
+    sum_y gamma^y(E) nu(y) = mu(E) exactly; counting measure on nu-null
+    fibers."""
+    pushed = fraction_push_forward(f, mu, nu.base)
+    if pushed.support != nu.support:
+        w = class_witness(pushed, nu)
+        raise NotMeasureClassPreserving(
+            f"pushforward and target measure differ in support, witness {w!r}", witness=w
+        )
+    fibers: dict[str, list[str]] = {y: [] for y in nu.base}
+    for x in mu.base:
+        fibers[f[x]].append(x)
+    family: dict[str, FiniteMeasure] = {}
+    for y in nu.base:
+        if nu(y) > 0:
+            family[y] = FiniteMeasure(mu.base, {x: mu(x) / nu(y) for x in fibers[y]})
+        else:
+            family[y] = counting(mu.base, fibers[y])
+    return MeasureSystem(dict(f), mu.base, nu.base, family)
+
+
+def fraction_haar_system_from_source_weights(g: FiniteGroupoid, source_weight) -> MeasureSystem:
+    """The left-invariant system lam^u(x) = c(d(x))."""
+    c = {u: Fraction(v) for u, v in source_weight.items()}
+    check_ids(g.units, c.keys(), "source weight missing at unit")
+    for u in g.units:
+        if c[u] <= 0:
+            raise MalformedInput(f"source weight non-positive at unit {u!r}")
+    family = {
+        u: FiniteMeasure(g.elements, {x: c[g.d(x)] for x in g.fiber(u)}) for u in g.units
+    }
+    return MeasureSystem(dict(g.range_map), g.elements, g.units, family)
+
+
+def fraction_induced(h: HaarGroupoid) -> FiniteMeasure:
+    return fraction_compose_with_measure(h.haar, h.unit_measure)
+
+
+def inverse_measure(mu: FiniteMeasure, g: FiniteGroupoid) -> FiniteMeasure:
+    """Image of mu under inversion: (mu^{-1})(x) = mu(x^{-1})."""
+    if mu.base != g.elements:
+        raise MalformedInput("measure does not live on the groupoid's elements")
+    return FiniteMeasure(g.elements, {x: mu(g.inv(x)) for x in g.elements})
+
+
+def fraction_is_quasi_invariant(h: HaarGroupoid, mu: FiniteMeasure) -> ValidationReport:
+    """Support equality of the induced measure mu of h and its inverse
+    image; on failure one `quasi-invariance` violation names a witnessing
+    element."""
+    mu_inv = inverse_measure(mu, h.groupoid)
+    if same_measure_class(mu, mu_inv):
+        return ValidationReport(())
+    witness = class_witness(mu, mu_inv)
+    return ValidationReport(
+        (Violation("quasi-invariance", (witness,), f"induced measure and its inverse differ in support at {witness}"),)
+    )
+
+
+def fraction_modular(h: HaarGroupoid, mu: FiniteMeasure) -> dict[str, Fraction]:
+    """Delta(x) = mu(x)/mu(x^{-1}) on the support of the induced measure mu
+    of h; raises NotQuasiInvariant as `HaarGroupoid.modular` does."""
+    report = fraction_is_quasi_invariant(h, mu)
+    if not report.ok:
+        (witness,) = report.violations[0].witnesses
+        raise NotQuasiInvariant(f"unit measure is not quasi-invariant, witness {witness!r}", witness=witness)
+    g = h.groupoid
+    return {x: mu(x) / mu(g.inv(x)) for x in sorted(mu.support)}
+
+
+def fraction_pullback_haar_system(alg: PullbackGroupoid, c: Cospan) -> MeasureSystem:
+    pg = alg.groupoid
+    lam_s = c.left.haar
+    lam_t = c.right.haar
+    family: dict[str, FiniteMeasure] = {}
+    for u in pg.units:
+        s, _, t = alg.triples[u]
+        ws: dict[str, Fraction] = {}
+        for pid in pg.fiber(u):
+            sigma, _, tau = alg.triples[pid]
+            w = lam_s.weight(s, sigma) * lam_t.weight(t, tau)
+            if w:
+                ws[pid] = w
+        family[u] = FiniteMeasure(pg.elements, ws)
+    return MeasureSystem(dict(pg.range_map), pg.elements, pg.units, family)
+
+
+def fraction_eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_q: MeasureSystem) -> MeasureSystem:
+    """eta^x(s,g,t) = gamma_p^{r(x)}(s) [g = x] gamma_q^{d(x)}(t)."""
+    pg = alg.groupoid
+    base = c.base.groupoid
+    over = {u: alg.triples[u][1] for u in pg.units}
+    by_arrow: dict[str, list[str]] = {}
+    for u in pg.units:
+        by_arrow.setdefault(over[u], []).append(u)
+    family: dict[str, FiniteMeasure] = {}
+    for x in base.elements:
+        ws: dict[str, Fraction] = {}
+        for u in by_arrow.get(x, ()):
+            s, _, t = alg.triples[u]
+            w = gamma_p.weight(base.r(x), s) * gamma_q.weight(base.d(x), t)
+            if w:
+                ws[u] = w
+        family[x] = FiniteMeasure(pg.units, ws)
+    return MeasureSystem(over, pg.units, base.elements, family)
+
+
+def fraction_unit_measure(alg: PullbackGroupoid, c: Cospan, disintegration):
+    """gamma_p, gamma_q, eta and mu_P0 = eta composed with the base induced
+    measure."""
+    gamma_p, gamma_q = (
+        disintegration(label, {u: hom.mapping[u] for u in leg.groupoid.units}, leg.unit_measure, c.base.unit_measure)
+        for label, leg, hom in (("left", c.left, c.left_map), ("right", c.right, c.right_map))
+    )
+    eta = fraction_eta_system(alg, c, gamma_p, gamma_q)
+    return gamma_p, gamma_q, eta, fraction_compose_with_measure(eta, fraction_induced(c.base))
+
+
+def fraction_measures_of_pullback(w: WeakPullbackResult):
+    """lam_P, gamma_p, gamma_q, eta and mu_P0 of the cospan's weak pullback,
+    rebuilt on its algebraic pullback."""
+    c = w.cospan
+    lam_p = fraction_pullback_haar_system(w.algebraic, c)
+    return (lam_p, *fraction_unit_measure(w.algebraic, c, lambda _, f, mu, nu: fraction_disintegrate(f, mu, nu)))
+
+
+def fraction_quasi_invariance_and_modular(w: WeakPullbackResult, strict: bool = False):
+    """check_quasi_invariance_and_modular on Delta = mu(x)/mu(x^{-1}) in
+    Fractions."""
+    h_p = w.haar_groupoid
+    mu_p = fraction_induced(h_p)
+    quasi = fraction_is_quasi_invariant(h_p, mu_p)
+    if not quasi.ok:
+        return quasi, quasi
+    c = w.cospan
+    delta_p = fraction_modular(h_p, mu_p)
+    delta_s, delta_t, delta_g = (fraction_modular(h, fraction_induced(h)) for h in (c.left, c.right, c.base))
+    q = c.right_map.mapping
+    checked = skipped = 0
+    bad: list[Violation] = []
+    for pid in sorted(mu_p.support):
+        sigma, _, tau = w.algebraic.triples[pid]
+        if not (sigma in delta_s and tau in delta_t and q[tau] in delta_g):
+            skipped += 1
+            if strict:
+                bad.append(Violation("modular-off-support", (pid,), f"a leg or base Delta is undefined at {pid}"))
+            continue
+        checked += 1
+        lhs = delta_p[pid] * delta_g[q[tau]]
+        rhs = delta_s[sigma] * delta_t[tau]
+        if lhs != rhs:
+            bad.append(Violation("modular-formula", (pid,), f"Delta_P·Delta_G = {lhs} != Delta_S·Delta_T = {rhs}"))
+    return quasi, ValidationReport(tuple(bad), (("checked", checked), ("skipped", skipped)))
+
+
+def _fraction_verified_disintegration(system, f, mu, nu, label):
+    if system.over != dict(f):
+        raise NotADisintegration(f"{label}: system is over the wrong map")
+    if not validate_system(system).ok:
+        raise NotADisintegration(f"{label}: system is not concentrated on fibers")
+    if fraction_compose_with_measure(system, nu) != mu:
+        raise NotADisintegration(f"{label}: reconstruction identity fails")
+    return system
+
+
+def fraction_disintegration_independence(w: WeakPullbackResult, alt_left, alt_right) -> ValidationReport:
+    """check_disintegration_independence in Fractions."""
+    alternates = {"left": alt_left, "right": alt_right}
+    *_, mu_alt = fraction_unit_measure(
+        w.algebraic, w.cospan, lambda label, f, mu, nu: _fraction_verified_disintegration(alternates[label], f, mu, nu, label)
+    )
+    bad = [
+        Violation("disintegration-independence", (u,), f"mu_P0({u}) = {w.unit_measure(u)}, alternates give {mu_alt(u)}")
+        for u in w.groupoid.units
+        if mu_alt(u) != w.unit_measure(u)
+    ]
+    return ValidationReport(tuple(bad))
+
+
+def _fraction_leg_sums(gamma: MeasureSystem, leg: HaarGroupoid):
+    """(v, σ) -> sum over the leg's units s of gamma^v(s) · lam^s(σ), each
+    pair summed once."""
+    units, lam = leg.groupoid.units, leg.haar
+
+    @cache
+    def leg_sum(v: str, sigma: str) -> Fraction:
+        total = ZERO
+        for s in units:
+            total += gamma.weight(v, s) * lam.weight(s, sigma)
+        return total
+
+    return leg_sum
+
+
+def fraction_triple_integral_report(w: WeakPullbackResult) -> ValidationReport:
+    """check_triple_integral_lemma in Fractions, with its counts."""
+    c = w.cospan
+    base = c.base
+    base_g = base.groupoid
+    lam_base = base.haar
+    bad: list[Violation] = []
+    counts: list[tuple[str, int]] = []
+    for name, leg, leg_map, gamma in (
+        ("left", c.left, c.left_map.mapping, w.disint_left),
+        ("right", c.right, c.right_map.mapping, w.disint_right),
+    ):
+        leg_sum = _fraction_leg_sums(gamma, leg)
+        pairs = []
+        for sigma in leg.groupoid.elements:
+            v = base_g.r(leg_map[sigma])
+            pairs += [(y, sigma, lam_base.weight(v, y)) for y in base_g.fiber(v)]
+        for u in base_g.units:
+            for y0, sigma0, inner in pairs:
+                lhs = inner * leg_sum(u, sigma0)
+                rhs = leg_sum(base_g.r(y0), sigma0) * lam_base.weight(u, y0)
+                if lhs != rhs:
+                    bad.append(Violation("triple-integral", (u, y0, sigma0), f"{name} leg: {lhs} != {rhs}"))
+        counts.append((f"{name} leg sums", leg_sum.cache_info().currsize))
+    return ValidationReport(tuple(bad), tuple(counts))
+
+
+def fraction_expanding_report(w: WeakPullbackResult) -> ValidationReport:
+    """check_expanding_lemma in Fractions, against the Fraction induced
+    measure of the pullback, with its counts."""
+    c = w.cospan
+    base = c.base.groupoid
+    lam_g = c.base.haar
+    mu_g0 = c.base.unit_measure
+    left = _fraction_leg_sums(w.disint_left, c.left)
+    right = _fraction_leg_sums(w.disint_right, c.right)
+
+    @cache
+    def base_sum(x0: str) -> Fraction:
+        total = ZERO
+        for u in base.units:
+            total += mu_g0(u) * lam_g.weight(u, x0)
+        return total
+
+    mu_p = fraction_induced(w.haar_groupoid)
+    bad: list[Violation] = []
+    for pid in w.groupoid.elements:
+        sigma0, x0, tau0 = w.algebraic.triples[pid]
+        lhs = mu_p(pid)
+        rhs = base_sum(x0) * left(base.r(x0), sigma0) * right(base.d(x0), tau0)
+        if lhs != rhs:
+            bad.append(Violation("expanding-integral", (pid,), f"mu_P({pid}) = {lhs} != six-fold sum {rhs}"))
+    counts = (
+        ("base sums", base_sum.cache_info().currsize),
+        ("left leg sums", left.cache_info().currsize),
+        ("right leg sums", right.cache_info().currsize),
+    )
+    return ValidationReport(tuple(bad), counts)

@@ -40,6 +40,7 @@ from measured_groupoids.measures import FiniteMeasure, MeasureSystem
 
 from helpers import (
     cotrivial_comparison_hom,
+    fraction_weights,
     outer_square_counterexample,
     pair_trivial_cospan,
     random_cotrivial_cospan,
@@ -209,7 +210,7 @@ def test_criterion_7_negative_controls():
     unit = w.groupoid.units[0]
     victim = w.groupoid.fiber(unit)[0]
     family = dict(w.haar.family)
-    weights = dict(family[unit].weights)
+    weights = fraction_weights(family[unit])
     weights[victim] += 1
     family[unit] = FiniteMeasure(w.groupoid.elements, weights)
     tampered = MeasureSystem(w.haar.over, w.haar.domain, w.haar.codomain, family)

@@ -324,9 +324,9 @@ def test_transformation_action_on_an_empty_space_is_rejected(tmp_path, capsys):
     doc.write_text(json.dumps(params), encoding="utf-8")
     out = tmp_path / "e.json"
     for args in (["validate", str(doc)], ["example", "transformation", "--params", str(doc), "--out", str(out)]):
-        assert main(args) == 2
+        assert main(args) == 1
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: group action needs a nonempty space\n")
+        assert (captured.out, captured.err) == ("", "error: $.right_action: group action needs a nonempty space\n")
     assert not out.exists()
 
 

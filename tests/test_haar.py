@@ -17,7 +17,6 @@ from measured_groupoids import (
     cyclic_group,
     disjoint_union,
     haar_system_from_source_weights,
-    inverse_measure,
     is_haar,
     is_quasi_invariant,
     pair_groupoid,
@@ -34,7 +33,7 @@ from measured_groupoids.groupoid import GroupoidHom, identity_hom
 from measured_groupoids.haar import validate_haar_groupoid as _validate
 from measured_groupoids.measures import MeasureSystem
 
-from helpers import dangling_product, literal_haar_report, outcome, table_mutants
+from helpers import dangling_product, fraction_weights, inverse_measure, literal_haar_report, outcome, table_mutants
 
 F = Fraction
 
@@ -302,7 +301,7 @@ def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
             if constrained:
                 u, y = rng.choice(constrained)
                 m = s.at(u)
-                family = {**s.family, u: FiniteMeasure(m.base, {**m.weights, y: m(y) + 1})}
+                family = {**s.family, u: FiniteMeasure(m.base, {**fraction_weights(m), y: m(y) + 1})}
                 mutant = MeasureSystem(s.over, s.domain, s.codomain, family)
                 expected = literal_haar_report(g, mutant)
                 assert not expected.ok, seed

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,16 @@ from measured_groupoids import (
     push_forward,
     same_measure_class,
     validate_system,
+)
+
+from measured_groupoids.documents import weight_to_str
+
+from helpers import (
+    fraction_compose_with_measure,
+    fraction_disintegrate,
+    fraction_push_forward,
+    fraction_scaled,
+    fraction_weights,
 )
 
 F = Fraction
@@ -52,7 +63,7 @@ def test_push_forward_three_to_two():
     mu = FiniteMeasure(X3, {"a": 2, "b": 3, "c": 5})
     out = push_forward(F32, mu, Y2)
     assert (out("1"), out("2")) == (5, 5)
-    assert sum(out.weights.values()) == sum(mu.weights.values())
+    assert sum(fraction_weights(out).values()) == sum(fraction_weights(mu).values())
 
 
 def test_same_measure_class_examples():
@@ -190,3 +201,62 @@ def test_reconstruction_property(ws, scales):
     gamma = disintegrate(F32, mu, nu)
     assert compose_with_measure(gamma, nu) == mu
     assert validate_system(gamma).ok
+
+
+# nonnegative rationals with zeros and denominators up to 10^15
+rationals = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=10**6, max_denominator=10**15))
+X6 = ("a", "b", "c", "d", "e", "f")
+weight_maps = st.dictionaries(st.sampled_from(X6), rationals)
+
+
+@given(weight_maps, weight_maps, st.booleans())
+def test_integer_numerators_read_back_and_compare_as_the_fractions(ws, other, same):
+    mu = FiniteMeasure(X6, ws)
+    assert mu.den > 0 and all(n > 0 for n in mu.nums.values())
+    assert math.gcd(mu.den, *mu.nums.values()) == 1
+    for x in X6:
+        assert mu(x) == ws.get(x, 0)
+        assert weight_to_str(mu(x)) == weight_to_str(F(ws.get(x, 0)))
+    assert fraction_weights(mu) == {x: v for x, v in ws.items() if v}
+    if same:
+        # the same weights written another way, zeros added
+        other = {**{x: F(v.numerator * 3, v.denominator * 3) for x, v in ws.items()}, **{x: 0 for x in X6 if x not in ws}}
+    nu = FiniteMeasure(X6, other)
+    assert (mu == nu) == ({x: v for x, v in ws.items() if v} == {x: F(v) for x, v in other.items() if v})
+    assert mu == FiniteMeasure.from_numerators(X6, {x: n * 7 for x, n in mu.nums.items()}, mu.den * 7)
+
+
+@given(
+    st.lists(st.sampled_from(Y2), min_size=6, max_size=6),
+    st.lists(rationals, min_size=6, max_size=6),
+    st.lists(rationals, min_size=2, max_size=2),
+    weight_maps,
+    st.lists(st.fractions(min_value=F(1, 10**9), max_value=10**3, max_denominator=10**9), min_size=2, max_size=2),
+    rationals,
+)
+def test_integer_measure_operations_equal_their_fraction_oracles(targets, lam, nu_ws, mu_ws, scales, c):
+    f = dict(zip(X6, targets))
+    system = MeasureSystem(f, X6, Y2, {y: FiniteMeasure(X6, {x: w for x, w in zip(X6, lam) if f[x] == y}) for y in Y2})
+    for y in Y2:
+        for x in X6:
+            assert system.weight(y, x) == F(system.nums[y].get(x, 0), system.den)
+    nu = FiniteMeasure(Y2, dict(zip(Y2, nu_ws)))
+    assert compose_with_measure(system, nu) == fraction_compose_with_measure(system, nu)
+    mu = FiniteMeasure(X6, mu_ws)
+    pushed = push_forward(f, mu, Y2)
+    assert pushed == fraction_push_forward(f, mu, Y2)
+    target = FiniteMeasure(Y2, {y: pushed(y) * s for y, s in zip(Y2, scales)})
+    gamma = disintegrate(f, mu, target)
+    assert gamma == fraction_disintegrate(f, mu, target)
+    assert compose_with_measure(gamma, target) == mu
+    assert mu.scaled(c) == fraction_scaled(mu, c)
+
+
+def test_numerator_constructor_runs_the_constructor_checks():
+    with pytest.raises(MalformedInput, match="^negative weight -1/2$"):
+        FiniteMeasure.from_numerators(X3, {"a": 1, "b": -2}, 4)
+    with pytest.raises(MalformedInput, match="^weight assigned to unknown point 'd'$"):
+        FiniteMeasure.from_numerators(X3, {"d": 1}, 1)
+    assert FiniteMeasure.from_numerators(X3, {"a": 0, "b": 6}, 4) == FiniteMeasure(X3, {"b": F(3, 2)})
+    with pytest.raises(MalformedInput, match="^negative weight -3/2$"):
+        FiniteMeasure(X3, {"b": F(3, 2)}).scaled(-1)

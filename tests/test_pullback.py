@@ -24,9 +24,12 @@ from measured_groupoids import (
     counting_haar_system,
     cyclic_group,
     direct_product,
+    haar_system_from_source_weights,
     is_haar,
     is_isomorphism,
+    is_quasi_invariant,
     pair_groupoid,
+    push_forward,
     random_cospan,
     trivial_group,
     validate_cospan,
@@ -34,11 +37,24 @@ from measured_groupoids import (
     weak_pullback_groupoid,
     with_counting_haar,
 )
-from measured_groupoids.groupoid import GroupoidHom, identity_hom
+from measured_groupoids.groupoid import GroupoidHom, ValidationReport, identity_hom
 from measured_groupoids.haar import HaarGroupoid
 
 from helpers import (
     cotrivial_comparison_hom,
+    fraction_disintegration_independence,
+    fraction_expanding_report,
+    fraction_haar_system_from_source_weights,
+    fraction_induced,
+    fraction_is_quasi_invariant,
+    fraction_measures_of_pullback,
+    fraction_modular,
+    fraction_push_forward,
+    fraction_quasi_invariance_and_modular,
+    fraction_triple_integral_report,
+    fraction_weights,
+    literal_haar_report,
+    outcome,
     literal_expanding_rhs,
     literal_lifted_eta_weight,
     literal_orbits_through,
@@ -204,7 +220,7 @@ def test_corrupted_haar_weight_is_detected():
     unit = w.groupoid.units[0]
     victim = w.groupoid.fiber(unit)[0]
     tampered_family = dict(w.haar.family)
-    weights = dict(tampered_family[unit].weights)
+    weights = fraction_weights(tampered_family[unit])
     weights[victim] = weights[victim] + 1
     tampered_family[unit] = FiniteMeasure(w.groupoid.elements, weights)
     tampered = MeasureSystem(w.haar.over, w.haar.domain, w.haar.codomain, tampered_family)
@@ -423,7 +439,7 @@ def test_negative_controls_name_the_tampered_element():
     pid = "1-1|e|1-2"
     assert _names(check_quasi_invariance_and_modular(_with_triple(w, pid, ("1-2", "e", "1-2")))[1], pid)
     # the unit measure: the induced measure and the disintegrated one move apart
-    weights = dict(w.unit_measure.weights)
+    weights = fraction_weights(w.unit_measure)
     weights[u] += 1
     heavier = replace(w, unit_measure=FiniteMeasure(w.groupoid.units, weights))
     assert _names(check_expanding_lemma(heavier), u)
@@ -495,7 +511,7 @@ def test_run_claims_follows_claim_order_and_names_witnesses():
     w = build_weak_pullback(c)
     assert tuple(run_claims(c, w)) == CLAIMS
     # a failing claim's detail is its report's summary, which names a witness
-    weights = dict(w.unit_measure.weights)
+    weights = fraction_weights(w.unit_measure)
     weights["1-1|e|1-1"] += 1
     results = run_claims(c, replace(w, unit_measure=FiniteMeasure(w.groupoid.units, weights)))
     assert tuple(results) == CLAIMS
@@ -524,7 +540,7 @@ def test_memoised_lemmas_match_the_literal_sums_on_the_sweep(sweep):
 
 def _doubled(system: MeasureSystem, y: str, x: str) -> MeasureSystem:
     m = system.at(y)
-    family = {**system.family, y: FiniteMeasure(m.base, {**m.weights, x: 2 * m(x)})}
+    family = {**system.family, y: FiniteMeasure(m.base, {**fraction_weights(m), x: 2 * m(x)})}
     return MeasureSystem(system.over, system.domain, system.codomain, family)
 
 
@@ -536,10 +552,10 @@ def test_memoised_lemmas_name_the_unmemoised_witnesses_on_tampered_results(sweep
     for seed, w in sweep.pullbacks[::10]:
         rng = random.Random(seed)
         gamma = w.disint_left
-        v, s = rng.choice(sorted((v, s) for v, m in gamma.family.items() for s in m.weights))
+        v, s = rng.choice(sorted((v, s) for v, m in gamma.family.items() for s in m.support))
         side = "left" if seed % 20 else "right"
         leg = getattr(w.cospan, side)
-        u, y = rng.choice(sorted((u, y) for u, m in leg.haar.family.items() for y in m.weights))
+        u, y = rng.choice(sorted((u, y) for u, m in leg.haar.family.items() for y in m.support))
         tampered_leg = replace(leg, haar=_doubled(leg.haar, u, y))
         for t in (replace(w, disint_left=_doubled(gamma, v, s)), replace(w, cospan=replace(w.cospan, **{side: tampered_leg}))):
             expanding = check_expanding_lemma(t)
@@ -548,3 +564,95 @@ def test_memoised_lemmas_name_the_unmemoised_witnesses_on_tampered_results(sweep
             assert triple.violations == literal_triple_integral_report(t).violations, seed
             failed += (not expanding.ok) + (not triple.ok)
     assert failed > 20
+
+
+def _failed(result) -> bool:
+    """A claim's `outcome` failed: it raised, or a report of it has
+    violations."""
+    if isinstance(result, ValidationReport):
+        return not result.ok
+    return isinstance(result[0], type) or any(_failed(r) for r in result)
+
+
+def _integer_claims_and_fraction_oracles(w, alt_left, alt_right):
+    """Each integer claim check's outcome on w beside its Fraction oracle's:
+    the report, or what it raised."""
+    return [
+        (outcome(check, *args), outcome(oracle, *args))
+        for check, oracle, args in (
+            (check_quasi_invariance_and_modular, fraction_quasi_invariance_and_modular, (w, True)),
+            (check_disintegration_independence, fraction_disintegration_independence, (w, alt_left, alt_right)),
+            (check_triple_integral_lemma, fraction_triple_integral_report, (w,)),
+            (check_expanding_lemma, fraction_expanding_report, (w,)),
+        )
+    ]
+
+
+def test_integer_measures_match_the_fraction_oracles_on_the_sweep(sweep):
+    # every measure of the cospan and of its pullback, and every claim that
+    # sums or compares weights, against the same code in Fractions
+    for seed, w in sweep.pullbacks:
+        c = w.cospan
+        assert (w.haar, w.disint_left, w.disint_right, w.eta, w.unit_measure) == fraction_measures_of_pullback(w), seed
+        for h in (c.left, c.base, c.right):
+            # lam^u(u) = c(d(u)) = c(u) recovers the source weights
+            source = {u: h.haar.weight(u, u) for u in h.groupoid.units}
+            assert haar_system_from_source_weights(h.groupoid, source) == h.haar, seed
+            assert fraction_haar_system_from_source_weights(h.groupoid, source) == h.haar, seed
+        for h in (c.left, c.base, c.right, w.haar_groupoid):
+            mu = fraction_induced(h)
+            assert h.induced == mu, seed
+            assert is_quasi_invariant(h) == fraction_is_quasi_invariant(h, mu), seed
+            assert dict(h.modular) == fraction_modular(h, mu), seed
+        for proj, leg in ((w.proj_left, c.left), (w.proj_right, c.right)):
+            args = (proj.mapping, w.haar_groupoid.induced, leg.groupoid.elements)
+            assert push_forward(*args) == fraction_push_forward(*args), seed
+        base_mu0 = c.base.unit_measure
+        alternates = (alternate_disintegration(w.disint_left, base_mu0), alternate_disintegration(w.disint_right, base_mu0))
+        for got, want in _integer_claims_and_fraction_oracles(w, *alternates):
+            assert not _failed(got), seed
+            assert got == want, seed
+
+
+def test_integer_claims_match_the_fraction_oracles_on_tampered_results(sweep):
+    # on every tenth sweep seed: the unit measure one heavier at a unit, one
+    # support element's triple moved to another on-support leg arrow, one
+    # disintegration weight and one leg Haar weight doubled, and one pullback
+    # Haar weight one heavier. Each claim gives its Fraction oracle's report,
+    # violations, witnesses and text alike, or raises what it raises
+    failed = 0
+    for seed, w in sweep.pullbacks[::10]:
+        rng = random.Random(seed)
+        c = w.cospan
+        mu = w.unit_measure
+        u = rng.choice(w.groupoid.units)
+        heavier = replace(w, unit_measure=FiniteMeasure(mu.base, {**fraction_weights(mu), u: mu(u) + 1}))
+        pid = rng.choice(sorted(w.haar_groupoid.induced.support))
+        sigma, g, tau = w.algebraic.triples[pid]
+        moved = _with_triple(w, pid, (rng.choice(sorted(c.left.induced.support)), g, tau))
+        v, s = rng.choice(sorted((v, s) for v, m in w.disint_left.family.items() for s in m.support))
+        side = "left" if seed % 20 else "right"
+        leg = getattr(c, side)
+        lu, y = rng.choice(sorted((lu, y) for lu, m in leg.haar.family.items() for y in m.support))
+        y0 = rng.choice(w.groupoid.fiber(u))
+        lam = w.haar.at(u)
+        heavier_haar = replace(
+            w,
+            haar=MeasureSystem(
+                w.haar.over, w.haar.domain, w.haar.codomain,
+                {**w.haar.family, u: FiniteMeasure(lam.base, {**fraction_weights(lam), y0: lam(y0) + 1})},
+            ),
+        )
+        for t in (
+            heavier,
+            moved,
+            replace(w, disint_left=_doubled(w.disint_left, v, s)),
+            replace(w, cospan=replace(c, **{side: replace(leg, haar=_doubled(leg.haar, lu, y))})),
+            heavier_haar,
+        ):
+            outcomes = _integer_claims_and_fraction_oracles(t, w.disint_left, w.disint_right)
+            outcomes.append((outcome(is_haar, t.groupoid, t.haar), outcome(literal_haar_report, t.groupoid, t.haar)))
+            for got, want in outcomes:
+                assert got == want, seed
+                failed += _failed(got)
+    assert failed > 40
