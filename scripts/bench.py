@@ -208,7 +208,7 @@ def ladder(checkout: Path) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False)
     parser.add_argument("--ladder-point", type=int, help=argparse.SUPPRESS)
     args, _ = parser.parse_known_args()
     if args.ladder_point is not None:
