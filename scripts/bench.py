@@ -208,16 +208,18 @@ def ladder(checkout: Path) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False)
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--baseline", type=Path, help="a second checkout, measured in alternating pairs with this one")
+    parser.add_argument("--ladder", action="store_true", help="also record each checkout's size ladder")
+    # the process that `ladder` starts for one point, on a checkout's src
     parser.add_argument("--ladder-point", type=int, help=argparse.SUPPRESS)
-    args, _ = parser.parse_known_args()
+    args = parser.parse_args()
     if args.ladder_point is not None:
         print(json.dumps(ladder_point(args.ladder_point)))
         return 0
-    parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--baseline", required=True, type=Path, help="a second checkout, measured in alternating pairs with this one")
-    parser.add_argument("--ladder", action="store_true", help="also record each checkout's size ladder")
-    args = parser.parse_args()
+    if args.out is None or args.baseline is None:
+        parser.error("--out and --baseline are required")
 
     seconds = BENCHMARK["run_seconds"]
     checkouts = {"baseline": args.baseline.resolve(), "change": ROOT}
