@@ -16,13 +16,21 @@ every end-to-end metric, their ratio, and the pairs the change wins. A
 baseline without its own copy of this script is measured the same way,
 since only the harness, the sweep script and the suite are run.
 
-With --ladder the file also holds a size ladder of each checkout: the
-identity cospan of `cyclic_group(n)` with counting measures, for n = 4..12,
-each point in a fresh process on that checkout's `src`. A point records the
-pullback's elements, units and compose entries, and the seconds of the cospan
-validation, the build and every claim check, each the least of three runs on
-a freshly built cospan. Each stage also gets its growth exponent, the
-least-squares slope of log seconds against log compose entries.
+With --ladder the file also holds size ladders of each checkout, each point
+the identity cospan of one groupoid with counting measures, run in a fresh
+process on that checkout's `src`. There are two families:
+
+* `cyclic`: `cyclic_group(n)` for n = 4..12, whose pullback has n^3
+  elements, n units and n^5 compose entries (up to 248,832);
+* `pair`: the pair groupoid on n points for n = 3..7, whose pullback has
+  n^4 elements, n^2 units and n^6 compose entries (up to 117,649), so the
+  same range of compose entries with many units.
+
+A point records the pullback's elements, units and compose entries, and the
+seconds of the cospan validation, the build and every claim check, each the
+least of three runs on a freshly built cospan. Each stage also gets its
+growth exponent per family, the least-squares slope of log seconds against
+log compose entries.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ WORKLOADS = ("sweep", "cli")
 SWEEP_LINE = re.compile(r"in ([\d.]+)s \((.*)\)$")
 PAIRS = 10
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-LADDER = range(4, 13)
+LADDERS = {"cyclic": range(4, 13), "pair": range(3, 8)}
 LADDER_RUNS = 3
 # the bindings that `cli.run_claims` calls its checks through
 CLAIM_BINDINGS = (
@@ -146,11 +154,20 @@ def wins(baseline: list[dict], change: list[dict], better: dict[str, str]) -> di
     return out
 
 
-def ladder_point(n: int) -> dict:
+def ladder_cospan(family: str, n: int):
+    """The identity cospan, with counting measures, of ladder point n of the
+    family, built by the `measured_groupoids` that the path gives."""
+    from measured_groupoids import Cospan, cyclic_group, identity_hom, pair_groupoid, with_counting_haar
+
+    g = cyclic_group(n) if family == "cyclic" else pair_groupoid([f"p{i}" for i in range(n)])
+    h = with_counting_haar(g)
+    return Cospan(h, h, h, identity_hom(g), identity_hom(g))
+
+
+def ladder_point(family: str, n: int) -> dict:
     """One ladder point, timed in this process on the `measured_groupoids`
     that PYTHONPATH gives."""
-    from measured_groupoids import Cospan, build_weak_pullback, cli, cyclic_group, identity_hom, validate_cospan
-    from measured_groupoids import with_counting_haar
+    from measured_groupoids import build_weak_pullback, cli, validate_cospan
 
     seconds: dict[str, float] = {}
 
@@ -169,14 +186,12 @@ def ladder_point(n: int) -> dict:
     best: dict[str, float] = {}
     for _ in range(LADDER_RUNS):
         seconds.clear()
-        g = cyclic_group(n)
-        h = with_counting_haar(g)
-        c = Cospan(h, h, h, identity_hom(g), identity_hom(g))
+        c = ladder_cospan(family, n)
         if not timed("validate_cospan", validate_cospan)(c).ok:
-            raise SystemExit(f"ladder n={n}: the cospan fails validation")
+            raise SystemExit(f"ladder {family} n={n}: the cospan fails validation")
         w = timed("build_weak_pullback", build_weak_pullback)(c, validate=False)
         if not all(ok for ok, _ in cli.run_claims(c, w).values()):
-            raise SystemExit(f"ladder n={n}: a claim fails")
+            raise SystemExit(f"ladder {family} n={n}: a claim fails")
         best = {k: min(v, best.get(k, v)) for k, v in seconds.items()}
     g = w.groupoid
     return {
@@ -188,13 +203,14 @@ def ladder_point(n: int) -> dict:
     }
 
 
-def ladder(checkout: Path) -> dict:
-    """The ladder points of one checkout and each stage's growth exponent."""
+def ladder(checkout: Path, family: str) -> dict:
+    """The points of one ladder family on one checkout, and each stage's
+    growth exponent."""
     points = []
-    for n in LADDER:
-        proc, _ = _run(checkout, [str(Path(__file__).resolve()), "--ladder-point", str(n)])
+    for n in LADDERS[family]:
+        proc, _ = _run(checkout, [str(Path(__file__).resolve()), "--ladder-point", family, str(n)])
         if proc.returncode != 0:
-            raise SystemExit(f"{checkout}: ladder point n={n} failed:\n{proc.stderr}")
+            raise SystemExit(f"{checkout}: ladder point {family} n={n} failed:\n{proc.stderr}")
         points.append(json.loads(proc.stdout))
     xs = [math.log(p["compose_entries"]) for p in points]
     mean_x = statistics.fmean(xs)
@@ -213,10 +229,11 @@ def main() -> int:
     parser.add_argument("--baseline", type=Path, help="a second checkout, measured in alternating pairs with this one")
     parser.add_argument("--ladder", action="store_true", help="also record each checkout's size ladder")
     # the process that `ladder` starts for one point, on a checkout's src
-    parser.add_argument("--ladder-point", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--ladder-point", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.ladder_point is not None:
-        print(json.dumps(ladder_point(args.ladder_point)))
+        family, n = args.ladder_point
+        print(json.dumps(ladder_point(family, int(n))))
         return 0
     if args.out is None or args.baseline is None:
         parser.error("--out and --baseline are required")
@@ -246,7 +263,7 @@ def main() -> int:
         "pairs_won_by_change": wins(samples["baseline"], samples["change"], better),
     }
     if args.ladder:
-        report["ladder"] = {label: ladder(path) for label, path in checkouts.items()}
+        report["ladder"] = {label: {family: ladder(path, family) for family in LADDERS} for label, path in checkouts.items()}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

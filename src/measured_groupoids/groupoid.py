@@ -19,7 +19,9 @@ from .errors import MalformedInput
 
 
 def check_element_id(x: str) -> str:
-    if not isinstance(x, str) or not x or any(c.isspace() for c in x):
+    # str.split() breaks at exactly the code points for which str.isspace()
+    # holds, so this is "nonempty and without whitespace", tested in C
+    if not isinstance(x, str) or x.split() != [x]:
         raise MalformedInput(f"bad element id {x!r}: ids are nonempty strings without whitespace")
     return x
 
@@ -98,6 +100,8 @@ class FiniteGroupoid:
         return len(self.elements)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteGroupoid):
             return NotImplemented
         return (

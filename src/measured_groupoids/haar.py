@@ -83,7 +83,8 @@ def haar_system_from_source_weights(g: FiniteGroupoid, source_weight: Mapping[st
     den = lcm(*(w.denominator for w in c.values()))
     num = {u: w.numerator * (den // w.denominator) for u, w in c.items()}
     family = {
-        u: FiniteMeasure.from_numerators(g.elements, {x: num[g.d(x)] for x in g.fiber(u)}, den) for u in g.units
+        u: FiniteMeasure.from_numerators(g.elements, {x: num[g.d(x)] for x in g.fiber(u)}, den, g.element_set)
+        for u in g.units
     }
     return MeasureSystem(dict(g.range_map), g.elements, g.units, family)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import BaseMismatch, MalformedInput, NotMeasureClassPreserving
 from .groupoid import ValidationReport, Violation, check_ids, check_map
@@ -52,13 +52,24 @@ class FiniteMeasure:
         self.nums: dict[str, int] = {x: w.numerator * (den // w.denominator) for x, w in ws if w}
 
     @classmethod
-    def from_numerators(cls, base: Iterable[str], nums: Mapping[str, int], den: int) -> "FiniteMeasure":
+    def from_numerators(
+        cls, base: Iterable[str], nums: Mapping[str, int], den: int, points: AbstractSet[str] | None = None
+    ) -> "FiniteMeasure":
         """The measure with weight nums[x] / den at x, for integers nums[x]
         and a positive den, reduced to lowest terms; rejects unknown points
-        and negative weights as the constructor does."""
+        and negative weights as the constructor does.
+
+        With `points`, `base` must already be a sorted tuple and `points` its
+        set of ids. The members of one system pass the system's domain and
+        one id set, so each is built in time proportional to its support,
+        not to its base."""
         m = cls.__new__(cls)
-        m.base = tuple(sorted(base))
-        check_ids(nums, frozenset(m.base), "weight assigned to unknown point")
+        if points is None:
+            m.base = tuple(sorted(base))
+            points = frozenset(m.base)
+        else:
+            m.base = base
+        check_ids(nums, points, "weight assigned to unknown point")
         if min(nums.values(), default=0) < 0:
             n = next(n for n in nums.values() if n < 0)
             raise MalformedInput(f"negative weight {Fraction(n, den)}")
@@ -166,7 +177,9 @@ def _system_structural_check(s: MeasureSystem) -> None:
     dom = frozenset(s.domain)
     check_map(s.over, dom, frozenset(s.codomain), "system map")
     for y, m in s.family.items():
-        if frozenset(m.base) != dom:
+        # members built for this system share its domain tuple, so the tuple
+        # comparison settles them without building a set
+        if m.base != s.domain and frozenset(m.base) != dom:
             raise MalformedInput(f"family member at {y!r} lives on the wrong base set")
 
 
@@ -235,14 +248,14 @@ def disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> 
     fibers: dict[str, list[str]] = {y: [] for y in nu.base}
     for x in mu.base:
         fibers[f[x]].append(x)
+    points = frozenset(mu.base)
     family: dict[str, FiniteMeasure] = {}
     for y in nu.base:
         ny = nu.nums.get(y)
         if ny:
             # (mu.nums[x] / mu.den) / (ny / nu.den)
-            family[y] = FiniteMeasure.from_numerators(
-                mu.base, {x: mu.nums.get(x, 0) * nu.den for x in fibers[y]}, mu.den * ny
-            )
+            ws, den = {x: mu.nums.get(x, 0) * nu.den for x in fibers[y]}, mu.den * ny
         else:
-            family[y] = counting(mu.base, fibers[y])
+            ws, den = dict.fromkeys(fibers[y], 1), 1
+        family[y] = FiniteMeasure.from_numerators(mu.base, ws, den, points)
     return MeasureSystem(dict(f), mu.base, nu.base, family)

@@ -3,7 +3,10 @@
 The oracles deliberately brute-force the stated nested sums with no
 concentration shortcuts, so they stay independent of the library's paths.
 The regular pullback and its comparison map are a second pullback
-construction, kept here as the oracle for cotrivial bases. The `fraction_`
+construction, kept here as the oracle for cotrivial bases, and
+`literal_weak_pullback_groupoid` is the weak pullback built entry by entry
+through the groupoid methods, the oracle of the library's row-by-row
+builder. The `fraction_`
 oracles are the measure layer's bodies in `fractions.Fraction` arithmetic,
 the oracles of its integer numerators.
 """
@@ -58,7 +61,7 @@ from measured_groupoids.measures import (
     same_measure_class,
     validate_system,
 )
-from measured_groupoids.pullback import PullbackGroupoid, WeakPullbackResult
+from measured_groupoids.pullback import PullbackGroupoid, WeakPullbackResult, triple_id
 
 F = Fraction
 ZERO = F(0)
@@ -444,6 +447,63 @@ def dangling_product(g):
     """g with its last product naming an id that is no element: no
     generating set, so checks on generators take their exhaustive loops."""
     return replace_tables(g, compose_map={**g.compose_map, max(g.compose_map): "ghost"})
+
+
+def literal_weak_pullback_groupoid(
+    s_g: FiniteGroupoid,
+    base: FiniteGroupoid,
+    t_g: FiniteGroupoid,
+    p: Mapping[str, str],
+    q: Mapping[str, str],
+) -> PullbackGroupoid:
+    """Enumerate the triples and build the structure tables.
+
+    Composition pairs (s,g,t)·(σ,h,τ) = (sσ, g, tτ) exactly when
+    d(s) = r(σ), d(t) = r(τ) and h = p(s)^{-1} g q(t); the inverse is
+    (s^{-1}, p(s)^{-1} g q(t), t^{-1}).
+    """
+    triples: list[tuple[str, str, str]] = []
+    for s in s_g.elements:
+        for g in base.fiber(base.r(p[s])):
+            for t in t_g.elements:
+                if base.r(q[t]) == base.d(g):
+                    triples.append((s, g, t))
+    triples.sort()
+    ids = [triple_id(*tr) for tr in triples]
+    if len(set(ids)) != len(ids):
+        raise MalformedInput("component ids collide under the s|g|t encoding")
+    id_of = dict(zip(triples, ids))
+    by_id = dict(zip(ids, triples))
+
+    def conjugate(s: str, g: str, t: str) -> str:
+        # p(s)^{-1} g q(t)
+        return base.compose(base.compose(base.inv(p[s]), g), q[t])
+
+    range_map: dict[str, str] = {}
+    source_map: dict[str, str] = {}
+    inverse_map: dict[str, str] = {}
+    units: list[str] = []
+    for pid, (s, g, t) in by_id.items():
+        z = conjugate(s, g, t)
+        range_map[pid] = id_of[(s_g.r(s), g, t_g.r(t))]
+        source_map[pid] = id_of[(s_g.d(s), z, t_g.d(t))]
+        inverse_map[pid] = id_of[(s_g.inv(s), z, t_g.inv(t))]
+        if s in s_g.unit_set and t in t_g.unit_set:
+            units.append(pid)
+
+    by_range: dict[str, list[str]] = {}
+    for pid in ids:
+        by_range.setdefault(range_map[pid], []).append(pid)
+    compose_map: dict[tuple[str, str], str] = {}
+    for pid, (s, g, t) in by_id.items():
+        for qid in by_range.get(source_map[pid], ()):
+            s2, _, t2 = by_id[qid]
+            compose_map[(pid, qid)] = id_of[(s_g.compose(s, s2), g, t_g.compose(t, t2))]
+
+    pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, compose_map)
+    proj_left = GroupoidHom(pg, s_g, {pid: tr[0] for pid, tr in by_id.items()})
+    proj_right = GroupoidHom(pg, t_g, {pid: tr[2] for pid, tr in by_id.items()})
+    return PullbackGroupoid(pg, by_id, proj_left, proj_right)
 
 
 def regular_pullback(

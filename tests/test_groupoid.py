@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from measured_groupoids import (
     validate_groupoid,
     validate_hom,
 )
-from measured_groupoids.groupoid import GroupoidHom, check_ids, check_map, identity_hom
+from measured_groupoids.groupoid import GroupoidHom, check_element_id, check_ids, check_map, identity_hom
 
 from helpers import (
     dangling_product,
@@ -96,6 +97,21 @@ def test_bad_ids_rejected():
         FiniteGroupoid(["a b"], ["a b"], {}, {}, {}, {})
     with pytest.raises(MalformedInput):
         FiniteGroupoid(["a", "a"], ["a"], {}, {}, {}, {})
+
+
+def test_element_ids_are_rejected_exactly_at_whitespace_code_points():
+    # the id check tests "nonempty, no whitespace" through str.split(); over
+    # every code point, alone and inside an id, it rejects exactly where
+    # str.isspace() holds
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    others = [c for c in chars if not c.isspace()]
+    for ids in (others, [f"a{c}b" for c in others]):
+        assert list(map(check_element_id, ids)) == ids
+    spaces = [c for c in chars if c.isspace()]
+    assert spaces
+    for x in spaces + [f"a{c}b" for c in spaces] + ["", None]:
+        with pytest.raises(MalformedInput):
+            check_element_id(x)
 
 
 def test_r_fiber_trivial():

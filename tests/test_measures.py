@@ -104,6 +104,15 @@ def test_validate_system_dirac_and_counting_full():
     assert validate_system(COUNTING_F32, require_full=True).ok
 
 
+def test_validate_system_checks_each_member_lives_on_the_domain():
+    # a member on the domain's points listed in another order or with
+    # repeats passes through the set comparison; one on other points fails
+    for base in (("c", "b", "a"), ("a", "a", "b", "c")):
+        assert validate_system(MeasureSystem(F32, X3, Y2, {"1": FiniteMeasure(base, {"a": 1})})).ok
+    with pytest.raises(MalformedInput, match="^family member at '1' lives on the wrong base set$"):
+        validate_system(MeasureSystem(F32, X3, Y2, {"1": FiniteMeasure(("a", "b"), {"a": 1})}))
+
+
 def test_validate_system_concentration_violation():
     bad = MeasureSystem(F32, X3, Y2, {"2": FiniteMeasure(X3, {"a": 1, "c": 1})})
     report = validate_system(bad)
@@ -253,10 +262,12 @@ def test_integer_measure_operations_equal_their_fraction_oracles(targets, lam, n
 
 
 def test_numerator_constructor_runs_the_constructor_checks():
-    with pytest.raises(MalformedInput, match="^negative weight -1/2$"):
-        FiniteMeasure.from_numerators(X3, {"a": 1, "b": -2}, 4)
-    with pytest.raises(MalformedInput, match="^weight assigned to unknown point 'd'$"):
-        FiniteMeasure.from_numerators(X3, {"d": 1}, 1)
-    assert FiniteMeasure.from_numerators(X3, {"a": 0, "b": 6}, 4) == FiniteMeasure(X3, {"b": F(3, 2)})
+    # with and without the id set that the members of one system share
+    for points in ((), (frozenset(X3),)):
+        with pytest.raises(MalformedInput, match="^negative weight -1/2$"):
+            FiniteMeasure.from_numerators(X3, {"a": 1, "b": -2}, 4, *points)
+        with pytest.raises(MalformedInput, match="^weight assigned to unknown point 'd'$"):
+            FiniteMeasure.from_numerators(X3, {"d": 1}, 1, *points)
+        assert FiniteMeasure.from_numerators(X3, {"a": 0, "b": 6}, 4, *points) == FiniteMeasure(X3, {"b": F(3, 2)})
     with pytest.raises(MalformedInput, match="^negative weight -3/2$"):
         FiniteMeasure(X3, {"b": F(3, 2)}).scaled(-1)

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -37,6 +39,13 @@ from measured_groupoids import (
     weak_pullback_groupoid,
     with_counting_haar,
 )
+from measured_groupoids.documents import (
+    CechExampleDocument,
+    CospanDocument,
+    GroupoidDocument,
+    parse_document,
+)
+from measured_groupoids.families import cech_cospan_groupoids, transformation_cospan_groupoids
 from measured_groupoids.groupoid import GroupoidHom, ValidationReport, identity_hom
 from measured_groupoids.haar import HaarGroupoid
 
@@ -54,6 +63,7 @@ from helpers import (
     fraction_triple_integral_report,
     fraction_weights,
     literal_haar_report,
+    literal_weak_pullback_groupoid,
     outcome,
     literal_expanding_rhs,
     literal_lifted_eta_weight,
@@ -70,6 +80,9 @@ from helpers import (
 )
 
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+BENCH = ROOT / "scripts" / "bench.py"
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +389,66 @@ def test_algebraic_pullback_without_measures():
 
     assert validate_hom(alg.proj_left).ok
     assert validate_hom(alg.proj_right).ok
+
+
+def _assert_builders_agree(s_g, base, t_g, p, q, label, built=None):
+    # the row-by-row builder against the entry-by-entry oracle: equal tables
+    # in equal insertion order, equal triples and projections
+    got = built or weak_pullback_groupoid(s_g, base, t_g, p, q)
+    want = literal_weak_pullback_groupoid(s_g, base, t_g, p, q)
+    assert got.groupoid == want.groupoid, label
+    for table in ("range_map", "source_map", "inverse_map", "compose_map"):
+        assert list(getattr(got.groupoid, table).items()) == list(getattr(want.groupoid, table).items()), (label, table)
+    assert list(got.triples.items()) == list(want.triples.items()), label
+    for proj in ("proj_left", "proj_right"):
+        assert getattr(got, proj) == getattr(want, proj), (label, proj)
+        assert list(getattr(got, proj).mapping.items()) == list(getattr(want, proj).mapping.items()), (label, proj)
+
+
+def _legs(c):
+    return c.left.groupoid, c.base.groupoid, c.right.groupoid, c.left_map.mapping, c.right_map.mapping
+
+
+def test_row_builder_matches_the_literal_builder_on_the_sweep(sweep):
+    for seed, w in sweep.pullbacks:
+        _assert_builders_agree(*_legs(w.cospan), seed, built=w.algebraic)
+
+
+def test_row_builder_matches_the_literal_builder_on_fixtures_examples_and_ladders():
+    # every fixture (a groupoid document as its identity cospan, and the
+    # invalid cospan too), the cospans of both worked examples, and every
+    # point of both ladder families of scripts/bench.py
+    cases = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        if isinstance(doc, CospanDocument):
+            cases.append((path.name, _legs(doc.to_cospan())))
+        elif isinstance(doc, GroupoidDocument):
+            ident = identity_hom(doc.groupoid).mapping
+            cases.append((path.name, (doc.groupoid,) * 3 + (ident, ident)))
+        else:
+            build = cech_cospan_groupoids if isinstance(doc, CechExampleDocument) else transformation_cospan_groupoids
+            left, base, right, hom_left, hom_right = build(doc.data)
+            cases.append((path.name, (left, base, right, hom_left.mapping, hom_right.mapping)))
+    assert len(cases) == 5
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for family, ns in bench.LADDERS.items():
+        cases += [(f"{family} {n}", _legs(bench.ladder_cospan(family, n))) for n in ns]
+    for label, legs in cases:
+        _assert_builders_agree(*legs, label)
+
+
+def test_row_builder_refuses_maps_that_are_not_homomorphisms():
+    # p(g1) = y is not over p(r(g1)) = x. Built entry by entry, the row of
+    # (g0, x, u) keeps the one key it finds and drops the product g0·g1
+    s, t, base = cyclic_group(2), cotrivial_groupoid(["u", "v"]), cotrivial_groupoid(["x", "y"])
+    p, q = {"g0": "x", "g1": "y"}, {"u": "x", "v": "x"}
+    short = literal_weak_pullback_groupoid(s, base, t, p, q).groupoid
+    assert len(short.compose_map) == 2
+    with pytest.raises((KeyError, ValueError)):
+        weak_pullback_groupoid(s, base, t, p, q)
 
 
 def test_each_haar_groupoid_derives_its_induced_measure_once(monkeypatch):
