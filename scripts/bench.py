@@ -14,7 +14,10 @@ measured in ten alternating pairs on this machine, the order swapped every
 other pair, and the file ends with each checkout's median and quartiles of
 every end-to-end metric, their ratio, and the pairs the change wins. A
 baseline without its own copy of this script is measured the same way,
-since only the harness, the sweep script and the suite are run.
+since only the harness, the sweep script and the suite are run. Each
+checkout is named by its HEAD, whether its tree is dirty, and the sha256
+of `git diff HEAD`, so a file measured on an uncommitted tree still names
+the code it measured.
 
 With --ladder the file also holds size ladders of each checkout, each point
 the identity cospan of one groupoid with counting measures, run in a fresh
@@ -36,6 +39,7 @@ log compose entries.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -77,9 +81,24 @@ def _run(checkout: Path, args: list[str]) -> tuple[subprocess.CompletedProcess, 
     return proc, time.perf_counter() - start
 
 
-def _commit(checkout: Path) -> str:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
-    return proc.stdout.strip()
+def _commit(checkout: Path) -> dict:
+    """The code a checkout holds: its HEAD, whether its tree differs from
+    HEAD (untracked files count), and the sha256 of `git diff HEAD`, which
+    names an uncommitted change to tracked files. All three are None
+    outside a git repository."""
+
+    def git(*args: str) -> bytes | None:
+        proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True)
+        return proc.stdout if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    if head is None:
+        return {"commit": None, "dirty": None, "diff_sha256": None}
+    return {
+        "commit": head.decode().strip(),
+        "dirty": bool(git("status", "--porcelain")),
+        "diff_sha256": hashlib.sha256(git("diff", "HEAD") or b"").hexdigest(),
+    }
 
 
 def harness(checkout: Path, workload: str, trace: int, seconds: float) -> dict:
@@ -253,7 +272,7 @@ def main() -> int:
     report = {
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(), "platform": platform.platform()},
         "settings": {"pairs": PAIRS, "seconds": seconds, "workloads": list(WORKLOADS), "harness_seed": 0},
-        "checkouts": {label: {"commit": _commit(path)} for label, path in checkouts.items()},
+        "checkouts": {label: _commit(path) for label, path in checkouts.items()},
         "samples": samples,
         "spread": spreads,
         "median_ratio_change_to_baseline": {

@@ -165,7 +165,7 @@ def _emit_groupoid(g: FiniteGroupoid) -> dict:
         "range": {x: g.range_map[x] for x in g.elements},
         "source": {x: g.source_map[x] for x in g.elements},
         "inverse": {x: g.inverse_map[x] for x in g.elements},
-        "compose": [[x, y, z] for (x, y), z in sorted(g.compose_map.items())],
+        "compose": sorted([x, y, z] for x, row in g.rows.items() for y, z in row.items()),
     }
 
 
@@ -318,16 +318,16 @@ def _parse_groupoid(obj: dict, path: str) -> FiniteGroupoid:
     source_map = _str_map(obj, "source", path)
     inverse_map = _str_map(obj, "inverse", path)
     compose_raw = _get(obj, "compose", list, path)
-    compose: dict[tuple[str, str], str] = {}
+    rows: dict[str, dict[str, str]] = {}
     for i, entry in enumerate(compose_raw):
         if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(e, str) for e in entry)):
             raise ParseError(f"{path}.compose[{i}]: expected a triple of element ids")
         x, y, z = entry
-        if (x, y) in compose:
+        if y in rows.setdefault(x, {}):
             raise ParseError(f"{path}.compose[{i}]: duplicate entry for ({x!r}, {y!r})")
-        compose[(x, y)] = z
+        rows[x][y] = z
     with _reported_at(path):
-        g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, compose)
+        g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, rows)
     with _reported_at(path, DanglingReference):
         check_references(g)
     return g

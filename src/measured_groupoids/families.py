@@ -55,7 +55,7 @@ def cotrivial_groupoid(space: Iterable[str]) -> FiniteGroupoid:
     if not pts:
         raise EmptySpace("cotrivial groupoid needs a nonempty space")
     ident = {x: x for x in pts}
-    return FiniteGroupoid(pts, pts, ident, ident, ident, {(x, x): x for x in pts})
+    return FiniteGroupoid(pts, pts, ident, ident, ident, {x: {x: x} for x in pts})
 
 
 def trivial_group(unit: str = "e") -> FiniteGroupoid:
@@ -75,7 +75,7 @@ def cyclic_group(n: int, prefix: str = "g") -> FiniteGroupoid:
         const,
         const,
         {els[i]: els[(-i) % n] for i in range(n)},
-        {(els[i], els[j]): els[(i + j) % n] for i in range(n) for j in range(n)},
+        {els[i]: {els[j]: els[(i + j) % n] for j in range(n)} for i in range(n)},
     )
 
 
@@ -97,10 +97,8 @@ def pair_groupoid(points: Iterable[str]) -> FiniteGroupoid:
     range_map = {eid[(a, b)]: eid[(a, a)] for a in pts for b in pts}
     source_map = {eid[(a, b)]: eid[(b, b)] for a in pts for b in pts}
     inverse_map = {eid[(a, b)]: eid[(b, a)] for a in pts for b in pts}
-    compose = {
-        (eid[(a, b)], eid[(b, c)]): eid[(a, c)] for a in pts for b in pts for c in pts
-    }
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, compose)
+    rows = {eid[(a, b)]: {eid[(b, c)]: eid[(a, c)] for c in pts} for a in pts for b in pts}
+    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows)
 
 
 def disjoint_union(parts: Iterable[FiniteGroupoid], prefixes: Iterable[str]) -> tuple[FiniteGroupoid, list[dict[str, str]]]:
@@ -115,7 +113,7 @@ def disjoint_union(parts: Iterable[FiniteGroupoid], prefixes: Iterable[str]) -> 
     range_map: dict[str, str] = {}
     source_map: dict[str, str] = {}
     inverse_map: dict[str, str] = {}
-    compose: dict[tuple[str, str], str] = {}
+    rows: dict[str, dict[str, str]] = {}
     renamings: list[dict[str, str]] = []
     for g, pre in zip(parts, prefixes):
         ren = {x: _join((pre, x), ".") for x in g.elements}
@@ -125,8 +123,8 @@ def disjoint_union(parts: Iterable[FiniteGroupoid], prefixes: Iterable[str]) -> 
         range_map.update({ren[x]: ren[g.r(x)] for x in g.elements})
         source_map.update({ren[x]: ren[g.d(x)] for x in g.elements})
         inverse_map.update({ren[x]: ren[g.inv(x)] for x in g.elements})
-        compose.update({(ren[x], ren[y]): ren[z] for (x, y), z in g.compose_map.items()})
-    return FiniteGroupoid(elements, units, range_map, source_map, inverse_map, compose), renamings
+        rows.update({ren[x]: {ren[y]: ren[z] for y, z in row.items()} for x, row in g.rows.items()})
+    return FiniteGroupoid(elements, units, range_map, source_map, inverse_map, rows), renamings
 
 
 def direct_product(a: FiniteGroupoid, b: FiniteGroupoid) -> tuple[FiniteGroupoid, dict[tuple[str, str], str]]:
@@ -139,11 +137,11 @@ def direct_product(a: FiniteGroupoid, b: FiniteGroupoid) -> tuple[FiniteGroupoid
     range_map = {eid[(x, y)]: eid[(a.r(x), b.r(y))] for (x, y) in eid}
     source_map = {eid[(x, y)]: eid[(a.d(x), b.d(y))] for (x, y) in eid}
     inverse_map = {eid[(x, y)]: eid[(a.inv(x), b.inv(y))] for (x, y) in eid}
-    compose = {}
-    for (x1, y1), z1 in a.compose_map.items():
-        for (x2, y2), z2 in b.compose_map.items():
-            compose[(eid[(x1, x2)], eid[(y1, y2)])] = eid[(z1, z2)]
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, compose), eid
+    rows = {
+        eid[(x1, x2)]: {eid[(y1, y2)]: eid[(z1, z2)] for y1, z1 in row1.items() for y2, z2 in row2.items()}
+        for x1, row1 in a.rows.items() for x2, row2 in b.rows.items()
+    }
+    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows), eid
 
 
 def with_counting_haar(g: FiniteGroupoid) -> HaarGroupoid:
@@ -198,12 +196,11 @@ def cech_groupoid(cover: FiniteCover) -> FiniteGroupoid:
     range_map = {ids[(a, y, b)]: ids[(a, y, a)] for (a, y, b) in triples}
     source_map = {ids[(a, y, b)]: ids[(b, y, b)] for (a, y, b) in triples}
     inverse_map = {ids[(a, y, b)]: ids[(b, y, a)] for (a, y, b) in triples}
-    compose = {}
-    for (a, y, b) in triples:
-        for c in cover.index_set:
-            if y in cover.blocks[c]:
-                compose[(ids[(a, y, b)], ids[(b, y, c)])] = ids[(a, y, c)]
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, compose)
+    rows = {
+        ids[(a, y, b)]: {ids[(b, y, c)]: ids[(a, y, c)] for c in cover.index_set if y in cover.blocks[c]}
+        for (a, y, b) in triples
+    }
+    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows)
 
 
 def cech_hom(f: Mapping[str, str], cover_dom: FiniteCover, cover_cod: FiniteCover, cod: FiniteGroupoid) -> GroupoidHom:
@@ -357,12 +354,11 @@ def transformation_groupoid(action: GroupAction) -> FiniteGroupoid:
     range_map = {ids[(y, gm)]: ids[(y, e)] for (y, gm) in pairs}
     source_map = {ids[(y, gm)]: ids[(action.act[(y, gm)], e)] for (y, gm) in pairs}
     inverse_map = {ids[(y, gm)]: ids[(action.act[(y, gm)], group.inv(gm))] for (y, gm) in pairs}
-    compose = {}
-    for (y, gm) in pairs:
-        moved = action.act[(y, gm)]
-        for gm2 in group.elements:
-            compose[(ids[(y, gm)], ids[(moved, gm2)])] = ids[(y, group.compose(gm, gm2))]
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, compose)
+    rows = {
+        ids[(y, gm)]: {ids[(action.act[(y, gm)], gm2)]: ids[(y, gm3)] for gm2, gm3 in group.rows[gm].items()}
+        for (y, gm) in pairs
+    }
+    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows)
 
 
 @dataclass

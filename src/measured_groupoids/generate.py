@@ -203,7 +203,7 @@ def _leg_inclusion(base: FiniteGroupoid, kept_units) -> tuple[FiniteGroupoid, di
         {x: base.r(x) for x in els},
         {x: base.d(x) for x in els},
         {x: base.inv(x) for x in els},
-        {(x, y): z for (x, y), z in base.compose_map.items() if x in els and y in els},
+        {x: base.rows[x] for x in els},
     )
     return sub, {x: x for x in els}
 

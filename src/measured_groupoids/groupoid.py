@@ -1,21 +1,24 @@
-"""Finite groupoids as explicit composition tables.
+"""Finite groupoids as explicit tables.
 
 A groupoid is a set of opaque string ids together with range/source/inverse
-maps and a partial composition table, defined exactly on pairs (x, y) with
-d(x) = r(y). Nothing is derived from a presentation; every axiom is checked
-exactly against the tables. The compose domain is checked by counting and
-associativity by Light's test on a generating set, so validation does not
-visit every pair or every composable triple; see :func:`validate_groupoid`.
+maps and a partial product, defined exactly on pairs (x, y) with d(x) = r(y)
+and kept as rows x -> {y: xy}, which `compose_map` views as pairs. Every
+axiom is checked exactly against the tables: the compose domain row by row,
+associativity by Light's test on a generating set; see :func:`validate_groupoid`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import MalformedInput
+
+# the generating set of a groupoid that has not been asked for it
+_UNDECIDED = object()
 
 
 def check_element_id(x: str) -> str:
@@ -58,12 +61,12 @@ class ValidationReport:
 
 
 class FiniteGroupoid:
-    """Element set, unit subset, structure maps and composition table.
+    """Element set, unit subset, structure maps and product rows.
 
     Instances are immutable by convention; all derived indexes are built once
     at construction. Construction only checks id hygiene (nonempty, no
     whitespace, no duplicates); referential integrity and the groupoid axioms
-    are the business of :func:`validate_groupoid`.
+    are the business of :func:`validate_groupoid`. Every element has a row.
     """
 
     def __init__(
@@ -73,7 +76,7 @@ class FiniteGroupoid:
         range_map: Mapping[str, str],
         source_map: Mapping[str, str],
         inverse_map: Mapping[str, str],
-        compose_map: Mapping[tuple[str, str], str],
+        rows: Mapping[str, Mapping[str, str]],
     ):
         els = [check_element_id(x) for x in elements]
         if len(els) != len(set(els)):
@@ -88,13 +91,15 @@ class FiniteGroupoid:
         self.range_map = dict(range_map)
         self.source_map = dict(source_map)
         self.inverse_map = dict(inverse_map)
-        self.compose_map = dict(compose_map)
+        self.rows: dict[str, dict[str, str]] = {x: dict(rows.get(x, ())) for x in self.elements}
+        self.rows.update({x: dict(row) for x, row in rows.items() if row and x not in self.element_set})
+        self.compose_map = ComposeView(self.rows, sum(map(len, self.rows.values())))
         self._r_fibers: dict[str, list[str]] = {}
         for x in self.elements:
             u = self.range_map.get(x)
             if u is not None:
                 self._r_fibers.setdefault(u, []).append(x)
-        self._generating_set: GeneratingSet | None = None
+        self._generating_set: tuple[str, ...] | None | object = _UNDECIDED
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -110,7 +115,7 @@ class FiniteGroupoid:
             and self.range_map == other.range_map
             and self.source_map == other.source_map
             and self.inverse_map == other.inverse_map
-            and self.compose_map == other.compose_map
+            and self.rows == other.rows
         )
 
     def __repr__(self) -> str:
@@ -133,41 +138,43 @@ class FiniteGroupoid:
         return tuple(self._r_fibers.get(u, ()))
 
     @property
-    def generating_set(self) -> "GeneratingSet":
-        """The stages of the product table that checks on generators rely on,
-        and the generating set when they hold (see :class:`GeneratingSet`).
+    def generating_set(self) -> tuple[str, ...] | None:
+        """The elements, in canonical order, that the earlier ones do not
+        reach by right multiplication, when the three stages of
+        :func:`validate_groupoid` hold; else None. When it is set, every
+        element is a product of generators and the product is associative,
+        so a property that holds on the generators and is closed under
+        products holds everywhere.
 
-        Decided on first read and then kept. That is sound because the
-        constructor copies every table and nothing mutates them afterwards.
-        Raises MalformedInput, through :func:`check_references`, when the
-        tables name unknown ids. Kept in an attribute that the constructor
-        sets, not through `functools.cached_property`: writing the instance
-        `__dict__` would slow every later attribute read on the groupoid.
+        Decided on first read and kept, which is sound because the
+        constructor copies every table; raises MalformedInput, through
+        :func:`check_references`, on unknown ids. Kept in an attribute the
+        constructor sets: a `functools.cached_property` would write the
+        instance `__dict__` and slow every later attribute read.
         """
-        if self._generating_set is None:
+        if self._generating_set is _UNDECIDED:
             self._generating_set = _generating_set(self)
         return self._generating_set
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
-    """Three stages of a product table, checked without enumeration (see
-    :func:`validate_groupoid`), and the greedy generating set.
+class ComposeView(Mapping):
+    """The rows read in place as pairs (x, y) -> xy, raising KeyError((x, y))
+    where no product is given; its length is counted at construction."""
 
-    * `domain_ok`: the product is defined on exactly the composable pairs;
-    * `ends_ok`: r(xy) = r(x) and d(xy) = d(y) on every composable key;
-    * `generators`: the elements, in canonical order, that the earlier ones
-      do not reach by right multiplication, when both stages hold and Light's
-      test passes on them; None when a stage failed or Light's test did.
+    def __init__(self, rows: Mapping[str, Mapping[str, str]], n: int):
+        self._rows, self._len = rows, n
 
-    When `generators` is set, every element is a product of generators and
-    the product is associative, so a property that holds on the generators
-    and is closed under products holds everywhere.
-    """
+    def __getitem__(self, key: tuple[str, str]) -> str:
+        try:
+            return self._rows[key[0]][key[1]]
+        except KeyError:
+            raise KeyError(key) from None
 
-    domain_ok: bool
-    ends_ok: bool
-    generators: tuple[str, ...] | None
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return chain.from_iterable(map(zip, map(repeat, self._rows), self._rows.values()))
+
+    def __len__(self) -> int:
+        return self._len
 
 
 def check_ids(ids: Iterable[str], known: AbstractSet[str], what: str) -> None:
@@ -197,21 +204,23 @@ def check_references(g: FiniteGroupoid) -> None:
     for name, table in (("range", g.range_map), ("source", g.source_map), ("inverse", g.inverse_map)):
         check_map(table, els, els, f"{name} map")
     check_ids(g.units, els, "unit list names unknown id")
-    compose = g.compose_map
-    check_ids(chain(chain.from_iterable(compose), compose.values()), els, "compose table references unknown id")
+    # the ids with a row, then the keys of every row, then the products
+    rows = g.rows.values()
+    ids = chain(g.rows, chain.from_iterable(rows), chain.from_iterable(map(dict.values, rows)))
+    check_ids(ids, els, "compose table references unknown id")
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom exactly.
 
     Raises MalformedInput when tables reference unknown ids; otherwise returns
-    a report naming every violated axiom with witnessing elements. The two
-    super-linear stages are checked without enumeration while they hold, once
-    per groupoid, by `FiniteGroupoid.generating_set`:
+    a report naming every violated axiom with witnessing elements. Three
+    stages are decided without enumeration, once per groupoid, by
+    `FiniteGroupoid.generating_set`:
 
-    * Compose domain: every key (x, y) has d(x) = r(y), and there are
-      sum_v |d^-1(v)| * |r^-1(v)| keys. Keys are distinct, so together these
-      hold exactly when the product is defined on exactly the composable pairs.
+    * Compose domain: the row of every x is keyed by exactly the r-fiber
+      over d(x), checked as a set comparison per row.
+    * Ends of products: every xy in the row has range r(x) and source d(y).
     * Associativity, by Light's test (Clifford & Preston, The Algebraic Theory
       of Semigroups I, 1961, 1.2), once the domain and the ends of products
       are right. Let S be the set of b with (xb)y = x(by) for all x, y
@@ -220,11 +229,10 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
       using b, c, b, c in S in turn. So S is closed under the product, and
       checking the triples through a generating set proves S = G.
 
-    A stage that fails is enumerated instead, as is associativity when a
-    stage it relies on failed, so violations are named, and ordered, as by
-    the exhaustive check.
+    When a stage fails, the rows and the composable triples are enumerated
+    instead, so violations are named, and ordered, as by the exhaustive check.
     """
-    stages = g.generating_set
+    generators = g.generating_set
     bad: list[Violation] = []
 
     for x in g.elements:
@@ -237,17 +245,15 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         if g.range_map[u] != u or g.source_map[u] != u:
             bad.append(Violation("unit-fixed", (u,), f"r({u}) = {g.range_map[u]}, d({u}) = {g.source_map[u]}, expected both {u}"))
 
-    if not stages.domain_ok:
-        bad.extend(_compose_domain_violations(g))
-    if not stages.ends_ok:
-        bad.extend(_product_end_violations(g))
-    if stages.generators is None:
+    if generators is None:
+        bad.extend(_row_violations(g))
         bad.extend(_associativity_violations(g))
 
+    rows = g.rows
     for x in g.elements:
-        if g.compose_map.get((x, g.source_map[x])) != x:
+        if rows[x].get(g.source_map[x]) != x:
             bad.append(Violation("right-unit-law", (x,), f"{x}·d({x}) != {x}"))
-        if g.compose_map.get((g.range_map[x], x)) != x:
+        if rows[g.range_map[x]].get(x) != x:
             bad.append(Violation("left-unit-law", (x,), f"r({x})·{x} != {x}"))
 
     for x in g.elements:
@@ -257,45 +263,38 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         if g.range_map[xi] != g.source_map[x] or g.source_map[xi] != g.range_map[x]:
             bad.append(Violation("inverse-swaps-ends", (x,), f"r/d of inverse({x}) do not swap r/d of {x}"))
             continue
-        if g.compose_map.get((x, xi)) != g.range_map[x]:
+        if rows[x].get(xi) != g.range_map[x]:
             bad.append(Violation("inverse-law", (x,), f"{x}·{x}⁻¹ != r({x})"))
-        if g.compose_map.get((xi, x)) != g.source_map[x]:
+        if rows[xi].get(x) != g.source_map[x]:
             bad.append(Violation("inverse-law", (x,), f"{x}⁻¹·{x} != d({x})"))
 
     return ValidationReport(tuple(bad))
 
 
-def _generating_set(g: FiniteGroupoid) -> GeneratingSet:
-    """The three stages in one pass over the table, then Light's test."""
+def _generating_set(g: FiniteGroupoid) -> tuple[str, ...] | None:
+    """The compose domain and the ends row by row, then Light's test."""
     check_references(g)
-    # rows[x][y] = xy over the composable keys, checking keys and the ends of
-    # products in one pass over the table
-    rng, src = g.range_map, g.source_map
-    rows: dict[str, dict[str, str]] = {x: {} for x in g.elements}
-    domain_ok = ends_ok = True
-    for (x, y), z in g.compose_map.items():
-        if src[x] != rng[y]:
-            domain_ok = False
-            continue
-        rows[x][y] = z
-        if rng[z] != rng[x] or src[z] != src[y]:
-            ends_ok = False
+    rng, src, rows = g.range_map, g.source_map, g.rows
+    fiber_sets = {u: frozenset(xs) for u, xs in g._r_fibers.items()}
     d_fibers: dict[str, list[str]] = {}
     for x in g.elements:
         d_fibers.setdefault(src[x], []).append(x)
-    domain_ok = domain_ok and len(g.compose_map) == sum(len(xs) * len(g.fiber(v)) for v, xs in d_fibers.items())
-    generators = None
-    if domain_ok and ends_ok:
-        generators = _generators(g, rows)
-        if not _light_associative(g, rows, d_fibers, generators):
-            generators = None
-    return GeneratingSet(domain_ok, ends_ok, generators)
+        row = rows[x]
+        zs = row.values()
+        if (
+            row.keys() != fiber_sets.get(src[x], frozenset())
+            or [*map(src.__getitem__, zs)] != [*map(src.__getitem__, row)]
+            or [*map(rng.__getitem__, zs)].count(rng[x]) != len(row)
+        ):
+            return None
+    generators = _generators(g)
+    return generators if _light_associative(g, d_fibers, generators) else None
 
 
-def _generators(g: FiniteGroupoid, rows: Mapping[str, Mapping[str, str]]) -> tuple[str, ...]:
+def _generators(g: FiniteGroupoid) -> tuple[str, ...]:
     """The elements, in canonical order, that the earlier ones do not reach
     by right multiplication: a generating set under the partial product."""
-    rng, src = g.range_map, g.source_map
+    rng, src, rows = g.range_map, g.source_map, g.rows
     reached: set[str] = set()
     reached_by_source: dict[str, list[str]] = {}
     gens: list[str] = []
@@ -315,12 +314,11 @@ def _generators(g: FiniteGroupoid, rows: Mapping[str, Mapping[str, str]]) -> tup
     return tuple(gens)
 
 
-def _light_associative(
-    g: FiniteGroupoid, rows: Mapping[str, Mapping[str, str]], d_fibers: Mapping[str, list[str]], generators: tuple[str, ...]
-) -> bool:
+def _light_associative(g: FiniteGroupoid, d_fibers: Mapping[str, list[str]], generators: tuple[str, ...]) -> bool:
     """(xa)y = x(ay) for every generator a and all x, y composable with it.
     Needs the product defined on exactly the composable pairs, with
     r(xy) = r(x) and d(xy) = d(y): then rows[x] is keyed by r^-1(d(x))."""
+    rows = g.rows
     for a in generators:
         ys = g.fiber(g.source_map[a])
         xs = d_fibers.get(g.range_map[a], ())
@@ -336,46 +334,45 @@ def _light_associative(
     return True
 
 
-def _compose_domain_violations(g: FiniteGroupoid) -> list[Violation]:
-    """Every pair of elements: products missing on composable pairs, or
-    defined on non-composable ones."""
-    bad = []
-    defined = set(g.compose_map)
+def _row_violations(g: FiniteGroupoid) -> list[Violation]:
+    """Each row against the r-fiber over d(x): products missing on composable
+    pairs or defined on non-composable ones; then r(xy) = r(x) and
+    d(xy) = d(y) on every composable key. A stage that holds adds none."""
+    domain: list[Violation] = []
+    ends: list[Violation] = []
+    rng, src = g.range_map, g.source_map
     for x in g.elements:
-        for y in g.elements:
-            if g.source_map[x] == g.range_map[y]:
-                if (x, y) not in defined:
-                    bad.append(Violation("compose-total", (x, y), "composable pair has no product"))
-            elif (x, y) in defined:
-                bad.append(Violation("compose-domain", (x, y), "product defined on a non-composable pair"))
-    return bad
-
-
-def _product_end_violations(g: FiniteGroupoid) -> list[Violation]:
-    """r(xy) = r(x) and d(xy) = d(y) on every composable key."""
-    bad = []
-    for (x, y), z in sorted(g.compose_map.items()):
-        if g.source_map[x] != g.range_map[y]:
-            continue
-        if g.range_map[z] != g.range_map[x]:
-            bad.append(Violation("range-of-product", (x, y, z), f"r({x}{y}) = {g.range_map[z]} != r({x})"))
-        if g.source_map[z] != g.source_map[y]:
-            bad.append(Violation("source-of-product", (x, y, z), f"d({x}{y}) = {g.source_map[z]} != d({y})"))
-    return bad
+        row, ys = g.rows[x], set(g.fiber(src[x]))
+        for y in sorted(row.keys() | ys):
+            if y not in row:
+                domain.append(Violation("compose-total", (x, y), "composable pair has no product"))
+            elif y not in ys:
+                domain.append(Violation("compose-domain", (x, y), "product defined on a non-composable pair"))
+            else:
+                z = row[y]
+                if rng[z] != rng[x]:
+                    ends.append(Violation("range-of-product", (x, y, z), f"r({x}{y}) = {rng[z]} != r({x})"))
+                if src[z] != src[y]:
+                    ends.append(Violation("source-of-product", (x, y, z), f"d({x}{y}) = {src[z]} != d({y})"))
+    return domain + ends
 
 
 def _associativity_violations(g: FiniteGroupoid) -> list[Violation]:
     """Every composable triple, a missing product counting as a failure."""
     bad = []
-    for (x, y), xy in sorted(g.compose_map.items()):
-        if g.source_map[x] != g.range_map[y]:
-            continue
-        for z in g.fiber(g.source_map[y]):
-            lhs = g.compose_map.get((xy, z))
-            yz = g.compose_map.get((y, z))
-            rhs = g.compose_map.get((x, yz)) if yz is not None else None
-            if lhs is None or rhs is None or lhs != rhs:
-                bad.append(Violation("associativity", (x, y, z), f"({x}{y}){z} = {lhs}, {x}({y}{z}) = {rhs}"))
+    rows, src, rng = g.rows, g.source_map, g.range_map
+    for x in g.elements:
+        row_x = rows[x]
+        for y in sorted(row_x):
+            if src[x] != rng[y]:
+                continue
+            row_y, row_xy = rows[y], rows[row_x[y]]
+            for z in g.fiber(src[y]):
+                lhs = row_xy.get(z)
+                yz = row_y.get(z)
+                rhs = row_x.get(yz) if yz is not None else None
+                if lhs is None or rhs is None or lhs != rhs:
+                    bad.append(Violation("associativity", (x, y, z), f"({x}{y}){z} = {lhs}, {x}({y}{z}) = {rhs}"))
     return bad
 
 
@@ -470,14 +467,17 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
             bad.append(Violation("hom-preserves-inverse", (x,), f"p({x})⁻¹ != p({x}⁻¹)"))
     if _products_preserved_on_generators(p):
         return ValidationReport(tuple(bad))
-    for (x, y), z in sorted(dom.compose_map.items()):
-        if dom.source_map[x] != dom.range_map[y]:
-            continue
-        image = cod.compose_map.get((f[x], f[y]))
-        if image is None:
-            bad.append(Violation("hom-preserves-composability", (x, y), f"images {f[x]}, {f[y]} are not composable"))
-        elif image != f[z]:
-            bad.append(Violation("hom-preserves-product", (x, y), f"p({x})p({y}) = {image} != p({x}{y}) = {f[z]}"))
+    # every entry in sorted (x, y) order, rows of unknown ids included
+    for x in sorted(dom.rows):
+        row = dom.rows[x]
+        for y in sorted(row):
+            if dom.source_map[x] != dom.range_map[y]:
+                continue
+            image, z = cod.rows[f[x]].get(f[y]), row[y]
+            if image is None:
+                bad.append(Violation("hom-preserves-composability", (x, y), f"images {f[x]}, {f[y]} are not composable"))
+            elif image != f[z]:
+                bad.append(Violation("hom-preserves-product", (x, y), f"p({x})p({y}) = {image} != p({x}{y}) = {f[z]}"))
     return ValidationReport(tuple(bad))
 
 
@@ -488,11 +488,10 @@ def _products_preserved_on_generators(p: GroupoidHom) -> bool:
     gens = checked_generators(dom, cod)
     if gens is None:
         return False
-    dom_compose, cod_compose = dom.compose_map, cod.compose_map
     for a in gens:
-        fa = f[a]
+        row_a, row_fa = dom.rows[a], cod.rows[f[a]]
         for y in dom.fiber(dom.source_map[a]):
-            if cod_compose.get((fa, f[y])) != f[dom_compose[(a, y)]]:
+            if row_fa.get(f[y]) != f[row_a[y]]:
                 return False
     return True
 
@@ -503,8 +502,8 @@ def checked_generators(g: FiniteGroupoid, *codomains: FiniteGroupoid) -> tuple[s
     else None. Also None when a table names an unknown id, so the caller's
     exhaustive loop runs and reports what it reported before the gate."""
     try:
-        if all(h.generating_set.generators is not None for h in codomains):
-            return g.generating_set.generators
+        if all(h.generating_set is not None for h in codomains):
+            return g.generating_set
     except MalformedInput:
         pass
     return None

@@ -140,13 +140,14 @@ def _left_invariant_on_generators(g: FiniteGroupoid, s: MeasureSystem) -> bool:
     gens = checked_generators(g)
     if gens is None:
         return False
-    nums, compose = s.nums, g.compose_map
+    nums = s.nums
     for a in gens:
         lam_d, lam_r = nums.get(g.d(a)), nums.get(g.r(a))
         if lam_d is None or lam_r is None:
             return False
+        row_a = g.rows[a]
         for y in g.fiber(g.d(a)):
-            if lam_d.get(y, 0) != lam_r.get(compose[(a, y)], 0):
+            if lam_d.get(y, 0) != lam_r.get(row_a[y], 0):
                 return False
     return True
 

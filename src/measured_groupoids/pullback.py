@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
-from operator import itemgetter
 from typing import Callable, Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
@@ -104,76 +102,68 @@ def weak_pullback_groupoid(
     r(q(t)) = d(g); taken s by s, g by g and t by t, each in canonical order,
     they come out sorted. Composition pairs (s,g,t)·(σ,h,τ) = (sσ, g, tτ)
     exactly when d(s) = r(σ), d(t) = r(τ) and h = p(s)^{-1} g q(t); the
-    inverse is (s^{-1}, p(s)^{-1} g q(t), t^{-1}). So the compose row of
-    (s, g, t) is keyed by the r-fiber of its source, S^{d(s)} x {h} x T^{d(t)}
-    in (σ, τ) order, and its values pair the leg rows s·S^{d(s)} and
-    t·T^{d(t)} in the same order. The maps must be homomorphisms: otherwise
-    a row can name a product that is no triple, which raises KeyError, or
-    differ from its keys in length, which raises ValueError; no row is cut
-    short.
+    inverse is (s^{-1}, p(s)^{-1} g q(t), t^{-1}). So the row of (s, g, t)
+    is keyed by the r-fiber of its source, S^{d(s)} x {h} x T^{d(t)} in
+    (σ, τ) order, and its values are the (sσ, g, tτ), σ and τ read through
+    the leg fibers. On maps that are not homomorphisms an entry or a row can
+    name a product that is no triple, or a row can differ from its keys in
+    length: either raises MalformedInput naming the triple, and no row is
+    cut short.
     """
-    b_r, b_d, b_inv, b_compose = base.range_map, base.source_map, base.inverse_map, base.compose_map
-    t_over: dict[str, list[str]] = {}
-    for t in t_g.elements:
-        t_over.setdefault(b_r[q[t]], []).append(t)
-    # name[g][s][t] is the id of the triple (s, g, t)
-    name: dict[str, dict[str, dict[str, str]]] = {}
-    triples: list[tuple[str, str, str]] = []
-    ids: list[str] = []
-    for s in s_g.elements:
-        for g in base.fiber(b_r[p[s]]):
-            ts = t_over.get(b_d[g])
-            if ts:
-                row = name.setdefault(g, {})[s] = {t: triple_id(s, g, t) for t in ts}
-                triples += [(s, g, t) for t in ts]
-                ids += row.values()
-    if len(set(ids)) != len(ids):
-        raise MalformedInput("component ids collide under the s|g|t encoding")
-    by_id = dict(zip(ids, triples))
-
-    s_r, s_d, s_inv = s_g.range_map, s_g.source_map, s_g.inverse_map
-    t_r, t_d, t_inv = t_g.range_map, t_g.source_map, t_g.inverse_map
+    b_r, b_d, b_inv, b_rows = base.range_map, base.source_map, base.inverse_map, base.rows
+    s_r, s_d, s_inv, s_rows = s_g.range_map, s_g.source_map, s_g.inverse_map, s_g.rows
+    t_r, t_d, t_inv, t_rows = t_g.range_map, t_g.source_map, t_g.inverse_map, t_g.rows
     range_map: dict[str, str] = {}
     source_map: dict[str, str] = {}
     inverse_map: dict[str, str] = {}
     units: list[str] = []
-    for pid, (s, g, t) in by_id.items():
-        z = b_compose[(b_compose[(b_inv[p[s]], g)], q[t])]  # p(s)^{-1} g q(t)
-        range_map[pid] = name[g][s_r[s]][t_r[t]]
-        source_map[pid] = name[z][s_d[s]][t_d[t]]
-        inverse_map[pid] = name[z][s_inv[s]][t_inv[t]]
-        if s in s_g.unit_set and t in t_g.unit_set:
-            units.append(pid)
+    rows: dict[str, dict[str, str]] = {}
+    pid, table = None, "triples"
+    try:
+        t_over: dict[str, list[str]] = {}
+        for t in t_g.elements:
+            t_over.setdefault(b_r[q[t]], []).append(t)
+        # name[g][s][t] is the id of the triple (s, g, t)
+        name: dict[str, dict[str, dict[str, str]]] = {}
+        triples: list[tuple[str, str, str]] = []
+        ids: list[str] = []
+        for s in s_g.elements:
+            for g in base.fiber(b_r[p[s]]):
+                ts = t_over.get(b_d[g])
+                if ts:
+                    row = name.setdefault(g, {})[s] = {t: triple_id(s, g, t) for t in ts}
+                    triples += [(s, g, t) for t in ts]
+                    ids += row.values()
+        if len(set(ids)) != len(ids):
+            raise MalformedInput("component ids collide under the s|g|t encoding")
+        by_id = dict(zip(ids, triples))
 
-    by_range: dict[str, list[str]] = {}
-    for pid in ids:
-        by_range.setdefault(range_map[pid], []).append(pid)
-    s_rows = _leg_rows(s_g)
-    t_at = {t: _getter(row) for t, row in _leg_rows(t_g).items()}
-    compose_map: dict[tuple[str, str], str] = {}
-    for pid, (s, g, t) in by_id.items():
-        keys = zip(repeat(pid), by_range.get(source_map[pid], ()))
-        values = chain.from_iterable(map(t_at[t], map(name[g].__getitem__, s_rows[s])))
-        compose_map.update(zip(keys, values, strict=True))
+        table = "structure entries"
+        for pid, (s, g, t) in by_id.items():
+            z = b_rows[b_rows[b_inv[p[s]]][g]][q[t]]  # p(s)^{-1} g q(t)
+            range_map[pid] = name[g][s_r[s]][t_r[t]]
+            source_map[pid] = name[z][s_d[s]][t_d[t]]
+            inverse_map[pid] = name[z][s_inv[s]][t_inv[t]]
+            if s in s_g.unit_set and t in t_g.unit_set:
+                units.append(pid)
 
-    pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, compose_map)
+        table = "row"
+        by_range: dict[str, list[str]] = {}
+        for pid in ids:
+            by_range.setdefault(range_map[pid], []).append(pid)
+        for pid, (s, g, t) in by_id.items():
+            s_row, t_row, names = s_rows[s], t_rows[t], name[g]
+            t_products = [t_row[tau] for tau in t_g.fiber(t_d[t])]
+            at_s = [names[s_row[sigma]] for sigma in s_g.fiber(s_d[s])]
+            rows[pid] = dict(zip(by_range.get(source_map[pid], ()), [at[tt] for at in at_s for tt in t_products], strict=True))
+    except (KeyError, ValueError) as e:
+        at = "the triples" if pid is None else f"the {table} of triple {pid!r}"
+        raise MalformedInput(f"leg maps are not homomorphisms: {at} cannot be built ({type(e).__name__}: {e})") from None
+
+    pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, rows)
     proj_left = GroupoidHom(pg, s_g, {pid: tr[0] for pid, tr in by_id.items()})
     proj_right = GroupoidHom(pg, t_g, {pid: tr[2] for pid, tr in by_id.items()})
     return PullbackGroupoid(pg, by_id, proj_left, proj_right)
-
-
-def _leg_rows(g: FiniteGroupoid) -> dict[str, tuple[str, ...]]:
-    """x -> the products xy for y in the r-fiber over d(x), in canonical order."""
-    compose, src = g.compose_map, g.source_map
-    return {x: tuple([compose[(x, y)] for y in g.fiber(src[x])]) for x in g.elements}
-
-
-def _getter(keys: tuple[str, ...]) -> Callable[[Mapping[str, str]], tuple[str, ...]]:
-    """row -> the tuple of its values at `keys`; `itemgetter` does it in C
-    for two or more keys, and returns a bare value for one."""
-    if len(keys) > 1:
-        return itemgetter(*keys)
-    return lambda row: tuple([row[k] for k in keys])
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,15 @@ F = Fraction
 ZERO = F(0)
 
 
+def rows_of(pairs: Mapping[tuple[str, str], str]) -> dict[str, dict[str, str]]:
+    """The product rows x -> {y: xy} of a table keyed by pairs (x, y), in the
+    table's order: the one way the oracles' tables enter a FiniteGroupoid."""
+    rows: dict[str, dict[str, str]] = {}
+    for (x, y), z in pairs.items():
+        rows.setdefault(x, {})[y] = z
+    return rows
+
+
 def manual_pair_groupoid() -> FiniteGroupoid:
     """The pair groupoid on {1, 2} written out table by table."""
     compose = {}
@@ -80,7 +89,7 @@ def manual_pair_groupoid() -> FiniteGroupoid:
         {"1-1": "1-1", "1-2": "1-1", "2-1": "2-2", "2-2": "2-2"},
         {"1-1": "1-1", "1-2": "2-2", "2-1": "1-1", "2-2": "2-2"},
         {"1-1": "1-1", "1-2": "2-1", "2-1": "1-2", "2-2": "2-2"},
-        compose,
+        rows_of(compose),
     )
 
 
@@ -283,15 +292,15 @@ def literal_groupoid_report(g: FiniteGroupoid) -> ValidationReport:
             bad.append(Violation("unit-fixed", (u,), f"r({u}) = {g.range_map[u]}, d({u}) = {g.source_map[u]}, expected both {u}"))
 
     # compose defined exactly on composable pairs, with correct range/source
-    defined = set(g.compose_map)
+    pairs = dict(g.compose_map)
     for x in g.elements:
         for y in g.elements:
             if g.source_map[x] == g.range_map[y]:
-                if (x, y) not in defined:
+                if (x, y) not in pairs:
                     bad.append(Violation("compose-total", (x, y), "composable pair has no product"))
-            elif (x, y) in defined:
+            elif (x, y) in pairs:
                 bad.append(Violation("compose-domain", (x, y), "product defined on a non-composable pair"))
-    for (x, y), z in sorted(g.compose_map.items()):
+    for (x, y), z in sorted(pairs.items()):
         if g.source_map[x] != g.range_map[y]:
             continue
         if g.range_map[z] != g.range_map[x]:
@@ -300,20 +309,20 @@ def literal_groupoid_report(g: FiniteGroupoid) -> ValidationReport:
             bad.append(Violation("source-of-product", (x, y, z), f"d({x}{y}) = {g.source_map[z]} != d({y})"))
 
     # associativity on all composable triples
-    for (x, y), xy in sorted(g.compose_map.items()):
+    for (x, y), xy in sorted(pairs.items()):
         if g.source_map[x] != g.range_map[y]:
             continue
         for z in g.fiber(g.source_map[y]):
-            lhs = g.compose_map.get((xy, z))
-            yz = g.compose_map.get((y, z))
-            rhs = g.compose_map.get((x, yz)) if yz is not None else None
+            lhs = pairs.get((xy, z))
+            yz = pairs.get((y, z))
+            rhs = pairs.get((x, yz)) if yz is not None else None
             if lhs is None or rhs is None or lhs != rhs:
                 bad.append(Violation("associativity", (x, y, z), f"({x}{y}){z} = {lhs}, {x}({y}{z}) = {rhs}"))
 
     for x in g.elements:
-        if g.compose_map.get((x, g.source_map[x])) != x:
+        if pairs.get((x, g.source_map[x])) != x:
             bad.append(Violation("right-unit-law", (x,), f"{x}·d({x}) != {x}"))
-        if g.compose_map.get((g.range_map[x], x)) != x:
+        if pairs.get((g.range_map[x], x)) != x:
             bad.append(Violation("left-unit-law", (x,), f"r({x})·{x} != {x}"))
 
     for x in g.elements:
@@ -323,9 +332,9 @@ def literal_groupoid_report(g: FiniteGroupoid) -> ValidationReport:
         if g.range_map[xi] != g.source_map[x] or g.source_map[xi] != g.range_map[x]:
             bad.append(Violation("inverse-swaps-ends", (x,), f"r/d of inverse({x}) do not swap r/d of {x}"))
             continue
-        if g.compose_map.get((x, xi)) != g.range_map[x]:
+        if pairs.get((x, xi)) != g.range_map[x]:
             bad.append(Violation("inverse-law", (x,), f"{x}·{x}⁻¹ != r({x})"))
-        if g.compose_map.get((xi, x)) != g.source_map[x]:
+        if pairs.get((xi, x)) != g.source_map[x]:
             bad.append(Violation("inverse-law", (x,), f"{x}⁻¹·{x} != d({x})"))
 
     return ValidationReport(tuple(bad))
@@ -339,16 +348,19 @@ def literal_haar_report(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport
         raise MalformedInput("system is not over the range map of the groupoid")
     report = validate_system(s, require_full=True)
     bad = list(report.violations)
+    # each fiber measure read once, as Fractions
+    weights = {u: fraction_weights(m) for u, m in s.family.items()}
     for x in g.elements:
-        lam_d = s.family[g.d(x)]
-        lam_r = s.family[g.r(x)]
+        lam_d = weights[g.d(x)]
+        lam_r = weights[g.r(x)]
         for y in g.fiber(g.d(x)):
-            if lam_d(y) != lam_r(g.compose(x, y)):
+            xy = g.compose(x, y)
+            if lam_d.get(y, 0) != lam_r.get(xy, 0):
                 bad.append(
                     Violation(
                         "left-invariance",
                         (x, y),
-                        f"lam^d(x)({y}) = {lam_d(y)} != lam^r(x)({g.compose(x, y)}) = {lam_r(g.compose(x, y))}",
+                        f"lam^d(x)({y}) = {lam_d.get(y, 0)} != lam^r(x)({xy}) = {lam_r.get(xy, 0)}",
                     )
                 )
     return ValidationReport(tuple(bad))
@@ -373,10 +385,11 @@ def literal_hom_report(p: GroupoidHom) -> ValidationReport:
             bad.append(Violation("hom-commutes-with-source", (x,), f"d(p({x})) != p(d({x}))"))
         if cod.inverse_map[f[x]] != f[dom.inverse_map[x]]:
             bad.append(Violation("hom-preserves-inverse", (x,), f"p({x})⁻¹ != p({x}⁻¹)"))
-    for (x, y), z in sorted(dom.compose_map.items()):
+    dom_pairs, cod_pairs = dict(dom.compose_map), dict(cod.compose_map)
+    for (x, y), z in sorted(dom_pairs.items()):
         if dom.source_map[x] != dom.range_map[y]:
             continue
-        image = cod.compose_map.get((f[x], f[y]))
+        image = cod_pairs.get((f[x], f[y]))
         if image is None:
             bad.append(Violation("hom-preserves-composability", (x, y), f"images {f[x]}, {f[y]} are not composable"))
         elif image != f[z]:
@@ -393,20 +406,22 @@ def outcome(check, *args):
 
 
 def replace_tables(g, inverse_map=None, compose_map=None):
+    """g with its inverse map, or its product table given as pairs, replaced."""
     return FiniteGroupoid(
         g.elements,
         g.units,
         g.range_map,
         g.source_map,
         g.inverse_map if inverse_map is None else inverse_map,
-        g.compose_map if compose_map is None else compose_map,
+        g.rows if compose_map is None else rows_of(compose_map),
     )
 
 
 def table_mutants(g, rng):
     """(name, mutant) pairs, each with one table entry broken. A kind of
     mutant that g has no room for (say, no non-composable pair) is left out."""
-    keys = sorted(g.compose_map)
+    pairs = dict(g.compose_map)
+    keys = sorted(pairs)
     ranges = set(g.range_map.values())
     hom: dict[tuple[str, str], list[str]] = {}
     for z in g.elements:
@@ -416,25 +431,25 @@ def table_mutants(g, rng):
     swappable = [
         k
         for k in keys
-        if g.unit_set.isdisjoint((*k, g.compose_map[k])) and len(hom[(g.r(k[0]), g.d(k[1]))]) > 1
+        if g.unit_set.isdisjoint((*k, pairs[k])) and len(hom[(g.r(k[0]), g.d(k[1]))]) > 1
     ]
     if swappable:
         k = rng.choice(swappable)
-        z = rng.choice([z for z in hom[(g.r(k[0]), g.d(k[1]))] if z != g.compose_map[k]])
-        out.append(("swapped-product", replace_tables(g, compose_map={**g.compose_map, k: z})))
+        z = rng.choice([z for z in hom[(g.r(k[0]), g.d(k[1]))] if z != pairs[k]])
+        out.append(("swapped-product", replace_tables(g, compose_map={**pairs, k: z})))
 
-    compose = dict(g.compose_map)
+    compose = dict(pairs)
     del compose[rng.choice(keys)]
     out.append(("deleted-entry", replace_tables(g, compose_map=compose)))
 
     if len(ranges) > 1:
         x = rng.choice(g.elements)
         y = rng.choice([y for y in g.elements if g.r(y) != g.d(x)])
-        out.append(("non-composable-entry", replace_tables(g, compose_map={**g.compose_map, (x, y): rng.choice(g.elements)})))
+        out.append(("non-composable-entry", replace_tables(g, compose_map={**pairs, (x, y): rng.choice(g.elements)})))
 
         k = rng.choice(keys)
         z = rng.choice([z for z in g.elements if g.r(z) != g.r(k[0])])
-        out.append(("wrong-range", replace_tables(g, compose_map={**g.compose_map, k: z})))
+        out.append(("wrong-range", replace_tables(g, compose_map={**pairs, k: z})))
 
     if len(g) > 1:
         x = rng.choice(g.elements)
@@ -446,7 +461,8 @@ def table_mutants(g, rng):
 def dangling_product(g):
     """g with its last product naming an id that is no element: no
     generating set, so checks on generators take their exhaustive loops."""
-    return replace_tables(g, compose_map={**g.compose_map, max(g.compose_map): "ghost"})
+    pairs = dict(g.compose_map)
+    return replace_tables(g, compose_map={**pairs, max(pairs): "ghost"})
 
 
 def literal_weak_pullback_groupoid(
@@ -500,7 +516,7 @@ def literal_weak_pullback_groupoid(
             s2, _, t2 = by_id[qid]
             compose_map[(pid, qid)] = id_of[(s_g.compose(s, s2), g, t_g.compose(t, t2))]
 
-    pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, compose_map)
+    pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, rows_of(compose_map))
     proj_left = GroupoidHom(pg, s_g, {pid: tr[0] for pid, tr in by_id.items()})
     proj_right = GroupoidHom(pg, t_g, {pid: tr[2] for pid, tr in by_id.items()})
     return PullbackGroupoid(pg, by_id, proj_left, proj_right)
@@ -528,7 +544,7 @@ def regular_pullback(
                 if target not in pair_set:
                     raise MalformedInput("regular pullback is not closed under composition")
                 compose[(ids[(s, t)], ids[(s2, t2)])] = ids[target]
-    g = FiniteGroupoid(els, units, range_map, source_map, inverse_map, compose)
+    g = FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows_of(compose))
     return g, {i: pr for pr, i in ids.items()}
 
 

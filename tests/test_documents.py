@@ -1,4 +1,6 @@
+import json
 import pathlib
+import random
 
 import pytest
 
@@ -122,3 +124,63 @@ def test_cospan_requires_measures_for_conversion():
 
     with pytest.raises(MalformedInput):
         doc.to_cospan()
+
+
+def _moved_product(data: dict, rng) -> dict:
+    """The pullback document with one product of two non-units in its result
+    replaced by another element with the same range and source."""
+    g = data["result"]
+    units = set(g["units"])
+    hom_sets: dict[tuple[str, str], list[str]] = {}
+    for x in g["elements"]:
+        hom_sets.setdefault((g["range"][x], g["source"][x]), []).append(x)
+    movable = [
+        i
+        for i, (x, y, z) in enumerate(g["compose"])
+        if x not in units and y not in units and len(hom_sets[(g["range"][z], g["source"][z])]) > 1
+    ]
+    moved = json.loads(json.dumps(data))
+    entry = moved["result"]["compose"][rng.choice(movable)]
+    entry[2] = rng.choice([z for z in hom_sets[(g["range"][entry[2]], g["source"][entry[2]])] if z != entry[2]])
+    return moved
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_shuffled_compose_entries_parse_validate_and_serialize_as_sorted(seed, tmp_path, capsys):
+    # parsed product rows keep the document's order of compose entries; the
+    # groupoid, the `mgpd validate` output and the serialized bytes must not
+    # depend on it, also when a moved product makes validation enumerate
+    from measured_groupoids.cli import main
+
+    rng = random.Random(seed)
+    w = build_weak_pullback(random_cospan(seed, with_null_base=seed % 5 == 4), validate=False)
+    text = serialize(PullbackDocument.of(w))
+    for data in (json.loads(text), _moved_product(json.loads(text), rng)):
+        shuffled = json.loads(json.dumps(data))
+        for g in (*(shuffled["cospan"][leg] for leg in ("left", "base", "right")), shuffled["result"]):
+            rng.shuffle(g["compose"])
+        assert shuffled["result"]["compose"] != data["result"]["compose"]
+        docs, outputs = [], []
+        for name, body in (("sorted", data), ("shuffled", shuffled)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            docs.append(parse_document(path.read_text(encoding="utf-8")))
+            outputs.append((main(["validate", str(path)]), *capsys.readouterr()))
+        assert docs[0].result.groupoid == docs[1].result.groupoid
+        assert docs[0].cospan.left.groupoid == docs[1].cospan.left.groupoid
+        assert serialize(docs[0]) == serialize(docs[1])
+        assert outputs[0] == outputs[1]
+    assert serialize(docs[0]) != text and outputs[0][0] == 2  # the moved product is found
+    assert serialize(parse_document(text)) == text
+
+
+def test_compose_raises_the_missing_pair_and_the_view_counts_entries():
+    g = random_haar_groupoid(7).groupoid
+    x = g.elements[0]
+    y = next(y for y in g.elements if g.r(y) != g.d(x))
+    with pytest.raises(KeyError) as missing:
+        g.compose(x, y)
+    assert missing.value.args == ((x, y),)
+    assert (x, y) not in g.compose_map and g.compose_map.get((x, y)) is None
+    assert g.compose(x, g.d(x)) == g.compose_map[(x, g.d(x))] == x
+    assert len(g.compose_map) == len(list(g.compose_map)) == sum(len(row) for row in g.rows.values())

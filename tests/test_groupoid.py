@@ -44,7 +44,7 @@ def test_pair_groupoid_broken_inverse_is_reported():
     g = manual_pair_groupoid()
     broken = dict(g.inverse_map)
     broken["1-2"] = "1-2"
-    bad = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, broken, g.compose_map)
+    bad = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, broken, g.rows)
     report = validate_groupoid(bad)
     assert not report.ok
     rules = {(v.rule, v.witnesses) for v in report.violations}
@@ -55,7 +55,7 @@ def test_dangling_reference_raises():
     g = manual_pair_groupoid()
     broken = dict(g.range_map)
     broken["1-2"] = "ghost"
-    bad = FiniteGroupoid(g.elements, g.units, broken, g.source_map, g.inverse_map, g.compose_map)
+    bad = FiniteGroupoid(g.elements, g.units, broken, g.source_map, g.inverse_map, g.rows)
     with pytest.raises(MalformedInput):
         validate_groupoid(bad)
 
@@ -241,7 +241,7 @@ MUTATED_PULLBACK_MAX = 64
 
 def test_validate_groupoid_matches_enumeration_on_small_groupoids():
     empty = FiniteGroupoid([], [], {}, {}, {}, {})
-    lone_arrow = FiniteGroupoid(["a"], [], {"a": "a"}, {"a": "a"}, {"a": "a"}, {("a", "a"): "a"})
+    lone_arrow = FiniteGroupoid(["a"], [], {"a": "a"}, {"a": "a"}, {"a": "a"}, {"a": {"a": "a"}})
     no_product = FiniteGroupoid(["e"], ["e"], {"e": "e"}, {"e": "e"}, {"e": "e"}, {})
     for g in (empty, trivial_group(), lone_arrow, no_product):
         assert validate_groupoid(g) == literal_groupoid_report(g)

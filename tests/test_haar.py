@@ -120,9 +120,9 @@ def test_validate_haar_groupoid_stops_after_axiom_failure():
     # the Haar checks compose by the table, so a table missing a product
     # gets its axiom report and no further checks
     g = pair_groupoid(["1", "2"])
-    compose = dict(g.compose_map)
-    del compose[("1-2", "2-1")]
-    broken = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, g.inverse_map, compose)
+    rows = {x: dict(row) for x, row in g.rows.items()}
+    del rows["1-2"]["2-1"]
+    broken = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, g.inverse_map, rows)
     h = HaarGroupoid(broken, counting_haar_system(broken), FiniteMeasure(g.units, {"1-1": 1, "2-2": 1}))
     report = validate_haar_groupoid(h)
     assert report == validate_groupoid(broken)

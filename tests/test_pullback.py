@@ -10,6 +10,7 @@ from measured_groupoids import (
     Cospan,
     FiniteMeasure,
     InvalidCospan,
+    MalformedInput,
     MeasureSystem,
     NotADisintegration,
     alternate_disintegration,
@@ -397,12 +398,15 @@ def _assert_builders_agree(s_g, base, t_g, p, q, label, built=None):
     got = built or weak_pullback_groupoid(s_g, base, t_g, p, q)
     want = literal_weak_pullback_groupoid(s_g, base, t_g, p, q)
     assert got.groupoid == want.groupoid, label
-    for table in ("range_map", "source_map", "inverse_map", "compose_map"):
+    for table in ("range_map", "source_map", "inverse_map"):
         assert list(getattr(got.groupoid, table).items()) == list(getattr(want.groupoid, table).items()), (label, table)
+    # the products are equal above, and the compose pairs come in equal order
+    assert list(got.groupoid.compose_map) == list(want.groupoid.compose_map), label
     assert list(got.triples.items()) == list(want.triples.items()), label
     for proj in ("proj_left", "proj_right"):
         assert getattr(got, proj) == getattr(want, proj), (label, proj)
         assert list(getattr(got, proj).mapping.items()) == list(getattr(want, proj).mapping.items()), (label, proj)
+    return want
 
 
 def _legs(c):
@@ -411,7 +415,10 @@ def _legs(c):
 
 def test_row_builder_matches_the_literal_builder_on_the_sweep(sweep):
     for seed, w in sweep.pullbacks:
-        _assert_builders_agree(*_legs(w.cospan), seed, built=w.algebraic)
+        want = _assert_builders_agree(*_legs(w.cospan), seed, built=w.algebraic).groupoid
+        # the compose view: the count stored at construction, and its pairs
+        assert len(w.groupoid.compose_map) == len(list(want.compose_map)), seed
+        assert set(w.groupoid.compose_map) == set(want.compose_map), seed
 
 
 def test_row_builder_matches_the_literal_builder_on_fixtures_examples_and_ladders():
@@ -447,7 +454,39 @@ def test_row_builder_refuses_maps_that_are_not_homomorphisms():
     p, q = {"g0": "x", "g1": "y"}, {"u": "x", "v": "x"}
     short = literal_weak_pullback_groupoid(s, base, t, p, q).groupoid
     assert len(short.compose_map) == 2
-    with pytest.raises((KeyError, ValueError)):
+    with pytest.raises(MalformedInput, match=r"^leg maps are not homomorphisms: the row of triple 'g0\|x\|u' "):
+        weak_pullback_groupoid(s, base, t, p, q)
+
+
+@pytest.mark.parametrize(
+    "legs, message",
+    [
+        # p(v) = y is not over p(r(v)) = p(v): the range entry of (v, y, g1)
+        # names (v, y, g0), which is no triple since q(g0) = x
+        (
+            (cotrivial_groupoid(["u", "v"]), cotrivial_groupoid(["x", "y"]), cyclic_group(2), {"u": "y", "v": "y"}, {"g0": "x", "g1": "y"}),
+            r"the structure entries of triple 'u\|y\|g1' cannot be built \(KeyError: 'g0'\)$",
+        ),
+        # p sends 2-3 and 3-2 to v and the rest of the pair groupoid to u: the
+        # row of (1-2, u, g0) has more products than its source's fiber has keys
+        (
+            (pair_groupoid(["1", "2", "3"]), cotrivial_groupoid(["u", "v"]), cyclic_group(2), None, {"g0": "u", "g1": "u"}),
+            r"the row of triple '1-2\|u\|g0' cannot be built \(ValueError: zip\(\) argument 2 is longer than argument 1\)$",
+        ),
+        # p names a base id that is no element, before any triple exists
+        (
+            (cyclic_group(2), cotrivial_groupoid(["x", "y"]), cotrivial_groupoid(["u"]), {"g0": "x", "g1": "z"}, {"u": "x"}),
+            r"the triples cannot be built \(KeyError: 'z'\)$",
+        ),
+    ],
+)
+def test_builder_names_the_triple_where_maps_that_are_not_homomorphisms_fail(legs, message):
+    # the builder fails closed: a KeyError or ValueError from its loops
+    # becomes MalformedInput naming the triple, or the triples, it was building
+    s, base, t, p, q = legs
+    if p is None:
+        p = {x: "v" if x in ("2-3", "3-2") else "u" for x in s.elements}
+    with pytest.raises(MalformedInput, match="^leg maps are not homomorphisms: " + message):
         weak_pullback_groupoid(s, base, t, p, q)
 
 
