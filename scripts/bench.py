@@ -21,13 +21,19 @@ the code it measured.
 
 With --ladder the file also holds size ladders of each checkout, each point
 the identity cospan of one groupoid with counting measures, run in a fresh
-process on that checkout's `src`. There are two families:
+process on that checkout's `src`. There are three families:
 
 * `cyclic`: `cyclic_group(n)` for n = 4..12, whose pullback has n^3
   elements, n units and n^5 compose entries (up to 248,832);
 * `pair`: the pair groupoid on n points for n = 3..7, whose pullback has
   n^4 elements, n^2 units and n^6 compose entries (up to 117,649), so the
-  same range of compose entries with many units.
+  same range of compose entries with many units;
+* `transformation`: the transformation groupoid of Z_n acting on m = n + 1
+  points, rotating n of them and fixing the last, for n = 3..7. Its
+  pullback has n^3 (n + 1) elements, n (n + 1) units and n^5 (n + 1)
+  compose entries (up to 134,456): many units, and one of them with the
+  whole of Z_n as its isotropy group. The action is read from a
+  `transformation_example` document, whose form every checkout parses.
 
 A point records the pullback's elements, units and compose entries, and the
 seconds of the cospan validation, the build and every claim check, each the
@@ -56,7 +62,7 @@ WORKLOADS = ("sweep", "cli")
 SWEEP_LINE = re.compile(r"in ([\d.]+)s \((.*)\)$")
 PAIRS = 10
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-LADDERS = {"cyclic": range(4, 13), "pair": range(3, 8)}
+LADDERS = {"cyclic": range(4, 13), "pair": range(3, 8), "transformation": range(3, 8)}
 LADDER_RUNS = 3
 # the bindings that `cli.run_claims` calls its checks through
 CLAIM_BINDINGS = (
@@ -173,12 +179,41 @@ def wins(baseline: list[dict], change: list[dict], better: dict[str, str]) -> di
     return out
 
 
+def rotation_action_document(n: int) -> str:
+    """A `transformation_example` document whose actions are Z_n on the
+    points y0..yn, g_j sending y_i to y_{i+j mod n} for i < n and fixing yn,
+    both legs mapping every point to one base point."""
+    els = [f"g{i}" for i in range(n)]
+    group = {
+        "elements": els,
+        "units": ["g0"],
+        "range": dict.fromkeys(els, "g0"),
+        "source": dict.fromkeys(els, "g0"),
+        "inverse": {els[i]: els[-i % n] for i in range(n)},
+        "compose": [[els[i], els[j], els[(i + j) % n]] for i in range(n) for j in range(n)],
+    }
+    points = [f"y{i}" for i in range(n + 1)]
+    act = {y: {els[j]: points[(i + j) % n] if i < n else y for j in range(n)} for i, y in enumerate(points)}
+    action = {"group": group, "space": points, "act": act}
+    to_base = dict.fromkeys(points, "x")
+    return json.dumps({
+        "kind": "transformation_example", "format_version": 1, "left_action": action, "right_action": action,
+        "base_space": ["x"], "left_map": to_base, "right_map": to_base,
+    })
+
+
 def ladder_cospan(family: str, n: int):
     """The identity cospan, with counting measures, of ladder point n of the
     family, built by the `measured_groupoids` that the path gives."""
-    from measured_groupoids import Cospan, cyclic_group, identity_hom, pair_groupoid, with_counting_haar
+    from measured_groupoids import Cospan, cyclic_group, identity_hom, pair_groupoid, transformation_groupoid, with_counting_haar
+    from measured_groupoids.documents import parse_document
 
-    g = cyclic_group(n) if family == "cyclic" else pair_groupoid([f"p{i}" for i in range(n)])
+    if family == "cyclic":
+        g = cyclic_group(n)
+    elif family == "pair":
+        g = pair_groupoid([f"p{i}" for i in range(n)])
+    else:
+        g = transformation_groupoid(parse_document(rotation_action_document(n)).data.action_left)
     h = with_counting_haar(g)
     return Cospan(h, h, h, identity_hom(g), identity_hom(g))
 

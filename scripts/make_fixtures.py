@@ -69,7 +69,7 @@ def transformation_params() -> TransformationExampleDocument:
     swap = GroupAction(
         z2,
         ["y1", "y2"],
-        {("y1", "g0"): "y1", ("y2", "g0"): "y2", ("y1", "g1"): "y2", ("y2", "g1"): "y1"},
+        {"y1": {"g0": "y1", "g1": "y2"}, "y2": {"g0": "y2", "g1": "y1"}},
     )
     still = trivial_action(cyclic_group(1, prefix="e"), ["z1"])
     data = TransformationCospanData(swap, still, ("x",), {"y1": "x", "y2": "x"}, {"z1": "x"})

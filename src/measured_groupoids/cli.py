@@ -15,41 +15,16 @@ import os
 import sys
 from operator import attrgetter
 
-from .documents import (
-    CechExampleDocument,
-    CospanDocument,
-    ExampleResultDocument,
-    GroupoidDocument,
-    PullbackDocument,
-    TransformationExampleDocument,
-    parse_document,
-    serialize,
-    weight_to_str,
-)
+from .documents import CechExampleDocument, CospanDocument, ExampleResultDocument, GroupoidDocument, PullbackDocument
+from .documents import TransformationExampleDocument, parse_document, serialize, weight_to_str
 from .errors import GroupoidError, NotQuasiInvariant, ParseError
 from .families import canonical_iso_cech, canonical_iso_transformation, is_isomorphism
 from .generate import alternate_disintegration, random_cospan, random_haar_groupoid
 from .groupoid import GroupoidHom, ValidationReport, validate_groupoid, validate_hom
-from .haar import (
-    HaarGroupoid,
-    is_haar,
-    validate_haar_groupoid,
-    validate_haar_hom,
-    validate_unit_measure,
-)
-from .pullback import (
-    build_weak_pullback,
-    check_commuting_diamond,
-    check_disintegration_independence,
-    check_expanding_lemma,
-    check_fiber_product_lemma,
-    check_haar_theorem,
-    check_quasi_invariance_and_modular,
-    check_projection_homs,
-    check_triple_integral_lemma,
-    validate_cospan,
-    weak_pullback_groupoid,
-)
+from .haar import HaarGroupoid, is_haar, validate_haar_groupoid, validate_haar_hom, validate_unit_measure
+from .pullback import build_weak_pullback, check_commuting_diamond, check_disintegration_independence, check_expanding_lemma
+from .pullback import check_fiber_product_lemma, check_haar_theorem, check_quasi_invariance_and_modular, check_projection_homs
+from .pullback import check_triple_integral_lemma, validate_cospan, weak_pullback_groupoid
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -287,16 +262,7 @@ def cmd_example(args) -> int:
         (left, base, right, hl, hr), alg, target, iso = canonical_iso_transformation(doc.data)
     verdict = is_isomorphism(iso)
     result = ExampleResultDocument(
-        args.family,
-        left,
-        base,
-        right,
-        dict(hl.mapping),
-        dict(hr.mapping),
-        alg.groupoid,
-        target,
-        dict(iso.mapping),
-        verdict.ok,
+        args.family, left, base, right, dict(hl.mapping), dict(hr.mapping), alg.groupoid, target, dict(iso.mapping), verdict.ok
     )
     _write(args.out, serialize(result))
     print(

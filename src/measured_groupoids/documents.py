@@ -14,14 +14,10 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DanglingReference, EmptySpace, MalformedInput, ParseError, UnsupportedVersion
-from .families import (
-    CechCospanData,
-    FiniteCover,
-    GroupAction,
-    TransformationCospanData,
-)
+from .families import CechCospanData, FiniteCover, GroupAction, TransformationCospanData
 from .groupoid import FiniteGroupoid, GroupoidHom, check_ids, check_map, check_references
 from .haar import HaarGroupoid
 from .measures import FiniteMeasure, MeasureSystem
@@ -165,7 +161,7 @@ def _emit_groupoid(g: FiniteGroupoid) -> dict:
         "range": {x: g.range_map[x] for x in g.elements},
         "source": {x: g.source_map[x] for x in g.elements},
         "inverse": {x: g.inverse_map[x] for x in g.elements},
-        "compose": sorted([x, y, z] for x, row in g.rows.items() for y, z in row.items()),
+        "compose": sorted(g.products()),
     }
 
 
@@ -202,7 +198,7 @@ def _emit_action(action: GroupAction) -> dict:
     return {
         "group": _emit_groupoid(action.group),
         "space": list(action.space),
-        "act": {y: {gm: action.act[(y, gm)] for gm in action.group.elements} for y in action.space},
+        "act": action.act,
     }
 
 
@@ -318,16 +314,19 @@ def _parse_groupoid(obj: dict, path: str) -> FiniteGroupoid:
     source_map = _str_map(obj, "source", path)
     inverse_map = _str_map(obj, "inverse", path)
     compose_raw = _get(obj, "compose", list, path)
-    rows: dict[str, dict[str, str]] = {}
-    for i, entry in enumerate(compose_raw):
-        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(e, str) for e in entry)):
-            raise ParseError(f"{path}.compose[{i}]: expected a triple of element ids")
-        x, y, z = entry
-        if y in rows.setdefault(x, {}):
-            raise ParseError(f"{path}.compose[{i}]: duplicate entry for ({x!r}, {y!r})")
-        rows[x][y] = z
+    # every entry a list of three strings, decided in C; the loop names the first that is not
+    shapes = {*map(type, compose_raw)} <= {list} and {*map(len, compose_raw)} <= {3}
+    if not (shapes and {*map(type, chain.from_iterable(compose_raw))} <= {str}):
+        for i, entry in enumerate(compose_raw):
+            if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(e, str) for e in entry)):
+                raise ParseError(f"{path}.compose[{i}]: expected a triple of element ids")
     with _reported_at(path):
-        g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, rows)
+        g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, compose_raw)
+    if len(g.compose_map) != len(compose_raw):  # a later entry replaced an earlier one
+        first: dict[tuple[str, str], int] = {}
+        for i, (x, y, _) in enumerate(compose_raw):
+            if first.setdefault((x, y), i) != i:
+                raise ParseError(f"{path}.compose[{i}]: duplicate entry for ({x!r}, {y!r})")
     with _reported_at(path, DanglingReference):
         check_references(g)
     return g
@@ -385,15 +384,13 @@ def _parse_cover(obj: dict, path: str) -> FiniteCover:
 def _parse_action(obj: dict, path: str) -> GroupAction:
     group = _parse_groupoid(_get(obj, "group", dict, path), f"{path}.group")
     space = _str_list(obj, "space", path)
-    act_raw = _get(obj, "act", dict, path)
-    act: dict[tuple[str, str], str] = {}
-    for y, row in act_raw.items():
+    act = _get(obj, "act", dict, path)
+    for y, row in act.items():
         if not isinstance(row, dict):
             raise ParseError(f"{path}.act[{y!r}]: expected an object")
         for gm, img in row.items():
             if not isinstance(img, str):
                 raise ParseError(f"{path}.act[{y!r}][{gm!r}]: expected a point id")
-            act[(y, gm)] = img
     with _reported_at(path):
         return GroupAction(group, space, act)
 

@@ -8,16 +8,10 @@ maps (never by isomorphism search).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Mapping
 
-from .errors import (
-    EmptySpace,
-    ImageMismatch,
-    MalformedInput,
-    NotEquivariant,
-    PrecomputedConditionFailed,
-)
+from .errors import EmptySpace, ImageMismatch, MalformedInput, NotEquivariant, PrecomputedConditionFailed
 from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation
 from .groupoid import check_element_id, check_ids, check_map, validate_groupoid, validate_hom
 from .haar import HaarGroupoid, counting_haar_system
@@ -55,7 +49,7 @@ def cotrivial_groupoid(space: Iterable[str]) -> FiniteGroupoid:
     if not pts:
         raise EmptySpace("cotrivial groupoid needs a nonempty space")
     ident = {x: x for x in pts}
-    return FiniteGroupoid(pts, pts, ident, ident, ident, {x: {x: x} for x in pts})
+    return FiniteGroupoid(pts, pts, ident, ident, ident, [(x, x, x) for x in pts])
 
 
 def trivial_group(unit: str = "e") -> FiniteGroupoid:
@@ -75,7 +69,7 @@ def cyclic_group(n: int, prefix: str = "g") -> FiniteGroupoid:
         const,
         const,
         {els[i]: els[(-i) % n] for i in range(n)},
-        {els[i]: {els[j]: els[(i + j) % n] for j in range(n)} for i in range(n)},
+        [(els[i], els[j], els[(i + j) % n]) for i in range(n) for j in range(n)],
     )
 
 
@@ -97,8 +91,8 @@ def pair_groupoid(points: Iterable[str]) -> FiniteGroupoid:
     range_map = {eid[(a, b)]: eid[(a, a)] for a in pts for b in pts}
     source_map = {eid[(a, b)]: eid[(b, b)] for a in pts for b in pts}
     inverse_map = {eid[(a, b)]: eid[(b, a)] for a in pts for b in pts}
-    rows = {eid[(a, b)]: {eid[(b, c)]: eid[(a, c)] for c in pts} for a in pts for b in pts}
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows)
+    products = [(eid[(a, b)], eid[(b, c)], eid[(a, c)]) for a in pts for b in pts for c in pts]
+    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, products)
 
 
 def disjoint_union(parts: Iterable[FiniteGroupoid], prefixes: Iterable[str]) -> tuple[FiniteGroupoid, list[dict[str, str]]]:
@@ -113,7 +107,7 @@ def disjoint_union(parts: Iterable[FiniteGroupoid], prefixes: Iterable[str]) -> 
     range_map: dict[str, str] = {}
     source_map: dict[str, str] = {}
     inverse_map: dict[str, str] = {}
-    rows: dict[str, dict[str, str]] = {}
+    products: list[tuple[str, str, str]] = []
     renamings: list[dict[str, str]] = []
     for g, pre in zip(parts, prefixes):
         ren = {x: _join((pre, x), ".") for x in g.elements}
@@ -123,8 +117,8 @@ def disjoint_union(parts: Iterable[FiniteGroupoid], prefixes: Iterable[str]) -> 
         range_map.update({ren[x]: ren[g.r(x)] for x in g.elements})
         source_map.update({ren[x]: ren[g.d(x)] for x in g.elements})
         inverse_map.update({ren[x]: ren[g.inv(x)] for x in g.elements})
-        rows.update({ren[x]: {ren[y]: ren[z] for y, z in row.items()} for x, row in g.rows.items()})
-    return FiniteGroupoid(elements, units, range_map, source_map, inverse_map, rows), renamings
+        products += [(ren[x], ren[y], ren[z]) for x, y, z in g.products()]
+    return FiniteGroupoid(elements, units, range_map, source_map, inverse_map, products), renamings
 
 
 def direct_product(a: FiniteGroupoid, b: FiniteGroupoid) -> tuple[FiniteGroupoid, dict[tuple[str, str], str]]:
@@ -137,11 +131,9 @@ def direct_product(a: FiniteGroupoid, b: FiniteGroupoid) -> tuple[FiniteGroupoid
     range_map = {eid[(x, y)]: eid[(a.r(x), b.r(y))] for (x, y) in eid}
     source_map = {eid[(x, y)]: eid[(a.d(x), b.d(y))] for (x, y) in eid}
     inverse_map = {eid[(x, y)]: eid[(a.inv(x), b.inv(y))] for (x, y) in eid}
-    rows = {
-        eid[(x1, x2)]: {eid[(y1, y2)]: eid[(z1, z2)] for y1, z1 in row1.items() for y2, z2 in row2.items()}
-        for x1, row1 in a.rows.items() for x2, row2 in b.rows.items()
-    }
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows), eid
+    b_products = [*b.products()]
+    products = [(eid[(x1, x2)], eid[(y1, y2)], eid[(z1, z2)]) for x1, y1, z1 in a.products() for x2, y2, z2 in b_products]
+    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, products), eid
 
 
 def with_counting_haar(g: FiniteGroupoid) -> HaarGroupoid:
@@ -196,11 +188,10 @@ def cech_groupoid(cover: FiniteCover) -> FiniteGroupoid:
     range_map = {ids[(a, y, b)]: ids[(a, y, a)] for (a, y, b) in triples}
     source_map = {ids[(a, y, b)]: ids[(b, y, b)] for (a, y, b) in triples}
     inverse_map = {ids[(a, y, b)]: ids[(b, y, a)] for (a, y, b) in triples}
-    rows = {
-        ids[(a, y, b)]: {ids[(b, y, c)]: ids[(a, y, c)] for c in cover.index_set if y in cover.blocks[c]}
-        for (a, y, b) in triples
-    }
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows)
+    products = [
+        (ids[(a, y, b)], ids[(b, y, c)], ids[(a, y, c)]) for (a, y, b) in triples for c in cover.index_set if y in cover.blocks[c]
+    ]
+    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, products)
 
 
 def cech_hom(f: Mapping[str, str], cover_dom: FiniteCover, cover_cod: FiniteCover, cod: FiniteGroupoid) -> GroupoidHom:
@@ -304,9 +295,10 @@ def canonical_iso_cech(data: CechCospanData) -> tuple[CospanGroupoids, PullbackG
 
 
 class GroupAction:
-    """A right action of a one-unit groupoid (a group) on a nonempty finite set."""
+    """A right action of a one-unit groupoid (a group) on a nonempty finite
+    set, kept as rows act[y][γ] = yγ."""
 
-    def __init__(self, group: FiniteGroupoid, space: Iterable[str], act: Mapping[tuple[str, str], str]):
+    def __init__(self, group: FiniteGroupoid, space: Iterable[str], act: Mapping[str, Mapping[str, str]]):
         if len(group.units) != 1:
             raise MalformedInput("acting groupoid must have a single unit")
         report = validate_groupoid(group)
@@ -314,18 +306,23 @@ class GroupAction:
             raise MalformedInput(f"acting group fails the groupoid axioms:\n{report.summary()}")
         self.group = group
         self.space = tuple(sorted(set(space)))
-        self.act = dict(act)
-        e = group.units[0]
-        check_map(self.act, frozenset(product(self.space, group.elements)), frozenset(self.space), "action")
+        self.act = {y: dict(row) for y, row in act.items()}
+        pairs = frozenset(product(self.space, group.elements))
+        keys = [(y, gm) for y, row in self.act.items() for gm in row]
+        if not pairs <= set(keys):
+            raise MalformedInput(f"action undefined at {min(pairs - set(keys))!r}")
+        check_ids(keys, pairs, "action keyed by unknown id")
+        check_ids(chain.from_iterable(map(dict.values, self.act.values())), frozenset(self.space), "action takes the unknown value")
         if not self.space:
             raise EmptySpace("group action needs a nonempty space")
+        e = group.units[0]
         for y in self.space:
-            if self.act[(y, e)] != y:
+            row = self.act[y]
+            if row[e] != y:
                 raise MalformedInput(f"unit must act trivially, fails at {y!r}")
-            for g1 in group.elements:
-                for g2 in group.elements:
-                    if self.act[(self.act[(y, g1)], g2)] != self.act[(y, group.compose(g1, g2))]:
-                        raise MalformedInput(f"action is not compatible with the product at ({y!r}, {g1!r}, {g2!r})")
+            for g1, g2 in product(group.elements, repeat=2):
+                if self.act[row[g1]][g2] != row[group.compose(g1, g2)]:
+                    raise MalformedInput(f"action is not compatible with the product at ({y!r}, {g1!r}, {g2!r})")
 
     @property
     def unit(self) -> str:
@@ -334,7 +331,7 @@ class GroupAction:
 
 def trivial_action(group: FiniteGroupoid, space: Iterable[str]) -> GroupAction:
     space = tuple(space)
-    return GroupAction(group, space, {(y, gm): y for y in space for gm in group.elements})
+    return GroupAction(group, space, {y: dict.fromkeys(group.elements, y) for y in space})
 
 
 def transformation_id(y: str, gm: str) -> str:
@@ -343,7 +340,7 @@ def transformation_id(y: str, gm: str) -> str:
 
 def transformation_groupoid(action: GroupAction) -> FiniteGroupoid:
     """Elements (y, γ) with (y, γ)(yγ, γ') = (y, γγ'); units (y, e)."""
-    group = action.group
+    group, act = action.group, action.act
     e = action.unit
     pairs = [(y, gm) for y in action.space for gm in group.elements]
     ids = {pr: transformation_id(*pr) for pr in pairs}
@@ -352,13 +349,15 @@ def transformation_groupoid(action: GroupAction) -> FiniteGroupoid:
     els = sorted(ids.values())
     units = [ids[(y, e)] for y in action.space]
     range_map = {ids[(y, gm)]: ids[(y, e)] for (y, gm) in pairs}
-    source_map = {ids[(y, gm)]: ids[(action.act[(y, gm)], e)] for (y, gm) in pairs}
-    inverse_map = {ids[(y, gm)]: ids[(action.act[(y, gm)], group.inv(gm))] for (y, gm) in pairs}
-    rows = {
-        ids[(y, gm)]: {ids[(action.act[(y, gm)], gm2)]: ids[(y, gm3)] for gm2, gm3 in group.rows[gm].items()}
+    source_map = {ids[(y, gm)]: ids[(act[y][gm], e)] for (y, gm) in pairs}
+    inverse_map = {ids[(y, gm)]: ids[(act[y][gm], group.inv(gm))] for (y, gm) in pairs}
+    # the group has one unit, so the row of gm runs over all its elements
+    products = [
+        (ids[(y, gm)], ids[(act[y][gm], gm2)], ids[(y, gm3)])
         for (y, gm) in pairs
-    }
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows)
+        for gm2, gm3 in zip(group.elements, group.rows[gm])
+    ]
+    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, products)
 
 
 @dataclass
@@ -380,7 +379,7 @@ class TransformationCospanData:
             check_map(f, frozenset(action.space), base, f"{name} map")
             for y in action.space:
                 for gm in action.group.elements:
-                    if f[action.act[(y, gm)]] != f[y]:
+                    if f[action.act[y][gm]] != f[y]:
                         raise NotEquivariant(f"{name} map is not invariant under the action at ({y!r}, {gm!r})")
 
 
@@ -415,12 +414,10 @@ def canonical_iso_transformation(
         for z in data.action_right.space
         if data.map_left[y] == data.map_right[z]
     }
-    act = {}
+    act: dict[str, dict[str, str]] = {}
     for pt, (y, z) in pull_pts.items():
-        for g1 in data.action_left.group.elements:
-            for g2 in data.action_right.group.elements:
-                moved = (data.action_left.act[(y, g1)], data.action_right.act[(z, g2)])
-                act[(pt, gid[(g1, g2)])] = _join(moved, ",")
+        left, right = data.action_left.act[y], data.action_right.act[z]
+        act[pt] = {gid[(g1, g2)]: _join((left[g1], right[g2]), ",") for g1, g2 in product(left, right)}
     if pull_pts:
         target = transformation_groupoid(GroupAction(product_group, tuple(pull_pts), act))
     else:  # no points meet over the base: the pullback is empty, and so is the target

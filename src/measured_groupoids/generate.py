@@ -20,18 +20,8 @@ import random
 from fractions import Fraction
 
 from .errors import GenerationExhausted
-from .families import (
-    cyclic_group,
-    direct_product,
-    disjoint_union,
-    pair_groupoid,
-    pair_id,
-    transformation_groupoid,
-    transformation_id,
-    trivial_group,
-    GroupAction,
-    trivial_action,
-)
+from .families import GroupAction, cyclic_group, direct_product, disjoint_union, pair_groupoid, pair_id
+from .families import transformation_groupoid, transformation_id, trivial_action, trivial_group
 from .groupoid import FiniteGroupoid, GroupoidHom, orbits
 from .haar import HaarGroupoid, haar_system_from_source_weights
 from .measures import FiniteMeasure, MeasureSystem, ZERO
@@ -62,11 +52,7 @@ def _involution_action(rng: random.Random, group: FiniteGroupoid, points: list[s
         partner[a], partner[b] = b, a
     for y in shuffled:
         partner[y] = y
-    act = {}
-    for y in points:
-        act[(y, e)] = y
-        act[(y, g)] = partner[y]
-    return GroupAction(group, points, act)
+    return GroupAction(group, points, {y: {e: y, g: partner[y]} for y in points})
 
 
 def _random_component(rng: random.Random, max_units: int, max_elements: int, tag: str) -> FiniteGroupoid:
@@ -197,13 +183,14 @@ def _leg_inclusion(base: FiniteGroupoid, kept_units) -> tuple[FiniteGroupoid, di
     # measure-class preserving exactly when the dropped part is null
     keep = frozenset(kept_units)
     els = [x for x in base.elements if base.r(x) in keep and base.d(x) in keep]
+    keep_els = frozenset(els)
     sub = FiniteGroupoid(
         els,
         [u for u in base.units if u in keep],
         {x: base.r(x) for x in els},
         {x: base.d(x) for x in els},
         {x: base.inv(x) for x in els},
-        {x: base.rows[x] for x in els},
+        [entry for entry in base.products() if entry[0] in keep_els],
     )
     return sub, {x: x for x in els}
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping
@@ -17,15 +18,8 @@ from typing import Mapping
 from .errors import MalformedInput, NotQuasiInvariant
 from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, check_ids, checked_generators
 from .groupoid import validate_groupoid, validate_hom
-from .measures import (
-    FiniteMeasure,
-    MeasureSystem,
-    class_witness,
-    compose_with_measure,
-    push_forward,
-    same_measure_class,
-    validate_system,
-)
+from .measures import FiniteMeasure, MeasureSystem, class_witness, compose_with_measure, push_forward, same_measure_class
+from .measures import validate_system
 
 
 @dataclass(frozen=True)
@@ -119,8 +113,9 @@ def is_haar(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
     for x in g.elements:
         d, r = g.d(x), g.r(x)
         lam_d, lam_r = nums[d], nums[r]
-        for y in g.fiber(d):
-            xy = g.compose(x, y)
+        for y, xy in zip(g.fiber(d), g.rows[x]):
+            if xy is None:
+                raise KeyError((x, y))
             if lam_d.get(y, 0) != lam_r.get(xy, 0):
                 bad.append(
                     Violation(
@@ -133,22 +128,24 @@ def is_haar(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
 
 
 def _left_invariant_on_generators(g: FiniteGroupoid, s: MeasureSystem) -> bool:
-    """P(a) for every generator a of g; False when the gate of
-    `checked_generators` is closed or the system has no measure at an end of
-    a generator. The two weights of P share the system's denominator, so
+    """P(a) for every generator a of g, a row at a time; False when the gate
+    of `checked_generators` is closed or the system has no measure at an end
+    of a generator. The two weights of P share the system's denominator, so
     their numerators are compared."""
     gens = checked_generators(g)
     if gens is None:
         return False
     nums = s.nums
+    # lam^{d(a)} on the fiber over d(a), read once per unit
+    at_source: dict[str, list[int]] = {}
     for a in gens:
-        lam_d, lam_r = nums.get(g.d(a)), nums.get(g.r(a))
-        if lam_d is None or lam_r is None:
+        d, r = g.source_map[a], g.range_map[a]
+        if d not in nums or r not in nums:
             return False
-        row_a = g.rows[a]
-        for y in g.fiber(g.d(a)):
-            if lam_d.get(y, 0) != lam_r.get(row_a[y], 0):
-                return False
+        if d not in at_source:
+            at_source[d] = [*map(nums[d].get, g.fiber(d), repeat(0))]
+        if at_source[d] != [*map(nums[r].get, g.rows[a], repeat(0))]:
+            return False
     return True
 
 

@@ -124,11 +124,7 @@ class MeasureSystem:
     """
 
     def __init__(
-        self,
-        over: Mapping[str, str],
-        domain: Iterable[str],
-        codomain: Iterable[str],
-        family: Mapping[str, FiniteMeasure],
+        self, over: Mapping[str, str], domain: Iterable[str], codomain: Iterable[str], family: Mapping[str, FiniteMeasure]
     ):
         self.domain: tuple[str, ...] = tuple(sorted(domain))
         self.codomain: tuple[str, ...] = tuple(sorted(codomain))

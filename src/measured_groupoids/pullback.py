@@ -15,34 +15,18 @@ unit maps. Every check below is an exact rational identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
-from .groupoid import (
-    FiniteGroupoid,
-    GroupoidHom,
-    ValidationReport,
-    Violation,
-    generator_work,
-    orbits,
-)
-from .haar import (
-    HaarGroupoid,
-    is_haar,
-    is_quasi_invariant,
-    validate_haar_groupoid,
-    validate_haar_hom,
-)
-from .measures import (
-    FiniteMeasure,
-    MeasureSystem,
-    compose_with_measure,
-    disintegrate,
-    validate_system,
-)
+from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, generator_work, orbits, picker
+from .haar import HaarGroupoid, is_haar, is_quasi_invariant, validate_haar_groupoid, validate_haar_hom
+from .measures import FiniteMeasure, MeasureSystem, compose_with_measure, disintegrate, validate_system
 
 
 @dataclass
@@ -89,78 +73,91 @@ class PullbackGroupoid:
 
 
 def weak_pullback_groupoid(
-    s_g: FiniteGroupoid,
-    base: FiniteGroupoid,
-    t_g: FiniteGroupoid,
-    p: Mapping[str, str],
-    q: Mapping[str, str],
+    s_g: FiniteGroupoid, base: FiniteGroupoid, t_g: FiniteGroupoid, p: Mapping[str, str], q: Mapping[str, str]
 ) -> PullbackGroupoid:
     """Enumerate the triples and build the structure tables from the legs'
     tables.
 
     The triples are the (s, g, t) with g in the base fiber over r(p(s)) and
-    r(q(t)) = d(g); taken s by s, g by g and t by t, each in canonical order,
-    they come out sorted. Composition pairs (s,g,t)·(σ,h,τ) = (sσ, g, tτ)
-    exactly when d(s) = r(σ), d(t) = r(τ) and h = p(s)^{-1} g q(t); the
-    inverse is (s^{-1}, p(s)^{-1} g q(t), t^{-1}). So the row of (s, g, t)
-    is keyed by the r-fiber of its source, S^{d(s)} x {h} x T^{d(t)} in
-    (σ, τ) order, and its values are the (sσ, g, tτ), σ and τ read through
-    the leg fibers. On maps that are not homomorphisms an entry or a row can
-    name a product that is no triple, or a row can differ from its keys in
-    length: either raises MalformedInput naming the triple, and no row is
-    cut short.
+    r(q(t)) = d(g); taken s by s, g by g and t by t, each in canonical order.
+    Composition pairs (s,g,t)·(σ,h,τ) = (sσ, g, tτ) exactly when
+    d(s) = r(σ), d(t) = r(τ) and h = p(s)^{-1} g q(t); the inverse is
+    (s^{-1}, p(s)^{-1} g q(t), t^{-1}). So the positional row of (s, g, t)
+    runs over S^{d(s)} x {h} x T^{d(t)} in (σ, τ) order, which is canonical
+    unless an id is a prefix of another (the rows are then reordered), and
+    is written in C: the ids (sσ, g, ·) for each sσ in the row of s, read at
+    each tτ in the row of t. On maps that are not homomorphisms an entry or
+    a row can name a product that is no triple, or a row can differ in
+    length from its source's r-fiber: either raises MalformedInput naming
+    the triple, and no row is cut short.
     """
-    b_r, b_d, b_inv, b_rows = base.range_map, base.source_map, base.inverse_map, base.rows
+    b_r, b_d, b_inv, b_rows, b_pos = base.range_map, base.source_map, base.inverse_map, base.rows, base.position
     s_r, s_d, s_inv, s_rows = s_g.range_map, s_g.source_map, s_g.inverse_map, s_g.rows
     t_r, t_d, t_inv, t_rows = t_g.range_map, t_g.source_map, t_g.inverse_map, t_g.rows
     range_map: dict[str, str] = {}
     source_map: dict[str, str] = {}
     inverse_map: dict[str, str] = {}
     units: list[str] = []
-    rows: dict[str, dict[str, str]] = {}
+    rows: dict[str, tuple[str, ...]] = {}
     pid, table = None, "triples"
     try:
         t_over: dict[str, list[str]] = {}
         for t in t_g.elements:
             t_over.setdefault(b_r[q[t]], []).append(t)
-        # name[g][s][t] is the id of the triple (s, g, t)
+        # name[g][s][t] is the id of the triple (s, g, t); the groups (s, g, name[g][s]) in canonical order
         name: dict[str, dict[str, dict[str, str]]] = {}
+        groups: list[tuple[str, str, dict[str, str]]] = []
         triples: list[tuple[str, str, str]] = []
         ids: list[str] = []
         for s in s_g.elements:
             for g in base.fiber(b_r[p[s]]):
                 ts = t_over.get(b_d[g])
                 if ts:
-                    row = name.setdefault(g, {})[s] = {t: triple_id(s, g, t) for t in ts}
+                    prefix = triple_id(s, g, "")
+                    row = name.setdefault(g, {})[s] = {t: prefix + t for t in ts}
+                    groups.append((s, g, row))
                     triples += [(s, g, t) for t in ts]
                     ids += row.values()
         if len(set(ids)) != len(ids):
             raise MalformedInput("component ids collide under the s|g|t encoding")
         by_id = dict(zip(ids, triples))
 
+        # each group's shared lookups are named after its first triple
         table = "structure entries"
-        for pid, (s, g, t) in by_id.items():
-            z = b_rows[b_rows[b_inv[p[s]]][g]][q[t]]  # p(s)^{-1} g q(t)
-            range_map[pid] = name[g][s_r[s]][t_r[t]]
-            source_map[pid] = name[z][s_d[s]][t_d[t]]
-            inverse_map[pid] = name[z][s_inv[s]][t_inv[t]]
-            if s in s_g.unit_set and t in t_g.unit_set:
-                units.append(pid)
+        for s, g, by_t in groups:
+            pid = next(iter(by_t.values()))
+            conj = b_rows[b_rows[b_inv[p[s]]][b_pos[g]]]  # the row of p(s)^{-1} g
+            to_range, s_unit = name[g][s_r[s]], s in s_g.unit_set
+            for t, pid in by_t.items():
+                z = conj[b_pos[q[t]]]  # p(s)^{-1} g q(t)
+                range_map[pid] = to_range[t_r[t]]
+                source_map[pid] = name[z][s_d[s]][t_d[t]]
+                inverse_map[pid] = name[z][s_inv[s]][t_inv[t]]
+                if s_unit and t in t_g.unit_set:
+                    units.append(pid)
 
         table = "row"
+        width = Counter(range_map.values())  # the size of each r-fiber
+        # each t's products read from a dict of ids keyed by the right leg
+        at_t = {t: (itemgetter(*row), len(row) > 1) for t, row in t_rows.items()}
+        for s, g, by_t in groups:
+            pid = next(iter(by_t.values()))
+            names = [*map(name[g].__getitem__, s_rows[s])]
+            for t, pid in by_t.items():
+                read, many = at_t[t]
+                rows[pid] = row = tuple(chain.from_iterable(map(read, names)) if many else map(read, names))
+                if len(row) != width[source_map[pid]]:
+                    raise ValueError(f"{len(row)} products for an r-fiber of {width[source_map[pid]]}")
+    except (LookupError, ValueError) as e:
+        at = "the triples" if pid is None else f"the {table} of triple {pid!r}"
+        raise MalformedInput(f"leg maps are not homomorphisms: {at} cannot be built ({type(e).__name__}: {e})") from None
+    if ids != sorted(ids):
         by_range: dict[str, list[str]] = {}
         for pid in ids:
             by_range.setdefault(range_map[pid], []).append(pid)
-        for pid, (s, g, t) in by_id.items():
-            s_row, t_row, names = s_rows[s], t_rows[t], name[g]
-            t_products = [t_row[tau] for tau in t_g.fiber(t_d[t])]
-            at_s = [names[s_row[sigma]] for sigma in s_g.fiber(s_d[s])]
-            rows[pid] = dict(zip(by_range.get(source_map[pid], ()), [at[tt] for at in at_s for tt in t_products], strict=True))
-    except (KeyError, ValueError) as e:
-        at = "the triples" if pid is None else f"the {table} of triple {pid!r}"
-        raise MalformedInput(f"leg maps are not homomorphisms: {at} cannot be built ({type(e).__name__}: {e})") from None
-
-    pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, rows)
+        order = {u: picker(sorted(range(len(keys)), key=keys.__getitem__)) for u, keys in by_range.items()}
+        rows = {pid: order[source_map[pid]](row) for pid, row in rows.items()}
+    pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, rows=rows)
     proj_left = GroupoidHom(pg, s_g, {pid: tr[0] for pid, tr in by_id.items()})
     proj_right = GroupoidHom(pg, t_g, {pid: tr[2] for pid, tr in by_id.items()})
     return PullbackGroupoid(pg, by_id, proj_left, proj_right)

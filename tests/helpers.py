@@ -67,13 +67,17 @@ F = Fraction
 ZERO = F(0)
 
 
-def rows_of(pairs: Mapping[tuple[str, str], str]) -> dict[str, dict[str, str]]:
-    """The product rows x -> {y: xy} of a table keyed by pairs (x, y), in the
-    table's order: the one way the oracles' tables enter a FiniteGroupoid."""
-    rows: dict[str, dict[str, str]] = {}
-    for (x, y), z in pairs.items():
-        rows.setdefault(x, {})[y] = z
-    return rows
+def pairs_of(g: FiniteGroupoid) -> dict[tuple[str, str], str]:
+    """g's product table as a dict of pairs (x, y) -> xy, read once: the
+    oracles index this dict, never the groupoid's rows."""
+    return {(x, y): z for x, y, z in g.products()}
+
+
+def triples_of(pairs: Mapping[tuple[str, str], str]) -> list[tuple[str, str, str]]:
+    """The entries (x, y, xy) of a table keyed by pairs (x, y), in the
+    table's order: the form in which the oracles' tables enter a
+    FiniteGroupoid, through its one conversion of pairs into rows."""
+    return [(x, y, z) for (x, y), z in pairs.items()]
 
 
 def manual_pair_groupoid() -> FiniteGroupoid:
@@ -89,7 +93,7 @@ def manual_pair_groupoid() -> FiniteGroupoid:
         {"1-1": "1-1", "1-2": "1-1", "2-1": "2-2", "2-2": "2-2"},
         {"1-1": "1-1", "1-2": "2-2", "2-1": "1-1", "2-2": "2-2"},
         {"1-1": "1-1", "1-2": "2-1", "2-1": "1-2", "2-2": "2-2"},
-        rows_of(compose),
+        triples_of(compose),
     )
 
 
@@ -292,7 +296,7 @@ def literal_groupoid_report(g: FiniteGroupoid) -> ValidationReport:
             bad.append(Violation("unit-fixed", (u,), f"r({u}) = {g.range_map[u]}, d({u}) = {g.source_map[u]}, expected both {u}"))
 
     # compose defined exactly on composable pairs, with correct range/source
-    pairs = dict(g.compose_map)
+    pairs = pairs_of(g)
     for x in g.elements:
         for y in g.elements:
             if g.source_map[x] == g.range_map[y]:
@@ -385,7 +389,7 @@ def literal_hom_report(p: GroupoidHom) -> ValidationReport:
             bad.append(Violation("hom-commutes-with-source", (x,), f"d(p({x})) != p(d({x}))"))
         if cod.inverse_map[f[x]] != f[dom.inverse_map[x]]:
             bad.append(Violation("hom-preserves-inverse", (x,), f"p({x})⁻¹ != p({x}⁻¹)"))
-    dom_pairs, cod_pairs = dict(dom.compose_map), dict(cod.compose_map)
+    dom_pairs, cod_pairs = pairs_of(dom), pairs_of(cod)
     for (x, y), z in sorted(dom_pairs.items()):
         if dom.source_map[x] != dom.range_map[y]:
             continue
@@ -413,14 +417,14 @@ def replace_tables(g, inverse_map=None, compose_map=None):
         g.range_map,
         g.source_map,
         g.inverse_map if inverse_map is None else inverse_map,
-        g.rows if compose_map is None else rows_of(compose_map),
+        g.products() if compose_map is None else triples_of(compose_map),
     )
 
 
 def table_mutants(g, rng):
     """(name, mutant) pairs, each with one table entry broken. A kind of
     mutant that g has no room for (say, no non-composable pair) is left out."""
-    pairs = dict(g.compose_map)
+    pairs = pairs_of(g)
     keys = sorted(pairs)
     ranges = set(g.range_map.values())
     hom: dict[tuple[str, str], list[str]] = {}
@@ -461,7 +465,7 @@ def table_mutants(g, rng):
 def dangling_product(g):
     """g with its last product naming an id that is no element: no
     generating set, so checks on generators take their exhaustive loops."""
-    pairs = dict(g.compose_map)
+    pairs = pairs_of(g)
     return replace_tables(g, compose_map={**pairs, max(pairs): "ghost"})
 
 
@@ -516,7 +520,7 @@ def literal_weak_pullback_groupoid(
             s2, _, t2 = by_id[qid]
             compose_map[(pid, qid)] = id_of[(s_g.compose(s, s2), g, t_g.compose(t, t2))]
 
-    pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, rows_of(compose_map))
+    pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, triples_of(compose_map))
     proj_left = GroupoidHom(pg, s_g, {pid: tr[0] for pid, tr in by_id.items()})
     proj_right = GroupoidHom(pg, t_g, {pid: tr[2] for pid, tr in by_id.items()})
     return PullbackGroupoid(pg, by_id, proj_left, proj_right)
@@ -544,7 +548,7 @@ def regular_pullback(
                 if target not in pair_set:
                     raise MalformedInput("regular pullback is not closed under composition")
                 compose[(ids[(s, t)], ids[(s2, t2)])] = ids[target]
-    g = FiniteGroupoid(els, units, range_map, source_map, inverse_map, rows_of(compose))
+    g = FiniteGroupoid(els, units, range_map, source_map, inverse_map, triples_of(compose))
     return g, {i: pr for pr, i in ids.items()}
 
 

@@ -106,7 +106,7 @@ def test_criterion_3_transformation_worked_example():
     swap = GroupAction(
         z2,
         ["y1", "y2"],
-        {("y1", "g0"): "y1", ("y2", "g0"): "y2", ("y1", "g1"): "y2", ("y2", "g1"): "y1"},
+        {"y1": {"g0": "y1", "g1": "y2"}, "y2": {"g0": "y2", "g1": "y1"}},
     )
     data = TransformationCospanData(
         swap,

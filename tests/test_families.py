@@ -34,7 +34,7 @@ def swap_action() -> GroupAction:
     return GroupAction(
         z2,
         ["y1", "y2"],
-        {("y1", "g0"): "y1", ("y2", "g0"): "y2", ("y1", "g1"): "y2", ("y2", "g1"): "y1"},
+        {"y1": {"g0": "y1", "g1": "y2"}, "y2": {"g0": "y2", "g1": "y1"}},
     )
 
 
@@ -172,12 +172,12 @@ def test_transformation_element_count():
 def test_group_action_validation():
     z2 = cyclic_group(2)
     with pytest.raises(MalformedInput):
-        GroupAction(z2, ["y"], {("y", "g0"): "y"})  # missing entries
+        GroupAction(z2, ["y"], {"y": {"g0": "y"}})  # missing entries
     with pytest.raises(MalformedInput):
         GroupAction(
             z2,
             ["y1", "y2"],
-            {("y1", "g0"): "y2", ("y2", "g0"): "y1", ("y1", "g1"): "y2", ("y2", "g1"): "y1"},
+            {"y1": {"g0": "y2", "g1": "y2"}, "y2": {"g0": "y1", "g1": "y1"}},
         )  # unit does not act trivially
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from measured_groupoids import (
+    DanglingReference,
     FiniteGroupoid,
     MalformedInput,
     cotrivial_groupoid,
@@ -18,6 +19,8 @@ from measured_groupoids import (
     validate_groupoid,
     validate_hom,
 )
+from measured_groupoids.documents import GroupoidDocument, parse_document, serialize
+from measured_groupoids.generate import _random_component
 from measured_groupoids.groupoid import GroupoidHom, check_element_id, check_ids, check_map, identity_hom
 
 from helpers import (
@@ -27,6 +30,7 @@ from helpers import (
     manual_pair_groupoid,
     outcome,
     table_mutants,
+    triples_of,
 )
 
 
@@ -44,7 +48,7 @@ def test_pair_groupoid_broken_inverse_is_reported():
     g = manual_pair_groupoid()
     broken = dict(g.inverse_map)
     broken["1-2"] = "1-2"
-    bad = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, broken, g.rows)
+    bad = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, broken, rows=g.rows)
     report = validate_groupoid(bad)
     assert not report.ok
     rules = {(v.rule, v.witnesses) for v in report.violations}
@@ -55,7 +59,7 @@ def test_dangling_reference_raises():
     g = manual_pair_groupoid()
     broken = dict(g.range_map)
     broken["1-2"] = "ghost"
-    bad = FiniteGroupoid(g.elements, g.units, broken, g.source_map, g.inverse_map, g.rows)
+    bad = FiniteGroupoid(g.elements, g.units, broken, g.source_map, g.inverse_map, g.products())
     with pytest.raises(MalformedInput):
         validate_groupoid(bad)
 
@@ -241,7 +245,7 @@ MUTATED_PULLBACK_MAX = 64
 
 def test_validate_groupoid_matches_enumeration_on_small_groupoids():
     empty = FiniteGroupoid([], [], {}, {}, {}, {})
-    lone_arrow = FiniteGroupoid(["a"], [], {"a": "a"}, {"a": "a"}, {"a": "a"}, {"a": {"a": "a"}})
+    lone_arrow = FiniteGroupoid(["a"], [], {"a": "a"}, {"a": "a"}, {"a": "a"}, [("a", "a", "a")])
     no_product = FiniteGroupoid(["e"], ["e"], {"e": "e"}, {"e": "e"}, {"e": "e"}, {})
     for g in (empty, trivial_group(), lone_arrow, no_product):
         assert validate_groupoid(g) == literal_groupoid_report(g)
@@ -310,3 +314,58 @@ def test_validate_hom_matches_enumeration_on_sweep_and_mutants(sweep):
                 for hom in (GroupoidHom(mutant, g, identity), GroupoidHom(g, mutant, identity)):
                     assert outcome(validate_hom, hom) == outcome(literal_hom_report, hom), (seed, name)
     assert moved > 100
+
+
+# the one conversion of pairs into rows, under random edits of a pairs table
+
+EDITS = ("delete", "non-composable", "rewrite", "unknown-owner", "unknown-key", "unknown-product")
+
+
+@st.composite
+def edited_groupoids(draw):
+    """A disjoint union of one or two of the generator's random components,
+    its pairs table edited one to three times, built through the conversion;
+    each edit that names an unknown id names one of its own."""
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    parts = [_random_component(rng, 3, 9, f"p{i}x") for i in range(draw(st.integers(1, 2)))]
+    g = parts[0] if len(parts) == 1 else disjoint_union(parts, ["a", "b"])[0]
+    pairs = dict(g.compose_map)
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=3))):
+        keys = sorted(pairs)
+        if kind == "delete" and keys:
+            del pairs[draw(st.sampled_from(keys))]
+        elif kind == "non-composable":
+            apart = [(x, y) for x in g.elements for y in g.elements if g.d(x) != g.r(y)]
+            if apart:
+                pairs[draw(st.sampled_from(apart))] = draw(st.sampled_from(g.elements))
+        elif kind == "rewrite" and keys:
+            pairs[draw(st.sampled_from(keys))] = draw(st.sampled_from(g.elements))
+        elif kind == "unknown-owner":
+            pairs[(f"ghost-owner{i}", draw(st.sampled_from(g.elements)))] = draw(st.sampled_from(g.elements))
+        elif kind == "unknown-key":
+            pairs[(draw(st.sampled_from(g.elements)), f"ghost-key{i}")] = draw(st.sampled_from(g.elements))
+        elif kind == "unknown-product" and keys:
+            pairs[draw(st.sampled_from(keys))] = f"ghost-product{i}"
+    return FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, g.inverse_map, triples_of(pairs)), pairs
+
+
+@given(edited_groupoids())
+def test_conversion_keeps_every_edit_of_a_pairs_table(case):
+    # the rows and strays hold the edited table exactly: validation reports
+    # what the enumeration over pairs and triples reports, or raises the same
+    # text, and the document round trip keeps every entry
+    g, pairs = case
+    assert dict(g.compose_map) == pairs and len(g.compose_map) == len(pairs)
+    verdict = outcome(validate_groupoid, g)
+    assert verdict == outcome(literal_groupoid_report, g)
+    text = serialize(GroupoidDocument(g))
+    if isinstance(verdict, tuple):
+        assert verdict[0] is MalformedInput
+        with pytest.raises(DanglingReference) as parsed:
+            parse_document(text)
+        assert str(parsed.value) == f"$: {verdict[1]}"
+    else:
+        doc = parse_document(text)
+        assert doc.groupoid == g
+        assert serialize(doc) == text

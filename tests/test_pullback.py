@@ -424,7 +424,7 @@ def test_row_builder_matches_the_literal_builder_on_the_sweep(sweep):
 def test_row_builder_matches_the_literal_builder_on_fixtures_examples_and_ladders():
     # every fixture (a groupoid document as its identity cospan, and the
     # invalid cospan too), the cospans of both worked examples, and every
-    # point of both ladder families of scripts/bench.py
+    # point of the three ladder families of scripts/bench.py
     cases = []
     for path in sorted(FIXTURES.glob("*.json")):
         doc = parse_document(path.read_text(encoding="utf-8"))
@@ -441,6 +441,7 @@ def test_row_builder_matches_the_literal_builder_on_fixtures_examples_and_ladder
     spec = importlib.util.spec_from_file_location("bench", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    assert set(bench.LADDERS) == {"cyclic", "pair", "transformation"}
     for family, ns in bench.LADDERS.items():
         cases += [(f"{family} {n}", _legs(bench.ladder_cospan(family, n))) for n in ns]
     for label, legs in cases:
@@ -471,7 +472,7 @@ def test_row_builder_refuses_maps_that_are_not_homomorphisms():
         # row of (1-2, u, g0) has more products than its source's fiber has keys
         (
             (pair_groupoid(["1", "2", "3"]), cotrivial_groupoid(["u", "v"]), cyclic_group(2), None, {"g0": "u", "g1": "u"}),
-            r"the row of triple '1-2\|u\|g0' cannot be built \(ValueError: zip\(\) argument 2 is longer than argument 1\)$",
+            r"the row of triple '1-2\|u\|g0' cannot be built \(ValueError: 6 products for an r-fiber of 4\)$",
         ),
         # p names a base id that is no element, before any triple exists
         (
