@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, repeat
-from operator import is_not, itemgetter
+from itertools import chain, filterfalse, repeat
+from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .errors import MalformedInput
@@ -101,17 +101,14 @@ class FiniteGroupoid:
             if u is not None:
                 fibers.setdefault(u, []).append(x)
         self.fibers: dict[str, tuple[str, ...]] = {u: tuple(xs) for u, xs in fibers.items()}
-        self.position: dict[str, int] = dict(
-            zip(chain.from_iterable(fibers.values()), chain.from_iterable(map(range, map(len, fibers.values()))))
-        )
+        self.position: dict[str, int] = {x: i for xs in fibers.values() for i, x in enumerate(xs)}
         self.strays: dict[str, dict[str, str]] = {}
-        missing = 0
         if rows is None:
             # the one conversion of pairs into rows: each triple in the slot of
             # its pair, or else among the strays, whose element owners come in
             # canonical order and the rest, like every row's keys, as given
             src, rng, pos = self.source_map, self.range_map, self.position
-            slots = {x: [None] * len(self.fiber(src.get(x))) for x in self.elements}
+            slots = {x: [None] * len(self.fibers.get(src.get(x), ())) for x in self.elements}
             strays: dict[str, dict[str, str]] = {}
             for x, y, z in products:
                 row = slots.get(x)
@@ -119,10 +116,12 @@ class FiniteGroupoid:
                     row[pos[y]] = z
                 else:
                     strays.setdefault(x, {})[y] = z
-            self.strays = {x: strays[x] for x in chain(filter(strays.__contains__, self.elements), strays)}
-            rows = {x: tuple(row) for x, row in slots.items()}
-            missing = sum(map(tuple.count, rows.values(), repeat(None)))
-        self.rows: dict[str, tuple[str | None, ...]] = dict(rows)
+            if strays:
+                self.strays = {x: strays[x] for x in chain(filter(strays.__contains__, self.elements), strays)}
+            self.rows: dict[str, tuple[str | None, ...]] = {x: tuple(row) for x, row in slots.items()}
+            missing = sum(map(tuple.count, self.rows.values(), repeat(None)))
+        else:
+            self.rows, missing = dict(rows), 0
         self._count = sum(map(len, self.rows.values())) - missing + sum(map(len, self.strays.values()))
         self._generating_set: tuple[str, ...] | None | object = _UNDECIDED
 
@@ -162,11 +161,13 @@ class FiniteGroupoid:
         """Every (x, y, xy) the tables give: the rows in canonical order, then
         the strays."""
         src, rows = self.source_map, self.rows
-        given = (
-            compress(zip(repeat(x), self.fiber(src.get(x)), rows[x]), map(is_not, rows[x], repeat(None))) for x in self.elements
-        )
-        strays = (zip(repeat(x), row, row.values()) for x, row in self.strays.items())
-        return chain.from_iterable(chain(given, strays))
+        for x in self.elements:
+            for y, z in zip(self.fibers.get(src.get(x), ()), rows[x]):
+                if z is not None:
+                    yield x, y, z
+        for x, row in self.strays.items():
+            for y, z in row.items():
+                yield x, y, z
 
     @property
     def compose_map(self) -> ComposeView:
