@@ -32,6 +32,7 @@ from .groupoid import (
 from .measures import (
     FiniteMeasure,
     MeasureSystem,
+    alternate_disintegration,
     compose_with_measure,
     counting,
     disintegrate,
@@ -85,7 +86,6 @@ from .families import (
     with_counting_haar,
 )
 from .generate import (
-    alternate_disintegration,
     random_cospan,
     random_groupoid,
     random_haar_groupoid,

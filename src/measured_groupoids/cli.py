@@ -19,9 +19,10 @@ from .documents import CechExampleDocument, CospanDocument, ExampleResultDocumen
 from .documents import TransformationExampleDocument, parse_document, serialize, weight_to_str
 from .errors import GroupoidError, NotQuasiInvariant, ParseError
 from .families import canonical_iso_cech, canonical_iso_transformation, is_isomorphism
-from .generate import alternate_disintegration, random_cospan, random_haar_groupoid
+from .generate import random_cospan, random_haar_groupoid
 from .groupoid import GroupoidHom, ValidationReport, validate_groupoid, validate_hom
 from .haar import HaarGroupoid, is_haar, validate_haar_groupoid, validate_haar_hom, validate_unit_measure
+from .measures import alternate_disintegration
 from .pullback import build_weak_pullback, check_commuting_diamond, check_disintegration_independence, check_expanding_lemma
 from .pullback import check_fiber_product_lemma, check_haar_theorem, check_quasi_invariance_and_modular, check_projection_homs
 from .pullback import check_triple_integral_lemma, validate_cospan, weak_pullback_groupoid

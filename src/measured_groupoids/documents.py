@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from .errors import DanglingReference, EmptySpace, MalformedInput, ParseError, UnsupportedVersion
 from .families import CechCospanData, FiniteCover, GroupAction, TransformationCospanData
@@ -337,18 +338,18 @@ def _parse_groupoid_document(obj: dict, path: str) -> GroupoidDocument:
     haar = None
     if "haar" in obj:
         table = _get(obj, "haar", dict, path)
-        family: dict[str, FiniteMeasure] = {}
+        weights: dict[str, dict[str, Fraction]] = {}
         for u in g.units:
             row = table.get(u)
             fiberu = g.fiber(u)
             if not isinstance(row, list) or len(row) != len(fiberu):
                 raise ParseError(f"{path}.haar[{u!r}]: expected {len(fiberu)} weights for the fiber")
-            family[u] = FiniteMeasure(
-                g.elements, {x: str_to_weight(w, f"{path}.haar[{u!r}]") for x, w in zip(fiberu, row)}
-            )
+            weights[u] = {x: str_to_weight(w, f"{path}.haar[{u!r}]") for x, w in zip(fiberu, row)}
         with _reported_at(f"{path}.haar", DanglingReference):
             check_ids(table, g.unit_set, "unknown unit")
-        haar = MeasureSystem(dict(g.range_map), g.elements, g.units, family)
+        den = lcm(*(w.denominator for ws in weights.values() for w in ws.values()))
+        nums = {u: {x: w.numerator * (den // w.denominator) for x, w in ws.items()} for u, ws in weights.items()}
+        haar = MeasureSystem(g.range_map, g.elements, g.units, nums, den)
     unit_measure = None
     if "unit_measure" in obj:
         row = _get(obj, "unit_measure", list, path)

@@ -24,7 +24,7 @@ from .families import GroupAction, cyclic_group, direct_product, disjoint_union,
 from .families import transformation_groupoid, transformation_id, trivial_action, trivial_group
 from .groupoid import FiniteGroupoid, GroupoidHom, orbits
 from .haar import HaarGroupoid, haar_system_from_source_weights
-from .measures import FiniteMeasure, MeasureSystem, ZERO
+from .measures import FiniteMeasure, ZERO
 from .pullback import Cospan, validate_cospan
 
 DEFAULT_BOUNDS = (4, 24)
@@ -258,16 +258,3 @@ def random_cospan(seed, bounds=DEFAULT_BOUNDS, with_null_base: bool = False) -> 
             return c
     raise GenerationExhausted(f"no valid cospan for seed {seed!r} within {_MAX_TRIES} attempts")
 
-
-def alternate_disintegration(gamma: MeasureSystem, nu: FiniteMeasure, scale=2) -> MeasureSystem:
-    """Rescale a disintegration on every nu-null fiber. The result is again a
-    disintegration of the same pair, and differs from the input exactly when
-    some null fiber is nonempty."""
-    family = {}
-    for y in gamma.codomain:
-        m = gamma.at(y)
-        if y not in nu.nums and not m.is_zero():
-            family[y] = m.scaled(scale)
-        else:
-            family[y] = m
-    return MeasureSystem(gamma.over, gamma.domain, gamma.codomain, family)

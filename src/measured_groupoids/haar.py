@@ -76,11 +76,8 @@ def haar_system_from_source_weights(g: FiniteGroupoid, source_weight: Mapping[st
             raise MalformedInput(f"source weight non-positive at unit {u!r}")
     den = lcm(*(w.denominator for w in c.values()))
     num = {u: w.numerator * (den // w.denominator) for u, w in c.items()}
-    family = {
-        u: FiniteMeasure.from_numerators(g.elements, {x: num[g.d(x)] for x in g.fiber(u)}, den, g.element_set)
-        for u in g.units
-    }
-    return MeasureSystem(dict(g.range_map), g.elements, g.units, family)
+    nums = {u: {x: num[g.d(x)] for x in g.fiber(u)} for u in g.units}
+    return MeasureSystem(g.range_map, g.elements, g.units, nums, den)
 
 
 def counting_haar_system(g: FiniteGroupoid) -> MeasureSystem:

@@ -1,14 +1,15 @@
 """Measures and systems of measures on maps between finite sets.
 
 All weights are exact nonnegative rationals, so measure equivalence is
-support equality and every identity below is decided with zero tolerance. A
-measure keeps its weights as integer numerators over one positive
-denominator, in lowest terms, and a system of measures keeps its whole
-family over one common denominator. Sums are then integer sums, two weights
-of one system compare as integers, and weights of different measures compare
-by cross-multiplication. `fractions.Fraction` appears only where weights
-come in (the `FiniteMeasure` constructor) and where they are read out
-(`FiniteMeasure.__call__`, `MeasureSystem.weight`).
+support equality and every identity below is decided with zero tolerance.
+Weights have one form, integer numerators over one positive denominator in
+lowest terms: a measure has its own denominator and a system of measures one
+for its whole family, with no measure object per point. Sums are then integer
+sums, two weights of one system compare as integers, and weights of different
+measures compare by cross-multiplication. `fractions.Fraction` appears only
+where weights come in (the `FiniteMeasure` constructor, and the document
+parser, which puts a Haar table over one denominator) and where they are read
+out (`FiniteMeasure.__call__`, `MeasureSystem.weight`).
 
 A system of measures over f: X -> Y is one measure on X per point of Y,
 concentrated on the fiber over that point.
@@ -17,6 +18,7 @@ concentrated on the fiber over that point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import AbstractSet, Iterable, Mapping
 
@@ -24,6 +26,23 @@ from .errors import BaseMismatch, MalformedInput, NotMeasureClassPreserving
 from .groupoid import ValidationReport, Violation, check_ids, check_map
 
 ZERO = Fraction(0)
+
+
+def _lowest_terms(rows: list[Mapping[str, int]], known: AbstractSet[str], den: int) -> tuple[int, list[dict[str, int]]]:
+    """Rows of integer numerators over one positive `den`, in canonical form:
+    zeros dropped and the common factor of `den` and all numerators divided
+    out, which leaves the least common denominator of the reduced weights.
+    Rejects, row by row, a numerator off `known` and a negative one."""
+    kept = []
+    for ws in rows:
+        check_ids(ws, known, "weight assigned to unknown point")
+        for n in filter((0).__gt__, ws.values()):
+            raise MalformedInput(f"negative weight {Fraction(n, den)}")
+        kept.append({x: n for x, n in ws.items() if n})
+    common = gcd(den, *chain.from_iterable(map(dict.values, kept)))
+    if common > 1:
+        kept = [{x: n // common for x, n in ws.items()} for ws in kept]
+    return den // common, kept
 
 
 def as_weight(v) -> Fraction:
@@ -52,32 +71,13 @@ class FiniteMeasure:
         self.nums: dict[str, int] = {x: w.numerator * (den // w.denominator) for x, w in ws if w}
 
     @classmethod
-    def from_numerators(
-        cls, base: Iterable[str], nums: Mapping[str, int], den: int, points: AbstractSet[str] | None = None
-    ) -> "FiniteMeasure":
+    def from_numerators(cls, base: Iterable[str], nums: Mapping[str, int], den: int) -> "FiniteMeasure":
         """The measure with weight nums[x] / den at x, for integers nums[x]
         and a positive den, reduced to lowest terms; rejects unknown points
-        and negative weights as the constructor does.
-
-        With `points`, `base` must already be a sorted tuple and `points` its
-        set of ids. The members of one system pass the system's domain and
-        one id set, so each is built in time proportional to its support,
-        not to its base."""
+        and negative weights as the constructor does."""
         m = cls.__new__(cls)
-        if points is None:
-            m.base = tuple(sorted(base))
-            points = frozenset(m.base)
-        else:
-            m.base = base
-        check_ids(nums, points, "weight assigned to unknown point")
-        if min(nums.values(), default=0) < 0:
-            n = next(n for n in nums.values() if n < 0)
-            raise MalformedInput(f"negative weight {Fraction(n, den)}")
-        kept = {x: n for x, n in nums.items() if n}
-        common = gcd(den, *kept.values())
-        if common > 1:
-            kept = {x: n // common for x, n in kept.items()}
-        m.den, m.nums = den // common, kept
+        m.base = tuple(sorted(base))
+        m.den, (m.nums,) = _lowest_terms([nums], frozenset(m.base), den)
         return m
 
     def __call__(self, x: str) -> Fraction:
@@ -90,12 +90,6 @@ class FiniteMeasure:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def scaled(self, c) -> "FiniteMeasure":
-        c = Fraction(c)
-        return FiniteMeasure.from_numerators(
-            self.base, {x: n * c.numerator for x, n in self.nums.items()}, self.den * c.denominator
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMeasure):
@@ -114,46 +108,29 @@ def counting(base: Iterable[str], subset: Iterable[str] | None = None) -> Finite
 
 
 class MeasureSystem:
-    """Family {lam^y} over a map f: X -> Y, one finite measure per y in Y.
+    """Family {lam^y} over a map f: X -> Y, one finite measure per y in Y,
+    kept as lam^y(x) = nums[y][x] / den in canonical form: `nums` is keyed by
+    every point of Y and holds the nonzero numerators, and gcd(den, all
+    numerators) = 1, so equal systems have equal `den` and `nums`.
 
-    `family` may omit points of Y; missing entries denote the zero measure.
-    It may not be indexed by any other point. The fibers of the map are
-    indexed once, at construction, and so is the family's common
-    denominator: lam^y(x) = nums[y][x] / den, with `nums` keyed by every
-    point of Y and holding the nonzero numerators.
+    The constructor takes integer numerators `y -> {x: n}` over any positive
+    `den`. It may omit points of Y, whose measures are then zero; it rejects
+    any other point of Y, weights at unknown points of X and negative ones.
     """
 
     def __init__(
-        self, over: Mapping[str, str], domain: Iterable[str], codomain: Iterable[str], family: Mapping[str, FiniteMeasure]
+        self, over: Mapping[str, str], domain: Iterable[str], codomain: Iterable[str], nums: Mapping[str, dict], den: int = 1
     ):
         self.domain: tuple[str, ...] = tuple(sorted(domain))
         self.codomain: tuple[str, ...] = tuple(sorted(codomain))
         self.over = dict(over)
-        zero = FiniteMeasure(self.domain)
-        fam = dict(family)
-        check_ids(fam, frozenset(self.codomain), "family indexed by unknown point")
-        self.family: dict[str, FiniteMeasure] = {y: fam.get(y, zero) for y in self.codomain}
-        self.den = den = lcm(*(m.den for m in self.family.values()))
-        self.nums: dict[str, dict[str, int]] = {
-            y: m.nums if m.den == den else {x: n * (den // m.den) for x, n in m.nums.items()}
-            for y, m in self.family.items()
-        }
-        self._fibers: dict[str, list[str]] = {}
-        for x in self.domain:
-            y = self.over.get(x)
-            if y is not None:
-                self._fibers.setdefault(y, []).append(x)
-
-    def at(self, y: str) -> FiniteMeasure:
-        return self.family[y]
+        check_ids(nums, frozenset(self.codomain), "family indexed by unknown point")
+        self.den, rows = _lowest_terms([nums.get(y, {}) for y in self.codomain], frozenset(self.domain), den)
+        self.nums: dict[str, dict[str, int]] = dict(zip(self.codomain, rows))
 
     def weight(self, y: str, x: str) -> Fraction:
-        m = self.family.get(y)
-        return m(x) if m is not None else ZERO
-
-    def fiber(self, y: str) -> tuple[str, ...]:
-        """All x over y, in canonical order."""
-        return tuple(self._fibers.get(y, ()))
+        n = self.nums.get(y, {}).get(x)
+        return Fraction(n, self.den) if n else ZERO
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasureSystem):
@@ -162,34 +139,27 @@ class MeasureSystem:
             self.domain == other.domain
             and self.codomain == other.codomain
             and self.over == other.over
-            and self.family == other.family
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __repr__(self) -> str:
         return f"MeasureSystem({len(self.domain)} -> {len(self.codomain)})"
 
 
-def _system_structural_check(s: MeasureSystem) -> None:
-    dom = frozenset(s.domain)
-    check_map(s.over, dom, frozenset(s.codomain), "system map")
-    for y, m in s.family.items():
-        # members built for this system share its domain tuple, so the tuple
-        # comparison settles them without building a set
-        if m.base != s.domain and frozenset(m.base) != dom:
-            raise MalformedInput(f"family member at {y!r} lives on the wrong base set")
-
-
 def validate_system(s: MeasureSystem, require_full: bool = False) -> ValidationReport:
     """Concentration on fibers; optionally full support on every fiber."""
-    _system_structural_check(s)
+    check_map(s.over, frozenset(s.domain), frozenset(s.codomain), "system map")
+    fibers: dict[str, set[str]] = {y: set() for y in s.codomain}
+    for x in s.domain:
+        fibers[s.over[x]].add(x)
     bad: list[Violation] = []
     for y in s.codomain:
-        m = s.family[y]
-        fib = frozenset(s.fiber(y))
-        for x in sorted(m.support - fib):
+        support, fib = s.nums[y].keys(), fibers[y]
+        for x in sorted(support - fib):
             bad.append(Violation("concentration", (y, x), f"lam^{y} charges {x} outside the fiber"))
         if require_full:
-            for x in sorted(fib - m.support):
+            for x in sorted(fib - support):
                 bad.append(Violation("full-support", (y, x), f"lam^{y} vanishes at {x} inside the fiber"))
     return ValidationReport(tuple(bad))
 
@@ -235,6 +205,7 @@ def disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> 
     mu-null, by the measure-class precondition) carry counting measure so that
     their full fiber support survives downstream support computations.
     """
+    check_map(f, frozenset(mu.base), frozenset(nu.base), "disintegration map")
     pushed = push_forward(f, mu, nu.base)
     if pushed.support != nu.support:
         w = class_witness(pushed, nu)
@@ -244,14 +215,28 @@ def disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> 
     fibers: dict[str, list[str]] = {y: [] for y in nu.base}
     for x in mu.base:
         fibers[f[x]].append(x)
-    points = frozenset(mu.base)
-    family: dict[str, FiniteMeasure] = {}
+    # (mu.nums[x] / mu.den) / (ny / nu.den) over the denominator mu.den * m,
+    # where m is the lcm of the positive numerators ny of nu
+    m = lcm(*nu.nums.values())
+    den = mu.den * m
+    nums: dict[str, dict[str, int]] = {}
     for y in nu.base:
         ny = nu.nums.get(y)
         if ny:
-            # (mu.nums[x] / mu.den) / (ny / nu.den)
-            ws, den = {x: mu.nums.get(x, 0) * nu.den for x in fibers[y]}, mu.den * ny
+            k = nu.den * (m // ny)
+            nums[y] = {x: mu.nums.get(x, 0) * k for x in fibers[y]}
         else:
-            ws, den = dict.fromkeys(fibers[y], 1), 1
-        family[y] = FiniteMeasure.from_numerators(mu.base, ws, den, points)
-    return MeasureSystem(dict(f), mu.base, nu.base, family)
+            nums[y] = dict.fromkeys(fibers[y], den)
+    return MeasureSystem(f, mu.base, nu.base, nums, den)
+
+
+def alternate_disintegration(gamma: MeasureSystem, nu: FiniteMeasure, scale=2) -> MeasureSystem:
+    """Rescale a disintegration by `scale`, an int or a Fraction, on every
+    nu-null fiber. The result is again a disintegration of the same pair, and
+    differs from the input exactly when some null fiber is nonempty."""
+    c = Fraction(scale)
+    nums = {
+        y: {x: n * (c.denominator if y in nu.nums else c.numerator) for x, n in ws.items()}
+        for y, ws in gamma.nums.items()
+    }
+    return MeasureSystem(gamma.over, gamma.domain, gamma.codomain, nums, gamma.den * c.denominator)

@@ -210,17 +210,15 @@ def _pullback_haar_system(alg: PullbackGroupoid, c: Cospan) -> MeasureSystem:
     legs' numerators over the product of their denominators."""
     pg = alg.groupoid
     lam_s, lam_t = c.left.haar, c.right.haar
-    den = lam_s.den * lam_t.den
-    family: dict[str, FiniteMeasure] = {}
+    nums: dict[str, dict[str, int]] = {}
     for u in pg.units:
         s, _, t = alg.triples[u]
         lam_s_s, lam_t_t = lam_s.nums.get(s, {}), lam_t.nums.get(t, {})
-        ws: dict[str, int] = {}
+        ws = nums[u] = {}
         for pid in pg.fiber(u):
             sigma, _, tau = alg.triples[pid]
             ws[pid] = lam_s_s.get(sigma, 0) * lam_t_t.get(tau, 0)
-        family[u] = FiniteMeasure.from_numerators(pg.elements, ws, den, pg.element_set)
-    return MeasureSystem(dict(pg.range_map), pg.elements, pg.units, family)
+    return MeasureSystem(pg.range_map, pg.elements, pg.units, nums, lam_s.den * lam_t.den)
 
 
 def _eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_q: MeasureSystem) -> MeasureSystem:
@@ -232,16 +230,14 @@ def _eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_
     by_arrow: dict[str, list[str]] = {}
     for u in pg.units:
         by_arrow.setdefault(over[u], []).append(u)
-    den = gamma_p.den * gamma_q.den
-    family: dict[str, FiniteMeasure] = {}
+    nums: dict[str, dict[str, int]] = {}
     for x in base.elements:
         gamma_p_r, gamma_q_d = gamma_p.nums.get(base.r(x), {}), gamma_q.nums.get(base.d(x), {})
-        ws: dict[str, int] = {}
+        ws = nums[x] = {}
         for u in by_arrow.get(x, ()):
             s, _, t = alg.triples[u]
             ws[u] = gamma_p_r.get(s, 0) * gamma_q_d.get(t, 0)
-        family[x] = FiniteMeasure.from_numerators(pg.units, ws, den, pg.unit_set)
-    return MeasureSystem(over, pg.units, base.elements, family)
+    return MeasureSystem(over, pg.units, base.elements, nums, gamma_p.den * gamma_q.den)
 
 
 def _unit_measure(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Mapping
 
 from measured_groupoids import (
@@ -353,7 +354,7 @@ def literal_haar_report(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport
     report = validate_system(s, require_full=True)
     bad = list(report.violations)
     # each fiber measure read once, as Fractions
-    weights = {u: fraction_weights(m) for u, m in s.family.items()}
+    weights = {u: fraction_weights(m) for u, m in members_of(s).items()}
     for x in g.elements:
         lam_d = weights[g.d(x)]
         lam_r = weights[g.r(x)]
@@ -612,6 +613,24 @@ def outer_square_counterexample(w: WeakPullbackResult) -> str | None:
 
 
 # ---------------------------------------------------------------------------
+# Systems as one measure per point, the form in which tests write them and the
+# oracles below compute them.
+
+
+def system_of(over, domain, codomain, family: Mapping[str, FiniteMeasure]) -> MeasureSystem:
+    """The system whose measure at y is family[y], zero where `family` omits
+    y: the members' numerators put over the lcm of their denominators."""
+    den = lcm(*(m.den for m in family.values()))
+    nums = {y: {x: n * (den // m.den) for x, n in m.nums.items()} for y, m in family.items()}
+    return MeasureSystem(over, domain, codomain, nums, den)
+
+
+def members_of(s: MeasureSystem) -> dict[str, FiniteMeasure]:
+    """The measure of s at each point of its codomain, on its domain."""
+    return {y: FiniteMeasure.from_numerators(s.domain, ws, s.den) for y, ws in s.nums.items()}
+
+
+# ---------------------------------------------------------------------------
 # Fraction oracles of the integer measure layer: the library's bodies as they
 # were before measures kept integer numerators, reading every weight as a
 # Fraction through `FiniteMeasure.__call__` and `MeasureSystem.weight`.
@@ -642,8 +661,9 @@ def fraction_compose_with_measure(s: MeasureSystem, nu: FiniteMeasure) -> Finite
     if tuple(nu.base) != s.codomain:
         raise BaseMismatch("measure base does not match the system codomain")
     out: dict[str, Fraction] = {}
+    members = members_of(s)
     for y, vy in fraction_weights(nu).items():
-        for x, w in fraction_weights(s.family[y]).items():
+        for x, w in fraction_weights(members[y]).items():
             out[x] = out.get(x, ZERO) + w * vy
     return FiniteMeasure(s.domain, out)
 
@@ -667,7 +687,20 @@ def fraction_disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMea
             family[y] = FiniteMeasure(mu.base, {x: mu(x) / nu(y) for x in fibers[y]})
         else:
             family[y] = counting(mu.base, fibers[y])
-    return MeasureSystem(dict(f), mu.base, nu.base, family)
+    return system_of(f, mu.base, nu.base, family)
+
+
+def fraction_alternate_disintegration(gamma: MeasureSystem, nu: FiniteMeasure, scale=2) -> MeasureSystem:
+    """Rescale a disintegration on every nu-null fiber. The result is again a
+    disintegration of the same pair, and differs from the input exactly when
+    some null fiber is nonempty."""
+    family = {}
+    for y, m in members_of(gamma).items():
+        if y not in nu.nums and not m.is_zero():
+            family[y] = fraction_scaled(m, scale)
+        else:
+            family[y] = m
+    return system_of(gamma.over, gamma.domain, gamma.codomain, family)
 
 
 def fraction_haar_system_from_source_weights(g: FiniteGroupoid, source_weight) -> MeasureSystem:
@@ -680,7 +713,7 @@ def fraction_haar_system_from_source_weights(g: FiniteGroupoid, source_weight) -
     family = {
         u: FiniteMeasure(g.elements, {x: c[g.d(x)] for x in g.fiber(u)}) for u in g.units
     }
-    return MeasureSystem(dict(g.range_map), g.elements, g.units, family)
+    return system_of(g.range_map, g.elements, g.units, family)
 
 
 def fraction_induced(h: HaarGroupoid) -> FiniteMeasure:
@@ -732,7 +765,7 @@ def fraction_pullback_haar_system(alg: PullbackGroupoid, c: Cospan) -> MeasureSy
             if w:
                 ws[pid] = w
         family[u] = FiniteMeasure(pg.elements, ws)
-    return MeasureSystem(dict(pg.range_map), pg.elements, pg.units, family)
+    return system_of(pg.range_map, pg.elements, pg.units, family)
 
 
 def fraction_eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_q: MeasureSystem) -> MeasureSystem:
@@ -752,7 +785,7 @@ def fraction_eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem
             if w:
                 ws[u] = w
         family[x] = FiniteMeasure(pg.units, ws)
-    return MeasureSystem(over, pg.units, base.elements, family)
+    return system_of(over, pg.units, base.elements, family)
 
 
 def fraction_unit_measure(alg: PullbackGroupoid, c: Cospan, disintegration):

@@ -36,15 +36,17 @@ from measured_groupoids.documents import (
 )
 from measured_groupoids.families import GroupAction, trivial_action
 from measured_groupoids.haar import HaarGroupoid, counting_haar_system
-from measured_groupoids.measures import FiniteMeasure, MeasureSystem
+from measured_groupoids.measures import FiniteMeasure
 
 from helpers import (
     cotrivial_comparison_hom,
     fraction_weights,
+    members_of,
     outer_square_counterexample,
     pair_trivial_cospan,
     random_cotrivial_cospan,
     regular_pullback,
+    system_of,
     z2_cospan,
 )
 
@@ -209,11 +211,11 @@ def test_criterion_7_negative_controls():
     # (c) corrupting one pullback Haar weight is detected
     unit = w.groupoid.units[0]
     victim = w.groupoid.fiber(unit)[0]
-    family = dict(w.haar.family)
+    family = members_of(w.haar)
     weights = fraction_weights(family[unit])
     weights[victim] += 1
     family[unit] = FiniteMeasure(w.groupoid.elements, weights)
-    tampered = MeasureSystem(w.haar.over, w.haar.domain, w.haar.codomain, family)
+    tampered = system_of(w.haar.over, w.haar.domain, w.haar.codomain, family)
     assert not is_haar(w.groupoid, tampered).ok
     _report(7, "negative controls: quasi-invariance witness 1-2, non-commuting square, corrupted weight detected")
 

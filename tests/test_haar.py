@@ -31,9 +31,8 @@ from measured_groupoids import (
 )
 from measured_groupoids.groupoid import GroupoidHom, identity_hom
 from measured_groupoids.haar import validate_haar_groupoid as _validate
-from measured_groupoids.measures import MeasureSystem
-
-from helpers import dangling_product, fraction_weights, inverse_measure, literal_haar_report, outcome, table_mutants
+from helpers import dangling_product, fraction_weights, inverse_measure, literal_haar_report, members_of, outcome
+from helpers import system_of, table_mutants
 
 F = Fraction
 
@@ -88,11 +87,9 @@ def test_is_haar_counting_on_pair_groupoid():
 def test_is_haar_rejects_non_invariant_weights():
     z2 = cyclic_group(2)
     s = counting_haar_system(z2)
-    lopsided = dict(s.family)
+    lopsided = members_of(s)
     lopsided["g0"] = FiniteMeasure(z2.elements, {"g0": 1, "g1": 2})
-    from measured_groupoids.measures import MeasureSystem
-
-    bad = MeasureSystem(s.over, s.domain, s.codomain, lopsided)
+    bad = system_of(s.over, s.domain, s.codomain, lopsided)
     report = is_haar(z2, bad)
     assert not report.ok
     assert any(v.rule == "left-invariance" and "g1" in v.witnesses for v in report.violations)
@@ -299,9 +296,10 @@ def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
             constrained = sorted({(g.d(x), y) for x in g.elements if x not in g.unit_set for y in g.fiber(g.d(x))})
             if constrained:
                 u, y = rng.choice(constrained)
-                m = s.at(u)
-                family = {**s.family, u: FiniteMeasure(m.base, {**fraction_weights(m), y: m(y) + 1})}
-                mutant = MeasureSystem(s.over, s.domain, s.codomain, family)
+                family = members_of(s)
+                m = family[u]
+                family[u] = FiniteMeasure(m.base, {**fraction_weights(m), y: m(y) + 1})
+                mutant = system_of(s.over, s.domain, s.codomain, family)
                 expected = literal_haar_report(g, mutant)
                 assert not expected.ok, seed
                 assert is_haar(g, mutant) == expected, seed

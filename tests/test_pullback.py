@@ -65,6 +65,7 @@ from helpers import (
     fraction_weights,
     literal_haar_report,
     literal_weak_pullback_groupoid,
+    members_of,
     outcome,
     literal_expanding_rhs,
     literal_lifted_eta_weight,
@@ -76,6 +77,7 @@ from helpers import (
     pair_trivial_cospan,
     random_cotrivial_cospan,
     regular_pullback,
+    system_of,
     unmemoised_expanding_report,
     z2_cospan,
 )
@@ -233,11 +235,11 @@ def test_corrupted_haar_weight_is_detected():
     w = build_weak_pullback(c)
     unit = w.groupoid.units[0]
     victim = w.groupoid.fiber(unit)[0]
-    tampered_family = dict(w.haar.family)
+    tampered_family = members_of(w.haar)
     weights = fraction_weights(tampered_family[unit])
     weights[victim] = weights[victim] + 1
     tampered_family[unit] = FiniteMeasure(w.groupoid.elements, weights)
-    tampered = MeasureSystem(w.haar.over, w.haar.domain, w.haar.codomain, tampered_family)
+    tampered = system_of(w.haar.over, w.haar.domain, w.haar.codomain, tampered_family)
     report = is_haar(w.groupoid, tampered)
     assert not report.ok
     assert any(v.rule == "left-invariance" for v in report.violations)
@@ -305,7 +307,8 @@ def test_disintegration_independence_rejects_non_disintegration():
         w.disint_left.over,
         w.disint_left.domain,
         w.disint_left.codomain,
-        {y: w.disint_left.at(y).scaled(2) for y in w.disint_left.codomain},
+        {y: {x: 2 * n for x, n in ws.items()} for y, ws in w.disint_left.nums.items()},
+        w.disint_left.den,
     )
     with pytest.raises(NotADisintegration):
         check_disintegration_independence(w, broken, w.disint_right)
@@ -565,9 +568,9 @@ def test_negative_controls_name_the_tampered_element():
     # a triple whose legs reach the orbits of x and y
     assert _names(check_commuting_diamond(_with_triple(w, "a|x|a", ("b", "x", "a"))), "a|x|a")
     # gamma_p^x given mass off the fiber p^-1(x) = {a}
-    family = dict(w.disint_left.family)
+    family = members_of(w.disint_left)
     family["x"] = FiniteMeasure(w.disint_left.domain, {"a": 1, "b": 1})
-    off_fiber = MeasureSystem(w.disint_left.over, w.disint_left.domain, w.disint_left.codomain, family)
+    off_fiber = system_of(w.disint_left.over, w.disint_left.domain, w.disint_left.codomain, family)
     report = check_triple_integral_lemma(replace(w, disint_left=off_fiber))
     assert _names(report, "x")
     assert ("x", "y", "b") in {v.witnesses for v in report.violations}
@@ -587,14 +590,14 @@ def test_quasi_invariance_failure_is_both_reports():
 def test_disintegration_independence_rejects_other_maps_and_off_fiber_mass():
     w = build_weak_pullback(pair_trivial_cospan())
     gamma = w.disint_left
-    other_map = MeasureSystem({"1-1": "e"}, gamma.domain, gamma.codomain, gamma.family)
+    other_map = MeasureSystem({"1-1": "e"}, gamma.domain, gamma.codomain, gamma.nums, gamma.den)
     with pytest.raises(NotADisintegration, match="^left: system is over the wrong map$"):
         check_disintegration_independence(w, other_map, w.disint_right)
     # gamma_q^y given mass off the fiber q^-1(y) = {b}
     w = build_weak_pullback(_two_orbit_cospan())
     gamma = w.disint_right
-    family = {**gamma.family, "y": FiniteMeasure(gamma.domain, {"a": 1, "b": 1})}
-    off_fiber = MeasureSystem(gamma.over, gamma.domain, gamma.codomain, family)
+    family = {**members_of(gamma), "y": FiniteMeasure(gamma.domain, {"a": 1, "b": 1})}
+    off_fiber = system_of(gamma.over, gamma.domain, gamma.codomain, family)
     with pytest.raises(NotADisintegration, match="^right: system is not concentrated on fibers$"):
         check_disintegration_independence(w, w.disint_left, off_fiber)
 
@@ -652,9 +655,10 @@ def test_memoised_lemmas_match_the_literal_sums_on_the_sweep(sweep):
 
 
 def _doubled(system: MeasureSystem, y: str, x: str) -> MeasureSystem:
-    m = system.at(y)
-    family = {**system.family, y: FiniteMeasure(m.base, {**fraction_weights(m), x: 2 * m(x)})}
-    return MeasureSystem(system.over, system.domain, system.codomain, family)
+    family = members_of(system)
+    m = family[y]
+    family[y] = FiniteMeasure(m.base, {**fraction_weights(m), x: 2 * m(x)})
+    return system_of(system.over, system.domain, system.codomain, family)
 
 
 def test_memoised_lemmas_name_the_unmemoised_witnesses_on_tampered_results(sweep):
@@ -665,10 +669,10 @@ def test_memoised_lemmas_name_the_unmemoised_witnesses_on_tampered_results(sweep
     for seed, w in sweep.pullbacks[::10]:
         rng = random.Random(seed)
         gamma = w.disint_left
-        v, s = rng.choice(sorted((v, s) for v, m in gamma.family.items() for s in m.support))
+        v, s = rng.choice(sorted((v, s) for v, m in members_of(gamma).items() for s in m.support))
         side = "left" if seed % 20 else "right"
         leg = getattr(w.cospan, side)
-        u, y = rng.choice(sorted((u, y) for u, m in leg.haar.family.items() for y in m.support))
+        u, y = rng.choice(sorted((u, y) for u, m in members_of(leg.haar).items() for y in m.support))
         tampered_leg = replace(leg, haar=_doubled(leg.haar, u, y))
         for t in (replace(w, disint_left=_doubled(gamma, v, s)), replace(w, cospan=replace(w.cospan, **{side: tampered_leg}))):
             expanding = check_expanding_lemma(t)
@@ -743,17 +747,18 @@ def test_integer_claims_match_the_fraction_oracles_on_tampered_results(sweep):
         pid = rng.choice(sorted(w.haar_groupoid.induced.support))
         sigma, g, tau = w.algebraic.triples[pid]
         moved = _with_triple(w, pid, (rng.choice(sorted(c.left.induced.support)), g, tau))
-        v, s = rng.choice(sorted((v, s) for v, m in w.disint_left.family.items() for s in m.support))
+        v, s = rng.choice(sorted((v, s) for v, m in members_of(w.disint_left).items() for s in m.support))
         side = "left" if seed % 20 else "right"
         leg = getattr(c, side)
-        lu, y = rng.choice(sorted((lu, y) for lu, m in leg.haar.family.items() for y in m.support))
+        lu, y = rng.choice(sorted((lu, y) for lu, m in members_of(leg.haar).items() for y in m.support))
         y0 = rng.choice(w.groupoid.fiber(u))
-        lam = w.haar.at(u)
+        members = members_of(w.haar)
+        lam = members[u]
         heavier_haar = replace(
             w,
-            haar=MeasureSystem(
+            haar=system_of(
                 w.haar.over, w.haar.domain, w.haar.codomain,
-                {**w.haar.family, u: FiniteMeasure(lam.base, {**fraction_weights(lam), y0: lam(y0) + 1})},
+                {**members, u: FiniteMeasure(lam.base, {**fraction_weights(lam), y0: lam(y0) + 1})},
             ),
         )
         for t in (
