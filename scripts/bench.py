@@ -32,14 +32,17 @@ process on that checkout's `src`. There are three families:
   points, rotating n of them and fixing the last, for n = 3..7. Its
   pullback has n^3 (n + 1) elements, n (n + 1) units and n^5 (n + 1)
   compose entries (up to 134,456): many units, and one of them with the
-  whole of Z_n as its isotropy group. The action is read from a
-  `transformation_example` document, whose form every checkout parses.
+  whole of Z_n as its isotropy group. The action is built directly as
+  `GroupAction(cyclic_group(n), points, act)`.
 
 A point records the pullback's elements, units and compose entries, and the
-seconds of the cospan validation, the build and every claim check, each the
-least of three runs on a freshly built cospan. Each stage also gets its
-growth exponent per family, the least-squares slope of log seconds against
-log compose entries.
+seconds of each stage, the least of three runs on a freshly built cospan.
+The stages are `validate_cospan`, `build_weak_pullback` and each entry of
+the claim registry, timed by `cli.claim_reports` and keyed by its claim ids
+joined with "+" (`prop.quasi_invariance+remark.modular_formula` is one
+entry). Both checkouts must therefore have `cli.claim_reports`. Each stage
+also gets its growth exponent per family, the least-squares slope of log
+seconds against log compose entries.
 """
 
 from __future__ import annotations
@@ -64,19 +67,6 @@ PAIRS = 10
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 LADDERS = {"cyclic": range(4, 13), "pair": range(3, 8), "transformation": range(3, 8)}
 LADDER_RUNS = 3
-# the bindings that `cli.run_claims` calls its checks through
-CLAIM_BINDINGS = (
-    "validate_groupoid",
-    "check_fiber_product_lemma",
-    "check_haar_theorem",
-    "check_quasi_invariance_and_modular",
-    "check_projection_homs",
-    "alternate_disintegration",
-    "check_disintegration_independence",
-    "check_commuting_diamond",
-    "check_triple_integral_lemma",
-    "check_expanding_lemma",
-)
 
 
 def _run(checkout: Path, args: list[str]) -> tuple[subprocess.CompletedProcess, float]:
@@ -179,73 +169,45 @@ def wins(baseline: list[dict], change: list[dict], better: dict[str, str]) -> di
     return out
 
 
-def rotation_action_document(n: int) -> str:
-    """A `transformation_example` document whose actions are Z_n on the
-    points y0..yn, g_j sending y_i to y_{i+j mod n} for i < n and fixing yn,
-    both legs mapping every point to one base point."""
-    els = [f"g{i}" for i in range(n)]
-    group = {
-        "elements": els,
-        "units": ["g0"],
-        "range": dict.fromkeys(els, "g0"),
-        "source": dict.fromkeys(els, "g0"),
-        "inverse": {els[i]: els[-i % n] for i in range(n)},
-        "compose": [[els[i], els[j], els[(i + j) % n]] for i in range(n) for j in range(n)],
-    }
-    points = [f"y{i}" for i in range(n + 1)]
-    act = {y: {els[j]: points[(i + j) % n] if i < n else y for j in range(n)} for i, y in enumerate(points)}
-    action = {"group": group, "space": points, "act": act}
-    to_base = dict.fromkeys(points, "x")
-    return json.dumps({
-        "kind": "transformation_example", "format_version": 1, "left_action": action, "right_action": action,
-        "base_space": ["x"], "left_map": to_base, "right_map": to_base,
-    })
-
-
 def ladder_cospan(family: str, n: int):
     """The identity cospan, with counting measures, of ladder point n of the
     family, built by the `measured_groupoids` that the path gives."""
-    from measured_groupoids import Cospan, cyclic_group, identity_hom, pair_groupoid, transformation_groupoid, with_counting_haar
-    from measured_groupoids.documents import parse_document
+    from measured_groupoids import Cospan, GroupAction, cyclic_group, identity_hom, pair_groupoid, transformation_groupoid
+    from measured_groupoids import with_counting_haar
 
     if family == "cyclic":
         g = cyclic_group(n)
     elif family == "pair":
         g = pair_groupoid([f"p{i}" for i in range(n)])
     else:
-        g = transformation_groupoid(parse_document(rotation_action_document(n)).data.action_left)
+        # Z_n on y0..yn: g_j sends y_i to y_{i+j mod n} for i < n and fixes yn
+        points = [f"y{i}" for i in range(n + 1)]
+        act = {y: {f"g{j}": points[(i + j) % n] if i < n else y for j in range(n)} for i, y in enumerate(points)}
+        g = transformation_groupoid(GroupAction(cyclic_group(n), points, act))
     h = with_counting_haar(g)
     return Cospan(h, h, h, identity_hom(g), identity_hom(g))
 
 
 def ladder_point(family: str, n: int) -> dict:
     """One ladder point, timed in this process on the `measured_groupoids`
-    that PYTHONPATH gives."""
-    from measured_groupoids import build_weak_pullback, cli, validate_cospan
+    that PYTHONPATH gives: the cospan validation, the build and each entry of
+    the claim registry, keyed by its claim ids joined with "+"."""
+    from measured_groupoids import build_weak_pullback, validate_cospan
+    from measured_groupoids.cli import claim_reports
 
-    seconds: dict[str, float] = {}
-
-    def timed(name, fn):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
-
-        return wrapper
-
-    for name in CLAIM_BINDINGS:
-        setattr(cli, name, timed(name, getattr(cli, name)))
     best: dict[str, float] = {}
     for _ in range(LADDER_RUNS):
-        seconds.clear()
         c = ladder_cospan(family, n)
-        if not timed("validate_cospan", validate_cospan)(c).ok:
+        start = time.perf_counter()
+        if not validate_cospan(c).ok:
             raise SystemExit(f"ladder {family} n={n}: the cospan fails validation")
-        w = timed("build_weak_pullback", build_weak_pullback)(c, validate=False)
-        if not all(ok for ok, _ in cli.run_claims(c, w).values()):
-            raise SystemExit(f"ladder {family} n={n}: a claim fails")
+        validated = time.perf_counter()
+        w = build_weak_pullback(c, validate=False)
+        seconds = {"validate_cospan": validated - start, "build_weak_pullback": time.perf_counter() - validated}
+        for ids, reports, secs in claim_reports(c, w):
+            if not all(r.ok for r in reports):
+                raise SystemExit(f"ladder {family} n={n}: a claim fails")
+            seconds["+".join(ids)] = secs
         best = {k: min(v, best.get(k, v)) for k, v in seconds.items()}
     g = w.groupoid
     return {

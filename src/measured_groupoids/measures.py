@@ -32,7 +32,10 @@ def _lowest_terms(rows: list[Mapping[str, int]], known: AbstractSet[str], den: i
     """Rows of integer numerators over one positive `den`, in canonical form:
     zeros dropped and the common factor of `den` and all numerators divided
     out, which leaves the least common denominator of the reduced weights.
-    Rejects, row by row, a numerator off `known` and a negative one."""
+    Rejects a nonpositive `den` and, row by row, a numerator off `known` and
+    a negative one."""
+    if den < 1:
+        raise MalformedInput(f"denominator {den} is not positive")
     kept = []
     for ws in rows:
         check_ids(ws, known, "weight assigned to unknown point")
@@ -101,10 +104,9 @@ class FiniteMeasure:
         return f"FiniteMeasure({{{inside}}} on {len(self.base)} points)"
 
 
-def counting(base: Iterable[str], subset: Iterable[str] | None = None) -> FiniteMeasure:
+def counting(base: Iterable[str]) -> FiniteMeasure:
     base = tuple(base)
-    pts = base if subset is None else tuple(subset)
-    return FiniteMeasure.from_numerators(base, dict.fromkeys(pts, 1), 1)
+    return FiniteMeasure.from_numerators(base, dict.fromkeys(base, 1), 1)
 
 
 class MeasureSystem:

@@ -58,7 +58,6 @@ from measured_groupoids.haar import HaarGroupoid, counting_haar_system
 from measured_groupoids.measures import (
     MeasureSystem,
     class_witness,
-    counting,
     same_measure_class,
     validate_system,
 )
@@ -686,7 +685,7 @@ def fraction_disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMea
         if nu(y) > 0:
             family[y] = FiniteMeasure(mu.base, {x: mu(x) / nu(y) for x in fibers[y]})
         else:
-            family[y] = counting(mu.base, fibers[y])
+            family[y] = FiniteMeasure(mu.base, dict.fromkeys(fibers[y], 1))
     return system_of(f, mu.base, nu.base, family)
 
 

@@ -117,6 +117,9 @@ def test_system_constructor_runs_the_member_checks():
         MeasureSystem(F32, X3, Y2, {"1": {"a": 1}, "3": {"c": 1}})
     with pytest.raises(MalformedInput, match="^negative weight -3/2$"):
         alternate_disintegration(MeasureSystem(F32, X3, Y2, {"2": {"c": 3}}, 2), FiniteMeasure(Y2, {"1": 1}), -1)
+    for den in (0, -2):
+        with pytest.raises(MalformedInput, match=f"^denominator {den} is not positive$"):
+            MeasureSystem(F32, X3, Y2, {"1": {"a": 1}}, den)
     # zero numerators and an absent point of the codomain read as 0
     s = MeasureSystem(F32, X3, Y2, {"1": {"a": 0, "b": 6}}, 4)
     assert (s.den, s.nums) == (2, {"1": {"b": 3}, "2": {}})
@@ -308,4 +311,7 @@ def test_numerator_constructor_runs_the_constructor_checks():
         FiniteMeasure.from_numerators(X3, {"a": 1, "b": -2}, 4)
     with pytest.raises(MalformedInput, match="^weight assigned to unknown point 'd'$"):
         FiniteMeasure.from_numerators(X3, {"d": 1}, 1)
+    for den in (0, -3):
+        with pytest.raises(MalformedInput, match=f"^denominator {den} is not positive$"):
+            FiniteMeasure.from_numerators(X3, {"a": 1}, den)
     assert FiniteMeasure.from_numerators(X3, {"a": 0, "b": 6}, 4) == FiniteMeasure(X3, {"b": F(3, 2)})
