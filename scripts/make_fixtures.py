@@ -76,16 +76,20 @@ def transformation_params() -> TransformationExampleDocument:
     return TransformationExampleDocument(data)
 
 
-def main() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-    out = {
+def fixture_texts() -> dict[str, str]:
+    """File name -> serialized document, for every fixture."""
+    return {
         "z2_cospan.json": serialize(CospanDocument.of(z2_cospan())),
         "pair_quasi_violation.json": serialize(pair_quasi_violation()),
         "bad_cospan.json": serialize(bad_cospan()),
         "cech_params.json": serialize(cech_params()),
         "transformation_params.json": serialize(transformation_params()),
     }
-    for name, text in out.items():
+
+
+def main() -> None:
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    for name, text in fixture_texts().items():
         path = FIXTURES / name
         path.write_text(text, encoding="utf-8")
         print(f"wrote {path} ({len(text)} bytes)")

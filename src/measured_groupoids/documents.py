@@ -15,13 +15,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from .errors import DanglingReference, EmptySpace, MalformedInput, ParseError, UnsupportedVersion
 from .families import CechCospanData, FiniteCover, GroupAction, TransformationCospanData
 from .groupoid import FiniteGroupoid, GroupoidHom, check_ids, check_map, check_references
 from .haar import HaarGroupoid
-from .measures import FiniteMeasure, MeasureSystem
+from .measures import FiniteMeasure, MeasureSystem, over_one_denominator
 from .pullback import Cospan, WeakPullbackResult
 
 FORMAT_VERSION = 1
@@ -347,17 +346,16 @@ def _parse_groupoid_document(obj: dict, path: str) -> GroupoidDocument:
             weights[u] = {x: str_to_weight(w, f"{path}.haar[{u!r}]") for x, w in zip(fiberu, row)}
         with _reported_at(f"{path}.haar", DanglingReference):
             check_ids(table, g.unit_set, "unknown unit")
-        den = lcm(*(w.denominator for ws in weights.values() for w in ws.values()))
-        nums = {u: {x: w.numerator * (den // w.denominator) for x, w in ws.items()} for u, ws in weights.items()}
-        haar = MeasureSystem(g.range_map, g.elements, g.units, nums, den)
+        den, rows = over_one_denominator(weights.values())
+        haar = MeasureSystem(g.range_map, g.elements, g.units, dict(zip(weights, rows)), den)
     unit_measure = None
     if "unit_measure" in obj:
         row = _get(obj, "unit_measure", list, path)
         if len(row) != len(g.units):
             raise ParseError(f"{path}.unit_measure: expected {len(g.units)} weights")
-        unit_measure = FiniteMeasure(
-            g.units, {u: str_to_weight(w, f"{path}.unit_measure") for u, w in zip(g.units, row)}
-        )
+        ws = {u: str_to_weight(w, f"{path}.unit_measure") for u, w in zip(g.units, row)}
+        den, (nums,) = over_one_denominator([ws])
+        unit_measure = FiniteMeasure(g.units, nums, den)
     return GroupoidDocument(g, haar, unit_measure)
 
 

@@ -24,7 +24,7 @@ from .families import GroupAction, cyclic_group, direct_product, disjoint_union,
 from .families import transformation_groupoid, transformation_id, trivial_action, trivial_group
 from .groupoid import FiniteGroupoid, GroupoidHom, orbits
 from .haar import HaarGroupoid, haar_system_from_source_weights
-from .measures import FiniteMeasure, ZERO
+from .measures import ZERO, FiniteMeasure, over_one_denominator
 from .pullback import Cospan, validate_cospan
 
 DEFAULT_BOUNDS = (4, 24)
@@ -118,7 +118,8 @@ def attach_random_haar(rng: random.Random, g: FiniteGroupoid, null_orbits: bool 
         k = rng.randint(1, len(part.blocks) - 1)
         nulled = set(rng.sample(range(len(part.blocks)), k))
     mu0 = {u: (ZERO if part.index[u] in nulled else _weight(rng)) for u in g.units}
-    return HaarGroupoid(g, haar, FiniteMeasure(g.units, mu0))
+    den, (nums,) = over_one_denominator([mu0])
+    return HaarGroupoid(g, haar, FiniteMeasure(g.units, nums, den))
 
 
 def random_haar_groupoid(seed, bounds=DEFAULT_BOUNDS, null_orbits: bool = False) -> HaarGroupoid:
@@ -217,10 +218,9 @@ def _measured_leg(rng, leg: FiniteGroupoid, mapping, base_h: HaarGroupoid) -> tu
     c = {u: _weight(rng) for u in leg.units}
     haar = haar_system_from_source_weights(leg, c)
     base_supp = base_h.unit_measure.support
-    mu0 = {}
-    for u in leg.units:
-        mu0[u] = _weight(rng) if mapping[u] in base_supp else ZERO
-    h = HaarGroupoid(leg, haar, FiniteMeasure(leg.units, mu0))
+    mu0 = {u: _weight(rng) if mapping[u] in base_supp else ZERO for u in leg.units}
+    den, (nums,) = over_one_denominator([mu0])
+    h = HaarGroupoid(leg, haar, FiniteMeasure(leg.units, nums, den))
     return h, GroupoidHom(leg, base_h.groupoid, dict(mapping))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -19,7 +18,7 @@ from .errors import MalformedInput, NotQuasiInvariant
 from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, check_ids, checked_generators
 from .groupoid import validate_groupoid, validate_hom
 from .measures import FiniteMeasure, MeasureSystem, class_witness, compose_with_measure, push_forward, same_measure_class
-from .measures import validate_system
+from .measures import over_one_denominator, validate_system
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,7 @@ def haar_system_from_source_weights(g: FiniteGroupoid, source_weight: Mapping[st
     for u in g.units:
         if c[u] <= 0:
             raise MalformedInput(f"source weight non-positive at unit {u!r}")
-    den = lcm(*(w.denominator for w in c.values()))
-    num = {u: w.numerator * (den // w.denominator) for u, w in c.items()}
+    den, (num,) = over_one_denominator([c])
     nums = {u: {x: num[g.d(x)] for x in g.fiber(u)} for u in g.units}
     return MeasureSystem(g.range_map, g.elements, g.units, nums, den)
 

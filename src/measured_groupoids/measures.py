@@ -6,10 +6,12 @@ Weights have one form, integer numerators over one positive denominator in
 lowest terms: a measure has its own denominator and a system of measures one
 for its whole family, with no measure object per point. Sums are then integer
 sums, two weights of one system compare as integers, and weights of different
-measures compare by cross-multiplication. `fractions.Fraction` appears only
-where weights come in (the `FiniteMeasure` constructor, and the document
-parser, which puts a Haar table over one denominator) and where they are read
-out (`FiniteMeasure.__call__`, `MeasureSystem.weight`).
+measures compare by cross-multiplication. Both constructors take integer
+numerators over one positive denominator and reject any other weight.
+`fractions.Fraction` appears only where rational weights come in, each put
+over one denominator by `over_one_denominator` (the document parser, the
+source weights of a Haar system and the random generator), and where weights
+are read out (`FiniteMeasure.__call__`, `MeasureSystem.weight`).
 
 A system of measures over f: X -> Y is one measure on X per point of Y,
 concentrated on the fiber over that point.
@@ -18,7 +20,6 @@ concentrated on the fiber over that point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import AbstractSet, Iterable, Mapping
 
@@ -28,31 +29,41 @@ from .groupoid import ValidationReport, Violation, check_ids, check_map
 ZERO = Fraction(0)
 
 
+def over_one_denominator(rows: Iterable[Mapping[str, Fraction]]) -> tuple[int, list[dict[str, int]]]:
+    """Rows of rational weights as (den, rows of integer numerators over den),
+    with den the lcm of the reduced denominators, so that the numerators and
+    den have no common factor. The one place where rationals become
+    numerators."""
+    rows = list(rows)
+    den = lcm(*(w.denominator for ws in rows for w in ws.values()))
+    return den, [{x: w.numerator * (den // w.denominator) for x, w in ws.items()} for ws in rows]
+
+
 def _lowest_terms(rows: list[Mapping[str, int]], known: AbstractSet[str], den: int) -> tuple[int, list[dict[str, int]]]:
     """Rows of integer numerators over one positive `den`, in canonical form:
     zeros dropped and the common factor of `den` and all numerators divided
     out, which leaves the least common denominator of the reduced weights.
-    Rejects a nonpositive `den` and, row by row, a numerator off `known` and
-    a negative one."""
+    Rejects a `den` that is not a positive int and, row by row, a numerator
+    off `known`, one that is not an int and a negative one."""
+    if not isinstance(den, int):
+        raise MalformedInput(f"denominator {den!r} is not an integer")
     if den < 1:
         raise MalformedInput(f"denominator {den} is not positive")
     kept = []
+    common = den
     for ws in rows:
         check_ids(ws, known, "weight assigned to unknown point")
+        try:  # gcd takes ints only, so it is also the type check
+            common = gcd(common, *ws.values())
+        except TypeError:
+            x = next(x for x, n in ws.items() if not isinstance(n, int))
+            raise MalformedInput(f"weight at {x!r} is not an integer: {ws[x]!r}") from None
         for n in filter((0).__gt__, ws.values()):
             raise MalformedInput(f"negative weight {Fraction(n, den)}")
         kept.append({x: n for x, n in ws.items() if n})
-    common = gcd(den, *chain.from_iterable(map(dict.values, kept)))
     if common > 1:
         kept = [{x: n // common for x, n in ws.items()} for ws in kept]
     return den // common, kept
-
-
-def as_weight(v) -> Fraction:
-    w = Fraction(v)
-    if w < 0:
-        raise MalformedInput(f"negative weight {w}")
-    return w
 
 
 class FiniteMeasure:
@@ -60,28 +71,14 @@ class FiniteMeasure:
 
     The weight at x is `nums[x] / den`: `den` is positive, `nums` holds the
     nonzero integer numerators, and gcd(den, all numerators) = 1. That form
-    is canonical, so equal measures have equal `den` and `nums`.
+    is canonical, so equal measures have equal `den` and `nums`. The
+    constructor takes integer numerators over any positive int `den`, reduces
+    them to that form and rejects weights as `MeasureSystem` does.
     """
 
-    def __init__(self, base: Iterable[str], weights: Mapping[str, object] = ()):
+    def __init__(self, base: Iterable[str], nums: Mapping[str, int], den: int = 1):
         self.base: tuple[str, ...] = tuple(sorted(base))
-        check_ids(weights, frozenset(self.base), "weight assigned to unknown point")
-        ws = [(x, as_weight(v)) for x, v in dict(weights).items()]
-        # the least common denominator of reduced fractions leaves the
-        # numerators without a common factor
-        den = lcm(*(w.denominator for _, w in ws))
-        self.den = den
-        self.nums: dict[str, int] = {x: w.numerator * (den // w.denominator) for x, w in ws if w}
-
-    @classmethod
-    def from_numerators(cls, base: Iterable[str], nums: Mapping[str, int], den: int) -> "FiniteMeasure":
-        """The measure with weight nums[x] / den at x, for integers nums[x]
-        and a positive den, reduced to lowest terms; rejects unknown points
-        and negative weights as the constructor does."""
-        m = cls.__new__(cls)
-        m.base = tuple(sorted(base))
-        m.den, (m.nums,) = _lowest_terms([nums], frozenset(m.base), den)
-        return m
+        self.den, (self.nums,) = _lowest_terms([nums], frozenset(self.base), den)
 
     def __call__(self, x: str) -> Fraction:
         n = self.nums.get(x)
@@ -106,7 +103,7 @@ class FiniteMeasure:
 
 def counting(base: Iterable[str]) -> FiniteMeasure:
     base = tuple(base)
-    return FiniteMeasure.from_numerators(base, dict.fromkeys(base, 1), 1)
+    return FiniteMeasure(base, dict.fromkeys(base, 1))
 
 
 class MeasureSystem:
@@ -117,7 +114,8 @@ class MeasureSystem:
 
     The constructor takes integer numerators `y -> {x: n}` over any positive
     `den`. It may omit points of Y, whose measures are then zero; it rejects
-    any other point of Y, weights at unknown points of X and negative ones.
+    any other point of Y, weights at unknown points of X, numerators or a
+    `den` that are not ints, and negative weights.
     """
 
     def __init__(
@@ -173,7 +171,7 @@ def push_forward(f: Mapping[str, str], mu: FiniteMeasure, codomain: Iterable[str
     for x, n in mu.nums.items():
         y = f[x]
         out[y] = out.get(y, 0) + n
-    return FiniteMeasure.from_numerators(codomain, out, mu.den)
+    return FiniteMeasure(codomain, out, mu.den)
 
 
 def same_measure_class(mu: FiniteMeasure, nu: FiniteMeasure) -> bool:
@@ -196,7 +194,7 @@ def compose_with_measure(s: MeasureSystem, nu: FiniteMeasure) -> FiniteMeasure:
     for y, vy in nu.nums.items():
         for x, w in s.nums[y].items():
             out[x] = out.get(x, 0) + w * vy
-    return FiniteMeasure.from_numerators(s.domain, out, s.den * nu.den)
+    return FiniteMeasure(s.domain, out, s.den * nu.den)
 
 
 def disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> MeasureSystem:

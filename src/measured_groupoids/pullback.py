@@ -240,20 +240,21 @@ def _eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_
     return MeasureSystem(over, pg.units, base.elements, nums, gamma_p.den * gamma_q.den)
 
 
-def _unit_measure(
-    alg: PullbackGroupoid,
-    c: Cospan,
-    disintegration: Callable[[str, Mapping[str, str], FiniteMeasure, FiniteMeasure], MeasureSystem],
-) -> tuple[MeasureSystem, MeasureSystem, MeasureSystem, FiniteMeasure]:
-    """gamma_p, gamma_q, eta and mu_P0 = eta composed with the base induced
-    measure. Each gamma is `disintegration(label, unit map, leg unit measure,
-    base unit measure)` on the leg labelled "left" or "right"."""
-    gamma_p, gamma_q = (
-        disintegration(label, {u: hom.mapping[u] for u in leg.groupoid.units}, leg.unit_measure, c.base.unit_measure)
+def _leg_unit_data(c: Cospan) -> tuple[tuple[str, dict[str, str], FiniteMeasure], ...]:
+    """(label, unit map, unit measure) of the left leg, then of the right."""
+    return tuple(
+        (label, {u: hom.mapping[u] for u in leg.groupoid.units}, leg.unit_measure)
         for label, leg, hom in (("left", c.left, c.left_map), ("right", c.right, c.right_map))
     )
+
+
+def _unit_measure(
+    alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_q: MeasureSystem
+) -> tuple[MeasureSystem, FiniteMeasure]:
+    """eta from the disintegrations gamma_p, gamma_q of the legs' unit
+    measures, and mu_P0 = eta composed with the base induced measure."""
     eta = _eta_system(alg, c, gamma_p, gamma_q)
-    return gamma_p, gamma_q, eta, compose_with_measure(eta, c.base.induced)
+    return eta, compose_with_measure(eta, c.base.induced)
 
 
 def build_weak_pullback(c: Cospan, validate: bool = True) -> WeakPullbackResult:
@@ -266,7 +267,8 @@ def build_weak_pullback(c: Cospan, validate: bool = True) -> WeakPullbackResult:
         c.left.groupoid, c.base.groupoid, c.right.groupoid, c.left_map.mapping, c.right_map.mapping
     )
     lam_p = _pullback_haar_system(alg, c)
-    gamma_p, gamma_q, eta, mu_p0 = _unit_measure(alg, c, lambda _, f, mu, nu: disintegrate(f, mu, nu))
+    gamma_p, gamma_q = (disintegrate(f, mu, c.base.unit_measure) for _, f, mu in _leg_unit_data(c))
+    eta, mu_p0 = _unit_measure(alg, c, gamma_p, gamma_q)
     return WeakPullbackResult(
         cospan=c,
         algebraic=alg,
@@ -394,10 +396,12 @@ def check_disintegration_independence(
     a violation names a unit whose weight moves. Alternates must disintegrate
     the same measures (else NotADisintegration): the only freedom is on null
     fibers, where the null weights wash it out."""
-    alternates = {"left": alt_left, "right": alt_right}
-    *_, mu_alt = _unit_measure(
-        w.algebraic, w.cospan, lambda label, f, mu, nu: _verified_disintegration(alternates[label], f, mu, nu, label)
+    c = w.cospan
+    gamma_p, gamma_q = (
+        _verified_disintegration(alt, f, mu, c.base.unit_measure, label)
+        for alt, (label, f, mu) in zip((alt_left, alt_right), _leg_unit_data(c))
     )
+    _, mu_alt = _unit_measure(w.algebraic, c, gamma_p, gamma_q)
     mu = w.unit_measure
     bad = [
         Violation("disintegration-independence", (u,), f"mu_P0({u}) = {mu(u)}, alternates give {mu_alt(u)}")

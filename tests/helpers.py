@@ -612,8 +612,8 @@ def outer_square_counterexample(w: WeakPullbackResult) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Systems as one measure per point, the form in which tests write them and the
-# oracles below compute them.
+# Measures from rational weights and systems as one measure per point, the
+# forms in which tests write them and the oracles below compute them.
 
 
 def system_of(over, domain, codomain, family: Mapping[str, FiniteMeasure]) -> MeasureSystem:
@@ -624,9 +624,17 @@ def system_of(over, domain, codomain, family: Mapping[str, FiniteMeasure]) -> Me
     return MeasureSystem(over, domain, codomain, nums, den)
 
 
+def measure_of(base, weights: Mapping[str, object]) -> FiniteMeasure:
+    """The measure with rational weights[x] at x: the weights put over the
+    lcm of their denominators, the counterpart of `system_of`."""
+    ws = {x: Fraction(v) for x, v in weights.items()}
+    den = lcm(*(w.denominator for w in ws.values()))
+    return FiniteMeasure(base, {x: w.numerator * (den // w.denominator) for x, w in ws.items()}, den)
+
+
 def members_of(s: MeasureSystem) -> dict[str, FiniteMeasure]:
     """The measure of s at each point of its codomain, on its domain."""
-    return {y: FiniteMeasure.from_numerators(s.domain, ws, s.den) for y, ws in s.nums.items()}
+    return {y: FiniteMeasure(s.domain, ws, s.den) for y, ws in s.nums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +649,7 @@ def fraction_weights(mu: FiniteMeasure) -> dict[str, Fraction]:
 
 
 def fraction_scaled(mu: FiniteMeasure, c) -> FiniteMeasure:
-    return FiniteMeasure(mu.base, {x: v * Fraction(c) for x, v in fraction_weights(mu).items()})
+    return measure_of(mu.base, {x: v * Fraction(c) for x, v in fraction_weights(mu).items()})
 
 
 def fraction_push_forward(f: Mapping[str, str], mu: FiniteMeasure, codomain) -> FiniteMeasure:
@@ -652,7 +660,7 @@ def fraction_push_forward(f: Mapping[str, str], mu: FiniteMeasure, codomain) -> 
     for x, v in fraction_weights(mu).items():
         y = f[x]
         out[y] = out.get(y, ZERO) + v
-    return FiniteMeasure(codomain, out)
+    return measure_of(codomain, out)
 
 
 def fraction_compose_with_measure(s: MeasureSystem, nu: FiniteMeasure) -> FiniteMeasure:
@@ -664,7 +672,7 @@ def fraction_compose_with_measure(s: MeasureSystem, nu: FiniteMeasure) -> Finite
     for y, vy in fraction_weights(nu).items():
         for x, w in fraction_weights(members[y]).items():
             out[x] = out.get(x, ZERO) + w * vy
-    return FiniteMeasure(s.domain, out)
+    return measure_of(s.domain, out)
 
 
 def fraction_disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> MeasureSystem:
@@ -683,7 +691,7 @@ def fraction_disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMea
     family: dict[str, FiniteMeasure] = {}
     for y in nu.base:
         if nu(y) > 0:
-            family[y] = FiniteMeasure(mu.base, {x: mu(x) / nu(y) for x in fibers[y]})
+            family[y] = measure_of(mu.base, {x: mu(x) / nu(y) for x in fibers[y]})
         else:
             family[y] = FiniteMeasure(mu.base, dict.fromkeys(fibers[y], 1))
     return system_of(f, mu.base, nu.base, family)
@@ -710,7 +718,7 @@ def fraction_haar_system_from_source_weights(g: FiniteGroupoid, source_weight) -
         if c[u] <= 0:
             raise MalformedInput(f"source weight non-positive at unit {u!r}")
     family = {
-        u: FiniteMeasure(g.elements, {x: c[g.d(x)] for x in g.fiber(u)}) for u in g.units
+        u: measure_of(g.elements, {x: c[g.d(x)] for x in g.fiber(u)}) for u in g.units
     }
     return system_of(g.range_map, g.elements, g.units, family)
 
@@ -723,7 +731,7 @@ def inverse_measure(mu: FiniteMeasure, g: FiniteGroupoid) -> FiniteMeasure:
     """Image of mu under inversion: (mu^{-1})(x) = mu(x^{-1})."""
     if mu.base != g.elements:
         raise MalformedInput("measure does not live on the groupoid's elements")
-    return FiniteMeasure(g.elements, {x: mu(g.inv(x)) for x in g.elements})
+    return measure_of(g.elements, {x: mu(g.inv(x)) for x in g.elements})
 
 
 def fraction_is_quasi_invariant(h: HaarGroupoid, mu: FiniteMeasure) -> ValidationReport:
@@ -763,7 +771,7 @@ def fraction_pullback_haar_system(alg: PullbackGroupoid, c: Cospan) -> MeasureSy
             w = lam_s.weight(s, sigma) * lam_t.weight(t, tau)
             if w:
                 ws[pid] = w
-        family[u] = FiniteMeasure(pg.elements, ws)
+        family[u] = measure_of(pg.elements, ws)
     return system_of(pg.range_map, pg.elements, pg.units, family)
 
 
@@ -783,7 +791,7 @@ def fraction_eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem
             w = gamma_p.weight(base.r(x), s) * gamma_q.weight(base.d(x), t)
             if w:
                 ws[u] = w
-        family[x] = FiniteMeasure(pg.units, ws)
+        family[x] = measure_of(pg.units, ws)
     return system_of(over, pg.units, base.elements, family)
 
 

@@ -41,6 +41,7 @@ from measured_groupoids.measures import FiniteMeasure
 from helpers import (
     cotrivial_comparison_hom,
     fraction_weights,
+    measure_of,
     members_of,
     outer_square_counterexample,
     pair_trivial_cospan,
@@ -214,7 +215,7 @@ def test_criterion_7_negative_controls():
     family = members_of(w.haar)
     weights = fraction_weights(family[unit])
     weights[victim] += 1
-    family[unit] = FiniteMeasure(w.groupoid.elements, weights)
+    family[unit] = measure_of(w.groupoid.elements, weights)
     tampered = system_of(w.haar.over, w.haar.domain, w.haar.codomain, family)
     assert not is_haar(w.groupoid, tampered).ok
     _report(7, "negative controls: quasi-invariance witness 1-2, non-commuting square, corrupted weight detected")

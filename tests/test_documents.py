@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 import random
@@ -67,6 +68,17 @@ def test_fixture_files_are_canonical():
     for path in sorted(FIXTURES.glob("*.json")):
         text = path.read_text(encoding="utf-8")
         assert serialize(parse_document(text)) == text, path.name
+
+
+def test_fixture_script_reproduces_the_fixtures():
+    script = FIXTURES.parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    texts = make_fixtures.fixture_texts()
+    assert sorted(texts) == sorted(path.name for path in FIXTURES.glob("*.json"))
+    for name, text in texts.items():
+        assert text.encode("utf-8") == (FIXTURES / name).read_bytes(), name
 
 
 def test_negative_weight_rejected():

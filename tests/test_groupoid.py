@@ -230,7 +230,7 @@ def test_empty_groupoid_is_a_valid_bare_groupoid():
     from measured_groupoids import FiniteMeasure, MeasureSystem
     from measured_groupoids.haar import HaarGroupoid, validate_haar_groupoid
 
-    empty = HaarGroupoid(g, MeasureSystem({}, [], [], {}), FiniteMeasure([]))
+    empty = HaarGroupoid(g, MeasureSystem({}, [], [], {}), FiniteMeasure([], {}))
     report = validate_haar_groupoid(empty)
     assert any(v.rule == "nonzero-unit-measure" for v in report.violations)
 

@@ -32,7 +32,7 @@ from measured_groupoids import (
 from measured_groupoids.groupoid import GroupoidHom, identity_hom
 from measured_groupoids.haar import validate_haar_groupoid as _validate
 from helpers import dangling_product, fraction_weights, inverse_measure, literal_haar_report, members_of, outcome
-from helpers import system_of, table_mutants
+from helpers import measure_of, system_of, table_mutants
 
 F = Fraction
 
@@ -127,7 +127,7 @@ def test_validate_haar_groupoid_stops_after_axiom_failure():
 
 def test_zero_unit_measure_rejected_upstream():
     g = pair_groupoid(["1", "2"])
-    h = HaarGroupoid(g, counting_haar_system(g), FiniteMeasure(g.units))
+    h = HaarGroupoid(g, counting_haar_system(g), FiniteMeasure(g.units, {}))
     report = _validate(h)
     assert any(v.rule == "nonzero-unit-measure" for v in report.violations)
 
@@ -298,7 +298,7 @@ def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
                 u, y = rng.choice(constrained)
                 family = members_of(s)
                 m = family[u]
-                family[u] = FiniteMeasure(m.base, {**fraction_weights(m), y: m(y) + 1})
+                family[u] = measure_of(m.base, {**fraction_weights(m), y: m(y) + 1})
                 mutant = system_of(s.over, s.domain, s.codomain, family)
                 expected = literal_haar_report(g, mutant)
                 assert not expected.ok, seed

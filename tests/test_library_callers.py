@@ -95,7 +95,7 @@ def test_a_method_with_no_library_caller_is_reported(tmp_path):
         '    def scaled(self, c) -> "FiniteMeasure":\n'
         "        c = Fraction(c)\n"
         "        nums = {x: n * c.numerator for x, n in self.nums.items()}\n"
-        "        return FiniteMeasure.from_numerators(self.base, nums, self.den * c.denominator)\n\n"
+        "        return FiniteMeasure(self.base, nums, self.den * c.denominator)\n\n"
     )
     source.write_text(text.replace(anchor, scaled + anchor), encoding="utf-8")
     assert uncalled_library_names(copy, _program()) == ["measures.FiniteMeasure.scaled"]

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from measured_groupoids import (
     alternate_disintegration,
     compose_with_measure,
     disintegrate,
+    over_one_denominator,
     push_forward,
     same_measure_class,
     validate_system,
@@ -27,6 +29,7 @@ from helpers import (
     fraction_disintegrate,
     fraction_push_forward,
     fraction_weights,
+    measure_of,
     members_of,
     system_of,
 )
@@ -48,7 +51,7 @@ COUNTING_F32 = system_of(
 
 def test_negative_weight_rejected():
     with pytest.raises(MalformedInput):
-        FiniteMeasure(X3, {"a": F(-1, 2)})
+        measure_of(X3, {"a": F(-1, 2)})
 
 
 def test_push_forward_identity():
@@ -120,11 +123,18 @@ def test_system_constructor_runs_the_member_checks():
     for den in (0, -2):
         with pytest.raises(MalformedInput, match=f"^denominator {den} is not positive$"):
             MeasureSystem(F32, X3, Y2, {"1": {"a": 1}}, den)
+    # weights are integer numerators over an integer denominator, nothing else
+    with pytest.raises(MalformedInput, match="^" + re.escape("weight at 'a' is not an integer: Fraction(1, 2)") + "$"):
+        MeasureSystem({"a": "1"}, ["a"], ["1"], {"1": {"a": F(1, 2)}}, 1)
+    with pytest.raises(MalformedInput, match="^weight at 'c' is not an integer: 0.5$"):
+        MeasureSystem(F32, X3, Y2, {"1": {"a": 1}, "2": {"c": 0.5}})
+    with pytest.raises(MalformedInput, match="^denominator 1.5 is not an integer$"):
+        MeasureSystem(F32, X3, Y2, {"1": {"a": 1}}, 1.5)
     # zero numerators and an absent point of the codomain read as 0
     s = MeasureSystem(F32, X3, Y2, {"1": {"a": 0, "b": 6}}, 4)
     assert (s.den, s.nums) == (2, {"1": {"b": 3}, "2": {}})
     assert s.weight("1", "a") == s.weight("2", "c") == 0 and s.weight("1", "b") == F(3, 2)
-    assert s == system_of(F32, X3, Y2, {"1": FiniteMeasure(X3, {"b": F(3, 2)})})
+    assert s == system_of(F32, X3, Y2, {"1": measure_of(X3, {"b": F(3, 2)})})
 
 
 def test_validate_system_concentration_violation():
@@ -135,7 +145,7 @@ def test_validate_system_concentration_violation():
 
 
 def test_compose_with_measure_dirac_keeps_measure():
-    nu = FiniteMeasure(X3, {"a": 7, "c": F(1, 3)})
+    nu = measure_of(X3, {"a": 7, "c": F(1, 3)})
     assert compose_with_measure(DIRAC_X3, nu) == nu
 
 
@@ -146,7 +156,7 @@ def test_compose_with_measure_counting():
 
 
 def test_compose_with_zero_measure_is_zero():
-    nu = FiniteMeasure(Y2)
+    nu = FiniteMeasure(Y2, {})
     assert compose_with_measure(COUNTING_F32, nu).is_zero()
 
 
@@ -154,9 +164,9 @@ def test_compose_with_zero_measure_is_zero():
 def test_compose_with_measure_pointwise_formula(ws, vs):
     # for a concentrated system the sum over fibers collapses to
     # lam^{f(x)}(x) * nu(f(x))
-    fam = {y: FiniteMeasure(X3, {x: w for x, w in zip(X3, ws) if F32[x] == y}) for y in Y2}
+    fam = {y: measure_of(X3, {x: w for x, w in zip(X3, ws) if F32[x] == y}) for y in Y2}
     system = system_of(F32, X3, Y2, fam)
-    nu = FiniteMeasure(Y2, dict(zip(Y2, vs)))
+    nu = measure_of(Y2, dict(zip(Y2, vs)))
     out = compose_with_measure(system, nu)
     for x in X3:
         assert out(x) == system.weight(F32[x], x) * nu(F32[x])
@@ -177,7 +187,7 @@ def test_disintegrate_worked_example():
 
 
 def test_disintegrate_identity_map_gives_unit_diracs():
-    mu = FiniteMeasure(X3, {"a": 4, "b": F(2, 7)})
+    mu = measure_of(X3, {"a": 4, "b": F(2, 7)})
     gamma = disintegrate({x: x for x in X3}, mu, mu)
     for x in ("a", "b"):
         assert gamma.weight(x, x) == 1
@@ -229,9 +239,9 @@ def test_disintegrations_agree_on_positive_fibers():
 
 @given(st.lists(weights, min_size=3, max_size=3), st.lists(weights, min_size=2, max_size=2))
 def test_reconstruction_property(ws, scales):
-    mu = FiniteMeasure(X3, dict(zip(X3, ws)))
+    mu = measure_of(X3, dict(zip(X3, ws)))
     pushed = push_forward(F32, mu, Y2)
-    nu = FiniteMeasure(Y2, {y: pushed(y) * (s + F(1, 7)) for y, s in zip(Y2, scales)})
+    nu = measure_of(Y2, {y: pushed(y) * (s + F(1, 7)) for y, s in zip(Y2, scales)})
     gamma = disintegrate(F32, mu, nu)
     assert compose_with_measure(gamma, nu) == mu
     assert validate_system(gamma).ok
@@ -245,7 +255,7 @@ weight_maps = st.dictionaries(st.sampled_from(X6), rationals)
 
 @given(weight_maps, weight_maps, st.booleans())
 def test_integer_numerators_read_back_and_compare_as_the_fractions(ws, other, same):
-    mu = FiniteMeasure(X6, ws)
+    mu = measure_of(X6, ws)
     assert mu.den > 0 and all(n > 0 for n in mu.nums.values())
     assert math.gcd(mu.den, *mu.nums.values()) == 1
     for x in X6:
@@ -255,9 +265,9 @@ def test_integer_numerators_read_back_and_compare_as_the_fractions(ws, other, sa
     if same:
         # the same weights written another way, zeros added
         other = {**{x: F(v.numerator * 3, v.denominator * 3) for x, v in ws.items()}, **{x: 0 for x in X6 if x not in ws}}
-    nu = FiniteMeasure(X6, other)
+    nu = measure_of(X6, other)
     assert (mu == nu) == ({x: v for x, v in ws.items() if v} == {x: F(v) for x, v in other.items() if v})
-    assert mu == FiniteMeasure.from_numerators(X6, {x: n * 7 for x, n in mu.nums.items()}, mu.den * 7)
+    assert mu == FiniteMeasure(X6, {x: n * 7 for x, n in mu.nums.items()}, mu.den * 7)
 
 
 @given(
@@ -273,13 +283,19 @@ def test_integer_numerators_read_back_and_compare_as_the_fractions(ws, other, sa
 )
 def test_integer_measure_operations_equal_their_fraction_oracles(targets, lam, nu_ws, mu_ws, scales, c, lam2, same, k):
     f = dict(zip(X6, targets))
-    system = system_of(f, X6, Y2, {y: FiniteMeasure(X6, {x: w for x, w in zip(X6, lam) if f[x] == y}) for y in Y2})
+    system = system_of(f, X6, Y2, {y: measure_of(X6, {x: w for x, w in zip(X6, lam) if f[x] == y}) for y in Y2})
     for y in Y2:
         for x in X6:
             assert system.weight(y, x) == F(system.nums[y].get(x, 0), system.den)
     # canonical form: the least common denominator, and no common factor left
     assert system.den == math.lcm(*(w.denominator for w in lam if w))
     assert math.gcd(system.den, *(n for ws in system.nums.values() for n in ws.values())) == 1
+    # rows of rationals over one denominator: the same canonical form
+    rows = [{x: w for x, w in zip(X6, lam) if f[x] == y} for y in Y2] + [mu_ws]
+    den, rows_nums = over_one_denominator(rows)
+    assert den == math.lcm(*(w.denominator for ws in rows for w in ws.values()))
+    assert math.gcd(den, *(n for ws in rows_nums for n in ws.values())) == 1
+    assert [{x: F(n, den) for x, n in ws.items()} for ws in rows_nums] == rows
     table = {(f[x], x): w for x, w in zip(X6, lam) if w}
     if same:
         # the same weights over a larger denominator, zeros added
@@ -288,15 +304,15 @@ def test_integer_measure_operations_equal_their_fraction_oracles(targets, lam, n
         other = MeasureSystem(f, X6, Y2, scaled, system.den * (k + 1))
         other_table = table
     else:
-        other = system_of(f, X6, Y2, {y: FiniteMeasure(X6, {x: w for x, w in zip(X6, lam2) if f[x] == y}) for y in Y2})
+        other = system_of(f, X6, Y2, {y: measure_of(X6, {x: w for x, w in zip(X6, lam2) if f[x] == y}) for y in Y2})
         other_table = {(f[x], x): w for x, w in zip(X6, lam2) if w}
     assert (system == other) == (table == other_table)
-    nu = FiniteMeasure(Y2, dict(zip(Y2, nu_ws)))
+    nu = measure_of(Y2, dict(zip(Y2, nu_ws)))
     assert compose_with_measure(system, nu) == fraction_compose_with_measure(system, nu)
-    mu = FiniteMeasure(X6, mu_ws)
+    mu = measure_of(X6, mu_ws)
     pushed = push_forward(f, mu, Y2)
     assert pushed == fraction_push_forward(f, mu, Y2)
-    target = FiniteMeasure(Y2, {y: pushed(y) * s for y, s in zip(Y2, scales)})
+    target = measure_of(Y2, {y: pushed(y) * s for y, s in zip(Y2, scales)})
     gamma = disintegrate(f, mu, target)
     assert gamma == fraction_disintegrate(f, mu, target)
     assert compose_with_measure(gamma, target) == mu
@@ -308,10 +324,16 @@ def test_integer_measure_operations_equal_their_fraction_oracles(targets, lam, n
 
 def test_numerator_constructor_runs_the_constructor_checks():
     with pytest.raises(MalformedInput, match="^negative weight -1/2$"):
-        FiniteMeasure.from_numerators(X3, {"a": 1, "b": -2}, 4)
+        FiniteMeasure(X3, {"a": 1, "b": -2}, 4)
     with pytest.raises(MalformedInput, match="^weight assigned to unknown point 'd'$"):
-        FiniteMeasure.from_numerators(X3, {"d": 1}, 1)
+        FiniteMeasure(X3, {"d": 1}, 1)
     for den in (0, -3):
         with pytest.raises(MalformedInput, match=f"^denominator {den} is not positive$"):
-            FiniteMeasure.from_numerators(X3, {"a": 1}, den)
-    assert FiniteMeasure.from_numerators(X3, {"a": 0, "b": 6}, 4) == FiniteMeasure(X3, {"b": F(3, 2)})
+            FiniteMeasure(X3, {"a": 1}, den)
+    with pytest.raises(MalformedInput, match="^" + re.escape("weight at 'b' is not an integer: Fraction(3, 2)") + "$"):
+        FiniteMeasure(X3, {"a": 1, "b": F(3, 2)})
+    with pytest.raises(MalformedInput, match="^weight at 'a' is not an integer: 2.0$"):
+        FiniteMeasure(X3, {"a": 2.0}, 3)
+    with pytest.raises(MalformedInput, match="^denominator 1.5 is not an integer$"):
+        FiniteMeasure(X3, {"a": 1}, 1.5)
+    assert FiniteMeasure(X3, {"a": 0, "b": 6}, 4) == measure_of(X3, {"b": F(3, 2)})

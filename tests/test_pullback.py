@@ -65,6 +65,7 @@ from helpers import (
     fraction_weights,
     literal_haar_report,
     literal_weak_pullback_groupoid,
+    measure_of,
     members_of,
     outcome,
     literal_expanding_rhs,
@@ -238,7 +239,7 @@ def test_corrupted_haar_weight_is_detected():
     tampered_family = members_of(w.haar)
     weights = fraction_weights(tampered_family[unit])
     weights[victim] = weights[victim] + 1
-    tampered_family[unit] = FiniteMeasure(w.groupoid.elements, weights)
+    tampered_family[unit] = measure_of(w.groupoid.elements, weights)
     tampered = system_of(w.haar.over, w.haar.domain, w.haar.codomain, tampered_family)
     report = is_haar(w.groupoid, tampered)
     assert not report.ok
@@ -557,7 +558,7 @@ def test_negative_controls_name_the_tampered_element():
     # the unit measure: the induced measure and the disintegrated one move apart
     weights = fraction_weights(w.unit_measure)
     weights[u] += 1
-    heavier = replace(w, unit_measure=FiniteMeasure(w.groupoid.units, weights))
+    heavier = replace(w, unit_measure=measure_of(w.groupoid.units, weights))
     assert _names(check_expanding_lemma(heavier), u)
     assert _names(check_disintegration_independence(heavier, w.disint_left, w.disint_right), u)
 
@@ -629,7 +630,7 @@ def test_run_claims_follows_claim_order_and_names_witnesses():
     # a failing claim's detail is its report's summary, which names a witness
     weights = fraction_weights(w.unit_measure)
     weights["1-1|e|1-1"] += 1
-    results = run_claims(c, replace(w, unit_measure=FiniteMeasure(w.groupoid.units, weights)))
+    results = run_claims(c, replace(w, unit_measure=measure_of(w.groupoid.units, weights)))
     assert tuple(results) == CLAIMS
     ok, detail = results["lemma.expanding_integral"]
     assert not ok and detail.startswith("expanding-integral [1-1|e|1-1]")
@@ -657,7 +658,7 @@ def test_memoised_lemmas_match_the_literal_sums_on_the_sweep(sweep):
 def _doubled(system: MeasureSystem, y: str, x: str) -> MeasureSystem:
     family = members_of(system)
     m = family[y]
-    family[y] = FiniteMeasure(m.base, {**fraction_weights(m), x: 2 * m(x)})
+    family[y] = measure_of(m.base, {**fraction_weights(m), x: 2 * m(x)})
     return system_of(system.over, system.domain, system.codomain, family)
 
 
@@ -743,7 +744,7 @@ def test_integer_claims_match_the_fraction_oracles_on_tampered_results(sweep):
         c = w.cospan
         mu = w.unit_measure
         u = rng.choice(w.groupoid.units)
-        heavier = replace(w, unit_measure=FiniteMeasure(mu.base, {**fraction_weights(mu), u: mu(u) + 1}))
+        heavier = replace(w, unit_measure=measure_of(mu.base, {**fraction_weights(mu), u: mu(u) + 1}))
         pid = rng.choice(sorted(w.haar_groupoid.induced.support))
         sigma, g, tau = w.algebraic.triples[pid]
         moved = _with_triple(w, pid, (rng.choice(sorted(c.left.induced.support)), g, tau))
@@ -758,7 +759,7 @@ def test_integer_claims_match_the_fraction_oracles_on_tampered_results(sweep):
             w,
             haar=system_of(
                 w.haar.over, w.haar.domain, w.haar.codomain,
-                {**members, u: FiniteMeasure(lam.base, {**fraction_weights(lam), y0: lam(y0) + 1})},
+                {**members, u: measure_of(lam.base, {**fraction_weights(lam), y0: lam(y0) + 1})},
             ),
         )
         for t in (
