@@ -440,8 +440,11 @@ class OrbitPartition:
 
 
 def orbits(g: FiniteGroupoid) -> OrbitPartition:
-    """Connected components of the unit set under u ~ d(x) for r(x) = u."""
+    """Connected components of the unit set under u ~ d(x) for r(x) = u;
+    MalformedInput names an end of an element that is not a unit."""
     parent = {u: u for u in g.units}
+    ends = chain(map(g.range_map.get, g.elements), map(g.source_map.get, g.elements))
+    check_ids(ends, parent.keys(), "an end of an element is not a unit:")
 
     def find(u: str) -> str:
         while parent[u] != u:
@@ -492,20 +495,20 @@ def identity_hom(g: FiniteGroupoid) -> GroupoidHom:
 def validate_hom(p: GroupoidHom) -> ValidationReport:
     """Check unit preservation, compatibility with r/d/inverse and products.
 
-    Units, ends and inverses are checked element by element. Products are
-    checked on the domain's generators when the domain and the codomain both
-    pass the three stages of `FiniteGroupoid.generating_set` and f commutes
-    with r and d. Let Q(x) mean
-    f(xy) = f(x)f(y) for every y composable with x. Q is closed under
-    products: for Q(a), Q(b) with d(a) = r(b), and y with r(y) = d(b), the
-    arrow by lies over r(b) = d(a), so
+    Units, ends and inverses are checked element by element, and products
+    on the domain's generators when f commutes with r and d and the gate of
+    `checked_generators` is open. Let Q(x) mean f(xy) = f(x)f(y) for every y
+    composable with x. Q is closed under products: for Q(a), Q(b) with
+    d(a) = r(b), and y with r(y) = d(b), the arrow by lies over r(b) = d(a),
+    so
         f((ab)y) = f(a(by)) = f(a)(f(b)f(y)) = (f(a)f(b))f(y) = f(ab)f(y),
     using associativity in the domain, Q(a), Q(b), associativity in the
     codomain and Q(a) again. Every element is a product of generators, so Q
-    on the generators gives Q everywhere. When a stage fails, a table of
-    either end names an unknown id, f misses an end, or a generator fails Q,
-    every composable pair is checked as before, so violations keep their
-    order and text; when Q holds on the generators that loop finds none.
+    on the generators gives Q everywhere. When the gate is closed or a
+    generator fails Q, the domain's references are checked (MalformedInput
+    names an unknown id), and then every element, so the violations name
+    every failing composable pair. The report counts the work of the path
+    that ran (see `generator_work`).
     """
     dom, cod = p.domain, p.codomain
     check_map(p.mapping, dom.element_set, cod.element_set, "hom")
@@ -523,45 +526,46 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
         if cod.inverse_map[f[x]] != f[dom.inverse_map[x]]:
             bad.append(Violation("hom-preserves-inverse", (x,), f"p({x})⁻¹ != p({x}⁻¹)"))
     ends_kept = not any(v.rule.startswith("hom-commutes") for v in bad)
-    if ends_kept and _products_preserved_on_generators(p):
-        return ValidationReport(tuple(bad))
-    # every entry in sorted (x, y) order, strays included
-    for x, y, z in sorted(dom.products()):
-        if dom.source_map[x] != dom.range_map[y]:
-            continue
-        image = cod.product(f[x], f[y])
-        if image is None:
-            bad.append(Violation("hom-preserves-composability", (x, y), f"images {f[x]}, {f[y]} are not composable"))
-        elif image != f[z]:
-            bad.append(Violation("hom-preserves-product", (x, y), f"p({x})p({y}) = {image} != p({x}{y}) = {f[z]}"))
-    return ValidationReport(tuple(bad))
+    gens = checked_generators(dom, cod) if ends_kept else None
+    if gens is not None and not _product_violations(p, gens, ends_kept):
+        return ValidationReport(tuple(bad), generator_work(dom, gens))
+    check_references(dom)
+    bad += _product_violations(p, dom.elements, ends_kept)
+    return ValidationReport(tuple(bad), generator_work(dom, None))
 
 
-def _products_preserved_on_generators(p: GroupoidHom) -> bool:
-    """Q(a) for every generator a of the domain: the row of f(a) read at the
-    f(y), y in the r-fiber over d(a), against the f(ay). Needs f to commute
-    with r and d, which puts each f(y) in the r-fiber over d(f(a)); the
-    slots of the f(y) depend on d(a) alone and are found once per unit.
-    False when the gate of :func:`checked_generators` is closed."""
+def _product_violations(p: GroupoidHom, xs: Iterable[str], ends_kept: bool) -> list[Violation]:
+    """Q(x) for each x in `xs`, as violations in (x, y) order. When f
+    commutes with r and d, each f(y), y over d(x), has its slot in the row
+    of f(x): that row read at the f(y) is compared with the f(xy) at once,
+    and only a row that differs is walked pair by pair, past the slots of
+    x's row without a product. Else every row is walked."""
     dom, cod, f = p.domain, p.codomain, p.mapping
-    gens = checked_generators(dom, cod)
-    if gens is None:
-        return False
+    bad: list[Violation] = []
+    # the slots of the f(y), y over d, found once per unit d
     at_images: dict[str, Callable[[tuple], tuple]] = {}
-    for a in gens:
-        d = dom.source_map[a]
-        if d not in at_images:
-            at_images[d] = picker([*map(cod.position.__getitem__, map(f.__getitem__, dom.fiber(d)))])
-        if at_images[d](cod.rows[f[a]]) != tuple(map(f.__getitem__, dom.rows[a])):
-            return False
-    return True
+    for x in xs:
+        d, row, fx = dom.source_map[x], dom.rows[x], f[x]
+        if ends_kept:
+            if d not in at_images:
+                at_images[d] = picker([*map(cod.position.__getitem__, map(f.__getitem__, dom.fiber(d)))])
+            if at_images[d](cod.rows[fx]) == tuple(map(f.get, row)):
+                continue
+        for y, z in zip(dom.fiber(d), row):
+            if z is None:
+                continue
+            image = cod.product(fx, f[y])
+            if image is None:
+                bad.append(Violation("hom-preserves-composability", (x, y), f"images {fx}, {f[y]} are not composable"))
+            elif image != f[z]:
+                bad.append(Violation("hom-preserves-product", (x, y), f"p({x})p({y}) = {image} != p({x}{y}) = {f[z]}"))
+    return bad
 
 
 def checked_generators(g: FiniteGroupoid, *codomains: FiniteGroupoid) -> tuple[str, ...] | None:
     """The gate of every check on generators: g's generating set when g and
     each codomain pass the three stages of `FiniteGroupoid.generating_set`,
-    else None. Also None when a table names an unknown id, so the caller's
-    exhaustive loop runs and reports what it reported before the gate."""
+    else None, as when a table names an unknown id."""
     try:
         if all(h.generating_set is not None for h in codomains):
             return g.generating_set
@@ -570,13 +574,10 @@ def checked_generators(g: FiniteGroupoid, *codomains: FiniteGroupoid) -> tuple[s
     return None
 
 
-def generator_work(g: FiniteGroupoid, *codomains: FiniteGroupoid) -> tuple[tuple[str, int], ...]:
-    """Work counts of a passing check of a property closed under products on
-    g (left invariance in `is_haar`, products in `validate_hom`): its
-    generators and the (generator, fiber element) pairs it visits when g and
-    every codomain have a generating set, else the compose entries of the
-    exhaustive loop."""
-    gens = checked_generators(g, *codomains)
+def generator_work(g: FiniteGroupoid, gens: tuple[str, ...] | None) -> tuple[tuple[str, int], ...]:
+    """Work counts of a check of a property closed under products on g: the
+    generators `gens` it stopped on and their (generator, fiber element)
+    pairs, or g's compose entries when it ran on every element (gens None)."""
     if gens is None:
         return (("compose entries", g._count),)
     return (("generators", len(gens)), ("generator pairs", sum(map(len, map(g.rows.__getitem__, gens)))))

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import MalformedInput, NotQuasiInvariant
 from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, check_ids, checked_generators
-from .groupoid import validate_groupoid, validate_hom
+from .groupoid import generator_work, validate_groupoid, validate_hom
 from .measures import FiniteMeasure, MeasureSystem, class_witness, compose_with_measure, push_forward, same_measure_class
 from .measures import over_one_denominator, validate_system
 
@@ -85,63 +85,56 @@ def counting_haar_system(g: FiniteGroupoid) -> MeasureSystem:
 def is_haar(g: FiniteGroupoid, s: MeasureSystem) -> ValidationReport:
     """Full support on every r-fiber plus pointwise left invariance.
 
-    Left invariance is checked on generators when g passes the three stages
-    of `FiniteGroupoid.generating_set`. Let P(x) mean
+    Left invariance is checked on generators when the gate of
+    `checked_generators` is open. Let P(x) mean
     lam^{d(x)}(y) = lam^{r(x)}(xy) for every y in the fiber over d(x). P is
     closed under products: for P(a), P(b) with d(a) = r(b), and y over d(b),
     the arrow by lies over r(b) = d(a), so
         lam^{d(b)}(y) = lam^{r(b)}(by) = lam^{r(a)}(a(by)) = lam^{r(ab)}((ab)y),
     using P(b), P(a), associativity and r(ab) = r(a). Every element is a
-    product of generators, so P on the generators gives P everywhere. When a
-    stage fails, or a generator fails P, every element is checked as before,
-    so violations keep their order and text; so does a groupoid whose tables
-    name unknown ids, which has no generating set. Raises MalformedInput when
-    the system is not over the range map.
+    product of generators, so P on the generators gives P everywhere. When
+    the gate is closed or a generator fails P, every element is checked, so
+    the violations name every failing pair. The report counts the work of
+    the path that ran (see `generator_work`). Raises MalformedInput when the
+    system is not over the range map, and naming a source that is not a
+    unit or a composable pair without a product.
     """
     if s.over != g.range_map or frozenset(s.codomain) != g.unit_set:
         raise MalformedInput("system is not over the range map of the groupoid")
     report = validate_system(s, require_full=True)
-    if _left_invariant_on_generators(g, s):
-        return report
-    bad = list(report.violations)
-    nums = s.nums
-    for x in g.elements:
-        d, r = g.d(x), g.r(x)
-        lam_d, lam_r = nums[d], nums[r]
-        for y, xy in zip(g.fiber(d), g.rows[x]):
-            if xy is None:
-                raise KeyError((x, y))
-            if lam_d.get(y, 0) != lam_r.get(xy, 0):
-                bad.append(
-                    Violation(
-                        "left-invariance",
-                        (x, y),
-                        f"lam^d(x)({y}) = {s.weight(d, y)} != lam^r(x)({xy}) = {s.weight(r, xy)}",
-                    )
-                )
-    return ValidationReport(tuple(bad))
-
-
-def _left_invariant_on_generators(g: FiniteGroupoid, s: MeasureSystem) -> bool:
-    """P(a) for every generator a of g, a row at a time; False when the gate
-    of `checked_generators` is closed or the system has no measure at an end
-    of a generator. The two weights of P share the system's denominator, so
-    their numerators are compared."""
     gens = checked_generators(g)
-    if gens is None:
-        return False
+    if gens is not None and not _left_invariance_violations(g, s, gens):
+        return ValidationReport(report.violations, generator_work(g, gens))
+    bad = report.violations + tuple(_left_invariance_violations(g, s, g.elements))
+    return ValidationReport(bad, generator_work(g, None))
+
+
+def _left_invariance_violations(g: FiniteGroupoid, s: MeasureSystem, xs: Iterable[str]) -> list[Violation]:
+    """P(x) for each x in `xs`, as violations in (x, y) order. The two weights
+    of P share the system's denominator, so lam^{d(x)} on the fiber over d(x)
+    is compared with lam^{r(x)} on the row of x as numerators at once. The
+    row's side reads None where a weight is zero or a product is missing, so
+    only a row that differs, or has such a slot, is walked pair by pair."""
     nums = s.nums
-    # lam^{d(a)} on the fiber over d(a), read once per unit
+    bad: list[Violation] = []
+    # lam^u on the fiber over u, read once per unit
     at_source: dict[str, list[int]] = {}
-    for a in gens:
-        d, r = g.source_map[a], g.range_map[a]
-        if d not in nums or r not in nums:
-            return False
+    for x in xs:
+        d, r, row = g.source_map[x], g.range_map[x], g.rows[x]
         if d not in at_source:
+            if d not in nums:  # r(x) is a unit: the system is over the range map
+                raise MalformedInput(f"source {d!r} of {x!r} is not a unit")
             at_source[d] = [*map(nums[d].get, g.fiber(d), repeat(0))]
-        if at_source[d] != [*map(nums[r].get, g.rows[a], repeat(0))]:
-            return False
-    return True
+        if at_source[d] == [*map(nums[r].get, row)]:
+            continue
+        lam_d, lam_r = nums[d], nums[r]
+        for y, xy in zip(g.fiber(d), row):
+            if xy is None:
+                raise MalformedInput(f"composable pair {(x, y)!r} has no product")
+            if lam_d.get(y, 0) != lam_r.get(xy, 0):
+                detail = f"lam^d(x)({y}) = {s.weight(d, y)} != lam^r(x)({xy}) = {s.weight(r, xy)}"
+                bad.append(Violation("left-invariance", (x, y), detail))
+    return bad
 
 
 def is_quasi_invariant(h: HaarGroupoid) -> ValidationReport:
@@ -189,10 +182,12 @@ def validate_haar_groupoid(h: HaarGroupoid) -> ValidationReport:
 def validate_haar_hom(p: GroupoidHom, dom: HaarGroupoid, cod: HaarGroupoid) -> ValidationReport:
     """Algebraic homomorphism plus measure-class preservation of the induced
     measures; also reports the derived unit-space class check, which can never
-    fail on its own when the element-level check passes."""
+    fail on its own when the element-level check passes. Carries the work
+    counts of `validate_hom`."""
     if p.domain != dom.groupoid or p.codomain != cod.groupoid:
         raise MalformedInput("hom endpoints do not match the given Haar groupoids")
-    bad = list(validate_hom(p).violations)
+    hom = validate_hom(p)
+    bad = list(hom.violations)
     pushed = push_forward(p.mapping, dom.induced, cod.groupoid.elements)
     target = cod.induced
     if not same_measure_class(pushed, target):
@@ -216,4 +211,4 @@ def validate_haar_hom(p: GroupoidHom, dom: HaarGroupoid, cod: HaarGroupoid) -> V
                     f"pushforward of the unit measure and the target unit measure differ at {w}",
                 )
             )
-    return ValidationReport(tuple(bad))
+    return ValidationReport(tuple(bad), hom.counts)

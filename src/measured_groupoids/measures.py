@@ -233,7 +233,10 @@ def disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> 
 def alternate_disintegration(gamma: MeasureSystem, nu: FiniteMeasure, scale=2) -> MeasureSystem:
     """Rescale a disintegration by `scale`, an int or a Fraction, on every
     nu-null fiber. The result is again a disintegration of the same pair, and
-    differs from the input exactly when some null fiber is nonempty."""
+    differs from the input exactly when some null fiber is nonempty. Raises
+    BaseMismatch when nu does not live on the codomain of gamma."""
+    if tuple(nu.base) != gamma.codomain:
+        raise BaseMismatch("measure base does not match the system codomain")
     c = Fraction(scale)
     nums = {
         y: {x: n * (c.denominator if y in nu.nums else c.numerator) for x, n in ws.items()}

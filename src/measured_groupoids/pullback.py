@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Callable, Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
-from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, generator_work, orbits, picker
+from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, orbits, picker
 from .haar import HaarGroupoid, is_haar, is_quasi_invariant, validate_haar_groupoid, validate_haar_hom
 from .measures import FiniteMeasure, MeasureSystem, compose_with_measure, disintegrate, validate_system
 
@@ -300,9 +300,8 @@ def check_fiber_product_lemma(w: WeakPullbackResult) -> ValidationReport:
 
 
 def check_haar_theorem(w: WeakPullbackResult) -> ValidationReport:
-    """lam_P is a Haar system; counts the left-invariance work (see
-    `generator_work`)."""
-    return ValidationReport(is_haar(w.groupoid, w.haar).violations, generator_work(w.groupoid))
+    """lam_P is a Haar system: the report of `is_haar`, with its work counts."""
+    return is_haar(w.groupoid, w.haar)
 
 
 def check_quasi_invariance_and_modular(
@@ -350,14 +349,15 @@ def check_quasi_invariance_and_modular(
 
 
 def check_projection_homs(w: WeakPullbackResult) -> ValidationReport:
-    """Both projections are homomorphisms of Haar groupoids; counts the
-    product-check work of each (see `generator_work`)."""
+    """Both projections are homomorphisms of Haar groupoids; carries the
+    work counts of each, prefixed with its name."""
     h_p = w.haar_groupoid
     bad: list[Violation] = []
     counts: list[tuple[str, int]] = []
     for name, proj, leg in (("proj_left", w.proj_left, w.cospan.left), ("proj_right", w.proj_right, w.cospan.right)):
-        bad += [Violation(f"{name}.{v.rule}", v.witnesses, v.detail) for v in validate_haar_hom(proj, h_p, leg).violations]
-        counts += [(f"{name} {what}", n) for what, n in generator_work(w.groupoid, leg.groupoid)]
+        report = validate_haar_hom(proj, h_p, leg)
+        bad += [Violation(f"{name}.{v.rule}", v.witnesses, v.detail) for v in report.violations]
+        counts += [(f"{name} {what}", n) for what, n in report.counts]
     return ValidationReport(tuple(bad), tuple(counts))
 
 

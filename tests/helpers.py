@@ -409,6 +409,26 @@ def outcome(check, *args):
         return type(e), str(e)
 
 
+def verdict(check, *args):
+    """`outcome` with a report's work counts left out, which the oracles do
+    not carry: a report then equals its oracle's when their violations do."""
+    result = outcome(check, *args)
+    return ValidationReport(result.violations) if isinstance(result, ValidationReport) else result
+
+
+def fails_closed(got, want) -> bool:
+    """`got` raised MalformedInput naming the key of the KeyError that the
+    oracle raised in `want`, both as `outcome` gives them."""
+    return isinstance(want, tuple) and want[0] is KeyError and got[0] is MalformedInput and want[1] in got[1]
+
+
+def generator_counts(g: FiniteGroupoid) -> tuple[tuple[str, int], ...]:
+    """The work counts of a check that stops on g's generating set: its
+    generators, and the y over d(a) for each generator a."""
+    gens = g.generating_set
+    return (("generators", len(gens)), ("generator pairs", sum(len(g.fiber(g.d(a))) for a in gens)))
+
+
 def replace_tables(g, inverse_map=None, compose_map=None):
     """g with its inverse map, or its product table given as pairs, replaced."""
     return FiniteGroupoid(
@@ -464,7 +484,7 @@ def table_mutants(g, rng):
 
 def dangling_product(g):
     """g with its last product naming an id that is no element: no
-    generating set, so checks on generators take their exhaustive loops."""
+    generating set, so checks on generators run on every element."""
     pairs = pairs_of(g)
     return replace_tables(g, compose_map={**pairs, max(pairs): "ghost"})
 

@@ -10,6 +10,7 @@ from measured_groupoids import (
     FiniteGroupoid,
     FiniteMeasure,
     HaarGroupoid,
+    MalformedInput,
     NotQuasiInvariant,
     compose_with_measure,
     cotrivial_groupoid,
@@ -31,8 +32,8 @@ from measured_groupoids import (
 )
 from measured_groupoids.groupoid import GroupoidHom, identity_hom
 from measured_groupoids.haar import validate_haar_groupoid as _validate
-from helpers import dangling_product, fraction_weights, inverse_measure, literal_haar_report, members_of, outcome
-from helpers import measure_of, system_of, table_mutants
+from helpers import dangling_product, fails_closed, fraction_weights, generator_counts, inverse_measure, literal_haar_report
+from helpers import measure_of, members_of, outcome, system_of, table_mutants, verdict
 
 F = Fraction
 
@@ -93,6 +94,15 @@ def test_is_haar_rejects_non_invariant_weights():
     report = is_haar(z2, bad)
     assert not report.ok
     assert any(v.rule == "left-invariance" and "g1" in v.witnesses for v in report.violations)
+
+
+def test_is_haar_names_a_composable_pair_without_a_product():
+    g = pair_groupoid(["1", "2"])
+    broken = FiniteGroupoid(
+        g.elements, g.units, g.range_map, g.source_map, g.inverse_map, [t for t in g.products() if t[:2] != ("1-2", "2-1")]
+    )
+    with pytest.raises(MalformedInput, match=r"^composable pair \('1-2', '2-1'\) has no product$"):
+        is_haar(broken, counting_haar_system(g))
 
 
 def test_is_haar_units_only_any_full_system():
@@ -270,9 +280,9 @@ def test_unit_level_class_preservation_follows(seed):
     assert report.ok
 
 
-# is_haar against the exhaustive loop: the same report, with the same
-# violations in the same order. Systems on groupoids up to this size are
-# mutated: the exhaustive loop takes milliseconds on each larger pullback.
+# is_haar against its exhaustive oracle: the same violations in the same
+# order, the oracle carrying no work counts. Systems on groupoids up to this
+# size are mutated: the oracle takes milliseconds on each larger pullback.
 MUTATED_MAX = 64
 
 
@@ -280,7 +290,7 @@ def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
     # the three legs and the pullback of every sweep cospan; then one Haar
     # weight raised at an element that left invariance constrains; then the
     # system on each table mutant and on a groupoid with a product naming no
-    # element, whose missing generating set takes the exhaustive loop
+    # element, whose missing generating set has every element checked
     changed = 0
     for seed, w in sweep.pullbacks:
         rng = random.Random(seed)
@@ -288,7 +298,8 @@ def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
         for g, s in ((c.left.groupoid, c.left.haar), (c.base.groupoid, c.base.haar), (c.right.groupoid, c.right.haar), (w.groupoid, w.haar)):
             report = is_haar(g, s)
             assert report.ok, seed
-            assert report == literal_haar_report(g, s), seed
+            assert report.violations == literal_haar_report(g, s).violations, seed
+            assert report.counts == generator_counts(g), seed
             if len(g) > MUTATED_MAX:
                 continue
             # y over u is constrained by every arrow x with d(x) = u that is
@@ -302,8 +313,15 @@ def test_is_haar_matches_enumeration_on_sweep_and_mutants(sweep):
                 mutant = system_of(s.over, s.domain, s.codomain, family)
                 expected = literal_haar_report(g, mutant)
                 assert not expected.ok, seed
-                assert is_haar(g, mutant) == expected, seed
+                report = is_haar(g, mutant)
+                assert report.violations == expected.violations, seed
+                assert report.counts == (("compose entries", len(g.compose_map)),), seed
                 changed += 1
             for name, mutant_g in [*table_mutants(g, rng), ("dangling-product", dangling_product(g))]:
-                assert outcome(is_haar, mutant_g, s) == outcome(literal_haar_report, mutant_g, s), (seed, name)
+                got, want = verdict(is_haar, mutant_g, s), outcome(literal_haar_report, mutant_g, s)
+                if name == "deleted-entry":
+                    # the oracle's KeyError at the pair without a product fails closed
+                    assert fails_closed(got, want), seed
+                else:
+                    assert got == want, (seed, name)
     assert changed > 400

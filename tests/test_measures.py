@@ -322,6 +322,12 @@ def test_integer_measure_operations_equal_their_fraction_oracles(targets, lam, n
             assert alternate_disintegration(s, m, scale) == fraction_alternate_disintegration(s, m, scale)
 
 
+def test_alternate_disintegration_needs_a_measure_on_the_codomain():
+    gamma = MeasureSystem(F32, X3, Y2, {"1": {"a": 1, "b": 1}, "2": {"c": 1}})
+    with pytest.raises(BaseMismatch, match="^measure base does not match the system codomain$"):
+        alternate_disintegration(gamma, FiniteMeasure(X3, {"a": 1}))
+
+
 def test_numerator_constructor_runs_the_constructor_checks():
     with pytest.raises(MalformedInput, match="^negative weight -1/2$"):
         FiniteMeasure(X3, {"a": 1, "b": -2}, 4)

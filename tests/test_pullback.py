@@ -1,6 +1,9 @@
 import importlib.util
 import pathlib
 import random
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,6 +40,7 @@ from measured_groupoids import (
     trivial_group,
     validate_cospan,
     validate_groupoid,
+    validate_hom,
     weak_pullback_groupoid,
     with_counting_haar,
 )
@@ -52,6 +56,7 @@ from measured_groupoids.haar import HaarGroupoid
 
 from helpers import (
     cotrivial_comparison_hom,
+    dangling_product,
     fraction_disintegration_independence,
     fraction_expanding_report,
     fraction_haar_system_from_source_weights,
@@ -80,6 +85,7 @@ from helpers import (
     regular_pullback,
     system_of,
     unmemoised_expanding_report,
+    verdict,
     z2_cospan,
 )
 
@@ -770,8 +776,48 @@ def test_integer_claims_match_the_fraction_oracles_on_tampered_results(sweep):
             heavier_haar,
         ):
             outcomes = _integer_claims_and_fraction_oracles(t, w.disint_left, w.disint_right)
-            outcomes.append((outcome(is_haar, t.groupoid, t.haar), outcome(literal_haar_report, t.groupoid, t.haar)))
+            outcomes.append((verdict(is_haar, t.groupoid, t.haar), outcome(literal_haar_report, t.groupoid, t.haar)))
             for got, want in outcomes:
                 assert got == want, seed
                 failed += _failed(got)
     assert failed > 40
+
+
+def test_generator_checks_report_the_work_of_the_path_that_ran(sweep):
+    # is_haar and validate_hom stop on the generators of a sweep pullback and
+    # count them, the counts that check_haar_theorem and check_projection_homs
+    # print; with a product naming no element at one end, every element is
+    # checked and the compose entries of the domain are counted
+    for seed, w in sweep.pullbacks[:20]:
+        g = w.groupoid
+        gens = g.generating_set
+        work = (("generators", len(gens)), ("generator pairs", sum(len(g.fiber(g.d(a))) for a in gens)))
+        assert is_haar(g, w.haar).counts == work, seed
+        assert check_haar_theorem(w).summary() == f"generators {work[0][1]}, generator pairs {work[1][1]}", seed
+        assert validate_hom(w.proj_left).counts == validate_hom(w.proj_right).counts == work, seed
+        projections = check_projection_homs(w).counts
+        assert projections == tuple((f"{name} {what}", n) for name in ("proj_left", "proj_right") for what, n in work), seed
+        dangling = dangling_product(g)
+        assert is_haar(dangling, w.haar).counts == (("compose entries", len(dangling.compose_map)),), seed
+        into_dangling = GroupoidHom(g, dangling, identity_hom(g).mapping)
+        assert validate_hom(into_dangling).counts == (("compose entries", len(g.compose_map)),), seed
+
+
+def test_sweep_script_summary_parses_with_the_bench_pattern():
+    # one stage per claim registry entry, in milliseconds, read as
+    # scripts/bench.py reads the summary line
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    from measured_groupoids.cli import REGISTRY
+
+    script = ROOT / "scripts" / "run_property_suite.py"
+    proc = subprocess.run([sys.executable, str(script), "3"], capture_output=True, text=True, check=True)
+    line = proc.stdout.strip().splitlines()[-1]
+    assert line.startswith("3/3 cospans passed every check in ")
+    m = bench.SWEEP_LINE.search(line)
+    assert m is not None, line
+    stages = dict(part.rsplit(" ", 1) for part in m.group(2).split(", "))
+    assert list(stages) == ["generate", "build", *("+".join(ids) for ids, _ in REGISTRY)]
+    assert all(re.fullmatch(r"\d+\.\d{3}s", secs) for secs in stages.values()), line
+
