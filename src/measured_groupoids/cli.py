@@ -6,6 +6,10 @@ Subcommands: validate, pullback, check, example, modular, gen. Exit codes:
 exception, reported as `error: internal: <type>: <message>`). Set
 MGPD_VERBOSE=1 for per-claim detail in reports and for the traceback of an
 internal error.
+
+`families` and `generate` are imported by the subcommands that use them
+(`example`, `gen`, and `validate` of an example result), so that a process
+that checks or validates a cospan or a pullback does not load them.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from operator import attrgetter
 from .documents import CechExampleDocument, CospanDocument, ExampleResultDocument, GroupoidDocument, PullbackDocument
 from .documents import TransformationExampleDocument, parse_document, serialize, weight_to_str
 from .errors import GroupoidError, NotQuasiInvariant, ParseError
-from .families import canonical_iso_cech, canonical_iso_transformation, is_isomorphism
-from .generate import random_cospan, random_haar_groupoid
 from .groupoid import GroupoidHom, ValidationReport, validate_groupoid, validate_hom
 from .haar import HaarGroupoid, is_haar, validate_haar_groupoid, validate_haar_hom, validate_unit_measure
 from .measures import alternate_disintegration
@@ -125,6 +127,8 @@ def _validate_pullback_document(doc: PullbackDocument) -> bool:
 
 
 def _validate_example_result(doc: ExampleResultDocument) -> bool:
+    from .families import is_isomorphism
+
     ok = True
     for label, g in (("left", doc.left), ("base", doc.base), ("right", doc.right), ("pullback", doc.pullback), ("target", doc.target)):
         ok &= _print_report(validate_groupoid(g), f"{label} groupoid axioms")
@@ -258,6 +262,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_example(args) -> int:
+    from .families import canonical_iso_cech, canonical_iso_transformation, is_isomorphism
+
     doc = _read(args.params)
     if args.family == "cech":
         if not isinstance(doc, CechExampleDocument):
@@ -302,6 +308,8 @@ def cmd_modular(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generate import random_cospan, random_haar_groupoid
+
     try:
         bounds = tuple(int(b) for b in args.bounds.split(","))
     except ValueError:

@@ -12,16 +12,18 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from .errors import DanglingReference, EmptySpace, MalformedInput, ParseError, UnsupportedVersion
-from .families import CechCospanData, FiniteCover, GroupAction, TransformationCospanData
-from .groupoid import FiniteGroupoid, GroupoidHom, check_ids, check_map, check_references
+from .groupoid import FiniteGroupoid, GroupoidHom, Record, check_ids, check_map, check_references
 from .haar import HaarGroupoid
 from .measures import FiniteMeasure, MeasureSystem, over_one_denominator
 from .pullback import Cospan, WeakPullbackResult
+
+if TYPE_CHECKING:  # for annotations: `families` is imported where example parameters are parsed
+    from .families import CechCospanData, FiniteCover, GroupAction, TransformationCospanData
 
 FORMAT_VERSION = 1
 
@@ -46,11 +48,11 @@ def str_to_weight(s: str, path: str) -> Fraction:
 # document types
 
 
-@dataclass
-class GroupoidDocument:
-    groupoid: FiniteGroupoid
-    haar: MeasureSystem | None = None
-    unit_measure: FiniteMeasure | None = None
+class GroupoidDocument(Record):
+    __slots__ = _fields = ("groupoid", "haar", "unit_measure")
+
+    def __init__(self, groupoid: FiniteGroupoid, haar: MeasureSystem | None = None, unit_measure: FiniteMeasure | None = None):
+        self._set(groupoid, haar, unit_measure)
 
     def to_haar_groupoid(self, where: str = "") -> HaarGroupoid:
         """Raises MalformedInput naming the first missing measure field, as
@@ -65,13 +67,14 @@ class GroupoidDocument:
         return GroupoidDocument(h.groupoid, h.haar, h.unit_measure)
 
 
-@dataclass
-class CospanDocument:
-    left: GroupoidDocument
-    base: GroupoidDocument
-    right: GroupoidDocument
-    left_map: dict[str, str]
-    right_map: dict[str, str]
+class CospanDocument(Record):
+    __slots__ = _fields = ("left", "base", "right", "left_map", "right_map")
+
+    def __init__(
+        self, left: GroupoidDocument, base: GroupoidDocument, right: GroupoidDocument, left_map: dict[str, str],
+        right_map: dict[str, str],
+    ):
+        self._set(left, base, right, left_map, right_map)
 
     def to_cospan(self, where: str = "") -> Cospan:
         lg, bg, rg = (
@@ -97,13 +100,14 @@ class CospanDocument:
         )
 
 
-@dataclass
-class PullbackDocument:
-    cospan: CospanDocument
-    result: GroupoidDocument
-    modular: dict[str, Fraction]
-    proj_left: dict[str, str]
-    proj_right: dict[str, str]
+class PullbackDocument(Record):
+    __slots__ = _fields = ("cospan", "result", "modular", "proj_left", "proj_right")
+
+    def __init__(
+        self, cospan: CospanDocument, result: GroupoidDocument, modular: dict[str, Fraction], proj_left: dict[str, str],
+        proj_right: dict[str, str],
+    ):
+        self._set(cospan, result, modular, proj_left, proj_right)
 
     @staticmethod
     def of(w: WeakPullbackResult) -> "PullbackDocument":
@@ -116,28 +120,31 @@ class PullbackDocument:
         )
 
 
-@dataclass
-class CechExampleDocument:
-    data: CechCospanData
+class CechExampleDocument(Record):
+    __slots__ = _fields = ("data",)
+
+    def __init__(self, data: CechCospanData):
+        self._set(data)
 
 
-@dataclass
-class TransformationExampleDocument:
-    data: TransformationCospanData
+class TransformationExampleDocument(Record):
+    __slots__ = _fields = ("data",)
+
+    def __init__(self, data: TransformationCospanData):
+        self._set(data)
 
 
-@dataclass
-class ExampleResultDocument:
-    construction: str
-    left: FiniteGroupoid
-    base: FiniteGroupoid
-    right: FiniteGroupoid
-    left_map: dict[str, str]
-    right_map: dict[str, str]
-    pullback: FiniteGroupoid
-    target: FiniteGroupoid
-    iso_map: dict[str, str]
-    is_isomorphism: bool
+class ExampleResultDocument(Record):
+    __slots__ = _fields = (
+        "construction", "left", "base", "right", "left_map", "right_map", "pullback", "target", "iso_map", "is_isomorphism"
+    )
+
+    def __init__(
+        self, construction: str, left: FiniteGroupoid, base: FiniteGroupoid, right: FiniteGroupoid, left_map: dict[str, str],
+        right_map: dict[str, str], pullback: FiniteGroupoid, target: FiniteGroupoid, iso_map: dict[str, str],
+        is_isomorphism: bool,
+    ):
+        self._set(construction, left, base, right, left_map, right_map, pullback, target, iso_map, is_isomorphism)
 
 
 Document = (
@@ -369,6 +376,8 @@ def _parse_cospan(obj: dict, path: str) -> CospanDocument:
 
 
 def _parse_cover(obj: dict, path: str) -> FiniteCover:
+    from .families import FiniteCover
+
     space = _str_list(obj, "space", path)
     blocks_raw = _get(obj, "blocks", dict, path)
     blocks = {}
@@ -381,6 +390,8 @@ def _parse_cover(obj: dict, path: str) -> FiniteCover:
 
 
 def _parse_action(obj: dict, path: str) -> GroupAction:
+    from .families import GroupAction
+
     group = _parse_groupoid(_get(obj, "group", dict, path), f"{path}.group")
     space = _str_list(obj, "space", path)
     act = _get(obj, "act", dict, path)
@@ -421,6 +432,8 @@ def parse_document(text: str) -> Document:
         proj_right = _element_map(obj, "proj_right", "$", result.groupoid, cospan.right.groupoid)
         return PullbackDocument(cospan, result, modular, proj_left, proj_right)
     if kind == "cech_example":
+        from .families import CechCospanData
+
         cover_left = _parse_cover(_get(obj, "left_cover", dict, "$"), "$.left_cover")
         cover_right = _parse_cover(_get(obj, "right_cover", dict, "$"), "$.right_cover")
         base_space = _str_list(obj, "base_space", "$")
@@ -430,6 +443,8 @@ def parse_document(text: str) -> Document:
             data = CechCospanData(cover_left, cover_right, tuple(sorted(set(base_space))), dict(left_map), dict(right_map))
         return CechExampleDocument(data)
     if kind == "transformation_example":
+        from .families import TransformationCospanData
+
         action_left = _parse_action(_get(obj, "left_action", dict, "$"), "$.left_action")
         action_right = _parse_action(_get(obj, "right_action", dict, "$"), "$.right_action")
         base_space = _str_list(obj, "base_space", "$")

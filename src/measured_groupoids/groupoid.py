@@ -15,7 +15,6 @@ a generating set; see :func:`validate_groupoid`.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
@@ -24,6 +23,8 @@ from .errors import MalformedInput
 
 # the generating set of a groupoid that has not been asked for it
 _UNDECIDED = object()
+# how a record sets its slots, past the refusal of a frozen one; bound once
+_setattr = object.__setattr__
 
 
 def check_element_id(x: str) -> str:
@@ -34,26 +35,70 @@ def check_element_id(x: str) -> str:
     return x
 
 
-@dataclass(frozen=True)
-class Violation:
+class Record:
+    """Named fields, listed in `_fields` and set by a written-out constructor
+    through `_set`, compared and printed as a dataclass does: two records
+    are equal when they are of one class with equal fields, and a record is
+    unhashable unless frozen. Slots past `_fields` hold what a record
+    derives and keeps; `_set` fills every slot in order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record that refuses assignment, as a frozen dataclass does, and
+    hashes its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Violation(FrozenRecord):
     """One failed axiom instance, with the elements that witness it."""
 
-    rule: str
-    witnesses: tuple[str, ...]
-    detail: str
+    __slots__ = _fields = ("rule", "witnesses", "detail")
+
+    def __init__(self, rule: str, witnesses: tuple[str, ...], detail: str):
+        self._set(rule, witnesses, detail)
 
     def __str__(self) -> str:
         where = ", ".join(self.witnesses)
         return f"{self.rule} [{where}]: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(FrozenRecord):
     """The verdict of every validator and claim check: its violations, and
     `(name, n)` work counts that the summary shows when there are none."""
 
-    violations: tuple[Violation, ...]
-    counts: tuple[tuple[str, int], ...] = ()
+    __slots__ = _fields = ("violations", "counts")
+
+    def __init__(self, violations: tuple[Violation, ...], counts: tuple[tuple[str, int], ...] = ()):
+        self._set(violations, counts)
 
     @property
     def ok(self) -> bool:
@@ -431,12 +476,13 @@ def _associativity_violations(g: FiniteGroupoid) -> list[Violation]:
     return bad
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(FrozenRecord):
     """Partition of the unit set into orbits, with a unit -> block index map."""
 
-    blocks: tuple[tuple[str, ...], ...]
-    index: Mapping[str, int]
+    __slots__ = _fields = ("blocks", "index")
+
+    def __init__(self, blocks: tuple[tuple[str, ...], ...], index: Mapping[str, int]):
+        self._set(blocks, index)
 
 
 def orbits(g: FiniteGroupoid) -> OrbitPartition:
@@ -497,7 +543,10 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
 
     Units, ends and inverses are checked element by element, and products
     on the domain's generators when f commutes with r and d and the gate of
-    `checked_generators` is open. Let Q(x) mean f(xy) = f(x)f(y) for every y
+    `checked_generators` is open. The gate is read first: open, it vouches
+    for the references of both groupoids; closed, they are checked, and
+    MalformedInput names an unknown id before any element is looked up.
+    Let Q(x) mean f(xy) = f(x)f(y) for every y
     composable with x. Q is closed under products: for Q(a), Q(b) with
     d(a) = r(b), and y with r(y) = d(b), the arrow by lies over r(b) = d(a),
     so
@@ -505,13 +554,16 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
     using associativity in the domain, Q(a), Q(b), associativity in the
     codomain and Q(a) again. Every element is a product of generators, so Q
     on the generators gives Q everywhere. When the gate is closed or a
-    generator fails Q, the domain's references are checked (MalformedInput
-    names an unknown id), and then every element, so the violations name
-    every failing composable pair. The report counts the work of the path
-    that ran (see `generator_work`).
+    generator fails Q, the domain's products are checked too, and then every
+    element, so the violations name every failing composable pair. The
+    report counts the work of the path that ran (see `generator_work`).
     """
     dom, cod = p.domain, p.codomain
     check_map(p.mapping, dom.element_set, cod.element_set, "hom")
+    gens = checked_generators(dom, cod)
+    if gens is None:
+        check_references(dom, products=False)
+        check_references(cod, products=False)
 
     bad: list[Violation] = []
     f = p.mapping
@@ -526,8 +578,7 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
         if cod.inverse_map[f[x]] != f[dom.inverse_map[x]]:
             bad.append(Violation("hom-preserves-inverse", (x,), f"p({x})⁻¹ != p({x}⁻¹)"))
     ends_kept = not any(v.rule.startswith("hom-commutes") for v in bad)
-    gens = checked_generators(dom, cod) if ends_kept else None
-    if gens is not None and not _product_violations(p, gens, ends_kept):
+    if ends_kept and gens is not None and not _product_violations(p, gens, ends_kept):
         return ValidationReport(tuple(bad), generator_work(dom, gens))
     check_references(dom)
     bad += _product_violations(p, dom.elements, ends_kept)

@@ -8,36 +8,35 @@ measure on the unit space this makes the groupoid a Haar groupoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import MalformedInput, NotQuasiInvariant
-from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, check_ids, checked_generators
+from .groupoid import FiniteGroupoid, FrozenRecord, GroupoidHom, ValidationReport, Violation, check_ids, checked_generators
 from .groupoid import generator_work, validate_groupoid, validate_hom
 from .measures import FiniteMeasure, MeasureSystem, class_witness, compose_with_measure, push_forward, same_measure_class
 from .measures import over_one_denominator, validate_system
 
 
-@dataclass(frozen=True)
-class HaarGroupoid:
+class HaarGroupoid(FrozenRecord):
     """An object of HG: a groupoid, a Haar system over its range map, and a
     unit measure. These fix the induced measure and the modular function,
     which are derived on first read and then kept; the instance is frozen so
     that what is kept cannot go stale. `validate_haar_groupoid` checks the
     laws.
 
-    What is kept lives in fields that the constructor sets to None, not in
-    `functools.cached_property`s: writing the instance `__dict__` would slow
-    every later attribute read on the object."""
+    What is kept lives in the slots `_induced` and `_modular`, which the
+    constructor sets to None and which take no part in equality. They are
+    slots rather than `functools.cached_property`s: writing an instance
+    `__dict__` would slow every later attribute read on the object."""
 
-    groupoid: FiniteGroupoid
-    haar: MeasureSystem
-    unit_measure: FiniteMeasure
-    _induced: FiniteMeasure | None = field(default=None, init=False, repr=False, compare=False)
-    _modular: Mapping[str, Fraction] | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("groupoid", "haar", "unit_measure")
+    __slots__ = (*_fields, "_induced", "_modular")
+
+    def __init__(self, groupoid: FiniteGroupoid, haar: MeasureSystem, unit_measure: FiniteMeasure):
+        self._set(groupoid, haar, unit_measure, None, None)
 
     @property
     def induced(self) -> FiniteMeasure:

@@ -16,7 +16,6 @@ unit maps. Every check below is an exact rational identity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -24,20 +23,18 @@ from operator import itemgetter
 from typing import Callable, Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
-from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, orbits, picker
+from .groupoid import FiniteGroupoid, FrozenRecord, GroupoidHom, Record, ValidationReport, Violation, orbits, picker
 from .haar import HaarGroupoid, is_haar, is_quasi_invariant, validate_haar_groupoid, validate_haar_hom
 from .measures import FiniteMeasure, MeasureSystem, compose_with_measure, disintegrate, validate_system
 
 
-@dataclass
-class Cospan:
+class Cospan(Record):
     """Two Haar groupoids mapping into a common base via Haar homomorphisms."""
 
-    left: HaarGroupoid
-    base: HaarGroupoid
-    right: HaarGroupoid
-    left_map: GroupoidHom
-    right_map: GroupoidHom
+    __slots__ = _fields = ("left", "base", "right", "left_map", "right_map")
+
+    def __init__(self, left: HaarGroupoid, base: HaarGroupoid, right: HaarGroupoid, left_map: GroupoidHom, right_map: GroupoidHom):
+        self._set(left, base, right, left_map, right_map)
 
 
 def validate_cospan(c: Cospan) -> ValidationReport:
@@ -62,14 +59,15 @@ def triple_id(s: str, g: str, t: str) -> str:
     return f"{s}|{g}|{t}"
 
 
-@dataclass
-class PullbackGroupoid:
+class PullbackGroupoid(Record):
     """The algebraic (measure-free) weak pullback of a cospan of groupoids."""
 
-    groupoid: FiniteGroupoid
-    triples: dict[str, tuple[str, str, str]]
-    proj_left: GroupoidHom
-    proj_right: GroupoidHom
+    __slots__ = _fields = ("groupoid", "triples", "proj_left", "proj_right")
+
+    def __init__(
+        self, groupoid: FiniteGroupoid, triples: dict[str, tuple[str, str, str]], proj_left: GroupoidHom, proj_right: GroupoidHom
+    ):
+        self._set(groupoid, triples, proj_left, proj_right)
 
 
 def weak_pullback_groupoid(
@@ -163,28 +161,29 @@ def weak_pullback_groupoid(
     return PullbackGroupoid(pg, by_id, proj_left, proj_right)
 
 
-@dataclass(frozen=True)
-class WeakPullbackResult:
-    """The measured weak pullback: groupoid, projections, Haar system,
-    disintegrations, the system eta over the base arrow of each unit and
-    the unit measure. Its induced measure and modular function are those of
-    `haar_groupoid`, which is built on first read and kept in a field that
-    the constructor sets to None, as in `HaarGroupoid`."""
+# the boundedness side conditions of the general theory: automatic on finite
+# sets, recorded so that reports can say so explicitly
+_ASSUMPTIONS = (
+    "disintegrations are bounded (finite fibers)",
+    "the base modular function is bounded (finite support)",
+)
 
-    cospan: Cospan
-    algebraic: PullbackGroupoid
-    haar: MeasureSystem
-    disint_left: MeasureSystem
-    disint_right: MeasureSystem
-    eta: MeasureSystem
-    unit_measure: FiniteMeasure
-    # boundedness side conditions of the general theory; automatic on finite
-    # sets, recorded so reports can say so explicitly
-    assumptions: tuple[str, ...] = (
-        "disintegrations are bounded (finite fibers)",
-        "the base modular function is bounded (finite support)",
-    )
-    _haar_groupoid: HaarGroupoid | None = field(default=None, init=False, repr=False, compare=False)
+
+class WeakPullbackResult(FrozenRecord):
+    """The measured weak pullback: groupoid, projections, Haar system,
+    disintegrations, the system eta over the base arrow of each unit, the
+    unit measure and the side conditions it assumes. Its induced measure and
+    modular function are those of `haar_groupoid`, which is built on first
+    read and kept in the slot `_haar_groupoid`, as in `HaarGroupoid`."""
+
+    _fields = ("cospan", "algebraic", "haar", "disint_left", "disint_right", "eta", "unit_measure", "assumptions")
+    __slots__ = (*_fields, "_haar_groupoid")
+
+    def __init__(
+        self, cospan: Cospan, algebraic: PullbackGroupoid, haar: MeasureSystem, disint_left: MeasureSystem,
+        disint_right: MeasureSystem, eta: MeasureSystem, unit_measure: FiniteMeasure, assumptions: tuple[str, ...] = _ASSUMPTIONS,
+    ):
+        self._set(cospan, algebraic, haar, disint_left, disint_right, eta, unit_measure, assumptions, None)
 
     @property
     def groupoid(self) -> FiniteGroupoid:

@@ -67,6 +67,13 @@ F = Fraction
 ZERO = F(0)
 
 
+def replace(obj, **changes):
+    """A copy of the record `obj` with the named fields changed, built
+    through its constructor, as `dataclasses.replace` builds one: what the
+    record derives and keeps is derived afresh."""
+    return type(obj)(**{**dict(zip(obj._fields, obj._values())), **changes})
+
+
 def pairs_of(g: FiniteGroupoid) -> dict[tuple[str, str], str]:
     """g's product table as a dict of pairs (x, y) -> xy, read once: the
     oracles index this dict, never the groupoid's rows."""

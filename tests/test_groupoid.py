@@ -347,6 +347,27 @@ def test_validate_hom_matches_enumeration_on_sweep_and_mutants(sweep):
     assert moved > 100
 
 
+def test_validate_hom_fails_closed_on_unknown_ids_in_either_table():
+    # each table names an id the element loops would look up: the reference
+    # checks of both ends run first and name it, where a bare KeyError came
+    g = pair_groupoid(["1", "2"])
+    identity = {x: x for x in g.elements}
+
+    def with_tables(**tables):
+        given = dict(elements=g.elements, units=g.units, range_map=g.range_map, source_map=g.source_map, inverse_map=g.inverse_map)
+        return FiniteGroupoid(**{**given, **tables}, rows=g.rows)
+
+    no_range = with_tables(range_map={x: u for x, u in g.range_map.items() if x != "1-2"})
+    with pytest.raises(MalformedInput, match="range map undefined at '1-2'"):
+        validate_hom(GroupoidHom(g, no_range, identity))
+    ghost_unit = with_tables(units=[*g.units, "ghost"])
+    with pytest.raises(MalformedInput, match="unit list names unknown id 'ghost'"):
+        validate_hom(GroupoidHom(ghost_unit, g, identity))
+    ghost_inverse = with_tables(inverse_map={**g.inverse_map, "1-2": "ghost"})
+    with pytest.raises(MalformedInput, match="inverse map takes the unknown value 'ghost'"):
+        is_isomorphism(GroupoidHom(ghost_inverse, g, identity))
+
+
 # the one conversion of pairs into rows, under random edits of a pairs table
 
 EDITS = ("delete", "non-composable", "rewrite", "unknown-owner", "unknown-key", "unknown-product")

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -175,7 +174,7 @@ def test_modular_raises_on_every_read():
 def test_haar_groupoid_is_frozen():
     h = pair_with_units(1, 2)
     for field in ("groupoid", "haar", "unit_measure"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(h, field, getattr(h, field))
     # the kept modular table is read-only too
     with pytest.raises(TypeError):

@@ -4,7 +4,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -83,6 +82,7 @@ from helpers import (
     pair_trivial_cospan,
     random_cotrivial_cospan,
     regular_pullback,
+    replace,
     system_of,
     unmemoised_expanding_report,
     verdict,
