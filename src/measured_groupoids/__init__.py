@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "measures": (
         "FiniteMeasure", "MeasureSystem", "alternate_disintegration", "compose_with_measure", "counting", "disintegrate",
-        "over_one_denominator", "push_forward", "same_measure_class", "validate_system",
+        "over_one_denominator", "validate_system",
     ),
     "haar": (
         "HaarGroupoid", "counting_haar_system", "haar_system_from_source_weights", "is_haar", "is_quasi_invariant",

@@ -16,8 +16,8 @@ from typing import Iterable, Mapping
 from .errors import MalformedInput, NotQuasiInvariant
 from .groupoid import FiniteGroupoid, FrozenRecord, GroupoidHom, ValidationReport, Violation, check_ids, checked_generators
 from .groupoid import generator_work, validate_groupoid, validate_hom
-from .measures import FiniteMeasure, MeasureSystem, class_witness, compose_with_measure, push_forward, same_measure_class
-from .measures import over_one_denominator, validate_system
+from .measures import FiniteMeasure, MeasureSystem, compose_with_measure, over_one_denominator, class_witness
+from .measures import validate_system
 
 
 class HaarGroupoid(FrozenRecord):
@@ -187,27 +187,12 @@ def validate_haar_hom(p: GroupoidHom, dom: HaarGroupoid, cod: HaarGroupoid) -> V
         raise MalformedInput("hom endpoints do not match the given Haar groupoids")
     hom = validate_hom(p)
     bad = list(hom.violations)
-    pushed = push_forward(p.mapping, dom.induced, cod.groupoid.elements)
-    target = cod.induced
-    if not same_measure_class(pushed, target):
-        w = class_witness(pushed, target)
-        bad.append(
-            Violation(
-                "measure-class",
-                (w,),
-                f"pushforward of the induced measure and the target induced measure differ at {w}",
-            )
-        )
     unit_map = {u: p.mapping[u] for u in dom.groupoid.units if p.mapping.get(u) in cod.groupoid.unit_set}
+    checks = [("measure-class", "induced measure", p.mapping, dom.induced, cod.groupoid.elements, cod.induced)]
     if len(unit_map) == len(dom.groupoid.units):
-        pushed0 = push_forward(unit_map, dom.unit_measure, cod.groupoid.units)
-        if not same_measure_class(pushed0, cod.unit_measure):
-            w = class_witness(pushed0, cod.unit_measure)
-            bad.append(
-                Violation(
-                    "unit-measure-class",
-                    (w,),
-                    f"pushforward of the unit measure and the target unit measure differ at {w}",
-                )
-            )
+        checks.append(("unit-measure-class", "unit measure", unit_map, dom.unit_measure, cod.groupoid.units, cod.unit_measure))
+    for rule, what, f, mu, codomain, nu in checks:
+        w = class_witness(f, mu, codomain, nu)
+        if w is not None:
+            bad.append(Violation(rule, (w,), f"pushforward of the {what} and the target {what} differ at {w}"))
     return ValidationReport(tuple(bad), hom.counts)

@@ -1,17 +1,17 @@
 """Measures and systems of measures on maps between finite sets.
 
-All weights are exact nonnegative rationals, so measure equivalence is
-support equality and every identity below is decided with zero tolerance.
-Weights have one form, integer numerators over one positive denominator in
-lowest terms: a measure has its own denominator and a system of measures one
-for its whole family, with no measure object per point. Sums are then integer
-sums, two weights of one system compare as integers, and weights of different
-measures compare by cross-multiplication. Both constructors take integer
-numerators over one positive denominator and reject any other weight.
-`fractions.Fraction` appears only where rational weights come in, each put
-over one denominator by `over_one_denominator` (the document parser, the
-source weights of a Haar system and the random generator), and where weights
-are read out (`FiniteMeasure.__call__`, `MeasureSystem.weight`).
+All weights are exact nonnegative rationals, so every identity below is
+decided with zero tolerance, and measure equivalence is support equality:
+f_* mu ~ nu exactly when f(supp mu) = supp nu, decided by `class_witness`.
+Weights have one form, which both constructors check: integer numerators over
+one positive denominator in lowest terms, one denominator per measure and one
+per system of measures, with no measure object per point. Sums are then
+integer sums, two weights of one system compare as integers, and weights of
+different measures compare by cross-multiplication. `fractions.Fraction`
+appears only where rational weights come in, each put over one denominator by
+`over_one_denominator` (the document parser, the source weights of a Haar
+system and the random generator), and where weights are read out
+(`FiniteMeasure.__call__`, `MeasureSystem.weight`).
 
 A system of measures over f: X -> Y is one measure on X per point of Y,
 concentrated on the fiber over that point.
@@ -52,10 +52,12 @@ def _lowest_terms(rows: list[Mapping[str, int]], known: AbstractSet[str], den: i
     kept = []
     common = den
     for ws in rows:
-        check_ids(ws, known, "weight assigned to unknown point")
         try:  # gcd takes ints only, so it is also the type check
+            check_ids(ws, known, "weight assigned to unknown point")
             common = gcd(common, *ws.values())
-        except TypeError:
+        except (TypeError, AttributeError):
+            if not isinstance(ws, Mapping):
+                raise MalformedInput(f"weights {ws!r} are not a mapping of points") from None
             x = next(x for x, n in ws.items() if not isinstance(n, int))
             raise MalformedInput(f"weight at {x!r} is not an integer: {ws[x]!r}") from None
         for n in filter((0).__gt__, ws.values()):
@@ -124,6 +126,8 @@ class MeasureSystem:
         self.domain: tuple[str, ...] = tuple(sorted(domain))
         self.codomain: tuple[str, ...] = tuple(sorted(codomain))
         self.over = dict(over)
+        if not isinstance(nums, Mapping):
+            raise MalformedInput(f"family {nums!r} is not a mapping of points")
         check_ids(nums, frozenset(self.codomain), "family indexed by unknown point")
         self.den, rows = _lowest_terms([nums.get(y, {}) for y in self.codomain], frozenset(self.domain), den)
         self.nums: dict[str, dict[str, int]] = dict(zip(self.codomain, rows))
@@ -164,26 +168,15 @@ def validate_system(s: MeasureSystem, require_full: bool = False) -> ValidationR
     return ValidationReport(tuple(bad))
 
 
-def push_forward(f: Mapping[str, str], mu: FiniteMeasure, codomain: Iterable[str]) -> FiniteMeasure:
-    """(f_* mu)(y) = sum of mu over the fiber of y; total mass is preserved."""
-    out: dict[str, int] = {}
+def class_witness(f: Mapping[str, str], mu: FiniteMeasure, codomain: Iterable[str], nu: FiniteMeasure) -> str | None:
+    """The least point of f(supp mu) △ supp nu, or None when f_* mu, on
+    `codomain`, is in the class of nu: numerators are positive, so no
+    pushforward is built. Raises MalformedInput naming a support point of mu
+    that f does not map, and BaseMismatch when `codomain` is not nu's base."""
     check_ids(mu.nums, f.keys(), "pushforward map undefined at")
-    for x, n in mu.nums.items():
-        y = f[x]
-        out[y] = out.get(y, 0) + n
-    return FiniteMeasure(codomain, out, mu.den)
-
-
-def same_measure_class(mu: FiniteMeasure, nu: FiniteMeasure) -> bool:
-    """Mutual absolute continuity; exact support equality on a shared base."""
-    if mu.base != nu.base:
+    if tuple(sorted(codomain)) != nu.base:
         raise BaseMismatch("measures live on different base sets")
-    return mu.nums.keys() == nu.nums.keys()
-
-
-def class_witness(mu: FiniteMeasure, nu: FiniteMeasure) -> str | None:
-    """A point where exactly one of the measures vanishes, if any."""
-    return min(mu.nums.keys() ^ nu.nums.keys(), default=None)
+    return min({f[x] for x in mu.nums} ^ nu.nums.keys(), default=None)
 
 
 def compose_with_measure(s: MeasureSystem, nu: FiniteMeasure) -> FiniteMeasure:
@@ -206,9 +199,8 @@ def disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMeasure) -> 
     their full fiber support survives downstream support computations.
     """
     check_map(f, frozenset(mu.base), frozenset(nu.base), "disintegration map")
-    pushed = push_forward(f, mu, nu.base)
-    if pushed.support != nu.support:
-        w = class_witness(pushed, nu)
+    w = class_witness(f, mu, nu.base, nu)
+    if w is not None:
         raise NotMeasureClassPreserving(
             f"pushforward and target measure differ in support, witness {w!r}", witness=w
         )
@@ -234,9 +226,12 @@ def alternate_disintegration(gamma: MeasureSystem, nu: FiniteMeasure, scale=2) -
     """Rescale a disintegration by `scale`, an int or a Fraction, on every
     nu-null fiber. The result is again a disintegration of the same pair, and
     differs from the input exactly when some null fiber is nonempty. Raises
-    BaseMismatch when nu does not live on the codomain of gamma."""
+    BaseMismatch when nu does not live on the codomain of gamma, and
+    MalformedInput on a scale of another type."""
     if tuple(nu.base) != gamma.codomain:
         raise BaseMismatch("measure base does not match the system codomain")
+    if not isinstance(scale, (int, Fraction)):
+        raise MalformedInput(f"scale {scale!r} is not an int or a Fraction")
     c = Fraction(scale)
     nums = {
         y: {x: n * (c.denominator if y in nu.nums else c.numerator) for x, n in ws.items()}

@@ -55,12 +55,7 @@ from measured_groupoids.groupoid import (
     identity_hom,
 )
 from measured_groupoids.haar import HaarGroupoid, counting_haar_system
-from measured_groupoids.measures import (
-    MeasureSystem,
-    class_witness,
-    same_measure_class,
-    validate_system,
-)
+from measured_groupoids.measures import MeasureSystem, validate_system
 from measured_groupoids.pullback import PullbackGroupoid, WeakPullbackResult, triple_id
 
 F = Fraction
@@ -690,6 +685,52 @@ def fraction_push_forward(f: Mapping[str, str], mu: FiniteMeasure, codomain) -> 
     return measure_of(codomain, out)
 
 
+def support_witness(mu: FiniteMeasure, nu: FiniteMeasure) -> str | None:
+    """The least point where exactly one of two measures on one base
+    vanishes, or None when they are in one measure class."""
+    if mu.base != nu.base:
+        raise BaseMismatch("measures live on different base sets")
+    return min(mu.support ^ nu.support, default=None)
+
+
+def fraction_class_witness(f: Mapping[str, str], mu: FiniteMeasure, codomain, nu: FiniteMeasure) -> str | None:
+    """The oracle of `measures.class_witness`: the Fraction
+    pushforward of mu along f, built on `codomain`, compared with nu."""
+    return support_witness(fraction_push_forward(f, mu, codomain), nu)
+
+
+def fraction_haar_hom_class_violations(p: GroupoidHom, dom: HaarGroupoid, cod: HaarGroupoid) -> list[Violation]:
+    """The `measure-class` and `unit-measure-class` violations of
+    `validate_haar_hom`, from Fraction pushforwards of the induced measure
+    and of the unit measure (the latter when p maps units to units)."""
+    bad = []
+    w = fraction_class_witness(p.mapping, fraction_induced(dom), cod.groupoid.elements, fraction_induced(cod))
+    if w is not None:
+        detail = f"pushforward of the induced measure and the target induced measure differ at {w}"
+        bad.append(Violation("measure-class", (w,), detail))
+    unit_map = {u: p.mapping[u] for u in dom.groupoid.units if p.mapping.get(u) in cod.groupoid.unit_set}
+    if len(unit_map) == len(dom.groupoid.units):
+        w = fraction_class_witness(unit_map, dom.unit_measure, cod.groupoid.units, cod.unit_measure)
+        if w is not None:
+            detail = f"pushforward of the unit measure and the target unit measure differ at {w}"
+            bad.append(Violation("unit-measure-class", (w,), detail))
+    return bad
+
+
+def unit_weight_mutants(c: Cospan) -> list[Cospan]:
+    """Copies of c, one for each of the left, the base and the right whose
+    unit measure is nonzero, with the least unit that measure charges given
+    weight zero: the inputs on which the measure-class checks fail."""
+    out = []
+    for side in ("left", "base", "right"):
+        h = getattr(c, side)
+        mu = h.unit_measure
+        if mu.nums:
+            zeroed = FiniteMeasure(mu.base, {**mu.nums, min(mu.nums): 0}, mu.den)
+            out.append(replace(c, **{side: HaarGroupoid(h.groupoid, h.haar, zeroed)}))
+    return out
+
+
 def fraction_compose_with_measure(s: MeasureSystem, nu: FiniteMeasure) -> FiniteMeasure:
     """mu(E) = sum_y lam^y(E) nu(y), the measure induced by a system."""
     if tuple(nu.base) != s.codomain:
@@ -706,9 +747,8 @@ def fraction_disintegrate(f: Mapping[str, str], mu: FiniteMeasure, nu: FiniteMea
     """Split mu along f into fiberwise measures gamma^y with
     sum_y gamma^y(E) nu(y) = mu(E) exactly; counting measure on nu-null
     fibers."""
-    pushed = fraction_push_forward(f, mu, nu.base)
-    if pushed.support != nu.support:
-        w = class_witness(pushed, nu)
+    w = fraction_class_witness(f, mu, nu.base, nu)
+    if w is not None:
         raise NotMeasureClassPreserving(
             f"pushforward and target measure differ in support, witness {w!r}", witness=w
         )
@@ -765,10 +805,9 @@ def fraction_is_quasi_invariant(h: HaarGroupoid, mu: FiniteMeasure) -> Validatio
     """Support equality of the induced measure mu of h and its inverse
     image; on failure one `quasi-invariance` violation names a witnessing
     element."""
-    mu_inv = inverse_measure(mu, h.groupoid)
-    if same_measure_class(mu, mu_inv):
+    witness = support_witness(mu, inverse_measure(mu, h.groupoid))
+    if witness is None:
         return ValidationReport(())
-    witness = class_witness(mu, mu_inv)
     return ValidationReport(
         (Violation("quasi-invariance", (witness,), f"induced measure and its inverse differ in support at {witness}"),)
     )

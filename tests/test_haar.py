@@ -20,9 +20,7 @@ from measured_groupoids import (
     is_haar,
     is_quasi_invariant,
     pair_groupoid,
-    push_forward,
     random_haar_groupoid,
-    same_measure_class,
     trivial_group,
     validate_groupoid,
     validate_haar_groupoid,
@@ -31,8 +29,9 @@ from measured_groupoids import (
 )
 from measured_groupoids.groupoid import GroupoidHom, identity_hom
 from measured_groupoids.haar import validate_haar_groupoid as _validate
+from measured_groupoids.measures import class_witness
 from helpers import dangling_product, fails_closed, fraction_weights, generator_counts, inverse_measure, literal_haar_report
-from helpers import measure_of, members_of, outcome, system_of, table_mutants, verdict
+from helpers import fraction_class_witness, measure_of, members_of, outcome, system_of, table_mutants, verdict
 
 F = Fraction
 
@@ -220,16 +219,18 @@ def test_validate_haar_hom_vanishing_codomain_measure():
 def test_range_class_check_examples():
     # r_*(mu) is in the class of mu0 on every valid Haar groupoid
     for h in (pair_with_units(1, 2), with_counting_haar(trivial_group())):
-        pushed = push_forward(h.groupoid.range_map, h.induced, h.groupoid.units)
-        assert same_measure_class(pushed, h.unit_measure)
+        args = (h.groupoid.range_map, h.induced, h.groupoid.units, h.unit_measure)
+        assert class_witness(*args) is None
+        assert fraction_class_witness(*args) is None
 
 
 @given(st.integers(0, 300))
 def test_random_haar_groupoids_validate(seed):
     h = random_haar_groupoid(seed)
     assert validate_haar_groupoid(h).ok
-    pushed = push_forward(h.groupoid.range_map, h.induced, h.groupoid.units)
-    assert same_measure_class(pushed, h.unit_measure)
+    args = (h.groupoid.range_map, h.induced, h.groupoid.units, h.unit_measure)
+    assert class_witness(*args) is None
+    assert fraction_class_witness(*args) is None
 
 
 @given(st.integers(0, 200))

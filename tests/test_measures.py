@@ -9,22 +9,26 @@ from hypothesis import strategies as st
 from measured_groupoids import (
     BaseMismatch,
     FiniteMeasure,
+    HaarGroupoid,
     MalformedInput,
     MeasureSystem,
     NotMeasureClassPreserving,
     alternate_disintegration,
     compose_with_measure,
     disintegrate,
+    identity_hom,
     over_one_denominator,
-    push_forward,
-    same_measure_class,
+    pair_groupoid,
+    validate_haar_hom,
     validate_system,
 )
 
 from measured_groupoids.documents import weight_to_str
+from measured_groupoids.measures import class_witness
 
 from helpers import (
     fraction_alternate_disintegration,
+    fraction_class_witness,
     fraction_compose_with_measure,
     fraction_disintegrate,
     fraction_push_forward,
@@ -54,38 +58,29 @@ def test_negative_weight_rejected():
         measure_of(X3, {"a": F(-1, 2)})
 
 
-def test_push_forward_identity():
-    mu = FiniteMeasure(Y2, {"1": 2, "2": 3})
-    assert push_forward({"1": "1", "2": "2"}, mu, Y2) == mu
-
-
-def test_push_forward_constant_adds_mass():
-    mu = FiniteMeasure(Y2, {"1": 2, "2": 3})
-    out = push_forward({"1": "z", "2": "z"}, mu, ("z",))
-    assert out("z") == 5
-
-
-def test_push_forward_three_to_two():
-    mu = FiniteMeasure(X3, {"a": 2, "b": 3, "c": 5})
-    out = push_forward(F32, mu, Y2)
-    assert (out("1"), out("2")) == (5, 5)
-    assert sum(fraction_weights(out).values()) == sum(fraction_weights(mu).values())
-
-
 def test_same_measure_class_examples():
+    # through the identity map, the class check compares two measures on Y2
     mu = FiniteMeasure(Y2, {"1": 1})
-    assert same_measure_class(mu, mu)
-    assert same_measure_class(mu, FiniteMeasure(Y2, {"1": 2}))
-    assert not same_measure_class(mu, FiniteMeasure(Y2, {"2": 1}))
-    with pytest.raises(BaseMismatch):
-        same_measure_class(mu, FiniteMeasure(X3, {"a": 1}))
+    ident = {"1": "1", "2": "2"}
+    for nu, witness in ((mu, None), (FiniteMeasure(Y2, {"1": 2}), None), (FiniteMeasure(Y2, {"2": 1}), "1")):
+        assert class_witness(ident, mu, Y2, nu) == witness
+        assert fraction_class_witness(ident, mu, Y2, nu) == witness
+    for check in (class_witness, fraction_class_witness):
+        with pytest.raises(BaseMismatch, match="^measures live on different base sets$"):
+            check(ident, mu, Y2, FiniteMeasure(X3, {"a": 1}))
 
 
 def test_references_off_the_base_are_rejected_with_the_id():
     with pytest.raises(MalformedInput, match="^weight assigned to unknown point 'd'$"):
         FiniteMeasure(X3, {"a": 1, "d": 1})
-    with pytest.raises(MalformedInput, match="^pushforward map undefined at 'c'$"):
-        push_forward({"a": "1"}, FiniteMeasure(X3, {"a": 1, "c": 1}), Y2)
+    # a Haar system whose domain charges x9, which the hom does not map
+    g = pair_groupoid(["1", "2"])
+    over = {**g.range_map, "x9": "1-1"}
+    nums = {u: {x: 1 for x in g.fiber(u)} for u in g.units}
+    nums["1-1"]["x9"] = 1
+    h = HaarGroupoid(g, MeasureSystem(over, (*g.elements, "x9"), g.units, nums), FiniteMeasure(g.units, {"1-1": 1}))
+    with pytest.raises(MalformedInput, match="^pushforward map undefined at 'x9'$"):
+        validate_haar_hom(identity_hom(g), h, h)
 
 
 def test_system_family_outside_the_codomain_is_rejected():
@@ -240,7 +235,7 @@ def test_disintegrations_agree_on_positive_fibers():
 @given(st.lists(weights, min_size=3, max_size=3), st.lists(weights, min_size=2, max_size=2))
 def test_reconstruction_property(ws, scales):
     mu = measure_of(X3, dict(zip(X3, ws)))
-    pushed = push_forward(F32, mu, Y2)
+    pushed = fraction_push_forward(F32, mu, Y2)
     nu = measure_of(Y2, {y: pushed(y) * (s + F(1, 7)) for y, s in zip(Y2, scales)})
     gamma = disintegrate(F32, mu, nu)
     assert compose_with_measure(gamma, nu) == mu
@@ -310,9 +305,10 @@ def test_integer_measure_operations_equal_their_fraction_oracles(targets, lam, n
     nu = measure_of(Y2, dict(zip(Y2, nu_ws)))
     assert compose_with_measure(system, nu) == fraction_compose_with_measure(system, nu)
     mu = measure_of(X6, mu_ws)
-    pushed = push_forward(f, mu, Y2)
-    assert pushed == fraction_push_forward(f, mu, Y2)
+    pushed = fraction_push_forward(f, mu, Y2)
+    assert class_witness(f, mu, Y2, nu) == fraction_class_witness(f, mu, Y2, nu)
     target = measure_of(Y2, {y: pushed(y) * s for y, s in zip(Y2, scales)})
+    assert class_witness(f, mu, Y2, target) is None
     gamma = disintegrate(f, mu, target)
     assert gamma == fraction_disintegrate(f, mu, target)
     assert compose_with_measure(gamma, target) == mu

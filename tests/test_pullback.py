@@ -15,6 +15,7 @@ from measured_groupoids import (
     MalformedInput,
     MeasureSystem,
     NotADisintegration,
+    NotMeasureClassPreserving,
     alternate_disintegration,
     build_weak_pullback,
     check_commuting_diamond,
@@ -34,7 +35,6 @@ from measured_groupoids import (
     is_isomorphism,
     is_quasi_invariant,
     pair_groupoid,
-    push_forward,
     random_cospan,
     trivial_group,
     validate_cospan,
@@ -50,8 +50,9 @@ from measured_groupoids.documents import (
     parse_document,
 )
 from measured_groupoids.families import cech_cospan_groupoids, transformation_cospan_groupoids
-from measured_groupoids.groupoid import GroupoidHom, ValidationReport, identity_hom
+from measured_groupoids.groupoid import GroupoidHom, ValidationReport, Violation, identity_hom
 from measured_groupoids.haar import HaarGroupoid
+from measured_groupoids.measures import class_witness
 
 from helpers import (
     cotrivial_comparison_hom,
@@ -63,7 +64,8 @@ from helpers import (
     fraction_is_quasi_invariant,
     fraction_measures_of_pullback,
     fraction_modular,
-    fraction_push_forward,
+    fraction_class_witness,
+    fraction_haar_hom_class_violations,
     fraction_quasi_invariance_and_modular,
     fraction_triple_integral_report,
     fraction_weights,
@@ -83,6 +85,7 @@ from helpers import (
     random_cotrivial_cospan,
     regular_pullback,
     replace,
+    unit_weight_mutants,
     system_of,
     unmemoised_expanding_report,
     verdict,
@@ -729,13 +732,68 @@ def test_integer_measures_match_the_fraction_oracles_on_the_sweep(sweep):
             assert is_quasi_invariant(h) == fraction_is_quasi_invariant(h, mu), seed
             assert dict(h.modular) == fraction_modular(h, mu), seed
         for proj, leg in ((w.proj_left, c.left), (w.proj_right, c.right)):
-            args = (proj.mapping, w.haar_groupoid.induced, leg.groupoid.elements)
-            assert push_forward(*args) == fraction_push_forward(*args), seed
+            args = (proj.mapping, w.haar_groupoid.induced, leg.groupoid.elements, leg.induced)
+            assert class_witness(*args) == fraction_class_witness(*args), seed
         base_mu0 = c.base.unit_measure
         alternates = (alternate_disintegration(w.disint_left, base_mu0), alternate_disintegration(w.disint_right, base_mu0))
         for got, want in _integer_claims_and_fraction_oracles(w, *alternates):
             assert not _failed(got), seed
             assert got == want, seed
+
+
+def _class_oracle(named_homs) -> list[Violation]:
+    """The measure-class violations of `validate_haar_hom` on each
+    (name, hom, domain, codomain), from the Fraction oracle, with the name
+    put before the rule as the cospan and projection checks put it."""
+    return [
+        Violation(f"{name}.{v.rule}", v.witnesses, v.detail)
+        for name, hom, dom, cod in named_homs
+        for v in fraction_haar_hom_class_violations(hom, dom, cod)
+    ]
+
+
+def _class_violations(report) -> list[Violation]:
+    return [v for v in report.violations if v.rule.endswith("measure-class")]
+
+
+def test_measure_class_checks_match_the_fraction_oracle_on_the_sweep_and_unit_weight_mutants(sweep):
+    # each check decided on supports gives the violations and witnesses of a
+    # Fraction pushforward compared with its target: the legs of every sweep
+    # cospan and of its unit-weight mutants, both disintegrations of the
+    # unchecked build, and both projections of each pullback built
+    seen = {"measure-class": 0, "unit-measure-class": 0, "disintegration": 0}
+    for seed, w in sweep.pullbacks:
+        for c in (w.cospan, *unit_weight_mutants(w.cospan)):
+            report = validate_cospan(c)
+            want = []
+            if not any(v.rule.split(".")[0] in ("left", "base", "right") for v in report.violations):
+                legs = (("left_map", c.left_map, c.left), ("right_map", c.right_map, c.right))
+                want = _class_oracle((name, hom, leg, c.base) for name, hom, leg in legs)
+            assert _class_violations(report) == want, seed
+            for v in want:
+                seen[v.rule.split(".")[1]] += 1
+            # disintegrate runs on the left leg's unit measure, then the right's
+            nu = c.base.unit_measure
+            witness = None
+            for leg, hom in ((c.left, c.left_map), (c.right, c.right_map)):
+                f = {u: hom.mapping[u] for u in leg.groupoid.units}
+                witness = witness or fraction_class_witness(f, leg.unit_measure, nu.base, nu)
+            try:
+                built = w if c is w.cospan else build_weak_pullback(c, validate=False)
+            except NotMeasureClassPreserving as e:
+                assert witness is not None and e.witness == witness, seed
+                assert str(e) == f"pushforward and target measure differ in support, witness {witness!r}", seed
+                seen["disintegration"] += 1
+                continue
+            assert witness is None, seed
+            report = check_projection_homs(built)
+            h_p = built.haar_groupoid
+            projections = (("proj_left", built.proj_left, h_p, c.left), ("proj_right", built.proj_right, h_p, c.right))
+            want = _class_oracle(projections)
+            assert _class_violations(report) == want, seed
+            for v in want:
+                seen[v.rule.split(".")[1]] += 1
+    assert all(seen.values()), seen
 
 
 def test_integer_claims_match_the_fraction_oracles_on_tampered_results(sweep):
