@@ -3,11 +3,14 @@
 Usage:  python scripts/run_property_suite.py [N_SEEDS]
 
 Every fifth cospan gets an engineered null orbit in the base unit measure.
-Each cospan's pullback goes through every claim of `mgpd check`. Prints one
-line per failing claim (none expected): the seed, the claim id and the first
-line of its report, which names a witness. Then a summary with the total
-time and the summed time of each stage, to the millisecond: generate, build,
-and each entry of the claim registry, keyed by its claim ids joined with "+".
+Each cospan is validated as `mgpd check` validates it, since the generator
+does not, and its pullback goes through every claim of `mgpd check`. Prints
+one line per failing claim (none expected): the seed, the claim id and the
+first line of its report, which names a witness. A cospan that fails
+validation prints as `seed N: FAIL cospan — <first violation>` and is not
+built. Then a summary with the total time and the summed time of each
+stage, to the millisecond: generate, validate, build, and each entry of the
+claim registry, keyed by its claim ids joined with "+".
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from __future__ import annotations
 import argparse
 import time
 
-from measured_groupoids import build_weak_pullback, random_cospan
+from measured_groupoids import build_weak_pullback, random_cospan, validate_cospan
 from measured_groupoids.cli import REGISTRY, claim_reports
 
 
-STAGES = ("generate", "build", *("+".join(ids) for ids, _ in REGISTRY))
+STAGES = ("generate", "validate", "build", *("+".join(ids) for ids, _ in REGISTRY))
 
 
 def run_seed(seed: int, seconds: dict[str, float]) -> dict[str, str]:
@@ -28,9 +31,14 @@ def run_seed(seed: int, seconds: dict[str, float]) -> dict[str, str]:
     t0 = time.perf_counter()
     c = random_cospan(seed, with_null_base=seed % 5 == 4)
     t1 = time.perf_counter()
-    w = build_weak_pullback(c, validate=False)
+    report = validate_cospan(c)
+    t2 = time.perf_counter()
     seconds["generate"] += t1 - t0
-    seconds["build"] += time.perf_counter() - t1
+    seconds["validate"] += t2 - t1
+    if not report.ok:
+        return {"cospan": report.summary().splitlines()[0]}
+    w = build_weak_pullback(c, validate=False)
+    seconds["build"] += time.perf_counter() - t2
     failures = {}
     for ids, reports, secs in claim_reports(c, w):
         seconds["+".join(ids)] += secs

@@ -1,17 +1,18 @@
 """Seeded random instances: Haar groupoids and valid cospans.
 
-Generators are deterministic functions of (seed, bounds) and always emit
-instances that pass every validator. Structures are mixed from disjoint
-unions of pair groupoids, cyclic groups and transformation groupoids; leg
-homomorphisms are drawn from a fixed menu of surjective patterns (identity,
-fold of two copies, thickening by a pair groupoid, action and pair covers of
-a group base) so that measure-class preservation holds by construction, and
-are still re-validated with resampling as a safety net.
+Generators are deterministic functions of (seed, bounds). Structures are
+mixed from disjoint unions of pair groupoids, cyclic groups and
+transformation groupoids; leg homomorphisms are drawn from a fixed menu of
+surjective patterns (identity, fold of two copies, thickening by a pair
+groupoid, action and pair covers of a group base) that preserve the measure
+class by construction. Nothing here validates a cospan: `mgpd check`, `mgpd
+validate` and the sweep each do, so a defect in a pattern ends in exit 2
+from `check`, with a witness.
 
-`bounds` is (max_units, max_elements) per groupoid. The defaults keep the
-pullbacks at desk scale (at most about a thousand elements), where the
-structure-theorem checks, which sum over the pullback's elements and fibers,
-stay cheap.
+`bounds` (max_units, max_elements) steers the sizes drawn without capping
+them: a cospan's base has at least two units and an action-cover leg up to
+four. The defaults keep pullbacks at desk scale (about a thousand elements
+at most), where the structure-theorem checks stay cheap.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .families import transformation_groupoid, transformation_id, trivial_action
 from .groupoid import FiniteGroupoid, GroupoidHom, orbits
 from .haar import HaarGroupoid, haar_system_from_source_weights
 from .measures import ZERO, FiniteMeasure, over_one_denominator
-from .pullback import Cospan, validate_cospan
+from .pullback import Cospan
 
 DEFAULT_BOUNDS = (4, 24)
 _MAX_TRIES = 50
@@ -137,10 +138,7 @@ def _leg_identity(rng, base: FiniteGroupoid):
 
 def _leg_fold(rng, base: FiniteGroupoid):
     doubled, renamings = disjoint_union([base, base], ["a", "b"])
-    mapping = {}
-    for ren in renamings:
-        mapping.update({new: old for old, new in ren.items()})
-    return doubled, mapping
+    return doubled, {new: old for ren in renamings for old, new in ren.items()}
 
 
 def _leg_thicken(rng, base: FiniteGroupoid):
@@ -158,12 +156,7 @@ def _leg_action_cover(rng, base: FiniteGroupoid):
         action = _involution_action(rng, base, points)
     else:
         action = trivial_action(base, points)
-    leg = transformation_groupoid(action)
-    mapping = {}
-    for y in points:
-        for gm in base.elements:
-            mapping[transformation_id(y, gm)] = gm
-    return leg, mapping
+    return transformation_groupoid(action), {transformation_id(y, gm): gm for y in points for gm in base.elements}
 
 
 def _leg_pair_cover(rng, base: FiniteGroupoid):
@@ -172,11 +165,7 @@ def _leg_pair_cover(rng, base: FiniteGroupoid):
     n = len(base.elements)
     order = base.elements  # sorted g0..g{n-1}, n <= 4 keeps this lexicographic
     leg = pair_groupoid([f"q{i}" for i in range(n)])
-    mapping = {}
-    for i in range(n):
-        for j in range(n):
-            mapping[pair_id(f"q{i}", f"q{j}")] = order[(i - j) % n]
-    return leg, mapping
+    return leg, {pair_id(f"q{i}", f"q{j}"): order[(i - j) % n] for i in range(n) for j in range(n)}
 
 
 def _leg_inclusion(base: FiniteGroupoid, kept_units) -> tuple[FiniteGroupoid, dict[str, str]]:
@@ -253,8 +242,6 @@ def random_cospan(seed, bounds=DEFAULT_BOUNDS, with_null_base: bool = False) -> 
         right_g, right_map = _random_leg(rng, base_g, max_units, max_elements, base_is_group, supp_units=supp_units)
         left_h, left_hom = _measured_leg(rng, left_g, left_map, base_h)
         right_h, right_hom = _measured_leg(rng, right_g, right_map, base_h)
-        c = Cospan(left_h, base_h, right_h, left_hom, right_hom)
-        if validate_cospan(c).ok:
-            return c
+        return Cospan(left_h, base_h, right_h, left_hom, right_hom)
     raise GenerationExhausted(f"no valid cospan for seed {seed!r} within {_MAX_TRIES} attempts")
 

@@ -36,11 +36,12 @@ def check_element_id(x: str) -> str:
 
 
 class Record:
-    """Named fields, listed in `_fields` and set by a written-out constructor
-    through `_set`, compared and printed as a dataclass does: two records
-    are equal when they are of one class with equal fields, and a record is
-    unhashable unless frozen. Slots past `_fields` hold what a record
-    derives and keeps; `_set` fills every slot in order."""
+    """Named fields, listed in `_fields` and set by a written-out constructor,
+    compared and printed as a dataclass does: two records are equal when
+    they are of one class with equal fields, and a record is unhashable
+    unless frozen. Slots past `_fields` hold what a record derives and
+    keeps; `_set` fills every slot in order, and the records every check
+    builds set theirs one statement each, at about half the cost."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -84,7 +85,9 @@ class Violation(FrozenRecord):
     __slots__ = _fields = ("rule", "witnesses", "detail")
 
     def __init__(self, rule: str, witnesses: tuple[str, ...], detail: str):
-        self._set(rule, witnesses, detail)
+        _setattr(self, "rule", rule)
+        _setattr(self, "witnesses", witnesses)
+        _setattr(self, "detail", detail)
 
     def __str__(self) -> str:
         where = ", ".join(self.witnesses)
@@ -98,7 +101,8 @@ class ValidationReport(FrozenRecord):
     __slots__ = _fields = ("violations", "counts")
 
     def __init__(self, violations: tuple[Violation, ...], counts: tuple[tuple[str, int], ...] = ()):
-        self._set(violations, counts)
+        _setattr(self, "violations", violations)
+        _setattr(self, "counts", counts)
 
     @property
     def ok(self) -> bool:

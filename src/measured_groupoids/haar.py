@@ -139,13 +139,17 @@ def _left_invariance_violations(g: FiniteGroupoid, s: MeasureSystem, xs: Iterabl
 def is_quasi_invariant(h: HaarGroupoid) -> ValidationReport:
     """Support equality of the induced measure and its inverse image
     x -> mu(x^{-1}); on failure one `quasi-invariance` violation names the
-    least element of the symmetric difference of the two supports."""
+    least element of the symmetric difference of the two supports. Raises
+    MalformedInput at the least element the inverse map misses."""
     g = h.groupoid
     mu = h.induced
     if mu.base != g.elements:
         raise MalformedInput("measure does not live on the groupoid's elements")
     support, inv = mu.nums.keys(), g.inverse_map
-    inverse_support = {x for x in g.elements if inv[x] in support}
+    try:
+        inverse_support = {x for x in g.elements if inv[x] in support}
+    except KeyError as missing:
+        raise MalformedInput(f"inverse map undefined at {missing.args[0]!r}") from None
     if support == inverse_support:
         return ValidationReport(())
     witness = min(support ^ inverse_support)

@@ -25,6 +25,7 @@ from measured_groupoids import (
     is_quasi_invariant,
     random_cospan,
     random_haar_groupoid,
+    validate_cospan,
 )
 from measured_groupoids.cli import CLAIMS, main, run_claims
 from measured_groupoids.documents import (
@@ -138,6 +139,7 @@ def test_criterion_4_property_suite_200_cospans(sweep):
         for leg in (c.left, c.base, c.right):
             assert len(leg.groupoid.elements) <= 24
             assert len(leg.groupoid.units) <= 4
+        assert validate_cospan(c).ok  # the generator does not validate
         _all_claims_hold(c, w)
         count += 1
     elapsed = sweep.build_s + time.perf_counter() - start

@@ -3,7 +3,8 @@ entry points, or a `GroupoidError` subclass, whatever it passes: the
 entry points are called with drawn inputs that do not fit together (a
 system on another groupoid, a hom naming a foreign id, a measure on another
 base, a disintegration over the wrong map, weights and scales of the wrong
-type), and no other exception may escape."""
+type, an inverse map that misses elements), and no other exception may
+escape."""
 
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from measured_groupoids import (
+    FiniteGroupoid,
     FiniteMeasure,
     GroupoidError,
     GroupoidHom,
@@ -20,16 +22,20 @@ from measured_groupoids import (
     MeasureSystem,
     alternate_disintegration,
     compose_with_measure,
+    counting_haar_system,
     cyclic_group,
     disintegrate,
     disjoint_union,
     haar_system_from_source_weights,
     identity_hom,
     is_haar,
+    is_quasi_invariant,
     pair_groupoid,
     trivial_group,
+    validate_haar_groupoid,
     validate_haar_hom,
     validate_hom,
+    validate_unit_measure,
 )
 
 FOREIGN = "x9"
@@ -52,6 +58,16 @@ def _fails_closed(call, *args):
         call(*args)
     except GroupoidError:
         pass
+
+
+# the entry points that read a Haar groupoid's inverse map
+QUASI_INVARIANCE_ENTRY_POINTS = (is_quasi_invariant, validate_unit_measure, lambda h: h.modular, validate_haar_groupoid)
+
+
+def without_inverses(g, dropped):
+    """`g` rebuilt with the elements of `dropped` deleted from its inverse map."""
+    inverse = {x: y for x, y in g.inverse_map.items() if x not in dropped}
+    return FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, inverse, g.products())
 
 
 def points(base, foreign: bool = True):
@@ -157,3 +173,23 @@ def test_probes_that_escaped_raise_malformed_input():
     h = HaarGroupoid(g, haar, FiniteMeasure(g.units, {"1-1": 1}))
     with pytest.raises(MalformedInput, match="^pushforward map undefined at 'x9'$"):
         validate_haar_hom(identity_hom(g), h, h)
+    # a pair groupoid whose inverse map misses 1-2
+    g = without_inverses(g, {"1-2"})
+    h = HaarGroupoid(g, counting_haar_system(g), FiniteMeasure(g.units, dict.fromkeys(g.units, 1)))
+    for call in QUASI_INVARIANCE_ENTRY_POINTS:
+        with pytest.raises(MalformedInput, match="^inverse map undefined at '1-2'$"):
+            call(h)
+
+
+@given(st.data())
+def test_quasi_invariance_entry_points_name_a_missing_inverse(data):
+    # each names the least element the inverse map misses, as the reference
+    # check of validate_haar_groupoid does
+    g = data.draw(st.sampled_from(GROUPOIDS))
+    dropped = data.draw(st.sets(st.sampled_from(g.elements), min_size=1))
+    g = without_inverses(g, dropped)
+    unit_weights = data.draw(st.dictionaries(st.sampled_from(g.units), st.integers(0, 3)))
+    h = HaarGroupoid(g, counting_haar_system(g), FiniteMeasure(g.units, unit_weights))
+    for call in QUASI_INVARIANCE_ENTRY_POINTS:
+        with pytest.raises(MalformedInput, match=f"^inverse map undefined at {min(dropped)!r}$"):
+            call(h)

@@ -876,6 +876,20 @@ def test_sweep_script_summary_parses_with_the_bench_pattern():
     m = bench.SWEEP_LINE.search(line)
     assert m is not None, line
     stages = dict(part.rsplit(" ", 1) for part in m.group(2).split(", "))
-    assert list(stages) == ["generate", "build", *("+".join(ids) for ids, _ in REGISTRY)]
+    assert list(stages) == ["generate", "validate", "build", *("+".join(ids) for ids, _ in REGISTRY)]
     assert all(re.fullmatch(r"\d+\.\d{3}s", secs) for secs in stages.values()), line
 
+
+
+def test_sweep_script_reports_a_rejected_cospan_and_skips_its_build(monkeypatch):
+    # the generator does not validate, so the script's validate stage is the
+    # one place a defective cospan is caught; its first violation is printed
+    spec = importlib.util.spec_from_file_location("run_property_suite", ROOT / "scripts" / "run_property_suite.py")
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    rejected = ValidationReport((Violation("measure-class", ("a",), "first"), Violation("measure-class", ("b",), "second")))
+    monkeypatch.setattr(suite, "validate_cospan", lambda c: rejected)
+    seconds = dict.fromkeys(suite.STAGES, 0.0)
+    assert suite.run_seed(0, seconds) == {"cospan": "measure-class [a]: first"}
+    assert seconds["generate"] > 0 and seconds["validate"] > 0
+    assert seconds["build"] == 0.0
