@@ -229,8 +229,9 @@ class FiniteGroupoid:
 
     @property
     def generating_set(self) -> tuple[str, ...] | None:
-        """The elements, in canonical order, that the earlier ones do not
-        reach by right multiplication, when the three stages of
+        """The elements, offered orbit cycles first and then in canonical
+        order, that the earlier ones do not reach by right multiplication
+        (see `_candidates`), when the three stages of
         :func:`validate_groupoid` hold; else None. When it is set, every
         element is a product of generators and the product is associative,
         so a property that holds on the generators and is closed under
@@ -327,6 +328,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
 
     When a stage fails, the rows and the composable triples are enumerated
     instead, so violations are named, and ordered, as by the exhaustive check.
+    The report counts the work of the path that ran (see `generator_work`).
     """
     generators = g.generating_set
     bad: list[Violation] = []
@@ -366,26 +368,24 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         if rows[xi][pos[x]] != src[x]:
             bad.append(Violation("inverse-law", (x,), f"{x}⁻¹·{x} != d({x})"))
 
-    return ValidationReport(tuple(bad))
+    return ValidationReport(tuple(bad), generator_work(g, generators))
 
 
 def _generating_set(g: FiniteGroupoid) -> tuple[str, ...] | None:
-    """The compose domain and the ends, every row read at once, then Light's
-    test. Row x must be as long as the r-fiber over d(x), with products
-    whose sources are those of that fiber and whose ranges are r(x). That
-    looks every product up in the source map, so the products pass of
+    """The compose domain and the ends, one pass per row, then Light's test.
+    Row x must be as long as the r-fiber over d(x), with products in the
+    r-fiber over r(x), which holds exactly the elements of range r(x), and
+    with the sources of the r-fiber over d(x). The first test looks every
+    product up in the element set, so the products pass of
     `check_references` runs only when a stage fails."""
     check_references(g, products=False)
-    els, rng, src, rows = g.elements, g.range_map, g.source_map, g.rows
+    els, rng, src, rows, fibers = g.elements, g.range_map, g.source_map, g.rows, g.fibers
     srcs, row_list = [*map(src.__getitem__, els)], [*map(rows.__getitem__, els)]
-    sources = {u: [*map(src.__getitem__, xs)] for u, xs in g.fibers.items()}
-    lens, products = [*map(len, row_list)], [*chain.from_iterable(row_list)]
-    try:
-        held = not g.strays and lens == [*map(len, map(g.fibers.get, srcs, repeat(())))]
-        held = held and [*map(src.__getitem__, products)] == [*chain.from_iterable(map(sources.get, srcs, repeat(())))]
-        held = held and [*map(rng.__getitem__, products)] == [*chain.from_iterable(map(repeat, map(rng.__getitem__, els), lens))]
-    except KeyError:  # a slot without a product, or with one that is no element
-        held = False
+    fiber_sets = {u: frozenset(xs) for u, xs in fibers.items()}
+    sources = {u: tuple(map(src.__getitem__, xs)) for u, xs in fibers.items()}
+    held = not g.strays and [*map(len, row_list)] == [*map(len, map(fibers.get, srcs, repeat(())))]
+    held = held and all(map(frozenset.issuperset, map(fiber_sets.__getitem__, map(rng.__getitem__, els)), row_list))
+    held = held and [*map(tuple, map(map, repeat(src.__getitem__), row_list))] == [*map(sources.get, srcs, repeat(()))]
     if not held:
         check_references(g)
         return None
@@ -396,16 +396,35 @@ def _generating_set(g: FiniteGroupoid) -> tuple[str, ...] | None:
     return generators if _light_associative(g, d_fibers, generators) else None
 
 
+def _candidates(g: FiniteGroupoid) -> Iterable[str]:
+    """Orbit cycles, then every element in canonical order. An orbit with
+    units u_1 < ... < u_k (k >= 2) offers the first arrow with range u_i and
+    source u_{i+1}, and the first from u_1 to u_k, which together reach every
+    hom-set of the orbit. The orbits are found by union-find over the
+    distinct (range, source) pairs; when an end is not a unit or an orbit
+    lacks a cycle arrow, the order is the canonical one alone. Any order
+    that offers every element is sound, since the closure search proves
+    that its picks generate; the order only decides how many there are."""
+    rng, src, rev = g.range_map, g.source_map, g.elements[::-1]
+    first = dict(zip(zip(map(rng.__getitem__, rev), map(src.__getitem__, rev)), rev))
+    try:
+        blocks = _unit_blocks(g.units, first)
+        cycles = [first[ends] for us in blocks if len(us) > 1 for ends in (*zip(us, us[1:]), (us[-1], us[0]))]
+    except KeyError:
+        return g.elements
+    return chain(cycles, g.elements)
+
+
 def _generators(g: FiniteGroupoid) -> tuple[str, ...]:
-    """The elements, in canonical order, that the earlier ones do not reach
-    by right multiplication: a generating set under the partial product."""
+    """The candidates of `_candidates` that the earlier ones do not reach by
+    right multiplication: a generating set under the partial product."""
     rng, src, rows, pos = g.range_map, g.source_map, g.rows, g.position
     reached: set[str] = set()
     reached_by_source: dict[str, list[str]] = {}
     gens: list[str] = []
     # the positions of the generators in their r-fibers, by range
     gen_slots: dict[str, list[int]] = {}
-    for a in g.elements:
+    for a in _candidates(g):
         if a in reached:
             continue
         gens.append(a)
@@ -492,9 +511,18 @@ class OrbitPartition(FrozenRecord):
 def orbits(g: FiniteGroupoid) -> OrbitPartition:
     """Connected components of the unit set under u ~ d(x) for r(x) = u;
     MalformedInput names an end of an element that is not a unit."""
-    parent = {u: u for u in g.units}
-    ends = chain(map(g.range_map.get, g.elements), map(g.source_map.get, g.elements))
-    check_ids(ends, parent.keys(), "an end of an element is not a unit:")
+    rng, src = [*map(g.range_map.get, g.elements)], [*map(g.source_map.get, g.elements)]
+    check_ids(chain(rng, src), g.unit_set, "an end of an element is not a unit:")
+    blocks = tuple(sorted(map(tuple, _unit_blocks(g.units, zip(rng, src))), key=itemgetter(0)))
+    index = {u: i for i, block in enumerate(blocks) for u in block}
+    return OrbitPartition(blocks, index)
+
+
+def _unit_blocks(units: Sequence[str], ends: Iterable[tuple[str, str]]) -> list[list[str]]:
+    """The classes of `units` joined by each (range, source) pair, found by
+    union-find, each in the order of `units`; KeyError on an end that is not
+    in `units`."""
+    parent = dict(zip(units, units))
 
     def find(u: str) -> str:
         while parent[u] != u:
@@ -502,16 +530,14 @@ def orbits(g: FiniteGroupoid) -> OrbitPartition:
             u = parent[u]
         return u
 
-    for x in g.elements:
-        a, b = find(g.range_map[x]), find(g.source_map[x])
+    for r, d in ends:
+        a, b = find(r), find(d)
         if a != b:
             parent[a] = b
-    groups: dict[str, list[str]] = {}
-    for u in g.units:
-        groups.setdefault(find(u), []).append(u)
-    blocks = tuple(sorted((tuple(sorted(b)) for b in groups.values()), key=lambda b: b[0]))
-    index = {u: i for i, block in enumerate(blocks) for u in block}
-    return OrbitPartition(blocks, index)
+    blocks: dict[str, list[str]] = {}
+    for u in units:
+        blocks.setdefault(find(u), []).append(u)
+    return list(blocks.values())
 
 
 class GroupoidHom:

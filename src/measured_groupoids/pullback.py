@@ -19,7 +19,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
@@ -82,12 +81,14 @@ def weak_pullback_groupoid(
     d(s) = r(σ), d(t) = r(τ) and h = p(s)^{-1} g q(t); the inverse is
     (s^{-1}, p(s)^{-1} g q(t), t^{-1}). So the positional row of (s, g, t)
     runs over S^{d(s)} x {h} x T^{d(t)} in (σ, τ) order, which is canonical
-    unless an id is a prefix of another (the rows are then reordered), and
-    is written in C: the ids (sσ, g, ·) for each sσ in the row of s, read at
-    each tτ in the row of t. On maps that are not homomorphisms an entry or
-    a row can name a product that is no triple, or a row can differ in
-    length from its source's r-fiber: either raises MalformedInput naming
-    the triple, and no row is cut short.
+    unless an id is a prefix of another (the rows are then reordered). Each
+    row is read in C from one tuple per (s, g): the ids (sσ, g, t′) for σ
+    over S^{d(s)} and the m elements t′ of T above d(g), picked at i·m + j
+    for the i-th σ and the place j of each tτ among those t′. On maps that
+    are not homomorphisms an entry or a row can name a product that is no
+    triple, as a tτ above another base unit than t does, or a row can
+    differ in length from its source's r-fiber: either raises
+    MalformedInput naming the triple, and no row is cut short.
     """
     b_r, b_d, b_inv, b_rows, b_pos = base.range_map, base.source_map, base.inverse_map, base.rows, base.position
     s_r, s_d, s_inv, s_rows = s_g.range_map, s_g.source_map, s_g.inverse_map, s_g.rows
@@ -136,14 +137,19 @@ def weak_pullback_groupoid(
 
         table = "row"
         width = Counter(range_map.values())  # the size of each r-fiber
-        # each t's products read from a dict of ids keyed by the right leg
-        at_t = {t: (itemgetter(*row), len(row) > 1) for t, row in t_rows.items()}
+        # index[u][t] is t's place among the right leg's elements over u
+        index = {u: {t: i for i, t in enumerate(ts)} for u, ts in t_over.items()}
+        # the slots of the row of (s, g, t) in the ids (sσ, g, ·) of its group, by (t, |S^{d(s)}|)
+        slots: dict[tuple[str, int], Callable[[tuple], tuple]] = {}
         for s, g, by_t in groups:
             pid = next(iter(by_t.values()))
-            names = [*map(name[g].__getitem__, s_rows[s])]
+            flat = tuple(chain.from_iterable(map(dict.values, map(name[g].__getitem__, s_rows[s]))))
+            n = len(s_rows[s])
             for t, pid in by_t.items():
-                read, many = at_t[t]
-                rows[pid] = row = tuple(chain.from_iterable(map(read, names)) if many else map(read, names))
+                if (pick := slots.get((t, n))) is None:
+                    at, m = index[b_d[g]], len(by_t)
+                    pick = slots[t, n] = picker([i + j for i in range(0, n * m, m) for j in map(at.__getitem__, t_rows[t])])
+                rows[pid] = row = pick(flat)
                 if len(row) != width[source_map[pid]]:
                     raise ValueError(f"{len(row)} products for an r-fiber of {width[source_map[pid]]}")
     except (LookupError, ValueError) as e:

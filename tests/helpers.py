@@ -39,7 +39,6 @@ from measured_groupoids import (
 from measured_groupoids.families import _join
 from measured_groupoids.generate import (
     DEFAULT_BOUNDS,
-    _MAX_TRIES,
     _measured_leg,
     _random_component,
     _rng,
@@ -283,7 +282,7 @@ def literal_orbits_through(w, leg_map, proj):
 def literal_groupoid_report(g: FiniteGroupoid) -> ValidationReport:
     """The groupoid axioms by exhaustive enumeration: every pair of elements
     for the compose domain and every composable triple for associativity.
-    The oracle for validate_groupoid, which must return this same report."""
+    The oracle for validate_groupoid, which must return these same violations."""
     check_references(g)
     bad: list[Violation] = []
 
@@ -429,6 +428,39 @@ def generator_counts(g: FiniteGroupoid) -> tuple[tuple[str, int], ...]:
     generators, and the y over d(a) for each generator a."""
     gens = g.generating_set
     return (("generators", len(gens)), ("generator pairs", sum(len(g.fiber(g.d(a))) for a in gens)))
+
+
+def canonical_generators(g: FiniteGroupoid) -> tuple[str, ...]:
+    """The greedy generating set in canonical order alone: each element that
+    right products of the earlier picks do not reach, looked up pair by pair."""
+    gens: list[str] = []
+    reached: set[str] = set()
+    by_source: dict[str, list[str]] = {}
+    gens_by_range: dict[str, list[str]] = {}
+    for a in g.elements:
+        if a in reached:
+            continue
+        gens.append(a)
+        gens_by_range.setdefault(g.r(a), []).append(a)
+        todo = [a, *(g.compose(w, a) for w in by_source.get(g.r(a), ()))]
+        while todo:
+            w = todo.pop()
+            if w not in reached:
+                reached.add(w)
+                by_source.setdefault(g.d(w), []).append(w)
+                todo += [g.compose(w, b) for b in gens_by_range.get(g.d(w), ())]
+    return tuple(gens)
+
+
+def closure_under_products(g: FiniteGroupoid, gens) -> set[str]:
+    """Every product of the elements `gens`, by passes over all the products
+    the tables give until a pass adds none."""
+    reached = set(gens)
+    while True:
+        new = {z for x, y, z in g.products() if x in reached and y in reached} - reached
+        if not new:
+            return reached
+        reached |= new
 
 
 def replace_tables(g, inverse_map=None, compose_map=None):
@@ -587,11 +619,15 @@ def cotrivial_comparison_hom(alg: PullbackGroupoid, regular: FiniteGroupoid, com
     return GroupoidHom(alg.groupoid, regular, mapping)
 
 
+# the draws random_cotrivial_cospan makes before it gives up
+_COTRIVIAL_TRIES = 50
+
+
 def random_cotrivial_cospan(seed, bounds=DEFAULT_BOUNDS) -> Cospan:
     """A valid cospan whose base is cotrivial (units only), for comparing the
     weak pullback against the regular pullback."""
     max_units, max_elements = bounds
-    for attempt in range(_MAX_TRIES):
+    for attempt in range(_COTRIVIAL_TRIES):
         rng = _rng(seed, f"cotrivial{attempt}")
         k = rng.randint(1, min(4, max_units))
         base_g = cotrivial_groupoid([f"x{i}" for i in range(k)])
@@ -618,7 +654,7 @@ def random_cotrivial_cospan(seed, bounds=DEFAULT_BOUNDS) -> Cospan:
         c = Cospan(left_h, base_h, right_h, left_hom, right_hom)
         if validate_cospan(c).ok:
             return c
-    raise GenerationExhausted(f"no valid cotrivial cospan for seed {seed!r} within {_MAX_TRIES} attempts")
+    raise GenerationExhausted(f"no valid cotrivial cospan for seed {seed!r} within {_COTRIVIAL_TRIES} attempts")
 
 
 def outer_square_counterexample(w: WeakPullbackResult) -> str | None:

@@ -402,6 +402,7 @@ def test_verbose_env_adds_detail(monkeypatch, capsys):
     assert main(["check", str(FIXTURES / "z2_cospan.json")]) == 0
     out = capsys.readouterr().out
     assert "checked" in out  # modular claim detail becomes visible
+    assert "PASS axioms.pullback_groupoid — generators 3, generator pairs 12\n" in out
 
 
 def _string_leaves(node, path=()):

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 import random
 import sys
 
@@ -22,9 +24,12 @@ from measured_groupoids import (
 )
 from measured_groupoids.documents import GroupoidDocument, parse_document, serialize
 from measured_groupoids.generate import _random_component
-from measured_groupoids.groupoid import GroupoidHom, check_element_id, check_ids, check_map, identity_hom
+from measured_groupoids.groupoid import GroupoidHom, _candidates, check_element_id, check_ids, check_map, identity_hom
+from measured_groupoids.pullback import weak_pullback_groupoid
 
 from helpers import (
+    canonical_generators,
+    closure_under_products,
     dangling_product,
     fails_closed,
     generator_counts,
@@ -36,6 +41,8 @@ from helpers import (
     triples_of,
     verdict,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_trivial_group_is_valid():
@@ -269,7 +276,7 @@ def test_validate_groupoid_matches_enumeration_on_small_groupoids():
     lone_arrow = FiniteGroupoid(["a"], [], {"a": "a"}, {"a": "a"}, {"a": "a"}, [("a", "a", "a")])
     no_product = FiniteGroupoid(["e"], ["e"], {"e": "e"}, {"e": "e"}, {"e": "e"}, {})
     for g in (empty, trivial_group(), lone_arrow, no_product):
-        assert validate_groupoid(g) == literal_groupoid_report(g)
+        assert verdict(validate_groupoid, g) == literal_groupoid_report(g)
     assert not validate_groupoid(lone_arrow).ok and not validate_groupoid(no_product).ok
 
 
@@ -283,19 +290,98 @@ def test_validate_groupoid_matches_enumeration_on_sweep_and_mutants(sweep):
         for g in (c.left.groupoid, c.base.groupoid, c.right.groupoid, w.groupoid):
             report = validate_groupoid(g)
             assert report.ok, seed
-            assert report == literal_groupoid_report(g), seed
+            assert report.violations == literal_groupoid_report(g).violations, seed
+            assert report.counts == generator_counts(g), seed
             if len(g) > MUTATED_PULLBACK_MAX:
                 continue
             for name, mutant in table_mutants(g, rng):
                 expected = literal_groupoid_report(mutant)
                 assert not expected.ok, (seed, name)
-                assert validate_groupoid(mutant) == expected, (seed, name)
+                report = validate_groupoid(mutant)
+                assert report.violations == expected.violations, (seed, name)
+                # the work of the path that ran: the compose entries, counted
+                # from the table's products, when a stage fails
+                if mutant.generating_set is None:
+                    assert report.counts == (("compose entries", len([*mutant.products()])),), (seed, name)
+                else:
+                    assert report.counts == generator_counts(mutant), (seed, name)
                 if name == "swapped-product":
                     # the domain and every linear law still hold, so the
                     # failure is found by the generating-set stage
                     assert {v.rule for v in expected.violations} == {"associativity"}, seed
                     swapped += 1
     assert swapped > 200
+
+
+def _bench_ladder_groupoids():
+    # the legs and the pullback of every point of the scripts/bench.py ladders
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for family, ns in bench.LADDERS.items():
+        for n in ns:
+            c = bench.ladder_cospan(family, n)
+            legs = (c.left.groupoid, c.base.groupoid, c.right.groupoid, c.left_map.mapping, c.right_map.mapping)
+            yield f"{family} {n}", (c.base.groupoid, weak_pullback_groupoid(*legs).groupoid)
+
+
+def test_orbit_cycles_give_no_more_generators_than_the_canonical_order(sweep):
+    # every groupoid of the sweep cospans and of the bench ladders: the set
+    # found with orbit cycles offered first is no larger than the greedy set
+    # in canonical order alone, and on the sweep pullbacks it is smaller
+    cases = [
+        (seed, (w.cospan.left.groupoid, w.cospan.base.groupoid, w.cospan.right.groupoid, w.groupoid))
+        for seed, w in sweep.pullbacks
+    ]
+    cases += _bench_ladder_groupoids()
+    cycles = canonical = 0
+    for label, groupoids in cases:
+        for g in groupoids:
+            gens, greedy = g.generating_set, canonical_generators(g)
+            assert gens is not None and len(gens) <= len(greedy), label
+        # each case ends with its pullback
+        cycles, canonical = cycles + len(gens), canonical + len(greedy)
+    assert cycles < canonical
+
+
+def _preorder(points, up: bool) -> FiniteGroupoid:
+    # the arrows (a, b) of the pair groupoid with a <= b (or a >= b), closed
+    # under its product, each its own inverse: an orbit without the arrow
+    # from its last unit to its first (or from its second to its first)
+    g = pair_groupoid(points)
+    keep = [x for x in g.elements if (g.r(x) <= g.d(x)) == up or g.r(x) == g.d(x)]
+    kept = set(keep)
+    return FiniteGroupoid(
+        keep, g.units, {x: g.r(x) for x in keep}, {x: g.d(x) for x in keep}, {x: x for x in keep},
+        [entry for entry in g.products() if kept.issuperset(entry)],
+    )
+
+
+def test_orbit_cycles_fall_back_to_the_canonical_order():
+    # the row stages hold on each of these, so their generating sets are
+    # searched: an orbit lacks a cycle arrow (closing or consecutive), or an
+    # end is not a unit (a unit dropped from the unit list). The candidates
+    # are then the elements in canonical order, and the report is the
+    # exhaustive one
+    pair = pair_groupoid(["1", "2", "3"])
+    unit_dropped = FiniteGroupoid(pair.elements, pair.units[1:], pair.range_map, pair.source_map, pair.inverse_map, pair.products())
+    for g in (_preorder(["1", "2", "3"], True), _preorder(["1", "2", "3", "4"], False), unit_dropped):
+        assert _candidates(g) is g.elements
+        assert g.generating_set == canonical_generators(g)
+        expected = literal_groupoid_report(g)
+        assert not expected.ok
+        assert verdict(validate_groupoid, g) == expected
+    # with the cycle present, the cycle arrows come first
+    assert list(_candidates(pair))[:3] == ["1-2", "2-3", "3-1"]
+
+
+@given(st.integers(0, 300), st.sampled_from([(2, 8), (4, 24), (6, 40)]))
+def test_generating_sets_generate_every_element(seed, bounds):
+    g = random_groupoid(seed, bounds)
+    gens = g.generating_set
+    assert gens is not None
+    assert closure_under_products(g, gens) == set(g.elements)
+    assert len(gens) <= len(canonical_generators(g))
 
 
 def test_validate_hom_matches_enumeration_on_sweep_and_mutants(sweep):
@@ -409,14 +495,14 @@ def test_conversion_keeps_every_edit_of_a_pairs_table(case):
     # text, and the document round trip keeps every entry
     g, pairs = case
     assert dict(g.compose_map) == pairs and len(g.compose_map) == len(pairs)
-    verdict = outcome(validate_groupoid, g)
-    assert verdict == outcome(literal_groupoid_report, g)
+    got = verdict(validate_groupoid, g)
+    assert got == outcome(literal_groupoid_report, g)
     text = serialize(GroupoidDocument(g))
-    if isinstance(verdict, tuple):
-        assert verdict[0] is MalformedInput
+    if isinstance(got, tuple):
+        assert got[0] is MalformedInput
         with pytest.raises(DanglingReference) as parsed:
             parse_document(text)
-        assert str(parsed.value) == f"$: {verdict[1]}"
+        assert str(parsed.value) == f"$: {got[1]}"
     else:
         doc = parse_document(text)
         assert doc.groupoid == g

@@ -842,15 +842,16 @@ def test_integer_claims_match_the_fraction_oracles_on_tampered_results(sweep):
 
 
 def test_generator_checks_report_the_work_of_the_path_that_ran(sweep):
-    # is_haar and validate_hom stop on the generators of a sweep pullback and
-    # count them, the counts that check_haar_theorem and check_projection_homs
-    # print; with a product naming no element at one end, every element is
-    # checked and the compose entries of the domain are counted
+    # validate_groupoid, is_haar and validate_hom stop on the generators of a
+    # sweep pullback and count them, the counts that the axioms claim,
+    # check_haar_theorem and check_projection_homs print; with a product
+    # naming no element at one end, every element is checked and the compose
+    # entries of the domain are counted
     for seed, w in sweep.pullbacks[:20]:
         g = w.groupoid
         gens = g.generating_set
         work = (("generators", len(gens)), ("generator pairs", sum(len(g.fiber(g.d(a))) for a in gens)))
-        assert is_haar(g, w.haar).counts == work, seed
+        assert is_haar(g, w.haar).counts == validate_groupoid(g).counts == work, seed
         assert check_haar_theorem(w).summary() == f"generators {work[0][1]}, generator pairs {work[1][1]}", seed
         assert validate_hom(w.proj_left).counts == validate_hom(w.proj_right).counts == work, seed
         projections = check_projection_homs(w).counts
