@@ -400,9 +400,9 @@ def _candidates(g: FiniteGroupoid) -> Iterable[str]:
     """Orbit cycles, then every element in canonical order. An orbit with
     units u_1 < ... < u_k (k >= 2) offers the first arrow with range u_i and
     source u_{i+1}, and the first from u_1 to u_k, which together reach every
-    hom-set of the orbit. The orbits are found by union-find over the
-    distinct (range, source) pairs; when an end is not a unit or an orbit
-    lacks a cycle arrow, the order is the canonical one alone. Any order
+    hom-set of the orbit. The orbits are the classes of units that the
+    distinct (range, source) pairs join; when an end is not a unit or an
+    orbit lacks a cycle arrow, the order is the canonical one alone. Any order
     that offers every element is sound, since the closure search proves
     that its picks generate; the order only decides how many there are."""
     rng, src, rev = g.range_map, g.source_map, g.elements[::-1]
@@ -513,31 +513,26 @@ def orbits(g: FiniteGroupoid) -> OrbitPartition:
     MalformedInput names an end of an element that is not a unit."""
     rng, src = [*map(g.range_map.get, g.elements)], [*map(g.source_map.get, g.elements)]
     check_ids(chain(rng, src), g.unit_set, "an end of an element is not a unit:")
-    blocks = tuple(sorted(map(tuple, _unit_blocks(g.units, zip(rng, src))), key=itemgetter(0)))
+    blocks = tuple(map(tuple, _unit_blocks(g.units, zip(rng, src))))
     index = {u: i for i, block in enumerate(blocks) for u in block}
     return OrbitPartition(blocks, index)
 
 
 def _unit_blocks(units: Sequence[str], ends: Iterable[tuple[str, str]]) -> list[list[str]]:
-    """The classes of `units` joined by each (range, source) pair, found by
-    union-find, each in the order of `units`; KeyError on an end that is not
-    in `units`."""
-    parent = dict(zip(units, units))
-
-    def find(u: str) -> str:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
+    """The classes of `units` joined by each (range, source) pair, each
+    sorted, in the order of their first unit in `units`; KeyError on an end
+    that is not in `units`. Each unit keeps the list of its class, and a
+    merge relabels the units of the smaller class."""
+    block = {u: [u] for u in units}
     for r, d in ends:
-        a, b = find(r), find(d)
-        if a != b:
-            parent[a] = b
-    blocks: dict[str, list[str]] = {}
-    for u in units:
-        blocks.setdefault(find(u), []).append(u)
-    return list(blocks.values())
+        a, b = block[r], block[d]
+        if a is not b:
+            if len(a) < len(b):
+                a, b = b, a
+            a += b
+            for u in b:
+                block[u] = a
+    return [sorted(b) for b in {id(b): b for b in block.values()}.values()]
 
 
 class GroupoidHom:
