@@ -347,7 +347,7 @@ def test_orbit_cycles_give_no_more_generators_than_the_canonical_order(sweep):
 def _preorder(points, up: bool) -> FiniteGroupoid:
     # the arrows (a, b) of the pair groupoid with a <= b (or a >= b), closed
     # under its product, each its own inverse: an orbit without the arrow
-    # from its last unit to its first (or from its second to its first)
+    # from its first unit to its last (or from its second to its first)
     g = pair_groupoid(points)
     keep = [x for x in g.elements if (g.r(x) <= g.d(x)) == up or g.r(x) == g.d(x)]
     kept = set(keep)
