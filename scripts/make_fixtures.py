@@ -17,13 +17,7 @@ from measured_groupoids import (
     trivial_group,
     with_counting_haar,
 )
-from measured_groupoids.documents import (
-    CechExampleDocument,
-    CospanDocument,
-    GroupoidDocument,
-    TransformationExampleDocument,
-    serialize,
-)
+from measured_groupoids.documents import CospanDocument, GroupoidDocument, serialize
 from measured_groupoids.families import CechCospanData, TransformationCospanData, trivial_action
 from measured_groupoids.groupoid import GroupoidHom, identity_hom
 from measured_groupoids.haar import HaarGroupoid, counting_haar_system
@@ -53,18 +47,17 @@ def bad_cospan() -> CospanDocument:
     return CospanDocument.of(Cospan(s_h, g_h, g_h, p, q))
 
 
-def cech_params() -> CechExampleDocument:
-    data = CechCospanData(
+def cech_params() -> CechCospanData:
+    return CechCospanData(
         FiniteCover.build(["y1", "y2"], {"1": ["y1"], "2": ["y2"]}),
         FiniteCover.build(["z1"], {"1": ["z1"], "2": ["z1"]}),
         ("x",),
         {"y1": "x", "y2": "x"},
         {"z1": "x"},
     )
-    return CechExampleDocument(data)
 
 
-def transformation_params() -> TransformationExampleDocument:
+def transformation_params() -> TransformationCospanData:
     z2 = cyclic_group(2)
     swap = GroupAction(
         z2,
@@ -72,8 +65,7 @@ def transformation_params() -> TransformationExampleDocument:
         {"y1": {"g0": "y1", "g1": "y2"}, "y2": {"g0": "y2", "g1": "y1"}},
     )
     still = trivial_action(cyclic_group(1, prefix="e"), ["z1"])
-    data = TransformationCospanData(swap, still, ("x",), {"y1": "x", "y2": "x"}, {"z1": "x"})
-    return TransformationExampleDocument(data)
+    return TransformationCospanData(swap, still, ("x",), {"y1": "x", "y2": "x"}, {"z1": "x"})
 
 
 def fixture_texts() -> dict[str, str]:

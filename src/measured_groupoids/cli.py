@@ -7,9 +7,10 @@ exception, reported as `error: internal: <type>: <message>`). Set
 MGPD_VERBOSE=1 for per-claim detail in reports and for the traceback of an
 internal error.
 
-`families` and `generate` are imported by the subcommands that use them
-(`example`, `gen`, and `validate` of an example result), so that a process
-that checks or validates a cospan or a pullback does not load them.
+This module parses arguments and prints. `families` computes and checks the
+worked examples, and is imported with `generate` by the subcommands that use
+them (`example`, `gen`, and `validate` of an example document), so that a
+process that checks or validates a cospan or a pullback loads neither.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ import sys
 import time
 from operator import attrgetter
 
-from .documents import CechExampleDocument, CospanDocument, ExampleResultDocument, GroupoidDocument, PullbackDocument
-from .documents import TransformationExampleDocument, parse_document, serialize, weight_to_str
+from .documents import CospanDocument, GroupoidDocument, PullbackDocument, parse_document, serialize, weight_to_str
 from .errors import GroupoidError, NotQuasiInvariant, ParseError
-from .groupoid import GroupoidHom, ValidationReport, validate_groupoid, validate_hom
+from .groupoid import GroupoidHom, ValidationReport, validate_groupoid
 from .haar import HaarGroupoid, is_haar, validate_haar_groupoid, validate_haar_hom, validate_unit_measure
 from .measures import alternate_disintegration
 from .pullback import build_weak_pullback, check_commuting_diamond, check_disintegration_independence, check_expanding_lemma
 from .pullback import check_fiber_product_lemma, check_haar_theorem, check_quasi_invariance_and_modular, check_projection_homs
-from .pullback import check_triple_integral_lemma, validate_cospan, weak_pullback_groupoid
+from .pullback import check_triple_integral_lemma, validate_cospan
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -126,34 +126,6 @@ def _validate_pullback_document(doc: PullbackDocument) -> bool:
     return ok
 
 
-def _validate_example_result(doc: ExampleResultDocument) -> bool:
-    from .families import is_isomorphism
-
-    ok = True
-    for label, g in (("left", doc.left), ("base", doc.base), ("right", doc.right), ("pullback", doc.pullback), ("target", doc.target)):
-        ok &= _print_report(validate_groupoid(g), f"{label} groupoid axioms")
-    if not ok:
-        return False
-    # the legs and the pullback print only their violations, so that a sound
-    # document reads as it did before they were checked
-    for name, leg, mapping in (("left_map", doc.left, doc.left_map), ("right_map", doc.right, doc.right_map)):
-        for v in validate_hom(GroupoidHom(leg, doc.base, mapping)).violations:
-            print(f"violation: {name}: {v}")
-            ok = False
-    if not ok:
-        return False
-    built = weak_pullback_groupoid(doc.left, doc.base, doc.right, doc.left_map, doc.right_map).groupoid
-    if built != doc.pullback:
-        print("violation: stored pullback is not the weak pullback of the stored cospan")
-        return False
-    iso = is_isomorphism(GroupoidHom(doc.pullback, doc.target, doc.iso_map))
-    if iso.ok != doc.is_isomorphism:
-        print("violation: stored isomorphism verdict does not match the stored map")
-        return False
-    print("ok: isomorphism verdict")
-    return True
-
-
 def cmd_validate(args) -> int:
     doc = _read(args.file)
     if isinstance(doc, GroupoidDocument):
@@ -162,14 +134,13 @@ def cmd_validate(args) -> int:
         ok = _print_report(validate_cospan(doc.to_cospan()), "cospan")
     elif isinstance(doc, PullbackDocument):
         ok = _validate_pullback_document(doc)
-    elif isinstance(doc, (CechExampleDocument, TransformationExampleDocument)):
-        print("ok: example parameters are well formed")
+    else:  # an example document, the one other kind that parses
+        from .families import example_report
+
         ok = True
-    elif isinstance(doc, ExampleResultDocument):
-        ok = _validate_example_result(doc)
-    else:
-        print(f"error: cannot validate {type(doc).__name__}", file=sys.stderr)
-        return EXIT_PARSE
+        for line in example_report(doc):
+            print(line)
+            ok &= not line.startswith("violation:")
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
@@ -262,29 +233,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_example(args) -> int:
-    from .families import canonical_iso_cech, canonical_iso_transformation, is_isomorphism
+    from .families import example_result
 
-    doc = _read(args.params)
-    if args.family == "cech":
-        if not isinstance(doc, CechExampleDocument):
-            print("error: expected cech_example parameters", file=sys.stderr)
-            return EXIT_PARSE
-        (left, base, right, hl, hr), alg, target, iso = canonical_iso_cech(doc.data)
-    else:
-        if not isinstance(doc, TransformationExampleDocument):
-            print("error: expected transformation_example parameters", file=sys.stderr)
-            return EXIT_PARSE
-        (left, base, right, hl, hr), alg, target, iso = canonical_iso_transformation(doc.data)
-    verdict = is_isomorphism(iso)
-    result = ExampleResultDocument(
-        args.family, left, base, right, dict(hl.mapping), dict(hr.mapping), alg.groupoid, target, dict(iso.mapping), verdict.ok
-    )
+    result = example_result(args.family, _read(args.params))
     _write(args.out, serialize(result))
     print(
-        f"{args.family}: pullback {len(alg.groupoid.elements)} elements, target {len(target.elements)} elements, "
-        f"canonical map is {'an isomorphism' if verdict.ok else 'NOT an isomorphism'} -> {args.out}"
+        f"{args.family}: pullback {len(result.pullback.elements)} elements, target {len(result.target.elements)} elements, "
+        f"canonical map is {'an isomorphism' if result.is_isomorphism else 'NOT an isomorphism'} -> {args.out}"
     )
-    return EXIT_OK if verdict.ok else EXIT_CHECK
+    return EXIT_OK if result.is_isomorphism else EXIT_CHECK
 
 
 def cmd_modular(args) -> int:

@@ -5,6 +5,10 @@ Documents are JSON-compatible objects with an explicit format_version and a
 ("num/den", denominator omitted when 1); unquoted decimal literals are
 rejected outright. Serialization is canonical (sorted keys, fixed layout), so
 serializing the same value twice is byte-identical and round-trips are exact.
+
+This module reads and writes the groupoid, cospan and pullback kinds. The
+worked examples' kinds are read and written by `families`, which
+`serialize` and `parse_document` import for them alone.
 """
 
 from __future__ import annotations
@@ -14,16 +18,12 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from .errors import DanglingReference, EmptySpace, MalformedInput, ParseError, UnsupportedVersion
 from .groupoid import FiniteGroupoid, GroupoidHom, Record, check_ids, check_map, check_references
 from .haar import HaarGroupoid
 from .measures import FiniteMeasure, MeasureSystem, over_one_denominator
 from .pullback import Cospan, WeakPullbackResult
-
-if TYPE_CHECKING:  # for annotations: `families` is imported where example parameters are parsed
-    from .families import CechCospanData, FiniteCover, GroupAction, TransformationCospanData
 
 FORMAT_VERSION = 1
 
@@ -120,41 +120,18 @@ class PullbackDocument(Record):
         )
 
 
-class CechExampleDocument(Record):
-    __slots__ = _fields = ("data",)
-
-    def __init__(self, data: CechCospanData):
-        self._set(data)
+# the worked examples' kinds, which `families` reads and writes
+_EXAMPLE_KINDS = ("cech_example", "transformation_example", "example_result")
 
 
-class TransformationExampleDocument(Record):
-    __slots__ = _fields = ("data",)
+def _examples():
+    """The writer and the reader of the example kinds. `families` is imported
+    by the first example document written or read, so that no other process
+    loads it; by name, since `from . import families` would load it through
+    the package's `__getattr__`, which `-X importtime` does not report."""
+    from .families import example_body, parse_example
 
-    def __init__(self, data: TransformationCospanData):
-        self._set(data)
-
-
-class ExampleResultDocument(Record):
-    __slots__ = _fields = (
-        "construction", "left", "base", "right", "left_map", "right_map", "pullback", "target", "iso_map", "is_isomorphism"
-    )
-
-    def __init__(
-        self, construction: str, left: FiniteGroupoid, base: FiniteGroupoid, right: FiniteGroupoid, left_map: dict[str, str],
-        right_map: dict[str, str], pullback: FiniteGroupoid, target: FiniteGroupoid, iso_map: dict[str, str],
-        is_isomorphism: bool,
-    ):
-        self._set(construction, left, base, right, left_map, right_map, pullback, target, iso_map, is_isomorphism)
-
-
-Document = (
-    GroupoidDocument
-    | CospanDocument
-    | PullbackDocument
-    | CechExampleDocument
-    | TransformationExampleDocument
-    | ExampleResultDocument
-)
+    return example_body, parse_example
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +171,10 @@ def _emit_cospan(doc: CospanDocument) -> dict:
     }
 
 
-def _emit_cover(cover: FiniteCover) -> dict:
-    return {
-        "space": list(cover.space),
-        "blocks": {i: sorted(cover.blocks[i]) for i in cover.index_set},
-    }
-
-
-def _emit_action(action: GroupAction) -> dict:
-    return {
-        "group": _emit_groupoid(action.group),
-        "space": list(action.space),
-        "act": action.act,
-    }
-
-
-def serialize(doc: Document) -> str:
-    """Canonical text form: same value in, same bytes out."""
+def serialize(doc) -> str:
+    """Canonical text form: same value in, same bytes out. `doc` is a
+    groupoid, cospan or pullback document, or an example document of
+    `families`."""
     if isinstance(doc, GroupoidDocument):
         body = {"kind": "groupoid", **_emit_groupoid_document(doc)}
     elif isinstance(doc, CospanDocument):
@@ -224,42 +188,9 @@ def serialize(doc: Document) -> str:
             "proj_left": dict(sorted(doc.proj_left.items())),
             "proj_right": dict(sorted(doc.proj_right.items())),
         }
-    elif isinstance(doc, CechExampleDocument):
-        d = doc.data
-        body = {
-            "kind": "cech_example",
-            "left_cover": _emit_cover(d.cover_left),
-            "right_cover": _emit_cover(d.cover_right),
-            "base_space": list(d.base_space),
-            "left_map": dict(sorted(d.map_left.items())),
-            "right_map": dict(sorted(d.map_right.items())),
-        }
-    elif isinstance(doc, TransformationExampleDocument):
-        d = doc.data
-        body = {
-            "kind": "transformation_example",
-            "left_action": _emit_action(d.action_left),
-            "right_action": _emit_action(d.action_right),
-            "base_space": list(d.base_space),
-            "left_map": dict(sorted(d.map_left.items())),
-            "right_map": dict(sorted(d.map_right.items())),
-        }
-    elif isinstance(doc, ExampleResultDocument):
-        body = {
-            "kind": "example_result",
-            "construction": doc.construction,
-            "left": _emit_groupoid(doc.left),
-            "base": _emit_groupoid(doc.base),
-            "right": _emit_groupoid(doc.right),
-            "left_map": dict(sorted(doc.left_map.items())),
-            "right_map": dict(sorted(doc.right_map.items())),
-            "pullback": _emit_groupoid(doc.pullback),
-            "target": _emit_groupoid(doc.target),
-            "iso_map": dict(sorted(doc.iso_map.items())),
-            "is_isomorphism": doc.is_isomorphism,
-        }
     else:
-        raise MalformedInput(f"cannot serialize {type(doc).__name__}")
+        write, _ = _examples()
+        body = write(doc)
     body["format_version"] = FORMAT_VERSION
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
@@ -375,38 +306,10 @@ def _parse_cospan(obj: dict, path: str) -> CospanDocument:
     return CospanDocument(left, base, right, left_map, right_map)
 
 
-def _parse_cover(obj: dict, path: str) -> FiniteCover:
-    from .families import FiniteCover
-
-    space = _str_list(obj, "space", path)
-    blocks_raw = _get(obj, "blocks", dict, path)
-    blocks = {}
-    for i, pts in blocks_raw.items():
-        if not (isinstance(pts, list) and all(isinstance(p, str) for p in pts)):
-            raise ParseError(f"{path}.blocks[{i!r}]: expected a list of points")
-        blocks[i] = pts
-    with _reported_at(path):
-        return FiniteCover.build(space, blocks)
-
-
-def _parse_action(obj: dict, path: str) -> GroupAction:
-    from .families import GroupAction
-
-    group = _parse_groupoid(_get(obj, "group", dict, path), f"{path}.group")
-    space = _str_list(obj, "space", path)
-    act = _get(obj, "act", dict, path)
-    for y, row in act.items():
-        if not isinstance(row, dict):
-            raise ParseError(f"{path}.act[{y!r}]: expected an object")
-        for gm, img in row.items():
-            if not isinstance(img, str):
-                raise ParseError(f"{path}.act[{y!r}][{gm!r}]: expected a point id")
-    with _reported_at(path):
-        return GroupAction(group, space, act)
-
-
-def parse_document(text: str) -> Document:
-    """Parse any document kind; errors carry the offending field's path."""
+def parse_document(text: str):
+    """Parse any document kind: a groupoid, cospan or pullback document, or
+    an example document of `families`. Errors carry the offending field's
+    path."""
     try:
         obj = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except json.JSONDecodeError as e:
@@ -431,44 +334,7 @@ def parse_document(text: str) -> Document:
         proj_left = _element_map(obj, "proj_left", "$", result.groupoid, cospan.left.groupoid)
         proj_right = _element_map(obj, "proj_right", "$", result.groupoid, cospan.right.groupoid)
         return PullbackDocument(cospan, result, modular, proj_left, proj_right)
-    if kind == "cech_example":
-        from .families import CechCospanData
-
-        cover_left = _parse_cover(_get(obj, "left_cover", dict, "$"), "$.left_cover")
-        cover_right = _parse_cover(_get(obj, "right_cover", dict, "$"), "$.right_cover")
-        base_space = _str_list(obj, "base_space", "$")
-        left_map = _str_map(obj, "left_map", "$")
-        right_map = _str_map(obj, "right_map", "$")
-        with _reported_at("$"):
-            data = CechCospanData(cover_left, cover_right, tuple(sorted(set(base_space))), dict(left_map), dict(right_map))
-        return CechExampleDocument(data)
-    if kind == "transformation_example":
-        from .families import TransformationCospanData
-
-        action_left = _parse_action(_get(obj, "left_action", dict, "$"), "$.left_action")
-        action_right = _parse_action(_get(obj, "right_action", dict, "$"), "$.right_action")
-        base_space = _str_list(obj, "base_space", "$")
-        left_map = _str_map(obj, "left_map", "$")
-        right_map = _str_map(obj, "right_map", "$")
-        with _reported_at("$"):
-            data = TransformationCospanData(
-                action_left, action_right, tuple(sorted(set(base_space))), dict(left_map), dict(right_map)
-            )
-        return TransformationExampleDocument(data)
-    if kind == "example_result":
-        left = _parse_groupoid(_get(obj, "left", dict, "$"), "$.left")
-        base = _parse_groupoid(_get(obj, "base", dict, "$"), "$.base")
-        right = _parse_groupoid(_get(obj, "right", dict, "$"), "$.right")
-        pullback = _parse_groupoid(_get(obj, "pullback", dict, "$"), "$.pullback")
-        target = _parse_groupoid(_get(obj, "target", dict, "$"), "$.target")
-        left_map = _element_map(obj, "left_map", "$", left, base)
-        right_map = _element_map(obj, "right_map", "$", right, base)
-        iso_map = _element_map(obj, "iso_map", "$", pullback, target)
-        verdict = obj.get("is_isomorphism")
-        if not isinstance(verdict, bool):
-            raise ParseError("$.is_isomorphism: expected a boolean")
-        construction = _get(obj, "construction", str, "$")
-        return ExampleResultDocument(
-            construction, left, base, right, left_map, right_map, pullback, target, iso_map, verdict
-        )
+    if kind in _EXAMPLE_KINDS:
+        _, read = _examples()
+        return read(obj, kind)
     raise ParseError(f"unknown document kind {kind!r}")

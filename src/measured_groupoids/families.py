@@ -3,16 +3,23 @@ weak pullbacks: open-cover (Čech) groupoids, transformation groupoids of
 group actions, cotrivial groupoids, pair groupoids, cyclic groups, disjoint
 unions and direct products, and an isomorphism verifier driven by explicit
 maps (never by isomorphism search).
+
+The worked examples end to end live here too: their document kinds
+(`cech_example`, `transformation_example`, `example_result`), which
+`documents.serialize` and `documents.parse_document` hand to this module, the
+result record of `mgpd example` and the lines `mgpd validate` prints for an
+example document. Only processes that run an example or read one import it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import EmptySpace, ImageMismatch, MalformedInput, NotEquivariant, PrecomputedConditionFailed
-from .groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation
+from .documents import _element_map, _emit_groupoid, _get, _parse_groupoid, _reported_at, _str_list, _str_map
+from .errors import EmptySpace, ImageMismatch, MalformedInput, NotEquivariant, ParseError, PrecomputedConditionFailed
+from .groupoid import FiniteGroupoid, GroupoidHom, Record, ValidationReport, Violation
 from .groupoid import check_element_id, check_ids, check_map, validate_groupoid, validate_hom
 from .haar import HaarGroupoid, counting_haar_system
 from .measures import counting
@@ -453,3 +460,166 @@ def is_isomorphism(f: GroupoidHom) -> ValidationReport:
         if missed:
             bad.append(Violation("bijection", (missed[0],), f"{missed[0]} is not in the image"))
     return ValidationReport(tuple(bad))
+
+
+# ---------------------------------------------------------------------------
+# the example documents
+
+
+class ExampleResultDocument(Record):
+    """What `mgpd example` writes: a worked example's cospan, its weak
+    pullback, the target and the canonical map, and the map's verdict."""
+
+    __slots__ = _fields = (
+        "construction", "left", "base", "right", "left_map", "right_map", "pullback", "target", "iso_map", "is_isomorphism"
+    )
+
+    def __init__(
+        self, construction: str, left: FiniteGroupoid, base: FiniteGroupoid, right: FiniteGroupoid, left_map: dict[str, str],
+        right_map: dict[str, str], pullback: FiniteGroupoid, target: FiniteGroupoid, iso_map: dict[str, str],
+        is_isomorphism: bool,
+    ):
+        self._set(construction, left, base, right, left_map, right_map, pullback, target, iso_map, is_isomorphism)
+
+
+_RESULT_GROUPOIDS = ("left", "base", "right", "pullback", "target")
+
+
+def example_result(family: str, params) -> ExampleResultDocument:
+    """The result of the worked example `family` ("cech" or "transformation")
+    on its parameters: the cospan, its weak pullback, the target and the
+    canonical map, with the verdict of `is_isomorphism` on that map. Raises
+    ParseError when `params` are not the family's."""
+    data_class, canonical_iso = {
+        "cech": (CechCospanData, canonical_iso_cech),
+        "transformation": (TransformationCospanData, canonical_iso_transformation),
+    }[family]
+    if not isinstance(params, data_class):
+        raise ParseError(f"expected {family}_example parameters")
+    (left, base, right, hl, hr), alg, target, iso = canonical_iso(params)
+    return ExampleResultDocument(
+        family, left, base, right, dict(hl.mapping), dict(hr.mapping), alg.groupoid, target, dict(iso.mapping),
+        is_isomorphism(iso).ok,
+    )
+
+
+def example_report(doc) -> Iterator[str]:
+    """The lines that `mgpd validate` prints for an example document, each as
+    soon as it is decided; the document fails when one starts with
+    `violation:`. Parameters have been checked by parsing them. A result's
+    groupoids are checked, then its legs, then that its pullback is the one
+    the construction builds, and last its stored verdict."""
+    if not isinstance(doc, ExampleResultDocument):
+        yield "ok: example parameters are well formed"
+        return
+    ok = True
+    for label in _RESULT_GROUPOIDS:
+        report = validate_groupoid(getattr(doc, label))
+        ok &= report.ok
+        yield from [f"violation: {label} groupoid axioms: {v}" for v in report.violations] or [f"ok: {label} groupoid axioms"]
+    if not ok:
+        return
+    # the legs give only their violations, so that a sound document reads as
+    # it did before they were checked
+    for name, leg, mapping in (("left_map", doc.left, doc.left_map), ("right_map", doc.right, doc.right_map)):
+        for v in validate_hom(GroupoidHom(leg, doc.base, mapping)).violations:
+            ok = False
+            yield f"violation: {name}: {v}"
+    if not ok:
+        return
+    if weak_pullback_groupoid(doc.left, doc.base, doc.right, doc.left_map, doc.right_map).groupoid != doc.pullback:
+        yield "violation: stored pullback is not the weak pullback of the stored cospan"
+    elif is_isomorphism(GroupoidHom(doc.pullback, doc.target, doc.iso_map)).ok != doc.is_isomorphism:
+        yield "violation: stored isomorphism verdict does not match the stored map"
+    else:
+        yield "ok: isomorphism verdict"
+
+
+def _emit_cover(cover: FiniteCover) -> dict:
+    return {"space": list(cover.space), "blocks": {i: sorted(cover.blocks[i]) for i in cover.index_set}}
+
+
+def _emit_action(action: GroupAction) -> dict:
+    return {"group": _emit_groupoid(action.group), "space": list(action.space), "act": action.act}
+
+
+def example_body(doc) -> dict:
+    """The fields of an example document, `kind` among them, that
+    `documents.serialize` writes."""
+    if isinstance(doc, ExampleResultDocument):
+        return {
+            "kind": "example_result",
+            "construction": doc.construction,
+            **{name: _emit_groupoid(getattr(doc, name)) for name in _RESULT_GROUPOIDS},
+            **{name: dict(sorted(getattr(doc, name).items())) for name in ("left_map", "right_map", "iso_map")},
+            "is_isomorphism": doc.is_isomorphism,
+        }
+    if isinstance(doc, CechCospanData):
+        body = {"kind": "cech_example", "left_cover": _emit_cover(doc.cover_left), "right_cover": _emit_cover(doc.cover_right)}
+    elif isinstance(doc, TransformationCospanData):
+        body = {
+            "kind": "transformation_example",
+            "left_action": _emit_action(doc.action_left),
+            "right_action": _emit_action(doc.action_right),
+        }
+    else:
+        raise MalformedInput(f"cannot serialize {type(doc).__name__}")
+    return {
+        **body,
+        "base_space": list(doc.base_space),
+        "left_map": dict(sorted(doc.map_left.items())),
+        "right_map": dict(sorted(doc.map_right.items())),
+    }
+
+
+def _parse_cover(obj: dict, path: str) -> FiniteCover:
+    space = _str_list(obj, "space", path)
+    blocks = _get(obj, "blocks", dict, path)
+    for i, pts in blocks.items():
+        if not (isinstance(pts, list) and all(isinstance(p, str) for p in pts)):
+            raise ParseError(f"{path}.blocks[{i!r}]: expected a list of points")
+    with _reported_at(path):
+        return FiniteCover.build(space, blocks)
+
+
+def _parse_action(obj: dict, path: str) -> GroupAction:
+    group = _parse_groupoid(_get(obj, "group", dict, path), f"{path}.group")
+    space = _str_list(obj, "space", path)
+    act = _get(obj, "act", dict, path)
+    for y, row in act.items():
+        if not isinstance(row, dict):
+            raise ParseError(f"{path}.act[{y!r}]: expected an object")
+        for gm, img in row.items():
+            if not isinstance(img, str):
+                raise ParseError(f"{path}.act[{y!r}][{gm!r}]: expected a point id")
+    with _reported_at(path):
+        return GroupAction(group, space, act)
+
+
+def parse_example(obj: dict, kind: str):
+    """The example document `obj` of one of the kinds above, for
+    `documents.parse_document`: parameters as `CechCospanData` or
+    `TransformationCospanData`, a result as an `ExampleResultDocument`.
+    Errors carry the offending field's path."""
+    if kind == "example_result":
+        left, base, right, pullback, target = (
+            _parse_groupoid(_get(obj, name, dict, "$"), f"$.{name}") for name in _RESULT_GROUPOIDS
+        )
+        left_map = _element_map(obj, "left_map", "$", left, base)
+        right_map = _element_map(obj, "right_map", "$", right, base)
+        iso_map = _element_map(obj, "iso_map", "$", pullback, target)
+        verdict = obj.get("is_isomorphism")
+        if not isinstance(verdict, bool):
+            raise ParseError("$.is_isomorphism: expected a boolean")
+        construction = _get(obj, "construction", str, "$")
+        return ExampleResultDocument(construction, left, base, right, left_map, right_map, pullback, target, iso_map, verdict)
+    if kind == "cech_example":
+        side, parse_side, data_class = "cover", _parse_cover, CechCospanData
+    else:
+        side, parse_side, data_class = "action", _parse_action, TransformationCospanData
+    left, right = (parse_side(_get(obj, f"{name}_{side}", dict, "$"), f"$.{name}_{side}") for name in ("left", "right"))
+    base_space = _str_list(obj, "base_space", "$")
+    left_map = _str_map(obj, "left_map", "$")
+    right_map = _str_map(obj, "right_map", "$")
+    with _reported_at("$"):
+        return data_class(left, right, tuple(sorted(set(base_space))), dict(left_map), dict(right_map))

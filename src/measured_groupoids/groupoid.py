@@ -570,7 +570,8 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
     on the domain's generators when f commutes with r and d and the gate of
     `checked_generators` is open. The gate is read first: open, it vouches
     for the references of both groupoids; closed, they are checked, and
-    MalformedInput names an unknown id before any element is looked up.
+    MalformedInput names an unknown id before any element is looked up, or
+    any product before the products are compared.
     Let Q(x) mean f(xy) = f(x)f(y) for every y
     composable with x. Q is closed under products: for Q(a), Q(b) with
     d(a) = r(b), and y with r(y) = d(b), the arrow by lies over r(b) = d(a),
@@ -579,7 +580,7 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
     using associativity in the domain, Q(a), Q(b), associativity in the
     codomain and Q(a) again. Every element is a product of generators, so Q
     on the generators gives Q everywhere. When the gate is closed or a
-    generator fails Q, the domain's products are checked too, and then every
+    generator fails Q, both groupoids' products are checked too, and then every
     element, so the violations name every failing composable pair. The
     report counts the work of the path that ran (see `generator_work`).
     """
@@ -606,6 +607,7 @@ def validate_hom(p: GroupoidHom) -> ValidationReport:
     if ends_kept and gens is not None and not _product_violations(p, gens, ends_kept):
         return ValidationReport(tuple(bad), generator_work(dom, gens))
     check_references(dom)
+    check_references(cod)
     bad += _product_violations(p, dom.elements, ends_kept)
     return ValidationReport(tuple(bad), generator_work(dom, None))
 

@@ -428,6 +428,11 @@ def test_validate_hom_matches_enumeration_on_sweep_and_mutants(sweep):
                     if name == "dangling-product" and hom.domain is mutant:
                         # the oracle's KeyError at the unknown product fails closed
                         assert fails_closed(got, want), seed
+                    elif name == "dangling-product":
+                        # the oracle names the unknown product in a violation;
+                        # the codomain's table is checked, and that fails closed
+                        assert any("ghost" in str(v) for v in want.violations), seed
+                        assert got[0] is MalformedInput and "'ghost'" in got[1], seed
                     else:
                         assert got == want, (seed, name)
     assert moved > 100
@@ -452,6 +457,15 @@ def test_validate_hom_fails_closed_on_unknown_ids_in_either_table():
     ghost_inverse = with_tables(inverse_map={**g.inverse_map, "1-2": "ghost"})
     with pytest.raises(MalformedInput, match="inverse map takes the unknown value 'ghost'"):
         is_isomorphism(GroupoidHom(ghost_inverse, g, identity))
+    # a product the element loops never look up: the codomain's (1-2, 2-1),
+    # which the domain's products are compared with
+    ghost_product = FiniteGroupoid(
+        g.elements, g.units, g.range_map, g.source_map, g.inverse_map,
+        [(x, y, "ghost" if (x, y) == ("1-2", "2-1") else z) for x, y, z in g.products()],
+    )
+    for check in (validate_hom, is_isomorphism):
+        with pytest.raises(MalformedInput, match="compose table references unknown id 'ghost'"):
+            check(GroupoidHom(g, ghost_product, identity))
 
 
 # the one conversion of pairs into rows, under random edits of a pairs table

@@ -26,14 +26,8 @@ from measured_groupoids import (
     orbits,
 )
 from measured_groupoids import haar, pullback
-from measured_groupoids.documents import (
-    CechExampleDocument,
-    CospanDocument,
-    ExampleResultDocument,
-    GroupoidDocument,
-    PullbackDocument,
-    TransformationExampleDocument,
-)
+from measured_groupoids.documents import CospanDocument, GroupoidDocument, PullbackDocument
+from measured_groupoids.families import ExampleResultDocument
 
 from helpers import pair_trivial_cospan, replace, z2_cospan
 
@@ -134,7 +128,6 @@ def _records():
     c = z2_cospan()
     w = build_weak_pullback(c)
     doc = GroupoidDocument.of(c.left)
-    data = object()  # the example parameters, which a record holds as given
     fields = (
         (Violation, ("rule", ("x",), "detail")),
         (ValidationReport, ((Violation("rule", ("x",), "detail"),), (("checked", 1),))),
@@ -146,8 +139,6 @@ def _records():
         (GroupoidDocument, (c.left.groupoid, c.left.haar, c.left.unit_measure)),
         (CospanDocument, (doc, doc, doc, {}, {})),
         (PullbackDocument, (CospanDocument(doc, doc, doc, {}, {}), doc, {}, {}, {})),
-        (CechExampleDocument, (data,)),
-        (TransformationExampleDocument, (data,)),
         (ExampleResultDocument, ("cech", *(w.groupoid,) * 3, {}, {}, w.groupoid, w.groupoid, {}, True)),
     )
     return [(cls(*args), cls(*args)) for cls, args in fields]
@@ -181,7 +172,8 @@ def test_records_compare_hash_and_refuse_assignment_as_before():
         with pytest.raises(TypeError):
             hash(a)
     # records of two classes are not equal, even on equal fields
-    assert CechExampleDocument(None) != TransformationExampleDocument(None)
+    h = z2_cospan().left
+    assert GroupoidDocument(h.groupoid, h.haar, h.unit_measure) != h
     assert repr(v) == "Violation(rule='rule', witnesses=('x',), detail='detail')"
 
 

@@ -43,13 +43,8 @@ from measured_groupoids import (
     weak_pullback_groupoid,
     with_counting_haar,
 )
-from measured_groupoids.documents import (
-    CechExampleDocument,
-    CospanDocument,
-    GroupoidDocument,
-    parse_document,
-)
-from measured_groupoids.families import cech_cospan_groupoids, transformation_cospan_groupoids
+from measured_groupoids.documents import CospanDocument, GroupoidDocument, parse_document
+from measured_groupoids.families import CechCospanData, cech_cospan_groupoids, transformation_cospan_groupoids
 from measured_groupoids.groupoid import GroupoidHom, ValidationReport, Violation, identity_hom
 from measured_groupoids.haar import HaarGroupoid
 from measured_groupoids.measures import class_witness
@@ -447,8 +442,8 @@ def test_row_builder_matches_the_literal_builder_on_fixtures_examples_and_ladder
             ident = identity_hom(doc.groupoid).mapping
             cases.append((path.name, (doc.groupoid,) * 3 + (ident, ident)))
         else:
-            build = cech_cospan_groupoids if isinstance(doc, CechExampleDocument) else transformation_cospan_groupoids
-            left, base, right, hom_left, hom_right = build(doc.data)
+            build = cech_cospan_groupoids if isinstance(doc, CechCospanData) else transformation_cospan_groupoids
+            left, base, right, hom_left, hom_right = build(doc)
             cases.append((path.name, (left, base, right, hom_left.mapping, hom_right.mapping)))
     assert len(cases) == 5
     spec = importlib.util.spec_from_file_location("bench", BENCH)
@@ -845,8 +840,8 @@ def test_generator_checks_report_the_work_of_the_path_that_ran(sweep):
     # validate_groupoid, is_haar and validate_hom stop on the generators of a
     # sweep pullback and count them, the counts that the axioms claim,
     # check_haar_theorem and check_projection_homs print; with a product
-    # naming no element at one end, every element is checked and the compose
-    # entries of the domain are counted
+    # naming no element, is_haar checks every element and counts the compose
+    # entries, and validate_hom into such a groupoid fails closed on the id
     for seed, w in sweep.pullbacks[:20]:
         g = w.groupoid
         gens = g.generating_set
@@ -859,7 +854,8 @@ def test_generator_checks_report_the_work_of_the_path_that_ran(sweep):
         dangling = dangling_product(g)
         assert is_haar(dangling, w.haar).counts == (("compose entries", len(dangling.compose_map)),), seed
         into_dangling = GroupoidHom(g, dangling, identity_hom(g).mapping)
-        assert validate_hom(into_dangling).counts == (("compose entries", len(g.compose_map)),), seed
+        with pytest.raises(MalformedInput, match="compose table references unknown id 'ghost'"):
+            validate_hom(into_dangling)
 
 
 def test_sweep_script_summary_parses_with_the_bench_pattern():
@@ -894,3 +890,28 @@ def test_sweep_script_reports_a_rejected_cospan_and_skips_its_build(monkeypatch)
     assert suite.run_seed(0, seconds) == {"cospan": "measure-class [a]: first"}
     assert seconds["generate"] > 0 and seconds["validate"] > 0
     assert seconds["build"] == 0.0
+
+
+# the exact work of the sweep, as `scripts/run_property_suite.py` prints it
+GENERATOR_WORK = {"generators": 2774, "generator pairs": 36208}
+LEDGER = {
+    "axioms.pullback_groupoid": GENERATOR_WORK,
+    "thm.haar_system": GENERATOR_WORK,
+    "prop.projection_homs": {f"{proj} {name}": n for proj in ("proj_left", "proj_right") for name, n in GENERATOR_WORK.items()},
+    "remark.modular_formula": {"checked": 31268, "skipped": 0},
+    "lemma.triple_integrals": {"left leg sums": 3761, "right leg sums": 3500},
+    "lemma.expanding_integral": {"base sums": 1011, "left leg sums": 1644, "right leg sums": 1610},
+}
+
+
+def test_sweep_work_ledger_is_pinned():
+    # a change that does more or less work moves these totals; it updates
+    # them and records the before and after
+    spec = importlib.util.spec_from_file_location("run_property_suite", ROOT / "scripts" / "run_property_suite.py")
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    seconds = dict.fromkeys(suite.STAGES, 0.0)
+    counts: dict[str, dict[str, int]] = {}
+    for seed in range(200):
+        assert suite.run_seed(seed, seconds, counts) == {}, seed
+    assert {claim: tally for claim, tally in counts.items() if tally} == LEDGER
