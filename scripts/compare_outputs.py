@@ -29,6 +29,8 @@ The corpus, read from this checkout's `tests/fixtures`:
 - seeds 0-199 with `gen cospan` (with `--null` on every fifth seed),
   `validate`, `check`, `pullback --out` and `validate` of the written
   pullback, and `MGPD_VERBOSE=1 check` on every tenth seed;
+- the same seeds with `gen groupoid` (with `--null` on every fifth seed) and
+  `gen cospan --bounds 2,8`, each written to stdout;
 - unit-weight mutants: for each seed, the cospan with the first nonzero unit
   weight of the left, the base or the right set to "0", each with `validate`
   and `check`. These are the inputs on which the measure-class checks fail.
@@ -81,6 +83,8 @@ def corpus(tmp: pathlib.Path):
         cospan, pullback = str(tmp / f"cospan_{seed}.json"), str(tmp / f"pullback_{seed}.json")
         null = ["--null"] if seed % 5 == 4 else []
         yield f"gen cospan {seed}", ["gen", "cospan", "--seed", str(seed), *null, "--out", cospan], False
+        yield f"gen groupoid {seed}", ["gen", "groupoid", "--seed", str(seed), *null], False
+        yield f"gen cospan --bounds 2,8 {seed}", ["gen", "cospan", "--bounds", "2,8", "--seed", str(seed)], False
         yield f"validate cospan {seed}", ["validate", cospan], False
         yield f"check cospan {seed}", ["check", cospan], False
         if seed % 10 == 0:

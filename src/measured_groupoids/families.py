@@ -46,6 +46,20 @@ def _decodable_join(parts: Iterable[str], sep: str) -> str:
     return sep.join(parts)
 
 
+def _tabled(ids, units, tables, products, collision: str = "duplicate element ids") -> FiniteGroupoid:
+    """The groupoid on the ids of the keys of `ids`: the units and the rows
+    (key, range key, source key, inverse key) of `tables` are given by keys,
+    the `products` by id triples. Raises MalformedInput(collision) when two
+    keys have one id."""
+    if len(set(ids.values())) != len(ids):
+        raise MalformedInput(collision)
+    range_map, source_map, inverse_map = {}, {}, {}
+    for x, r, d, i in tables:
+        x = ids[x]
+        range_map[x], source_map[x], inverse_map[x] = ids[r], ids[d], ids[i]
+    return FiniteGroupoid(ids.values(), map(ids.__getitem__, units), range_map, source_map, inverse_map, products)
+
+
 # ---------------------------------------------------------------------------
 # elementary builders
 
@@ -55,8 +69,7 @@ def cotrivial_groupoid(space: Iterable[str]) -> FiniteGroupoid:
     pts = tuple(sorted(set(space)))
     if not pts:
         raise EmptySpace("cotrivial groupoid needs a nonempty space")
-    ident = {x: x for x in pts}
-    return FiniteGroupoid(pts, pts, ident, ident, ident, [(x, x, x) for x in pts])
+    return _tabled({x: x for x in pts}, pts, [(x, x, x, x) for x in pts], [(x, x, x) for x in pts])
 
 
 def trivial_group(unit: str = "e") -> FiniteGroupoid:
@@ -68,16 +81,8 @@ def cyclic_group(n: int, prefix: str = "g") -> FiniteGroupoid:
     if n < 1:
         raise MalformedInput("cyclic group needs n >= 1")
     els = [f"{prefix}{i}" for i in range(n)]
-    unit = els[0]
-    const = {x: unit for x in els}
-    return FiniteGroupoid(
-        els,
-        [unit],
-        const,
-        const,
-        {els[i]: els[(-i) % n] for i in range(n)},
-        [(els[i], els[j], els[(i + j) % n]) for i in range(n) for j in range(n)],
-    )
+    products = [(els[i], els[j], els[(i + j) % n]) for i in range(n) for j in range(n)]
+    return _tabled(dict(enumerate(els)), [0], [(i, 0, 0, -i % n) for i in range(n)], products)
 
 
 def pair_id(a: str, b: str) -> str:
@@ -91,15 +96,9 @@ def pair_groupoid(points: Iterable[str]) -> FiniteGroupoid:
     if not pts:
         raise EmptySpace("pair groupoid needs a nonempty point set")
     eid = {(a, b): pair_id(a, b) for a in pts for b in pts}
-    if len(set(eid.values())) != len(eid):
-        raise MalformedInput("point names collide under the a-b encoding")
-    els = sorted(eid.values())
-    units = [eid[(a, a)] for a in pts]
-    range_map = {eid[(a, b)]: eid[(a, a)] for a in pts for b in pts}
-    source_map = {eid[(a, b)]: eid[(b, b)] for a in pts for b in pts}
-    inverse_map = {eid[(a, b)]: eid[(b, a)] for a in pts for b in pts}
-    products = [(eid[(a, b)], eid[(b, c)], eid[(a, c)]) for a in pts for b in pts for c in pts]
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, products)
+    tables = [((a, b), (a, a), (b, b), (b, a)) for a, b in eid]
+    products = ((eid[a, b], eid[b, c], eid[a, c]) for a in pts for b in pts for c in pts)
+    return _tabled(eid, [(a, a) for a in pts], tables, products, "point names collide under the a-b encoding")
 
 
 def disjoint_union(parts: Iterable[FiniteGroupoid], prefixes: Iterable[str]) -> tuple[FiniteGroupoid, list[dict[str, str]]]:
@@ -109,38 +108,22 @@ def disjoint_union(parts: Iterable[FiniteGroupoid], prefixes: Iterable[str]) -> 
     prefixes = tuple(prefixes)
     if len(parts) != len(prefixes) or len(set(prefixes)) != len(prefixes):
         raise MalformedInput("need one distinct prefix per part")
-    elements: list[str] = []
-    units: list[str] = []
-    range_map: dict[str, str] = {}
-    source_map: dict[str, str] = {}
-    inverse_map: dict[str, str] = {}
-    products: list[tuple[str, str, str]] = []
-    renamings: list[dict[str, str]] = []
-    for g, pre in zip(parts, prefixes):
-        ren = {x: _join((pre, x), ".") for x in g.elements}
-        renamings.append(ren)
-        elements.extend(ren.values())
-        units.extend(ren[u] for u in g.units)
-        range_map.update({ren[x]: ren[g.r(x)] for x in g.elements})
-        source_map.update({ren[x]: ren[g.d(x)] for x in g.elements})
-        inverse_map.update({ren[x]: ren[g.inv(x)] for x in g.elements})
-        products += [(ren[x], ren[y], ren[z]) for x, y, z in g.products()]
-    return FiniteGroupoid(elements, units, range_map, source_map, inverse_map, products), renamings
+    ids = {(i, x): _join((pre, x), ".") for i, (g, pre) in enumerate(zip(parts, prefixes)) for x in g.elements}
+    renamings = [{x: ids[i, x] for x in g.elements} for i, g in enumerate(parts)]
+    units = [(i, u) for i, g in enumerate(parts) for u in g.units]
+    tables = [((i, x), (i, g.r(x)), (i, g.d(x)), (i, g.inv(x))) for i, g in enumerate(parts) for x in g.elements]
+    products = ((ren[x], ren[y], ren[z]) for g, ren in zip(parts, renamings) for x, y, z in g.products())
+    return _tabled(ids, units, tables, products), renamings
 
 
 def direct_product(a: FiniteGroupoid, b: FiniteGroupoid) -> tuple[FiniteGroupoid, dict[tuple[str, str], str]]:
     """Componentwise product groupoid on pair ids "x|y"."""
     eid = {(x, y): _join((x, y), "|") for x in a.elements for y in b.elements}
-    if len(set(eid.values())) != len(eid):
-        raise MalformedInput("element ids collide under the x|y encoding")
-    els = sorted(eid.values())
-    units = [eid[(u, v)] for u in a.units for v in b.units]
-    range_map = {eid[(x, y)]: eid[(a.r(x), b.r(y))] for (x, y) in eid}
-    source_map = {eid[(x, y)]: eid[(a.d(x), b.d(y))] for (x, y) in eid}
-    inverse_map = {eid[(x, y)]: eid[(a.inv(x), b.inv(y))] for (x, y) in eid}
+    units = [(u, v) for u in a.units for v in b.units]
+    tables = [((x, y), (a.r(x), b.r(y)), (a.d(x), b.d(y)), (a.inv(x), b.inv(y))) for x, y in eid]
     b_products = [*b.products()]
-    products = [(eid[(x1, x2)], eid[(y1, y2)], eid[(z1, z2)]) for x1, y1, z1 in a.products() for x2, y2, z2 in b_products]
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, products), eid
+    products = ((eid[x1, x2], eid[y1, y2], eid[z1, z2]) for x1, y1, z1 in a.products() for x2, y2, z2 in b_products)
+    return _tabled(eid, units, tables, products, "element ids collide under the x|y encoding"), eid
 
 
 def with_counting_haar(g: FiniteGroupoid) -> HaarGroupoid:
@@ -181,24 +164,13 @@ def cech_groupoid(cover: FiniteCover) -> FiniteGroupoid:
     """Elements (a, y, b) with y in the overlap of blocks a and b; the point
     is carried along, composition glues matching indices. Empty blocks simply
     contribute no elements."""
-    triples = [
-        (a, y, b)
-        for a in cover.index_set
-        for b in cover.index_set
-        for y in sorted(cover.blocks[a] & cover.blocks[b])
-    ]
-    ids = {tr: cech_id(*tr) for tr in triples}
-    if len(set(ids.values())) != len(ids):
-        raise MalformedInput("cover names collide under the a:y:b encoding")
-    els = sorted(ids.values())
-    units = [ids[(a, y, a)] for (a, y, b) in triples if a == b]
-    range_map = {ids[(a, y, b)]: ids[(a, y, a)] for (a, y, b) in triples}
-    source_map = {ids[(a, y, b)]: ids[(b, y, b)] for (a, y, b) in triples}
-    inverse_map = {ids[(a, y, b)]: ids[(b, y, a)] for (a, y, b) in triples}
-    products = [
-        (ids[(a, y, b)], ids[(b, y, c)], ids[(a, y, c)]) for (a, y, b) in triples for c in cover.index_set if y in cover.blocks[c]
-    ]
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, products)
+    index, blocks = cover.index_set, cover.blocks
+    ids = {(a, y, b): cech_id(a, y, b) for a in index for b in index for y in sorted(blocks[a] & blocks[b])}
+    units = [(a, y, a) for a, y, b in ids if a == b]
+    tables = [((a, y, b), (a, y, a), (b, y, b), (b, y, a)) for a, y, b in ids]
+    products = ((ids[a, y, b], ids[b, y, c], ids[a, y, c]) for a, y, b in ids for c in index if y in blocks[c])
+    # no part of an id contains ":", so no two ids collide and this message is never raised
+    return _tabled(ids, units, tables, products, "cover names collide under the a:y:b encoding")
 
 
 def cech_hom(f: Mapping[str, str], cover_dom: FiniteCover, cover_cod: FiniteCover, cod: FiniteGroupoid) -> GroupoidHom:
@@ -347,24 +319,15 @@ def transformation_id(y: str, gm: str) -> str:
 
 def transformation_groupoid(action: GroupAction) -> FiniteGroupoid:
     """Elements (y, γ) with (y, γ)(yγ, γ') = (y, γγ'); units (y, e)."""
-    group, act = action.group, action.act
-    e = action.unit
-    pairs = [(y, gm) for y in action.space for gm in group.elements]
-    ids = {pr: transformation_id(*pr) for pr in pairs}
-    if len(set(ids.values())) != len(ids):
-        raise MalformedInput("action names collide under the y:g encoding")
-    els = sorted(ids.values())
-    units = [ids[(y, e)] for y in action.space]
-    range_map = {ids[(y, gm)]: ids[(y, e)] for (y, gm) in pairs}
-    source_map = {ids[(y, gm)]: ids[(act[y][gm], e)] for (y, gm) in pairs}
-    inverse_map = {ids[(y, gm)]: ids[(act[y][gm], group.inv(gm))] for (y, gm) in pairs}
+    group, act, e = action.group, action.act, action.unit
+    ids = {(y, gm): transformation_id(y, gm) for y in action.space for gm in group.elements}
+    tables = [((y, gm), (y, e), (act[y][gm], e), (act[y][gm], group.inv(gm))) for y, gm in ids]
     # the group has one unit, so the row of gm runs over all its elements
-    products = [
-        (ids[(y, gm)], ids[(act[y][gm], gm2)], ids[(y, gm3)])
-        for (y, gm) in pairs
-        for gm2, gm3 in zip(group.elements, group.rows[gm])
-    ]
-    return FiniteGroupoid(els, units, range_map, source_map, inverse_map, products)
+    products = (
+        (ids[y, gm], ids[act[y][gm], gm2], ids[y, gm3]) for y, gm in ids for gm2, gm3 in zip(group.elements, group.rows[gm])
+    )
+    # no part of an id contains ":", so no two ids collide and this message is never raised
+    return _tabled(ids, [(y, e) for y in action.space], tables, products, "action names collide under the y:g encoding")
 
 
 @dataclass

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 
 from .errors import GenerationExhausted
-from .families import GroupAction, cyclic_group, direct_product, disjoint_union, pair_groupoid, pair_id
+from .families import GroupAction, _tabled, cyclic_group, direct_product, disjoint_union, pair_groupoid, pair_id
 from .families import transformation_groupoid, transformation_id, trivial_action, trivial_group
 from .groupoid import FiniteGroupoid, GroupoidHom, orbits
 from .haar import HaarGroupoid, haar_system_from_source_weights
@@ -172,16 +172,10 @@ def _leg_inclusion(base: FiniteGroupoid, kept_units) -> tuple[FiniteGroupoid, di
     # measure-class preserving exactly when the dropped part is null
     keep = frozenset(kept_units)
     els = [x for x in base.elements if base.r(x) in keep and base.d(x) in keep]
-    keep_els = frozenset(els)
-    sub = FiniteGroupoid(
-        els,
-        [u for u in base.units if u in keep],
-        {x: base.r(x) for x in els},
-        {x: base.d(x) for x in els},
-        {x: base.inv(x) for x in els},
-        [entry for entry in base.products() if entry[0] in keep_els],
-    )
-    return sub, {x: x for x in els}
+    ids = {x: x for x in els}
+    tables = [(x, base.r(x), base.d(x), base.inv(x)) for x in els]
+    products = [entry for entry in base.products() if entry[0] in ids]
+    return _tabled(ids, [u for u in base.units if u in keep], tables, products), ids
 
 
 def _random_leg(rng, base: FiniteGroupoid, max_units: int, max_elements: int, base_is_group: bool, supp_units=None):

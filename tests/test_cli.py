@@ -368,6 +368,18 @@ def test_modular_prints_table(tmp_path, capsys):
         assert name and value
 
 
+def test_modular_names_a_missing_measure(tmp_path, capsys):
+    gout = tmp_path / "g.json"
+    assert main(["gen", "groupoid", "--seed", "5", "--out", str(gout)]) == 0
+    data = json.loads(gout.read_text(encoding="utf-8"))
+    for name in ("unit_measure", "haar"):
+        del data[name]
+        gout.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["modular", str(gout)]) == 2
+        assert capsys.readouterr() == ("", f"error: document lacks {name}\n")
+
+
 def test_gen_cospan_roundtrip(tmp_path, capsys):
     cout = tmp_path / "c.json"
     assert main(["gen", "cospan", "--seed", "8", "--out", str(cout)]) == 0

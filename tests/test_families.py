@@ -15,9 +15,12 @@ from measured_groupoids import (
     cech_hom,
     cotrivial_groupoid,
     cyclic_group,
+    direct_product,
+    disjoint_union,
     is_haar,
     is_isomorphism,
     orbits,
+    pair_groupoid,
     transformation_groupoid,
     trivial_group,
     validate_groupoid,
@@ -187,6 +190,17 @@ def test_cotrivial_groupoid_cases():
     assert len(orbits(g).blocks) == 3
     with pytest.raises(EmptySpace):
         cotrivial_groupoid([])
+
+
+def test_builders_reject_names_whose_ids_collide():
+    # the Čech and transformation encodings cannot collide: their parts may not
+    # contain the separator, so they are left out
+    with pytest.raises(MalformedInput, match="point names collide under the a-b encoding"):
+        pair_groupoid(["a", "a-b", "b", "b-b"])  # (a, b-b) and (a-b, b)
+    with pytest.raises(MalformedInput, match=r"element ids collide under the x\|y encoding"):
+        direct_product(cotrivial_groupoid(["a|b", "a"]), cotrivial_groupoid(["c", "b|c"]))  # a|b|c twice
+    with pytest.raises(MalformedInput, match="duplicate element ids"):
+        disjoint_union([cotrivial_groupoid(["b.c"]), cotrivial_groupoid(["c"])], ["a", "a.b"])  # a.b.c twice
 
 
 def test_canonical_iso_transformation_worked_example():

@@ -1,7 +1,9 @@
 """What a process imports, the package's public names, and the records.
 
-The start-up guard runs `mgpd` subcommands in fresh interpreters under
-`-X importtime`, which lists every module a run imports, and times nothing.
+The start-up guard runs `mgpd` subcommands in fresh interpreters, as
+`python -m` runs them, and lists `sys.modules` afterwards: every module the
+run loaded, by an import statement or by `importlib.import_module`. It times
+nothing.
 """
 
 import importlib
@@ -69,26 +71,39 @@ EXPORTS = {
 }
 
 
-def _imported(*args: str) -> tuple[int, set[str]]:
-    """Run `python -X importtime` with `args` in a fresh interpreter on this
-    checkout's `src`; its exit code and the modules it imported."""
+# run in a fresh interpreter: the statement in argv[1], then the names in
+# sys.modules, one a line after a marker line on stdout
+_LISTED = """
+import sys
+code = 0
+try:
+    exec(sys.argv.pop(1))
+except SystemExit as e:
+    code = e.code
+print("--- modules", *sorted(sys.modules), sep="\\n")
+sys.exit(code)
+"""
+
+
+def _imported(statement: str, *argv: str) -> tuple[int, set[str]]:
+    """Run `statement` with `argv` as the arguments in a fresh interpreter on
+    this checkout's `src`; its exit code and the modules it loaded."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("MGPD_VERBOSE", None)
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _LISTED, statement, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
-    lines = [line.split("|") for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    return proc.returncode, {parts[-1].strip() for parts in lines[1:]}
+    return proc.returncode, set(proc.stdout.rpartition("--- modules\n")[2].split())
 
 
 def _mgpd(*argv: str) -> tuple[int, set[str]]:
-    return _imported("-m", "measured_groupoids.cli", *argv)
+    return _imported("import runpy; runpy.run_module('measured_groupoids.cli', run_name='__main__', alter_sys=True)", *argv)
 
 
 def test_checking_and_validating_leave_families_generate_and_dataclasses_unimported(tmp_path):
     cospan, out = str(FIXTURES / "z2_cospan.json"), str(tmp_path / "pullback.json")
     runs = {
-        "import": _imported("-c", "import measured_groupoids.cli"),
+        "import": _imported("import measured_groupoids.cli"),
         "check": _mgpd("check", cospan),
         "pullback": _mgpd("pullback", cospan, "--out", out),
         "validate": _mgpd("validate", out),
