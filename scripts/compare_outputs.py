@@ -30,10 +30,18 @@ The corpus, read from this checkout's `tests/fixtures`:
   `validate`, `check`, `pullback --out` and `validate` of the written
   pullback, and `MGPD_VERBOSE=1 check` on every tenth seed;
 - the same seeds with `gen groupoid` (with `--null` on every fifth seed) and
-  `gen cospan --bounds 2,8`, each written to stdout;
+  `gen cospan --bounds 2,8`, each written to stdout, and `gen groupoid`
+  written to a file, then `modular` of that file;
 - unit-weight mutants: for each seed, the cospan with the first nonzero unit
   weight of the left, the base or the right set to "0", each with `validate`
-  and `check`. These are the inputs on which the measure-class checks fail.
+  and `check`. These are the inputs on which the measure-class checks fail;
+- Haar-weight mutants: for each seed, the cospan with one weight of the left
+  Haar system changed, which breaks left invariance, with `validate` and
+  `check`;
+- pullback mutants: for each seed, copies of the written pullback with one
+  `modular` weight changed, with one `result.haar` weight changed, and with
+  every left unit weight of the stored cospan doubled, each with `validate`.
+  Each fails a different stored-result check.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -81,9 +90,12 @@ def corpus(tmp: pathlib.Path):
     yield "unknown flag", ["check", "--no-such-flag", str(FIXTURES / "z2_cospan.json")], False
     for seed in range(SEEDS):
         cospan, pullback = str(tmp / f"cospan_{seed}.json"), str(tmp / f"pullback_{seed}.json")
+        groupoid = str(tmp / f"groupoid_{seed}.json")
         null = ["--null"] if seed % 5 == 4 else []
         yield f"gen cospan {seed}", ["gen", "cospan", "--seed", str(seed), *null, "--out", cospan], False
         yield f"gen groupoid {seed}", ["gen", "groupoid", "--seed", str(seed), *null], False
+        yield f"gen groupoid {seed} --out", ["gen", "groupoid", "--seed", str(seed), *null, "--out", groupoid], False
+        yield f"modular groupoid {seed}", ["modular", groupoid], False
         yield f"gen cospan --bounds 2,8 {seed}", ["gen", "cospan", "--bounds", "2,8", "--seed", str(seed)], False
         yield f"validate cospan {seed}", ["validate", cospan], False
         yield f"check cospan {seed}", ["check", cospan], False
@@ -91,9 +103,14 @@ def corpus(tmp: pathlib.Path):
             yield f"MGPD_VERBOSE=1 check cospan {seed}", ["check", cospan], True
         yield f"pullback cospan {seed}", ["pullback", cospan, "--out", pullback], False
         yield f"validate pullback {seed}", ["validate", pullback], False
+        for name, mutant in pullback_mutants(pathlib.Path(pullback)):
+            yield f"validate pullback {seed} {name}", ["validate", mutant], False
         for side, mutant in unit_weight_mutants(pathlib.Path(cospan)):
             yield f"validate cospan {seed} zero {side} unit", ["validate", mutant], False
             yield f"check cospan {seed} zero {side} unit", ["check", mutant], False
+        for mutant in haar_weight_mutants(pathlib.Path(cospan)):
+            yield f"validate cospan {seed} left haar weight", ["validate", mutant], False
+            yield f"check cospan {seed} left haar weight", ["check", mutant], False
 
 
 def write_mutant(path: pathlib.Path, doc: dict) -> str:
@@ -152,6 +169,57 @@ def unit_weight_mutants(cospan: pathlib.Path):
             mutant = json.loads(json.dumps(doc))
             mutant[side]["unit_measure"][nonzero[0]] = "0"
             yield side, write_mutant(cospan.with_name(f"{cospan.stem}_zero_{side}.json"), mutant)
+
+
+def changed(weight: str) -> str:
+    """Another positive weight than `weight`."""
+    return "2" if weight == "1" else "1"
+
+
+def with_one_haar_weight_changed(haar: dict) -> dict | None:
+    """A copy of a stored Haar system with the first weight of its first
+    fiber of two or more elements changed, or None when it has no such
+    fiber. On such a fiber every weight is tied to another fiber's by left
+    invariance, so the copy is not left invariant."""
+    u = next((u for u in sorted(haar) if len(haar[u]) > 1), None)
+    if u is None:
+        return None
+    return {**haar, u: [changed(haar[u][0]), *haar[u][1:]]}
+
+
+def haar_weight_mutants(cospan: pathlib.Path):
+    """The path of the copy of the cospan document with one weight of the
+    left Haar system changed, where `with_one_haar_weight_changed` gives
+    one. There is none when `gen` wrote no document."""
+    if not cospan.exists():
+        return
+    doc = json.loads(cospan.read_text(encoding="utf-8"))
+    haar = with_one_haar_weight_changed(doc["left"]["haar"])
+    if haar is not None:
+        yield write_mutant(cospan.with_name(f"{cospan.stem}_left_haar.json"), {**doc, "left": {**doc["left"], "haar": haar}})
+
+
+def pullback_mutants(pullback: pathlib.Path):
+    """(name, path) of each copy of a pullback document with the first
+    `modular` weight changed, with one `result.haar` weight changed (as
+    `with_one_haar_weight_changed` changes it), and with every left unit
+    weight of its cospan doubled, which keeps the cospan valid but not the
+    stored unit measure. There are none when `pullback` wrote no document."""
+    if not pullback.exists():
+        return
+    doc = json.loads(pullback.read_text(encoding="utf-8"))
+    result, cospan, modular = doc["result"], doc["cospan"], doc["modular"]
+    mutants = {}
+    if modular:
+        x = min(modular)
+        mutants["modular-weight"] = {**doc, "modular": {**modular, x: changed(modular[x])}}
+    haar = with_one_haar_weight_changed(result["haar"])
+    if haar is not None:
+        mutants["result-haar-weight"] = {**doc, "result": {**result, "haar": haar}}
+    doubled = [str(2 * Fraction(w)) for w in cospan["left"]["unit_measure"]]
+    mutants["doubled-left-unit-weights"] = {**doc, "cospan": {**cospan, "left": {**cospan["left"], "unit_measure": doubled}}}
+    for name, mutant in mutants.items():
+        yield name, write_mutant(pullback.with_name(f"{pullback.stem}_{name}.json"), mutant)
 
 
 def sha(data: bytes) -> str:

@@ -127,8 +127,7 @@ _EXAMPLE_KINDS = ("cech_example", "transformation_example", "example_result")
 def _examples():
     """The writer and the reader of the example kinds. `families` is imported
     by the first example document written or read, so that no other process
-    loads it; by name, since `from . import families` would load it through
-    the package's `__getattr__`, which `-X importtime` does not report."""
+    loads it."""
     from .families import example_body, parse_example
 
     return example_body, parse_example

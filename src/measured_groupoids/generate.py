@@ -41,9 +41,7 @@ def _weight(rng: random.Random) -> Fraction:
 
 def _involution_action(rng: random.Random, group: FiniteGroupoid, points: list[str]) -> GroupAction:
     """A Z2 action by a random involution of the point set."""
-    e, g = group.elements[0], group.elements[1]
-    if group.units[0] != e:
-        e, g = g, e
+    e, g = group.elements  # cyclic_group(2): the unit g0, then g1
     shuffled = points[:]
     rng.shuffle(shuffled)
     partner = {}
@@ -92,14 +90,11 @@ def random_groupoid(seed, bounds=DEFAULT_BOUNDS) -> FiniteGroupoid:
     for i in range(rng.randint(1, max(1, min(3, max_units)))):
         if units_left < 1 or els_left < 1:
             break
+        # a component fits the budget it is drawn for, so every pass adds one
         comp = _random_component(rng, units_left, els_left, f"p{i}x")
-        if len(comp.units) > units_left or len(comp.elements) > els_left:
-            continue
         comps.append(comp)
         units_left -= len(comp.units)
         els_left -= len(comp.elements)
-    if not comps:
-        comps = [trivial_group()]
     if len(comps) == 1:
         return comps[0]
     g, _ = disjoint_union(comps, [f"c{i}" for i in range(len(comps))])

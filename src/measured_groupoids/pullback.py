@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidCospan, MalformedInput, NotADisintegration
 from .groupoid import FiniteGroupoid, FrozenRecord, GroupoidHom, Record, ValidationReport, Violation, orbits, picker
@@ -36,21 +36,17 @@ class Cospan(Record):
         self._set(left, base, right, left_map, right_map)
 
 
+def _named(name: str, report: ValidationReport) -> list[Violation]:
+    """The violations of `report`, each rule prefixed with `name.`."""
+    return [Violation(f"{name}.{v.rule}", v.witnesses, v.detail) for v in report.violations]
+
+
 def validate_cospan(c: Cospan) -> ValidationReport:
-    reports = [
-        validate_haar_groupoid(c.left),
-        validate_haar_groupoid(c.base),
-        validate_haar_groupoid(c.right),
-    ]
-    names = ("left", "base", "right")
-    bad: list[Violation] = []
-    for name, rep in zip(names, reports):
-        for v in rep.violations:
-            bad.append(Violation(f"{name}.{v.rule}", v.witnesses, v.detail))
+    reports = [(name, validate_haar_groupoid(getattr(c, name))) for name in ("left", "base", "right")]
+    bad = [v for name, rep in reports for v in _named(name, rep)]
     if not bad:
         for name, hom, leg in (("left_map", c.left_map, c.left), ("right_map", c.right_map, c.right)):
-            for v in validate_haar_hom(hom, leg, c.base).violations:
-                bad.append(Violation(f"{name}.{v.rule}", v.witnesses, v.detail))
+            bad += _named(name, validate_haar_hom(hom, leg, c.base))
     return ValidationReport(tuple(bad))
 
 
@@ -167,82 +163,50 @@ def weak_pullback_groupoid(
     return PullbackGroupoid(pg, by_id, proj_left, proj_right)
 
 
-# the boundedness side conditions of the general theory: automatic on finite
-# sets, recorded so that reports can say so explicitly
-_ASSUMPTIONS = (
-    "disintegrations are bounded (finite fibers)",
-    "the base modular function is bounded (finite support)",
-)
-
-
 class WeakPullbackResult(FrozenRecord):
     """The measured weak pullback: groupoid, projections, Haar system,
     disintegrations, the system eta over the base arrow of each unit, the
-    unit measure and the side conditions it assumes. Its induced measure and
-    modular function are those of `haar_groupoid`, which is built on first
-    read and kept in the slot `_haar_groupoid`, as in `HaarGroupoid`."""
+    unit measure and the side conditions it assumes. The constructor also
+    keeps the groupoid and projections of `algebraic` and `haar_groupoid`,
+    the Haar groupoid of lam_P and mu_P0 (whose induced measure and modular
+    function are derived on first read); these take no part in equality."""
 
-    _fields = ("cospan", "algebraic", "haar", "disint_left", "disint_right", "eta", "unit_measure", "assumptions")
-    __slots__ = (*_fields, "_haar_groupoid")
+    _fields = ("cospan", "algebraic", "haar", "disint_left", "disint_right", "eta", "unit_measure")
+    __slots__ = (*_fields, "groupoid", "proj_left", "proj_right", "haar_groupoid")
+    # the boundedness side conditions of the general theory: automatic on
+    # finite sets, recorded so that reports can say so explicitly
+    assumptions = (
+        "disintegrations are bounded (finite fibers)",
+        "the base modular function is bounded (finite support)",
+    )
 
     def __init__(
         self, cospan: Cospan, algebraic: PullbackGroupoid, haar: MeasureSystem, disint_left: MeasureSystem,
-        disint_right: MeasureSystem, eta: MeasureSystem, unit_measure: FiniteMeasure, assumptions: tuple[str, ...] = _ASSUMPTIONS,
+        disint_right: MeasureSystem, eta: MeasureSystem, unit_measure: FiniteMeasure,
     ):
-        self._set(cospan, algebraic, haar, disint_left, disint_right, eta, unit_measure, assumptions, None)
-
-    @property
-    def groupoid(self) -> FiniteGroupoid:
-        return self.algebraic.groupoid
-
-    @property
-    def proj_left(self) -> GroupoidHom:
-        return self.algebraic.proj_left
-
-    @property
-    def proj_right(self) -> GroupoidHom:
-        return self.algebraic.proj_right
-
-    @property
-    def haar_groupoid(self) -> HaarGroupoid:
-        if self._haar_groupoid is None:
-            object.__setattr__(self, "_haar_groupoid", HaarGroupoid(self.algebraic.groupoid, self.haar, self.unit_measure))
-        return self._haar_groupoid
+        g = algebraic.groupoid
+        kept = (g, algebraic.proj_left, algebraic.proj_right, HaarGroupoid(g, haar, unit_measure))
+        self._set(cospan, algebraic, haar, disint_left, disint_right, eta, unit_measure, *kept)
 
 
-def _pullback_haar_system(alg: PullbackGroupoid, c: Cospan) -> MeasureSystem:
-    """lam_P^{(s,g,t)}(σ,g,τ) = lam_S^s(σ) · lam_T^t(τ): products of the
-    legs' numerators over the product of their denominators."""
-    pg = alg.groupoid
-    lam_s, lam_t = c.left.haar, c.right.haar
+def _product_system(
+    alg: PullbackGroupoid, over: Mapping[str, str], domain: Iterable[str], codomain: Iterable[str],
+    fibers: Callable[[str], Iterable[str]], ends: Callable[[str], tuple[str, str]], left: MeasureSystem, right: MeasureSystem,
+) -> MeasureSystem:
+    """The system over `over` whose measure at each point y of `codomain`
+    weighs each triple (σ, ·, τ) of `fibers(y)` by left^a(σ) · right^b(τ),
+    with (a, b) = ends(y): products of the two numerators over the product
+    of the two denominators. lam_P and eta are both of this form."""
+    triples = alg.triples
     nums: dict[str, dict[str, int]] = {}
-    for u in pg.units:
-        s, _, t = alg.triples[u]
-        lam_s_s, lam_t_t = lam_s.nums.get(s, {}), lam_t.nums.get(t, {})
-        ws = nums[u] = {}
-        for pid in pg.fiber(u):
-            sigma, _, tau = alg.triples[pid]
-            ws[pid] = lam_s_s.get(sigma, 0) * lam_t_t.get(tau, 0)
-    return MeasureSystem(pg.range_map, pg.elements, pg.units, nums, lam_s.den * lam_t.den)
-
-
-def _eta_system(alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_q: MeasureSystem) -> MeasureSystem:
-    """eta^x(s,g,t) = gamma_p^{r(x)}(s) [g = x] gamma_q^{d(x)}(t), a system on
-    the map sending a pullback unit to its mediating base arrow."""
-    pg = alg.groupoid
-    base = c.base.groupoid
-    over = {u: alg.triples[u][1] for u in pg.units}
-    by_arrow: dict[str, list[str]] = {}
-    for u in pg.units:
-        by_arrow.setdefault(over[u], []).append(u)
-    nums: dict[str, dict[str, int]] = {}
-    for x in base.elements:
-        gamma_p_r, gamma_q_d = gamma_p.nums.get(base.r(x), {}), gamma_q.nums.get(base.d(x), {})
-        ws = nums[x] = {}
-        for u in by_arrow.get(x, ()):
-            s, _, t = alg.triples[u]
-            ws[u] = gamma_p_r.get(s, 0) * gamma_q_d.get(t, 0)
-    return MeasureSystem(over, pg.units, base.elements, nums, gamma_p.den * gamma_q.den)
+    for y in codomain:
+        a, b = ends(y)
+        left_a, right_b = left.nums.get(a, {}), right.nums.get(b, {})
+        ws = nums[y] = {}
+        for pid in fibers(y):
+            sigma, _, tau = triples[pid]
+            ws[pid] = left_a.get(sigma, 0) * right_b.get(tau, 0)
+    return MeasureSystem(over, domain, codomain, nums, left.den * right.den)
 
 
 def _leg_unit_data(c: Cospan) -> tuple[tuple[str, dict[str, str], FiniteMeasure], ...]:
@@ -256,9 +220,18 @@ def _leg_unit_data(c: Cospan) -> tuple[tuple[str, dict[str, str], FiniteMeasure]
 def _unit_measure(
     alg: PullbackGroupoid, c: Cospan, gamma_p: MeasureSystem, gamma_q: MeasureSystem
 ) -> tuple[MeasureSystem, FiniteMeasure]:
-    """eta from the disintegrations gamma_p, gamma_q of the legs' unit
-    measures, and mu_P0 = eta composed with the base induced measure."""
-    eta = _eta_system(alg, c, gamma_p, gamma_q)
+    """eta^x(s,g,t) = gamma_p^{r(x)}(s) [g = x] gamma_q^{d(x)}(t), a system on
+    the map sending a pullback unit to its middle arrow, from the
+    disintegrations gamma_p, gamma_q of the legs' unit measures; and mu_P0 =
+    eta composed with the base induced measure."""
+    pg, base = alg.groupoid, c.base.groupoid
+    over = {u: alg.triples[u][1] for u in pg.units}
+    by_arrow: dict[str, list[str]] = {}
+    for u, x in over.items():
+        by_arrow.setdefault(x, []).append(u)
+    eta = _product_system(
+        alg, over, pg.units, base.elements, lambda x: by_arrow.get(x, ()), lambda x: (base.r(x), base.d(x)), gamma_p, gamma_q
+    )
     return eta, compose_with_measure(eta, c.base.induced)
 
 
@@ -271,18 +244,14 @@ def build_weak_pullback(c: Cospan, validate: bool = True) -> WeakPullbackResult:
     alg = weak_pullback_groupoid(
         c.left.groupoid, c.base.groupoid, c.right.groupoid, c.left_map.mapping, c.right_map.mapping
     )
-    lam_p = _pullback_haar_system(alg, c)
+    pg, triples = alg.groupoid, alg.triples
+    # lam_P^{(s,g,t)} = lam_S^s x delta_g x lam_T^t on the r-fiber over the unit (s, g, t)
+    lam_p = _product_system(
+        alg, pg.range_map, pg.elements, pg.units, pg.fiber, lambda u: triples[u][::2], c.left.haar, c.right.haar
+    )
     gamma_p, gamma_q = (disintegrate(f, mu, c.base.unit_measure) for _, f, mu in _leg_unit_data(c))
     eta, mu_p0 = _unit_measure(alg, c, gamma_p, gamma_q)
-    return WeakPullbackResult(
-        cospan=c,
-        algebraic=alg,
-        haar=lam_p,
-        disint_left=gamma_p,
-        disint_right=gamma_q,
-        eta=eta,
-        unit_measure=mu_p0,
-    )
+    return WeakPullbackResult(c, alg, lam_p, gamma_p, gamma_q, eta, mu_p0)
 
 
 def check_fiber_product_lemma(w: WeakPullbackResult) -> ValidationReport:
@@ -361,7 +330,7 @@ def check_projection_homs(w: WeakPullbackResult) -> ValidationReport:
     counts: list[tuple[str, int]] = []
     for name, proj, leg in (("proj_left", w.proj_left, w.cospan.left), ("proj_right", w.proj_right, w.cospan.right)):
         report = validate_haar_hom(proj, h_p, leg)
-        bad += [Violation(f"{name}.{v.rule}", v.witnesses, v.detail) for v in report.violations]
+        bad += _named(name, report)
         counts += [(f"{name} {what}", n) for what, n in report.counts]
     return ValidationReport(tuple(bad), tuple(counts))
 

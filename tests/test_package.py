@@ -18,6 +18,7 @@ import pytest
 import measured_groupoids as mg
 from measured_groupoids import (
     Cospan,
+    FiniteMeasure,
     HaarGroupoid,
     OrbitPartition,
     PullbackGroupoid,
@@ -198,11 +199,14 @@ def test_records_keep_their_constructor_signatures_and_defaults():
     }
     assert params[ValidationReport] == ["violations", "counts"]
     assert params[GroupoidDocument] == ["groupoid", "haar", "unit_measure"]
-    assert params[WeakPullbackResult][-1] == "assumptions"
+    assert params[WeakPullbackResult] == [
+        "cospan", "algebraic", "haar", "disint_left", "disint_right", "eta", "unit_measure",
+    ]
     assert ValidationReport(()).counts == ()
     c = z2_cospan()
     assert GroupoidDocument(c.left.groupoid) == GroupoidDocument(c.left.groupoid, None, None)
-    assert build_weak_pullback(c).assumptions == (
+    # the side conditions are one constant of the class, which every result reads
+    assert build_weak_pullback(c).assumptions is WeakPullbackResult.assumptions == (
         "disintegrations are bounded (finite fibers)",
         "the base modular function is bounded (finite support)",
     )
@@ -228,10 +232,17 @@ def test_derived_measures_are_derived_once_and_kept(monkeypatch):
     assert calls == ["induced", "modular"]
     # what is kept takes no part in equality
     assert h == HaarGroupoid(h.groupoid, h.haar, h.unit_measure)
-    w = build_weak_pullback(c, validate=False)
+    c.base.induced  # mu_P0 is built from it, so derive it before counting
     calls.clear()
+    # the build makes the Haar groupoid once and derives none of its measures
+    w = build_weak_pullback(c, validate=False)
+    assert calls == ["haar_groupoid"]
     assert w.haar_groupoid is w.haar_groupoid
     assert w.haar_groupoid.modular is w.haar_groupoid.modular
     assert calls == ["haar_groupoid", "modular", "induced"]
-    # a copy derives afresh
+    # a copy derives afresh, over the measures it is given
     assert replace(w).haar_groupoid is not w.haar_groupoid
+    half = FiniteMeasure(w.unit_measure.base, w.unit_measure.nums, 2 * w.unit_measure.den)
+    v = replace(w, unit_measure=half)
+    assert v.haar_groupoid == HaarGroupoid(w.groupoid, w.haar, half) != w.haar_groupoid
+    assert v.haar_groupoid.unit_measure is half
