@@ -37,18 +37,23 @@ process on that checkout's `src`. There are three families:
 
 A point records the pullback's elements, units and compose entries, and the
 seconds of each stage, the least of three runs on a freshly built cospan.
-The stages are `validate_cospan`, `build_weak_pullback` and each entry of
-the claim registry, timed by `cli.claim_reports` and keyed by its claim ids
+The stages are `validate_cospan`, `build_weak_pullback`, each entry of the
+claim registry, timed by `cli.claim_reports` and keyed by its claim ids
 joined with "+" (`prop.quasi_invariance+remark.modular_formula` is one
-entry). Both checkouts must therefore have `cli.claim_reports`. Each stage
-also gets its growth exponent per family, the least-squares slope of log
-seconds against log compose entries.
+entry), and the pullback's document: `serialize` of its
+`PullbackDocument`, `parse_document` of that text, and `validate`, an
+in-process `cli.main(["validate", FILE])` of the text written to a file.
+Both checkouts must therefore have `cli.claim_reports`. Each stage also
+gets its growth exponent per family, the least-squares slope of log seconds
+against log compose entries, which is printed to stderr as well.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -57,6 +62,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -193,7 +199,8 @@ def ladder_point(family: str, n: int) -> dict:
     that PYTHONPATH gives: the cospan validation, the build and each entry of
     the claim registry, keyed by its claim ids joined with "+"."""
     from measured_groupoids import build_weak_pullback, validate_cospan
-    from measured_groupoids.cli import claim_reports
+    from measured_groupoids.cli import claim_reports, main
+    from measured_groupoids.documents import PullbackDocument, parse_document, serialize
 
     best: dict[str, float] = {}
     for _ in range(LADDER_RUNS):
@@ -208,6 +215,20 @@ def ladder_point(family: str, n: int) -> dict:
             if not all(r.ok for r in reports):
                 raise SystemExit(f"ladder {family} n={n}: a claim fails")
             seconds["+".join(ids)] = secs
+        start = time.perf_counter()
+        text = serialize(PullbackDocument.of(w))
+        written = time.perf_counter()
+        parse_document(text)
+        seconds.update(serialize=written - start, parse_document=time.perf_counter() - written)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "pullback.json"
+            path.write_text(text, encoding="utf-8")
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["validate", str(path)])
+            seconds["validate"] = time.perf_counter() - start
+        if code != 0:
+            raise SystemExit(f"ladder {family} n={n}: validate of the written pullback exits {code}")
         best = {k: min(v, best.get(k, v)) for k, v in seconds.items()}
     g = w.groupoid
     return {
@@ -236,6 +257,7 @@ def ladder(checkout: Path, family: str) -> dict:
         mean_y = statistics.fmean(ys)
         slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
         exponents[stage] = round(slope, 3)
+    print(f"{checkout} {family}: {json.dumps(exponents)}", file=sys.stderr, flush=True)
     return {"points": points, "exponent_vs_compose_entries": exponents}
 
 

@@ -26,6 +26,13 @@ The corpus, read from this checkout's `tests/fixtures`:
   element) one `left_map` value moved to another base element, each with
   `validate`;
 - `--help` and an unknown flag;
+- the interpreter's limits: a document of 100,000 nested lists, and the z2
+  fixture with one unit weight of 5,001 digits, each with `validate` and
+  `check`;
+- the identity cospan of `cyclic_group(12)` with counting measures, the
+  largest point of the cyclic ladder of `scripts/bench.py`, whose ids sort
+  as g1 < g10 < g2: `check`, `pullback --out` and `validate` of the written
+  pullback;
 - seeds 0-199 with `gen cospan` (with `--null` on every fifth seed),
   `validate`, `check`, `pullback --out` and `validate` of the written
   pullback, and `MGPD_VERBOSE=1 check` on every tenth seed;
@@ -49,6 +56,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -88,6 +96,13 @@ def corpus(tmp: pathlib.Path):
             yield f"validate example {family} {name}", ["validate", mutant], False
     yield "--help", ["--help"], False
     yield "unknown flag", ["check", "--no-such-flag", str(FIXTURES / "z2_cospan.json")], False
+    for name, probe in limit_probes(tmp):
+        for command in ("validate", "check"):
+            yield f"{command} {name}", [command, probe], False
+    cyclic, written = ladder_cospan_document(tmp), str(tmp / "pullback_cyclic_12.json")
+    yield "check cyclic 12", ["check", cyclic], False
+    yield "pullback cyclic 12", ["pullback", cyclic, "--out", written], False
+    yield "validate pullback cyclic 12", ["validate", written], False
     for seed in range(SEEDS):
         cospan, pullback = str(tmp / f"cospan_{seed}.json"), str(tmp / f"pullback_{seed}.json")
         groupoid = str(tmp / f"groupoid_{seed}.json")
@@ -116,6 +131,31 @@ def corpus(tmp: pathlib.Path):
 def write_mutant(path: pathlib.Path, doc: dict) -> str:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return str(path)
+
+
+def limit_probes(tmp: pathlib.Path):
+    """(name, path) of a document of 100,000 nested lists, past the JSON
+    decoder's depth, and of the z2 fixture with its first left unit weight
+    of 5,001 digits, past the digits an int may be converted from."""
+    deep = tmp / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    yield "deep-nesting", str(deep)
+    doc = json.loads((FIXTURES / "z2_cospan.json").read_text(encoding="utf-8"))
+    doc["left"]["unit_measure"][0] = "1" * 5001
+    yield "5001-digit-weight", write_mutant(tmp / "z2_cospan_5001_digits.json", doc)
+
+
+def ladder_cospan_document(tmp: pathlib.Path) -> str:
+    """The path of the cyclic 12 ladder cospan of `scripts/bench.py`, built
+    and written by the `measured_groupoids` on the import path and laid out
+    by `write_mutant`, so that both checkouts read the same bytes."""
+    from measured_groupoids.documents import CospanDocument, serialize
+
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    text = serialize(CospanDocument.of(bench.ladder_cospan("cyclic", 12)))
+    return write_mutant(tmp / "cospan_cyclic_12.json", json.loads(text))
 
 
 def params_mutants(params: pathlib.Path, tmp: pathlib.Path):

@@ -16,12 +16,14 @@ process that checks or validates a cospan or a pullback loads neither.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
+from fractions import Fraction
 from operator import attrgetter
 
-from .documents import CospanDocument, GroupoidDocument, PullbackDocument, parse_document, serialize, weight_to_str
+from .documents import CospanDocument, GroupoidDocument, PullbackDocument, parse_document, ratio_str, serialize, weight_to_str
 from .errors import GroupoidError, ParseError
 from .groupoid import GroupoidHom, ValidationReport, validate_groupoid
 from .haar import HaarGroupoid, is_haar, validate_haar_groupoid, validate_haar_hom, validate_unit_measure
@@ -105,10 +107,11 @@ def _validate_pullback_document(doc: PullbackDocument) -> bool:
         if h is None:
             h = doc.result.to_haar_groupoid("result.")  # raises: the result lacks a measure
         # quasi-invariance has been checked, so reading the table cannot raise
-        derived = dict(h.modular)
+        modular = h.modular
+        derived = dict(zip(modular, map(Fraction.as_integer_ratio, modular.values())))
         if derived != doc.modular:
             x = next(x for x in sorted(derived.keys() | doc.modular.keys()) if derived.get(x) != doc.modular.get(x))
-            stored, want = (weight_to_str(t[x]) if x in t else "undefined" for t in (doc.modular, derived))
+            stored, want = (ratio_str(*t[x]) if x in t else "undefined" for t in (doc.modular, derived))
             print(f"violation: stored modular table does not match the stored measures at {x}: stored {stored}, derived {want}")
             ok = False
         else:
@@ -348,7 +351,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # shutdown runs a full collection over every tracked object that is not
+    # frozen; unlike os._exit, freezing keeps atexit handlers, the flushing
+    # of the streams and the exit code
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ Documents are JSON-compatible objects with an explicit format_version and a
 ("num/den", denominator omitted when 1); unquoted decimal literals are
 rejected outright. Serialization is canonical (sorted keys, fixed layout), so
 serializing the same value twice is byte-identical and round-trips are exact.
+The text is that of `json.dumps(body, indent=2, sort_keys=True)`, written by
+`_text` in a few C-level passes per table instead of the pure-Python encoder
+that `indent` selects. The reader turns weight strings straight into integer
+numerators, and fills each product row in one step when the compose list is
+in the order the writer gives it.
 
 This module reads and writes the groupoid, cospan and pullback kinds. The
 worked examples' kinds are read and written by `families`, which
@@ -15,14 +20,17 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby, repeat
+from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import DanglingReference, EmptySpace, MalformedInput, ParseError, UnsupportedVersion
 from .groupoid import FiniteGroupoid, GroupoidHom, Record, check_ids, check_map, check_references
 from .haar import HaarGroupoid
-from .measures import FiniteMeasure, MeasureSystem, over_one_denominator
+from .measures import FiniteMeasure, MeasureSystem
 from .pullback import Cospan, WeakPullbackResult
 
 FORMAT_VERSION = 1
@@ -31,17 +39,37 @@ _WEIGHT_RE = re.compile(r"^([0-9]+)(?:/([1-9][0-9]*))?$")
 
 
 def weight_to_str(w: Fraction) -> str:
-    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
+    return ratio_str(w.numerator, w.denominator)
 
 
-def str_to_weight(s: str, path: str) -> Fraction:
+def ratio_str(num: int, den: int) -> str:
+    """The weight string of num/den, in lowest terms."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _ratio(s: str, path: str) -> tuple[int, int]:
+    """A weight string as (numerator, denominator), not reduced. A weight
+    with more digits than the interpreter converts to an int
+    (`sys.get_int_max_str_digits()`) is a parse error at `path`."""
     if not isinstance(s, str):
         raise ParseError(f"{path}: weights must be fraction strings, got {type(s).__name__}")
     m = _WEIGHT_RE.match(s)
     if not m:
         raise ParseError(f"{path}: bad weight {s!r} (expected nonnegative 'num' or 'num/den')")
-    num, den = m.group(1), m.group(2)
-    return Fraction(int(num), int(den) if den else 1)
+    num, den = m.groups()
+    try:
+        return int(num), int(den) if den else 1
+    except ValueError:  # the only one int() raises on ASCII digits
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: weight {s[:20]}... has a numerator or denominator of more than {limit} digits") from None
+
+
+def _over_lcm(rows: list[list[tuple[int, int]]]) -> tuple[int, list[list[int]]]:
+    """Rows of (numerator, denominator) as integer numerators over the lcm
+    of every denominator, which the measure constructors reduce."""
+    den = lcm(*(d for row in rows for _, d in row))
+    return den, [[n * (den // d) for n, d in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +129,24 @@ class CospanDocument(Record):
 
 
 class PullbackDocument(Record):
+    """`modular` maps each element of the result's support to its modular
+    value as (numerator, denominator) in lowest terms."""
+
     __slots__ = _fields = ("cospan", "result", "modular", "proj_left", "proj_right")
 
     def __init__(
-        self, cospan: CospanDocument, result: GroupoidDocument, modular: dict[str, Fraction], proj_left: dict[str, str],
-        proj_right: dict[str, str],
+        self, cospan: CospanDocument, result: GroupoidDocument, modular: dict[str, tuple[int, int]],
+        proj_left: dict[str, str], proj_right: dict[str, str],
     ):
         self._set(cospan, result, modular, proj_left, proj_right)
 
     @staticmethod
     def of(w: WeakPullbackResult) -> "PullbackDocument":
+        modular = w.haar_groupoid.modular
         return PullbackDocument(
             CospanDocument.of(w.cospan),
             GroupoidDocument(w.groupoid, w.haar, w.unit_measure),
-            dict(w.haar_groupoid.modular),
+            dict(zip(modular, map(Fraction.as_integer_ratio, modular.values()))),
             dict(w.proj_left.mapping),
             dict(w.proj_right.mapping),
         )
@@ -137,26 +169,39 @@ def _examples():
 # emission
 
 
+class _Compose:
+    """The compose list of a groupoid in a body, which `_text` writes from
+    the rows."""
+
+    def __init__(self, g: FiniteGroupoid):
+        self.g = g
+
+
 def _emit_groupoid(g: FiniteGroupoid) -> dict:
     return {
-        "elements": list(g.elements),
-        "units": list(g.units),
+        "elements": g.elements,
+        "units": g.units,
         "range": {x: g.range_map[x] for x in g.elements},
         "source": {x: g.source_map[x] for x in g.elements},
         "inverse": {x: g.inverse_map[x] for x in g.elements},
-        "compose": sorted(g.products()),
+        "compose": _Compose(g),
     }
+
+
+def _weight_strs(nums: dict[str, int], den: int, xs) -> list[str]:
+    """The weight strings of the points `xs` of a measure `nums` over `den`."""
+    if den == 1:
+        return [*map(str, map(nums.get, xs, repeat(0)))]
+    return [ratio_str(nums.get(x, 0), den) for x in xs]
 
 
 def _emit_groupoid_document(doc: GroupoidDocument) -> dict:
     body = _emit_groupoid(doc.groupoid)
-    if doc.haar is not None:
-        body["haar"] = {
-            u: [weight_to_str(doc.haar.weight(u, x)) for x in doc.groupoid.fiber(u)]
-            for u in doc.groupoid.units
-        }
-    if doc.unit_measure is not None:
-        body["unit_measure"] = [weight_to_str(doc.unit_measure(u)) for u in doc.groupoid.units]
+    g, haar, mu = doc.groupoid, doc.haar, doc.unit_measure
+    if haar is not None:
+        body["haar"] = {u: _weight_strs(haar.nums.get(u, {}), haar.den, g.fiber(u)) for u in g.units}
+    if mu is not None:
+        body["unit_measure"] = _weight_strs(mu.nums, mu.den, g.units)
     return body
 
 
@@ -183,7 +228,7 @@ def serialize(doc) -> str:
             "kind": "pullback",
             "cospan": _emit_cospan(doc.cospan),
             "result": _emit_groupoid_document(doc.result),
-            "modular": {x: weight_to_str(w) for x, w in sorted(doc.modular.items())},
+            "modular": {x: ratio_str(*w) for x, w in doc.modular.items()},
             "proj_left": dict(sorted(doc.proj_left.items())),
             "proj_right": dict(sorted(doc.proj_right.items())),
         }
@@ -191,7 +236,59 @@ def serialize(doc) -> str:
         write, _ = _examples()
         body = write(doc)
     body["format_version"] = FORMAT_VERSION
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return _text(body, "") + "\n"
+
+
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _text(value, pad: str) -> str:
+    """The text `json.dumps(value, indent=2, sort_keys=True)` gives `value`
+    on a line indented by `pad`. A list of strings and a mapping of strings
+    to strings, the tables of a document, are each written by one join in
+    C, and a compose list from its rows (`_compose_text`); other values
+    recurse."""
+    if isinstance(value, str):
+        return _encode(value)
+    if isinstance(value, _Compose):
+        return _compose_text(value.g, pad)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        keys, values = zip(*sorted(value.items()))
+        texts = map(_encode, values) if {*map(type, values)} == {str} else map(_text, values, repeat(inner))
+        return f"{{\n{inner}{sep.join(map('%s: %s'.__mod__, zip(map(_encode, keys), texts)))}\n{pad}}}"
+    texts = map(_encode, value) if {*map(type, value)} == {str} else map(_text, value, repeat(inner))
+    return f"[\n{inner}{sep.join(texts)}\n{pad}]"
+
+
+def _compose_text(g: FiniteGroupoid, pad: str) -> str:
+    """`_text` of the sorted triples (x, y, xy) of g. When every slot of
+    every row holds a product and there are no strays, the rows give them in
+    sorted order, and each triple is written as three pieces of text, one
+    per id and place, made once per id."""
+    rows = g.rows
+    products = {*chain.from_iterable(rows.values())}
+    if g.strays or None in products:
+        return _text(sorted(g.products()), pad)
+    inner = pad + "  "
+    deeper = inner + "  "
+    code = {x: _encode(x) for x in products.union(g.elements)}
+    first = {x: f"[\n{deeper}{code[x]},\n{deeper}" for x in g.elements}
+    middle = {y: f"{code[y]},\n{deeper}" for y in g.elements}
+    last = {z: f"{code[z]}\n{inner}],\n{inner}" for z in products}
+    fibers, src = g.fibers, g.source_map
+    triples = "".join(
+        chain.from_iterable(
+            chain.from_iterable(zip(repeat(first[x]), map(middle.__getitem__, fibers.get(src.get(x), ())), map(last.__getitem__, rows[x])))
+            for x in g.elements
+        )
+    )
+    return f"[\n{inner}{triples[:-len(inner) - 2]}\n{pad}]" if triples else "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +341,25 @@ def _element_map(obj: dict, key: str, path: str, dom: FiniteGroupoid, cod: Finit
     return dict(mapping)
 
 
+def _in_writer_order(elements, units, range_map, source_map, inverse_map, compose: list) -> FiniteGroupoid | None:
+    """The groupoid, its rows filled in one step each, when the compose list
+    gives the products of each element in one run whose y's are the fiber
+    over its source in order, as `serialize` writes them; else None, and the
+    caller converts the list entry by entry."""
+    runs = [(x, [*run]) for x, run in groupby(compose, itemgetter(0))]
+    by_x = dict(runs)
+    if len(by_x) != len(runs):  # an element's products in two runs
+        return None
+    rows = dict.fromkeys(elements, ())
+    rows.update((x, (*map(itemgetter(2), run),)) for x, run in runs)
+    g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, rows=rows)
+    fibers = map(g.fibers.get, map(g.source_map.get, g.elements), repeat(()))
+    ys = ((*map(itemgetter(1), by_x.get(x, ())),) for x in g.elements)
+    if len(rows) != len(g.elements) or not all(map(tuple.__eq__, ys, fibers)):
+        return None
+    return g
+
+
 def _parse_groupoid(obj: dict, path: str) -> FiniteGroupoid:
     elements = _str_list(obj, "elements", path)
     units = _str_list(obj, "units", path)
@@ -258,7 +374,9 @@ def _parse_groupoid(obj: dict, path: str) -> FiniteGroupoid:
             if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(e, str) for e in entry)):
                 raise ParseError(f"{path}.compose[{i}]: expected a triple of element ids")
     with _reported_at(path):
-        g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, compose_raw)
+        g = _in_writer_order(elements, units, range_map, source_map, inverse_map, compose_raw)
+        if g is None:
+            g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, compose_raw)
     if len(g.compose_map) != len(compose_raw):  # a later entry replaced an earlier one
         first: dict[tuple[str, str], int] = {}
         for i, (x, y, _) in enumerate(compose_raw):
@@ -274,25 +392,25 @@ def _parse_groupoid_document(obj: dict, path: str) -> GroupoidDocument:
     haar = None
     if "haar" in obj:
         table = _get(obj, "haar", dict, path)
-        weights: dict[str, dict[str, Fraction]] = {}
+        rows = []
         for u in g.units:
             row = table.get(u)
             fiberu = g.fiber(u)
             if not isinstance(row, list) or len(row) != len(fiberu):
                 raise ParseError(f"{path}.haar[{u!r}]: expected {len(fiberu)} weights for the fiber")
-            weights[u] = {x: str_to_weight(w, f"{path}.haar[{u!r}]") for x, w in zip(fiberu, row)}
+            rows.append([_ratio(w, f"{path}.haar[{u!r}]") for w in row])
         with _reported_at(f"{path}.haar", DanglingReference):
             check_ids(table, g.unit_set, "unknown unit")
-        den, rows = over_one_denominator(weights.values())
-        haar = MeasureSystem(g.range_map, g.elements, g.units, dict(zip(weights, rows)), den)
+        den, rows = _over_lcm(rows)
+        nums = {u: dict(zip(g.fiber(u), row)) for u, row in zip(g.units, rows)}
+        haar = MeasureSystem(g.range_map, g.elements, g.units, nums, den)
     unit_measure = None
     if "unit_measure" in obj:
         row = _get(obj, "unit_measure", list, path)
         if len(row) != len(g.units):
             raise ParseError(f"{path}.unit_measure: expected {len(g.units)} weights")
-        ws = {u: str_to_weight(w, f"{path}.unit_measure") for u, w in zip(g.units, row)}
-        den, (nums,) = over_one_denominator([ws])
-        unit_measure = FiniteMeasure(g.units, nums, den)
+        den, (nums,) = _over_lcm([[_ratio(w, f"{path}.unit_measure") for w in row]])
+        unit_measure = FiniteMeasure(g.units, dict(zip(g.units, nums)), den)
     return GroupoidDocument(g, haar, unit_measure)
 
 
@@ -313,6 +431,8 @@ def parse_document(text: str):
         obj = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise ParseError("document nests lists or objects deeper than the JSON decoder can read") from None
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
     version = obj.get("format_version")
@@ -329,7 +449,11 @@ def parse_document(text: str):
         modular_raw = _get(obj, "modular", dict, "$")
         with _reported_at("$.modular", DanglingReference):
             check_ids(modular_raw, result.groupoid.element_set, "unknown element")
-        modular = {x: str_to_weight(w, f"$.modular[{x!r}]") for x, w in modular_raw.items()}
+        modular = {}
+        for x, w in modular_raw.items():
+            num, den = _ratio(w, f"$.modular[{x!r}]")
+            g = gcd(num, den)
+            modular[x] = (num // g, den // g)
         proj_left = _element_map(obj, "proj_left", "$", result.groupoid, cospan.left.groupoid)
         proj_right = _element_map(obj, "proj_right", "$", result.groupoid, cospan.right.groupoid)
         return PullbackDocument(cospan, result, modular, proj_left, proj_right)

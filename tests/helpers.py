@@ -8,11 +8,15 @@ construction, kept here as the oracle for cotrivial bases, and
 through the groupoid methods, the oracle of the library's row-by-row
 builder. The `fraction_`
 oracles are the measure layer's bodies in `fractions.Fraction` arithmetic,
-the oracles of its integer numerators.
+the oracles of its integer numerators. `oracle_serialize` and `oracle_parse`
+are the document writer and reader as `json.dumps` with `indent` and a
+Fraction per weight give them, the oracles of `documents`.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -28,6 +32,7 @@ from measured_groupoids import (
     NotADisintegration,
     NotMeasureClassPreserving,
     NotQuasiInvariant,
+    ParseError,
     cotrivial_groupoid,
     cyclic_group,
     disjoint_union,
@@ -36,6 +41,8 @@ from measured_groupoids import (
     validate_cospan,
     with_counting_haar,
 )
+from measured_groupoids import families
+from measured_groupoids.documents import CospanDocument, GroupoidDocument, PullbackDocument, weight_to_str
 from measured_groupoids.families import _join
 from measured_groupoids.generate import (
     DEFAULT_BOUNDS,
@@ -1042,3 +1049,115 @@ def fraction_expanding_report(w: WeakPullbackResult) -> ValidationReport:
         ("right leg sums", right.cache_info().currsize),
     )
     return ValidationReport(tuple(bad), counts)
+
+
+# ---------------------------------------------------------------------------
+# the document oracles: the writer as a body of Fractions dumped by
+# `json.dumps(..., indent=2, sort_keys=True)`, and the reader as one Fraction
+# per weight and the entry-by-entry conversion of the compose list
+
+_WEIGHT_RE = re.compile(r"^([0-9]+)(?:/([1-9][0-9]*))?$")
+
+
+def str_to_weight(s: str, path: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ParseError(f"{path}: weights must be fraction strings, got {type(s).__name__}")
+    m = _WEIGHT_RE.match(s)
+    if not m:
+        raise ParseError(f"{path}: bad weight {s!r} (expected nonnegative 'num' or 'num/den')")
+    num, den = m.group(1), m.group(2)
+    return Fraction(int(num), int(den) if den else 1)
+
+
+def oracle_emit_groupoid(g: FiniteGroupoid) -> dict:
+    return {
+        "elements": list(g.elements),
+        "units": list(g.units),
+        "range": {x: g.range_map[x] for x in g.elements},
+        "source": {x: g.source_map[x] for x in g.elements},
+        "inverse": {x: g.inverse_map[x] for x in g.elements},
+        "compose": sorted(g.products()),
+    }
+
+
+def _oracle_groupoid_document(doc: GroupoidDocument) -> dict:
+    body = oracle_emit_groupoid(doc.groupoid)
+    if doc.haar is not None:
+        body["haar"] = {
+            u: [weight_to_str(doc.haar.weight(u, x)) for x in doc.groupoid.fiber(u)] for u in doc.groupoid.units
+        }
+    if doc.unit_measure is not None:
+        body["unit_measure"] = [weight_to_str(doc.unit_measure(u)) for u in doc.groupoid.units]
+    return body
+
+
+def _oracle_cospan(doc: CospanDocument) -> dict:
+    return {
+        "left": _oracle_groupoid_document(doc.left),
+        "base": _oracle_groupoid_document(doc.base),
+        "right": _oracle_groupoid_document(doc.right),
+        "left_map": dict(sorted(doc.left_map.items())),
+        "right_map": dict(sorted(doc.right_map.items())),
+    }
+
+
+def oracle_serialize(doc) -> str:
+    """The text of a document as `json.dumps(body, indent=2, sort_keys=True)`
+    writes the body, which is built with a Fraction per weight; example
+    documents take their body from `families.example_body`, its groupoids
+    emitted by `oracle_emit_groupoid`."""
+    if isinstance(doc, GroupoidDocument):
+        body = {"kind": "groupoid", **_oracle_groupoid_document(doc)}
+    elif isinstance(doc, CospanDocument):
+        body = {"kind": "cospan", **_oracle_cospan(doc)}
+    elif isinstance(doc, PullbackDocument):
+        body = {
+            "kind": "pullback",
+            "cospan": _oracle_cospan(doc.cospan),
+            "result": _oracle_groupoid_document(doc.result),
+            "modular": {x: weight_to_str(Fraction(*w)) for x, w in sorted(doc.modular.items())},
+            "proj_left": dict(sorted(doc.proj_left.items())),
+            "proj_right": dict(sorted(doc.proj_right.items())),
+        }
+    else:
+        emit, families._emit_groupoid = families._emit_groupoid, oracle_emit_groupoid
+        try:
+            body = families.example_body(doc)
+        finally:
+            families._emit_groupoid = emit
+    body["format_version"] = 1
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+def oracle_groupoid_document(obj: dict) -> GroupoidDocument:
+    """A valid groupoid document's body read with the compose list converted
+    entry by entry and one Fraction per weight."""
+    g = FiniteGroupoid(obj["elements"], obj["units"], obj["range"], obj["source"], obj["inverse"], obj["compose"])
+    haar = unit_measure = None
+    if "haar" in obj:
+        weights = {u: {x: str_to_weight(w, "$") for x, w in zip(g.fiber(u), obj["haar"][u])} for u in g.units}
+        den = lcm(*(w.denominator for ws in weights.values() for w in ws.values()))
+        nums = {u: {x: w.numerator * (den // w.denominator) for x, w in ws.items()} for u, ws in weights.items()}
+        haar = MeasureSystem(g.range_map, g.elements, g.units, nums, den)
+    if "unit_measure" in obj:
+        ws = [str_to_weight(w, "$") for w in obj["unit_measure"]]
+        den = lcm(*(w.denominator for w in ws))
+        unit_measure = FiniteMeasure(g.units, {u: w.numerator * (den // w.denominator) for u, w in zip(g.units, ws)}, den)
+    return GroupoidDocument(g, haar, unit_measure)
+
+
+def oracle_parse(text: str):
+    """A valid groupoid, cospan or pullback document as the oracle reads it."""
+    obj = json.loads(text)
+
+    def cospan(c: dict) -> CospanDocument:
+        legs = (oracle_groupoid_document(c[side]) for side in ("left", "base", "right"))
+        return CospanDocument(*legs, c["left_map"], c["right_map"])
+
+    if obj["kind"] == "groupoid":
+        return oracle_groupoid_document(obj)
+    if obj["kind"] == "cospan":
+        return cospan(obj)
+    modular = {x: str_to_weight(w, "$").as_integer_ratio() for x, w in obj["modular"].items()}
+    result = oracle_groupoid_document(obj["result"])
+    return PullbackDocument(cospan(obj["cospan"]), result, modular, obj["proj_left"], obj["proj_right"])

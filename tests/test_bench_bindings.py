@@ -78,5 +78,6 @@ def test_ladder_point_times_every_stage(family, n, compose_entries):
     point = json.loads(proc.stdout)
     assert point["compose_entries"] == compose_entries
     stages = {"validate_cospan", "build_weak_pullback", *("+".join(ids) for ids, _ in cli.REGISTRY)}
+    stages |= {"serialize", "parse_document", "validate"}
     assert point["seconds"].keys() == stages
     assert all(s > 0 for s in point["seconds"].values())

@@ -1,6 +1,10 @@
+import gc
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -515,3 +519,43 @@ def test_deletion_mutants_end_in_documented_exit_codes(tmp_path, capsys):
                 else:
                     assert rc in (0, 1, 2, 3), (fixture.name, n, args[0], rc)
     assert not escaped, "\n".join(escaped)
+
+
+def test_main_leaves_the_freeze_count_unchanged(capsys):
+    # only the console entry point freezes, after main returns, so that the
+    # shutdown collection skips what the process holds; tests and scripts
+    # that call main keep collecting as before
+    before = gc.get_freeze_count()
+    assert main(["check", str(FIXTURES / "z2_cospan.json")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_module_entry_point_checks_the_z2_fixture():
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("MGPD_VERBOSE", None)
+    argv = [sys.executable, "-m", "measured_groupoids.cli", "check", str(FIXTURES / "z2_cospan.json")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["PASS"] * 10
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_a_document_nested_past_the_decoders_depth_is_a_parse_error(command, tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main([command, str(doc)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "error: document nests lists or objects deeper than the JSON decoder can read\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+@pytest.mark.parametrize("weight", ["1" * 5001, "1/" + "3" * 5001])
+def test_a_weight_longer_than_an_int_converts_is_a_parse_error(command, weight, tmp_path, capsys):
+    data = json.loads((FIXTURES / "z2_cospan.json").read_text(encoding="utf-8"))
+    data["left"]["unit_measure"][0] = weight
+    doc = tmp_path / "digits.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command, str(doc)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    want = f"error: $.left.unit_measure: weight {weight[:20]}... has a numerator or denominator of more than 4300 digits\n"
+    assert err == want
