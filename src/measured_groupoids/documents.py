@@ -6,7 +6,7 @@ Documents are JSON-compatible objects with an explicit format_version and a
 rejected outright. Serialization is canonical (sorted keys, fixed layout), so
 serializing the same value twice is byte-identical and round-trips are exact.
 The text is that of `json.dumps(body, indent=2, sort_keys=True)`, written by
-`_text` in a few C-level passes per table instead of the pure-Python encoder
+`_write` in a few C-level passes per table instead of the pure-Python encoder
 that `indent` selects. The reader turns weight strings straight into integer
 numerators, and fills each product row in one step when the compose list is
 in the order the writer gives it.
@@ -170,7 +170,7 @@ def _examples():
 
 
 class _Compose:
-    """The compose list of a groupoid in a body, which `_text` writes from
+    """The compose list of a groupoid in a body, which `_write` writes from
     the rows."""
 
     def __init__(self, g: FiniteGroupoid):
@@ -236,45 +236,57 @@ def serialize(doc) -> str:
         write, _ = _examples()
         body = write(doc)
     body["format_version"] = FORMAT_VERSION
-    return _text(body, "") + "\n"
+    out: list[str] = []
+    _write(body, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 _encode = json.encoder.encode_basestring_ascii
 
 
-def _text(value, pad: str) -> str:
-    """The text `json.dumps(value, indent=2, sort_keys=True)` gives `value`
-    on a line indented by `pad`. A list of strings and a mapping of strings
-    to strings, the tables of a document, are each written by one join in
-    C, and a compose list from its rows (`_compose_text`); other values
-    recurse."""
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append to `out` the text `json.dumps(value, indent=2, sort_keys=True)`
+    gives `value` on a line indented by `pad`. A list of strings and a
+    mapping of strings to strings, the tables of a document, are each one
+    join in C, and a compose list is written from its rows
+    (`_write_compose`); other values recurse. `serialize` joins `out` once,
+    so no large text is copied into the text around it."""
     if isinstance(value, str):
-        return _encode(value)
-    if isinstance(value, _Compose):
-        return _compose_text(value.g, pad)
-    if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        keys, values = zip(*sorted(value.items()))
-        texts = map(_encode, values) if {*map(type, values)} == {str} else map(_text, values, repeat(inner))
-        return f"{{\n{inner}{sep.join(map('%s: %s'.__mod__, zip(map(_encode, keys), texts)))}\n{pad}}}"
-    texts = map(_encode, value) if {*map(type, value)} == {str} else map(_text, value, repeat(inner))
-    return f"[\n{inner}{sep.join(texts)}\n{pad}]"
+        out.append(_encode(value))
+    elif isinstance(value, _Compose):
+        _write_compose(value.g, pad, out)
+    elif not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            keys, values = zip(*sorted(value.items()))
+            heads, brackets = [*map("%s: ".__mod__, map(_encode, keys))], "{}"
+        else:
+            values, heads, brackets = value, repeat(""), "[]"
+        if {*map(type, values)} == {str}:
+            out.append(f"{brackets[0]}\n{inner}{sep.join(map(str.__add__, heads, map(_encode, values)))}\n{pad}{brackets[1]}")
+            return
+        for lead, head, v in zip(chain((f"{brackets[0]}\n{inner}",), repeat(sep)), heads, values):
+            out += lead, head
+            _write(v, inner, out)
+        out.append(f"\n{pad}{brackets[1]}")
 
 
-def _compose_text(g: FiniteGroupoid, pad: str) -> str:
-    """`_text` of the sorted triples (x, y, xy) of g. When every slot of
+def _write_compose(g: FiniteGroupoid, pad: str, out: list[str]) -> None:
+    """`_write` of the sorted triples (x, y, xy) of g. When every slot of
     every row holds a product and there are no strays, the rows give them in
     sorted order, and each triple is written as three pieces of text, one
     per id and place, made once per id."""
     rows = g.rows
     products = {*chain.from_iterable(rows.values())}
     if g.strays or None in products:
-        return _text(sorted(g.products()), pad)
+        _write(sorted(g.products()), pad, out)
+        return
     inner = pad + "  "
     deeper = inner + "  "
     code = {x: _encode(x) for x in products.union(g.elements)}
@@ -282,13 +294,18 @@ def _compose_text(g: FiniteGroupoid, pad: str) -> str:
     middle = {y: f"{code[y]},\n{deeper}" for y in g.elements}
     last = {z: f"{code[z]}\n{inner}],\n{inner}" for z in products}
     fibers, src = g.fibers, g.source_map
-    triples = "".join(
+    n = len(out)
+    out.append(f"[\n{inner}")
+    out.extend(
         chain.from_iterable(
             chain.from_iterable(zip(repeat(first[x]), map(middle.__getitem__, fibers.get(src.get(x), ())), map(last.__getitem__, rows[x])))
             for x in g.elements
         )
     )
-    return f"[\n{inner}{triples[:-len(inner) - 2]}\n{pad}]" if triples else "[]"
+    if len(out) == n + 1:  # no products
+        out[n] = "[]"
+    else:  # the last triple ends the list
+        out[-1] = f"{out[-1][:-len(inner) - 2]}\n{pad}]"
 
 
 # ---------------------------------------------------------------------------
