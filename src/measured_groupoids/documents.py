@@ -39,7 +39,7 @@ _WEIGHT_RE = re.compile(r"^([0-9]+)(?:/([1-9][0-9]*))?$")
 
 
 def weight_to_str(w: Fraction) -> str:
-    return ratio_str(w.numerator, w.denominator)
+    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
 
 
 def ratio_str(num: int, den: int) -> str:
