@@ -20,10 +20,9 @@ import gc
 import os
 import sys
 import time
-from fractions import Fraction
 from operator import attrgetter
 
-from .documents import CospanDocument, GroupoidDocument, PullbackDocument, parse_document, ratio_str, serialize, weight_to_str
+from .documents import CospanDocument, GroupoidDocument, PullbackDocument, parse_document, serialize, weight_to_str
 from .errors import GroupoidError, ParseError
 from .groupoid import GroupoidHom, ValidationReport, validate_groupoid
 from .haar import HaarGroupoid, is_haar, validate_haar_groupoid, validate_haar_hom, validate_unit_measure
@@ -107,11 +106,10 @@ def _validate_pullback_document(doc: PullbackDocument) -> bool:
         if h is None:
             h = doc.result.to_haar_groupoid("result.")  # raises: the result lacks a measure
         # quasi-invariance has been checked, so reading the table cannot raise
-        modular = h.modular
-        derived = dict(zip(modular, map(Fraction.as_integer_ratio, modular.values())))
+        derived = dict(h.modular)
         if derived != doc.modular:
             x = next(x for x in sorted(derived.keys() | doc.modular.keys()) if derived.get(x) != doc.modular.get(x))
-            stored, want = (ratio_str(*t[x]) if x in t else "undefined" for t in (doc.modular, derived))
+            stored, want = (weight_to_str(t[x]) if x in t else "undefined" for t in (doc.modular, derived))
             print(f"violation: stored modular table does not match the stored measures at {x}: stored {stored}, derived {want}")
             ok = False
         else:

@@ -7,9 +7,7 @@ rejected outright. Serialization is canonical (sorted keys, fixed layout), so
 serializing the same value twice is byte-identical and round-trips are exact.
 The text is that of `json.dumps(body, indent=2, sort_keys=True)`, written by
 `_write` in a few C-level passes per table instead of the pure-Python encoder
-that `indent` selects. The reader turns weight strings straight into integer
-numerators, and fills each product row in one step when the compose list is
-in the order the writer gives it.
+that `indent` selects.
 
 This module reads and writes the groupoid, cospan and pullback kinds. The
 worked examples' kinds are read and written by `families`, which
@@ -23,23 +21,18 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain, groupby, repeat
-from math import gcd, lcm
-from operator import itemgetter
+from itertools import chain, repeat
+from math import gcd
 
 from .errors import DanglingReference, EmptySpace, MalformedInput, ParseError, UnsupportedVersion
 from .groupoid import FiniteGroupoid, GroupoidHom, Record, check_ids, check_map, check_references
 from .haar import HaarGroupoid
-from .measures import FiniteMeasure, MeasureSystem
+from .measures import FiniteMeasure, MeasureSystem, over_one_denominator
 from .pullback import Cospan, WeakPullbackResult
 
 FORMAT_VERSION = 1
 
 _WEIGHT_RE = re.compile(r"^([0-9]+)(?:/([1-9][0-9]*))?$")
-
-
-def weight_to_str(w: Fraction) -> str:
-    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
 
 
 def ratio_str(num: int, den: int) -> str:
@@ -48,28 +41,25 @@ def ratio_str(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
-def _ratio(s: str, path: str) -> tuple[int, int]:
-    """A weight string as (numerator, denominator), not reduced. A weight
-    with more digits than the interpreter converts to an int
-    (`sys.get_int_max_str_digits()`) is a parse error at `path`."""
+def weight_to_str(w: Fraction) -> str:
+    return ratio_str(w.numerator, w.denominator)
+
+
+def str_to_weight(s: str, path: str) -> Fraction:
+    """A weight string as a Fraction. A weight with more digits than the
+    interpreter converts to an int (`sys.get_int_max_str_digits()`) is a
+    parse error at `path`."""
     if not isinstance(s, str):
         raise ParseError(f"{path}: weights must be fraction strings, got {type(s).__name__}")
     m = _WEIGHT_RE.match(s)
     if not m:
         raise ParseError(f"{path}: bad weight {s!r} (expected nonnegative 'num' or 'num/den')")
-    num, den = m.groups()
+    num, den = m.group(1), m.group(2)
     try:
-        return int(num), int(den) if den else 1
+        return Fraction(int(num), int(den) if den else 1)
     except ValueError:  # the only one int() raises on ASCII digits
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"{path}: weight {s[:20]}... has a numerator or denominator of more than {limit} digits") from None
-
-
-def _over_lcm(rows: list[list[tuple[int, int]]]) -> tuple[int, list[list[int]]]:
-    """Rows of (numerator, denominator) as integer numerators over the lcm
-    of every denominator, which the measure constructors reduce."""
-    den = lcm(*(d for row in rows for _, d in row))
-    return den, [[n * (den // d) for n, d in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -129,24 +119,20 @@ class CospanDocument(Record):
 
 
 class PullbackDocument(Record):
-    """`modular` maps each element of the result's support to its modular
-    value as (numerator, denominator) in lowest terms."""
-
     __slots__ = _fields = ("cospan", "result", "modular", "proj_left", "proj_right")
 
     def __init__(
-        self, cospan: CospanDocument, result: GroupoidDocument, modular: dict[str, tuple[int, int]],
-        proj_left: dict[str, str], proj_right: dict[str, str],
+        self, cospan: CospanDocument, result: GroupoidDocument, modular: dict[str, Fraction], proj_left: dict[str, str],
+        proj_right: dict[str, str],
     ):
         self._set(cospan, result, modular, proj_left, proj_right)
 
     @staticmethod
     def of(w: WeakPullbackResult) -> "PullbackDocument":
-        modular = w.haar_groupoid.modular
         return PullbackDocument(
             CospanDocument.of(w.cospan),
             GroupoidDocument(w.groupoid, w.haar, w.unit_measure),
-            dict(zip(modular, map(Fraction.as_integer_ratio, modular.values()))),
+            dict(w.haar_groupoid.modular),
             dict(w.proj_left.mapping),
             dict(w.proj_right.mapping),
         )
@@ -228,7 +214,7 @@ def serialize(doc) -> str:
             "kind": "pullback",
             "cospan": _emit_cospan(doc.cospan),
             "result": _emit_groupoid_document(doc.result),
-            "modular": {x: ratio_str(*w) for x, w in doc.modular.items()},
+            "modular": {x: weight_to_str(w) for x, w in doc.modular.items()},
             "proj_left": dict(sorted(doc.proj_left.items())),
             "proj_right": dict(sorted(doc.proj_right.items())),
         }
@@ -358,25 +344,6 @@ def _element_map(obj: dict, key: str, path: str, dom: FiniteGroupoid, cod: Finit
     return dict(mapping)
 
 
-def _in_writer_order(elements, units, range_map, source_map, inverse_map, compose: list) -> FiniteGroupoid | None:
-    """The groupoid, its rows filled in one step each, when the compose list
-    gives the products of each element in one run whose y's are the fiber
-    over its source in order, as `serialize` writes them; else None, and the
-    caller converts the list entry by entry."""
-    runs = [(x, [*run]) for x, run in groupby(compose, itemgetter(0))]
-    by_x = dict(runs)
-    if len(by_x) != len(runs):  # an element's products in two runs
-        return None
-    rows = dict.fromkeys(elements, ())
-    rows.update((x, (*map(itemgetter(2), run),)) for x, run in runs)
-    g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, rows=rows)
-    fibers = map(g.fibers.get, map(g.source_map.get, g.elements), repeat(()))
-    ys = ((*map(itemgetter(1), by_x.get(x, ())),) for x in g.elements)
-    if len(rows) != len(g.elements) or not all(map(tuple.__eq__, ys, fibers)):
-        return None
-    return g
-
-
 def _parse_groupoid(obj: dict, path: str) -> FiniteGroupoid:
     elements = _str_list(obj, "elements", path)
     units = _str_list(obj, "units", path)
@@ -391,9 +358,7 @@ def _parse_groupoid(obj: dict, path: str) -> FiniteGroupoid:
             if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(e, str) for e in entry)):
                 raise ParseError(f"{path}.compose[{i}]: expected a triple of element ids")
     with _reported_at(path):
-        g = _in_writer_order(elements, units, range_map, source_map, inverse_map, compose_raw)
-        if g is None:
-            g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, compose_raw)
+        g = FiniteGroupoid(elements, units, range_map, source_map, inverse_map, compose_raw)
     if len(g.compose_map) != len(compose_raw):  # a later entry replaced an earlier one
         first: dict[tuple[str, str], int] = {}
         for i, (x, y, _) in enumerate(compose_raw):
@@ -409,25 +374,25 @@ def _parse_groupoid_document(obj: dict, path: str) -> GroupoidDocument:
     haar = None
     if "haar" in obj:
         table = _get(obj, "haar", dict, path)
-        rows = []
+        weights: dict[str, dict[str, Fraction]] = {}
         for u in g.units:
             row = table.get(u)
             fiberu = g.fiber(u)
             if not isinstance(row, list) or len(row) != len(fiberu):
                 raise ParseError(f"{path}.haar[{u!r}]: expected {len(fiberu)} weights for the fiber")
-            rows.append([_ratio(w, f"{path}.haar[{u!r}]") for w in row])
+            weights[u] = {x: str_to_weight(w, f"{path}.haar[{u!r}]") for x, w in zip(fiberu, row)}
         with _reported_at(f"{path}.haar", DanglingReference):
             check_ids(table, g.unit_set, "unknown unit")
-        den, rows = _over_lcm(rows)
-        nums = {u: dict(zip(g.fiber(u), row)) for u, row in zip(g.units, rows)}
-        haar = MeasureSystem(g.range_map, g.elements, g.units, nums, den)
+        den, rows = over_one_denominator(weights.values())
+        haar = MeasureSystem(g.range_map, g.elements, g.units, dict(zip(weights, rows)), den)
     unit_measure = None
     if "unit_measure" in obj:
         row = _get(obj, "unit_measure", list, path)
         if len(row) != len(g.units):
             raise ParseError(f"{path}.unit_measure: expected {len(g.units)} weights")
-        den, (nums,) = _over_lcm([[_ratio(w, f"{path}.unit_measure") for w in row]])
-        unit_measure = FiniteMeasure(g.units, dict(zip(g.units, nums)), den)
+        ws = {u: str_to_weight(w, f"{path}.unit_measure") for u, w in zip(g.units, row)}
+        den, (nums,) = over_one_denominator([ws])
+        unit_measure = FiniteMeasure(g.units, nums, den)
     return GroupoidDocument(g, haar, unit_measure)
 
 
@@ -466,11 +431,7 @@ def parse_document(text: str):
         modular_raw = _get(obj, "modular", dict, "$")
         with _reported_at("$.modular", DanglingReference):
             check_ids(modular_raw, result.groupoid.element_set, "unknown element")
-        modular = {}
-        for x, w in modular_raw.items():
-            num, den = _ratio(w, f"$.modular[{x!r}]")
-            g = gcd(num, den)
-            modular[x] = (num // g, den // g)
+        modular = {x: str_to_weight(w, f"$.modular[{x!r}]") for x, w in modular_raw.items()}
         proj_left = _element_map(obj, "proj_left", "$", result.groupoid, cospan.left.groupoid)
         proj_right = _element_map(obj, "proj_right", "$", result.groupoid, cospan.right.groupoid)
         return PullbackDocument(cospan, result, modular, proj_left, proj_right)

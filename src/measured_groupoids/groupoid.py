@@ -121,11 +121,10 @@ class FiniteGroupoid:
     triple for a pair replacing an earlier one: the one conversion of a table
     of pairs into rows. `rows`, given instead, are the positional rows
     themselves, with a product in every slot, as the weak pullback builder
-    and the document reader write them. Instances are immutable by
-    convention; all derived indexes are built once at construction.
-    Construction only checks id hygiene (nonempty, no whitespace, no
-    duplicates); referential integrity and the groupoid axioms are the
-    business of :func:`validate_groupoid`.
+    writes them. Instances are immutable by convention; all derived indexes
+    are built once at construction. Construction only checks id hygiene
+    (nonempty, no whitespace, no duplicates); referential integrity and the
+    groupoid axioms are the business of :func:`validate_groupoid`.
     """
 
     def __init__(

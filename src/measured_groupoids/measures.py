@@ -9,10 +9,9 @@ per system of measures, with no measure object per point. Sums are then
 integer sums, two weights of one system compare as integers, and weights of
 different measures compare by cross-multiplication. `fractions.Fraction`
 appears only where rational weights come in, each put over one denominator by
-`over_one_denominator` (the source weights of a Haar system and the random
-generator; the document reader reads numerators and denominators as ints),
-and where weights are read out (`FiniteMeasure.__call__`,
-`MeasureSystem.weight`).
+`over_one_denominator` (the document parser, the source weights of a Haar
+system and the random generator), and where weights are read out
+(`FiniteMeasure.__call__`, `MeasureSystem.weight`).
 
 A system of measures over f: X -> Y is one measure on X per point of Y,
 concentrated on the fiber over that point.
@@ -33,8 +32,8 @@ ZERO = Fraction(0)
 def over_one_denominator(rows: Iterable[Mapping[str, Fraction]]) -> tuple[int, list[dict[str, int]]]:
     """Rows of rational weights as (den, rows of integer numerators over den),
     with den the lcm of the reduced denominators, so that the numerators and
-    den have no common factor. The one place where `Fraction`s become
-    numerators; the document reader reads weight strings as ints."""
+    den have no common factor. The one place where rationals become
+    numerators."""
     rows = list(rows)
     den = lcm(*(w.denominator for ws in rows for w in ws.values()))
     return den, [{x: w.numerator * (den // w.denominator) for x, w in ws.items()} for ws in rows]

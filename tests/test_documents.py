@@ -22,10 +22,11 @@ from measured_groupoids.documents import (
     _write,
     parse_document,
     serialize,
+    str_to_weight,
     weight_to_str,
 )
 
-from helpers import oracle_parse, oracle_serialize, str_to_weight, z2_cospan
+from helpers import oracle_parse, oracle_serialize, z2_cospan
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -117,6 +118,20 @@ def test_dangling_compose_reference():
     obj["compose"][0][2] = "ghost"
     with pytest.raises(DanglingReference):
         parse_document(json.dumps(obj))
+
+
+def test_dangling_products_are_named_in_canonical_row_order():
+    # the elements listed out of order and the compose list in the writer's
+    # order: the first unknown product is the one of the first row in
+    # canonical order, whatever order the document lists the elements in
+    obj = {
+        "format_version": 1, "kind": "groupoid", "elements": ["g", "e"], "units": ["e"],
+        "range": {"e": "e", "g": "e"}, "source": {"e": "e", "g": "e"}, "inverse": {"e": "e", "g": "g"},
+        "compose": [["e", "e", "ghostA"], ["e", "g", "g"], ["g", "e", "g"], ["g", "g", "ghostB"]],
+    }
+    with pytest.raises(DanglingReference) as err:
+        parse_document(json.dumps(obj))
+    assert str(err.value) == "$: compose table references unknown id 'ghostA'"
 
 
 def test_haar_row_length_checked():
