@@ -38,14 +38,20 @@ process on that checkout's `src`. There are three families:
 A point records the pullback's elements, units and compose entries, and the
 seconds of each stage, the least of three runs on a freshly built cospan.
 The stages are `validate_cospan`, `build_weak_pullback`, each entry of the
-claim registry, timed by `cli.claim_reports` and keyed by its claim ids
+claim registry, run by `cli.claim_reports` and keyed by its claim ids
 joined with "+" (`prop.quasi_invariance+remark.modular_formula` is one
 entry), and the pullback's document: `serialize` of its
 `PullbackDocument`, `parse_document` of that text, and `validate`, an
 in-process `cli.main(["validate", FILE])` of the text written to a file.
-Both checkouts must therefore have `cli.claim_reports`. Each stage also
-gets its growth exponent per family, the least-squares slope of log seconds
-against log compose entries, which is printed to stderr as well.
+Both checkouts must therefore have `cli.claim_reports`. A fourth pass, on
+another fresh cospan and under `tracemalloc`, records each stage's
+`bytes_above_kept`: the peak of its traced allocations above what it still
+holds when it ends, its transient memory. The timed passes are not traced.
+Each stage also gets its growth exponent per family, the least-squares
+slope of log seconds against log compose entries, and its bytes per
+compose entry at the family's largest point; both are printed to stderr,
+and a check-path stage (not one of the three document stages) above
+`CHECK_BYTES_PER_ENTRY` there is flagged.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +80,11 @@ PAIRS = 10
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 LADDERS = {"cyclic": range(4, 13), "pair": range(3, 8), "transformation": range(3, 8)}
 LADDER_RUNS = 3
+# the transient bytes per compose entry above which `--ladder` flags a
+# check-path stage at a family's largest point; a transient copy of the
+# product table, one tuple per row, costs about 6 to 9
+CHECK_BYTES_PER_ENTRY = 2
+DOCUMENT_STAGES = ("serialize", "parse_document", "validate")
 
 
 def _run(checkout: Path, args: list[str]) -> tuple[subprocess.CompletedProcess, float]:
@@ -194,42 +206,78 @@ def ladder_cospan(family: str, n: int):
     return Cospan(h, h, h, identity_hom(g), identity_hom(g))
 
 
-def ladder_point(family: str, n: int) -> dict:
-    """One ladder point, timed in this process on the `measured_groupoids`
-    that PYTHONPATH gives: the cospan validation, the build and each entry of
-    the claim registry, keyed by its claim ids joined with "+"."""
+class Clock:
+    """Reads a stage's seconds by `time.perf_counter`."""
+
+    def begin(self) -> None:
+        self.start = time.perf_counter()
+
+    def end(self) -> float:
+        return time.perf_counter() - self.start
+
+
+class Traced:
+    """Reads the bytes a stage's traced allocations peak at above what the
+    stage still holds when it ends; `tracemalloc` must be tracing."""
+
+    def begin(self) -> None:
+        tracemalloc.reset_peak()
+
+    def end(self) -> int:
+        current, peak = tracemalloc.get_traced_memory()
+        return peak - current
+
+
+def stages(family: str, n: int, meter) -> tuple[dict, object]:
+    """Run each stage of ladder point n of the family once, on a freshly
+    built cospan, on the `measured_groupoids` that PYTHONPATH gives, with
+    `meter` reading each stage. Returns the readings by stage and the
+    pullback."""
     from measured_groupoids import build_weak_pullback, validate_cospan
-    from measured_groupoids.cli import claim_reports, main
+    from measured_groupoids.cli import REGISTRY, claim_reports, main
     from measured_groupoids.documents import PullbackDocument, parse_document, serialize
 
+    readings = {}
+
+    def read(stage, call):
+        meter.begin()
+        result = call()
+        readings[stage] = meter.end()
+        return result
+
+    c = ladder_cospan(family, n)
+    if not read("validate_cospan", lambda: validate_cospan(c)).ok:
+        raise SystemExit(f"ladder {family} n={n}: the cospan fails validation")
+    w = read("build_weak_pullback", lambda: build_weak_pullback(c, validate=False))
+    claims = claim_reports(c, w)
+    for ids, _ in REGISTRY:
+        if not all(r.ok for r in read("+".join(ids), lambda: next(claims)[1])):
+            raise SystemExit(f"ladder {family} n={n}: a claim fails")
+    text = read("serialize", lambda: serialize(PullbackDocument.of(w)))
+    read("parse_document", lambda: parse_document(text))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "pullback.json"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = read("validate", lambda: main(["validate", str(path)]))
+    if code != 0:
+        raise SystemExit(f"ladder {family} n={n}: validate of the written pullback exits {code}")
+    return readings, w
+
+
+def ladder_point(family: str, n: int) -> dict:
+    """One ladder point: the seconds of each stage, the least of
+    `LADDER_RUNS` untraced passes, then each stage's bytes above what it
+    keeps, from one more pass under tracemalloc."""
     best: dict[str, float] = {}
     for _ in range(LADDER_RUNS):
-        c = ladder_cospan(family, n)
-        start = time.perf_counter()
-        if not validate_cospan(c).ok:
-            raise SystemExit(f"ladder {family} n={n}: the cospan fails validation")
-        validated = time.perf_counter()
-        w = build_weak_pullback(c, validate=False)
-        seconds = {"validate_cospan": validated - start, "build_weak_pullback": time.perf_counter() - validated}
-        for ids, reports, secs in claim_reports(c, w):
-            if not all(r.ok for r in reports):
-                raise SystemExit(f"ladder {family} n={n}: a claim fails")
-            seconds["+".join(ids)] = secs
-        start = time.perf_counter()
-        text = serialize(PullbackDocument.of(w))
-        written = time.perf_counter()
-        parse_document(text)
-        seconds.update(serialize=written - start, parse_document=time.perf_counter() - written)
-        with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "pullback.json"
-            path.write_text(text, encoding="utf-8")
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["validate", str(path)])
-            seconds["validate"] = time.perf_counter() - start
-        if code != 0:
-            raise SystemExit(f"ladder {family} n={n}: validate of the written pullback exits {code}")
+        seconds, w = stages(family, n, Clock())
         best = {k: min(v, best.get(k, v)) for k, v in seconds.items()}
+    tracemalloc.start()
+    try:
+        above, _ = stages(family, n, Traced())
+    finally:
+        tracemalloc.stop()
     g = w.groupoid
     return {
         "n": n,
@@ -237,6 +285,7 @@ def ladder_point(family: str, n: int) -> dict:
         "units": len(g.units),
         "compose_entries": len(g.compose_map),
         "seconds": {k: float(f"{v:.4g}") for k, v in best.items()},
+        "bytes_above_kept": above,
     }
 
 
@@ -258,7 +307,19 @@ def ladder(checkout: Path, family: str) -> dict:
         slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum((x - mean_x) ** 2 for x in xs)
         exponents[stage] = round(slope, 3)
     print(f"{checkout} {family}: {json.dumps(exponents)}", file=sys.stderr, flush=True)
-    return {"points": points, "exponent_vs_compose_entries": exponents}
+    top = points[-1]
+    per_entry = {stage: round(b / top["compose_entries"], 2) for stage, b in top["bytes_above_kept"].items()}
+    flagged = [stage for stage, b in per_entry.items() if b > CHECK_BYTES_PER_ENTRY and stage not in DOCUMENT_STAGES]
+    print(f"{checkout} {family} n={top['n']} bytes per compose entry: {json.dumps(per_entry)}", file=sys.stderr, flush=True)
+    if flagged:
+        above = f"above {CHECK_BYTES_PER_ENTRY} B per entry: {', '.join(flagged)}"
+        print(f"{checkout} {family} n={top['n']}: {above}", file=sys.stderr, flush=True)
+    return {
+        "points": points,
+        "exponent_vs_compose_entries": exponents,
+        "bytes_per_compose_entry": per_entry,
+        "flagged_bytes_per_compose_entry": flagged,
+    }
 
 
 def main() -> int:

@@ -26,9 +26,11 @@ The corpus, read from this checkout's `tests/fixtures`:
   element) one `left_map` value moved to another base element, each with
   `validate`;
 - `--help` and an unknown flag;
-- the interpreter's limits: a document of 100,000 nested lists, and the z2
-  fixture with one unit weight of 5,001 digits, each with `validate` and
-  `check`;
+- the interpreter's limits: a document of 100,000 nested lists, the z2
+  fixture with one unit weight of 5,001 digits, and the cospan of seed 3 at
+  bounds (2, 8) with each leg's two unit weights set to an integer and to
+  the reciprocal of one, of 3,000 digits each, whose pullback has a unit
+  weight of 6,000 digits: each with `validate`, `check` and `pullback --out`;
 - the identity cospan of `cyclic_group(12)` with counting measures, the
   largest point of the cyclic ladder of `scripts/bench.py`, whose ids sort
   as g1 < g10 < g2: `check`, `pullback --out` and `validate` of the written
@@ -99,6 +101,7 @@ def corpus(tmp: pathlib.Path):
     for name, probe in limit_probes(tmp):
         for command in ("validate", "check"):
             yield f"{command} {name}", [command, probe], False
+        yield f"pullback {name}", ["pullback", probe, "--out", str(tmp / f"pullback_{name}.json")], False
     cyclic, written = ladder_cospan_document(tmp), str(tmp / "pullback_cyclic_12.json")
     yield "check cyclic 12", ["check", cyclic], False
     yield "pullback cyclic 12", ["pullback", cyclic, "--out", written], False
@@ -135,14 +138,23 @@ def write_mutant(path: pathlib.Path, doc: dict) -> str:
 
 def limit_probes(tmp: pathlib.Path):
     """(name, path) of a document of 100,000 nested lists, past the JSON
-    decoder's depth, and of the z2 fixture with its first left unit weight
-    of 5,001 digits, past the digits an int may be converted from."""
+    decoder's depth; of the z2 fixture with its first left unit weight of
+    5,001 digits, past the digits an int may be converted from; and of a
+    cospan whose weights are all within that limit but whose pullback's are
+    not, built and written by the `measured_groupoids` on the import path."""
+    from measured_groupoids import random_cospan
+    from measured_groupoids.documents import CospanDocument, serialize
+
     deep = tmp / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     yield "deep-nesting", str(deep)
     doc = json.loads((FIXTURES / "z2_cospan.json").read_text(encoding="utf-8"))
     doc["left"]["unit_measure"][0] = "1" * 5001
     yield "5001-digit-weight", write_mutant(tmp / "z2_cospan_5001_digits.json", doc)
+    doc = json.loads(serialize(CospanDocument.of(random_cospan(3, (2, 8)))))
+    for side in ("left", "right"):
+        doc[side]["unit_measure"][:2] = ["7" * 3000, "1/" + "3" * 3000]
+    yield "derived-digits", write_mutant(tmp / "cospan_derived_digits.json", doc)
 
 
 def ladder_cospan_document(tmp: pathlib.Path) -> str:

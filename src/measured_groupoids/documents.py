@@ -45,6 +45,29 @@ def weight_to_str(w: Fraction) -> str:
     return ratio_str(w.numerator, w.denominator)
 
 
+def _digits(n: int) -> int:
+    """The decimal digits of n >= 1, counted without converting n to text."""
+    d = int(n.bit_length() * 0.30103)  # at most the digits of n
+    while 10**d <= n:
+        d += 1
+    return d
+
+
+def _past_the_limit(where: str, weights) -> ParseError:
+    """The error for the first (x, num, den) of `weights` whose numerator or
+    denominator, in lowest terms, has more digits than the reader converts
+    (`sys.get_int_max_str_digits()`): the text `ratio_str` cannot write. It
+    names the weight as `where[x]`, with the part and its digits."""
+    limit = sys.get_int_max_str_digits()
+    for x, num, den in weights:
+        g = gcd(num, den)
+        for part, n in (("numerator", num // g), ("denominator", den // g)):
+            if (digits := _digits(n)) > limit:
+                more = f"more than the {limit} a document holds"
+                return ParseError(f"{where}[{x!r}]: the weight's {part} has {digits} digits, {more}")
+    raise AssertionError(f"{where}: no weight past {limit} digits")
+
+
 def str_to_weight(s: str, path: str) -> Fraction:
     """A weight string as a Fraction. A weight with more digits than the
     interpreter converts to an int (`sys.get_int_max_str_digits()`) is a
@@ -174,28 +197,33 @@ def _emit_groupoid(g: FiniteGroupoid) -> dict:
     }
 
 
-def _weight_strs(nums: dict[str, int], den: int, xs) -> list[str]:
-    """The weight strings of the points `xs` of a measure `nums` over `den`."""
-    if den == 1:
-        return [*map(str, map(nums.get, xs, repeat(0)))]
-    return [ratio_str(nums.get(x, 0), den) for x in xs]
+def _weight_strs(nums: dict[str, int], den: int, xs, where: str) -> list[str]:
+    """The weight strings of the points `xs` of a measure `nums` over `den`.
+    A weight past the digits a document holds is a ParseError naming it in
+    the field `where`, so that every document written reads back."""
+    try:
+        if den == 1:
+            return [*map(str, map(nums.get, xs, repeat(0)))]
+        return [ratio_str(nums.get(x, 0), den) for x in xs]
+    except ValueError:  # the only one str() raises on an int
+        raise _past_the_limit(where, ((x, nums.get(x, 0), den) for x in xs)) from None
 
 
-def _emit_groupoid_document(doc: GroupoidDocument) -> dict:
+def _emit_groupoid_document(doc: GroupoidDocument, path: str) -> dict:
     body = _emit_groupoid(doc.groupoid)
     g, haar, mu = doc.groupoid, doc.haar, doc.unit_measure
     if haar is not None:
-        body["haar"] = {u: _weight_strs(haar.nums.get(u, {}), haar.den, g.fiber(u)) for u in g.units}
+        body["haar"] = {u: _weight_strs(haar.nums.get(u, {}), haar.den, g.fiber(u), f"{path}.haar[{u!r}]") for u in g.units}
     if mu is not None:
-        body["unit_measure"] = _weight_strs(mu.nums, mu.den, g.units)
+        body["unit_measure"] = _weight_strs(mu.nums, mu.den, g.units, f"{path}.unit_measure")
     return body
 
 
-def _emit_cospan(doc: CospanDocument) -> dict:
+def _emit_cospan(doc: CospanDocument, path: str) -> dict:
     return {
-        "left": _emit_groupoid_document(doc.left),
-        "base": _emit_groupoid_document(doc.base),
-        "right": _emit_groupoid_document(doc.right),
+        "left": _emit_groupoid_document(doc.left, f"{path}.left"),
+        "base": _emit_groupoid_document(doc.base, f"{path}.base"),
+        "right": _emit_groupoid_document(doc.right, f"{path}.right"),
         "left_map": dict(sorted(doc.left_map.items())),
         "right_map": dict(sorted(doc.right_map.items())),
     }
@@ -206,15 +234,20 @@ def serialize(doc) -> str:
     groupoid, cospan or pullback document, or an example document of
     `families`."""
     if isinstance(doc, GroupoidDocument):
-        body = {"kind": "groupoid", **_emit_groupoid_document(doc)}
+        body = {"kind": "groupoid", **_emit_groupoid_document(doc, "$")}
     elif isinstance(doc, CospanDocument):
-        body = {"kind": "cospan", **_emit_cospan(doc)}
+        body = {"kind": "cospan", **_emit_cospan(doc, "$")}
     elif isinstance(doc, PullbackDocument):
+        try:
+            modular = {x: weight_to_str(w) for x, w in doc.modular.items()}
+        except ValueError:  # as in `_weight_strs`
+            weights = ((x, w.numerator, w.denominator) for x, w in doc.modular.items())
+            raise _past_the_limit("$.modular", weights) from None
         body = {
             "kind": "pullback",
-            "cospan": _emit_cospan(doc.cospan),
-            "result": _emit_groupoid_document(doc.result),
-            "modular": {x: weight_to_str(w) for x, w in doc.modular.items()},
+            "cospan": _emit_cospan(doc.cospan, "$.cospan"),
+            "result": _emit_groupoid_document(doc.result, "$.result"),
+            "modular": modular,
             "proj_left": dict(sorted(doc.proj_left.items())),
             "proj_right": dict(sorted(doc.proj_right.items())),
         }

@@ -385,7 +385,9 @@ def _generating_set(g: FiniteGroupoid) -> tuple[str, ...] | None:
     sources = {u: tuple(map(src.__getitem__, xs)) for u, xs in fibers.items()}
     held = not g.strays and [*map(len, row_list)] == [*map(len, map(fibers.get, srcs, repeat(())))]
     held = held and all(map(frozenset.issuperset, map(fiber_sets.__getitem__, map(rng.__getitem__, els)), row_list))
-    held = held and [*map(tuple, map(map, repeat(src.__getitem__), row_list))] == [*map(sources.get, srcs, repeat(()))]
+    # the sources of one row at a time: a list of them all would copy the product table
+    row_sources = map(tuple, map(map, repeat(src.__getitem__), row_list))
+    held = held and all(map(tuple.__eq__, row_sources, map(sources.get, srcs, repeat(()))))
     if not held:
         check_references(g)
         return None

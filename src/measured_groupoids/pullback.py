@@ -156,7 +156,9 @@ def weak_pullback_groupoid(
         for pid in ids:
             by_range.setdefault(range_map[pid], []).append(pid)
         order = {u: picker(sorted(range(len(keys)), key=keys.__getitem__)) for u, keys in by_range.items()}
-        rows = {pid: order[source_map[pid]](row) for pid, row in rows.items()}
+        # in place, so that each old row is freed as its reordered copy is made
+        for pid, row in rows.items():
+            rows[pid] = order[source_map[pid]](row)
     pg = FiniteGroupoid(ids, units, range_map, source_map, inverse_map, rows=rows)
     proj_left = GroupoidHom(pg, s_g, {pid: tr[0] for pid, tr in by_id.items()})
     proj_right = GroupoidHom(pg, t_g, {pid: tr[2] for pid, tr in by_id.items()})

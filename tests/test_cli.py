@@ -559,3 +559,24 @@ def test_a_weight_longer_than_an_int_converts_is_a_parse_error(command, weight, 
     err = capsys.readouterr().err
     want = f"error: $.left.unit_measure: weight {weight[:20]}... has a numerator or denominator of more than 4300 digits\n"
     assert err == want
+
+
+def test_a_derived_weight_past_the_digits_a_document_holds_is_a_parse_error(tmp_path, capsys):
+    # each leg's two unit weights are an integer and the reciprocal of one,
+    # of 3,000 digits each, within what the reader converts; the pullback's
+    # unit measure multiplies two of them. The writer refuses at the
+    # reader's limit, so that whatever it writes reads back
+    cospan, out = tmp_path / "cospan.json", tmp_path / "pullback.json"
+    assert main(["gen", "cospan", "--seed", "3", "--bounds", "2,8", "--out", str(cospan)]) == cli.EXIT_OK
+    data = json.loads(cospan.read_text(encoding="utf-8"))
+    for side in ("left", "right"):
+        data[side]["unit_measure"][:2] = ["7" * 3000, "1/" + "3" * 3000]
+    cospan.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", str(cospan)]) == cli.EXIT_OK
+    assert main(["check", str(cospan)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert main(["pullback", str(cospan), "--out", str(out)]) == cli.EXIT_PARSE
+    field = "$.result.unit_measure['m0.g0|m0.g0|m0.g0']"
+    more = "more than the 4300 a document holds"
+    assert capsys.readouterr().err == f"error: {field}: the weight's numerator has 6000 digits, {more}\n"
+    assert not out.exists()

@@ -26,7 +26,9 @@ from measured_groupoids.documents import (
     weight_to_str,
 )
 
-from helpers import oracle_parse, oracle_serialize, z2_cospan
+from measured_groupoids.measures import FiniteMeasure
+
+from helpers import oracle_parse, oracle_serialize, replace, z2_cospan
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -46,6 +48,29 @@ def test_weight_strings():
         with pytest.raises(ParseError) as parsed:
             parse_document(json.dumps({**obj, "unit_measure": [bad] * len(obj["units"])}))
         assert str(parsed.value) == str(oracle.value)
+
+
+def test_the_writer_refuses_a_weight_past_the_digits_the_reader_converts():
+    # 10**4300 - 1 has 4,300 digits, the most `int()` converts from text by
+    # default, and 10**4300 one more; what the writer writes reads back
+    from fractions import Fraction
+
+    h = z2_cospan().left
+    (u,) = h.groupoid.units
+    for den in (10**4300 - 1, 10**4300):
+        doc = GroupoidDocument(h.groupoid, h.haar, FiniteMeasure(h.groupoid.units, {u: 1}, den))
+        if den < 10**4300:
+            assert parse_document(serialize(doc)) == doc
+            continue
+        with pytest.raises(ParseError) as refused:
+            serialize(doc)
+        more = "more than the 4300 a document holds"
+        assert str(refused.value) == f"$.unit_measure[{u!r}]: the weight's denominator has 4301 digits, {more}"
+    doc = PullbackDocument.of(build_weak_pullback(z2_cospan()))
+    x = min(doc.modular)
+    with pytest.raises(ParseError) as refused:
+        serialize(replace(doc, modular={**doc.modular, x: Fraction(10**4300)}))
+    assert str(refused.value) == f"$.modular[{x!r}]: the weight's numerator has 4301 digits, {more}"
 
 
 def test_groupoid_document_roundtrip_identity():

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -45,7 +46,7 @@ from measured_groupoids import (
 )
 from measured_groupoids.documents import CospanDocument, GroupoidDocument, parse_document
 from measured_groupoids.families import CechCospanData, cech_cospan_groupoids, transformation_cospan_groupoids
-from measured_groupoids.groupoid import GroupoidHom, ValidationReport, Violation, identity_hom
+from measured_groupoids.groupoid import FiniteGroupoid, GroupoidHom, ValidationReport, Violation, identity_hom
 from measured_groupoids.haar import HaarGroupoid
 from measured_groupoids.measures import class_witness
 
@@ -915,3 +916,46 @@ def test_sweep_work_ledger_is_pinned():
     for seed in range(200):
         assert suite.run_seed(seed, seconds, counts) == {}, seed
     assert {claim: tally for claim, tally in counts.items() if tally} == LEDGER
+
+
+def _prefix_cyclic_group(n: int) -> FiniteGroupoid:
+    """Z_n with the ids a, aa, aaa, ...: each id is a prefix of the next, so
+    the triple ids of its pullback sort out of triple order and the builder
+    reorders every row."""
+    ids = ["a" * (i + 1) for i in range(n)]
+    e = ids[0]
+    inverse = {x: ids[-i % n] for i, x in enumerate(ids)}
+    products = [(x, y, ids[(i + j) % n]) for i, x in enumerate(ids) for j, y in enumerate(ids)]
+    return FiniteGroupoid(ids, [e], dict.fromkeys(ids, e), dict.fromkeys(ids, e), inverse, products)
+
+
+def _allocated_above_kept(call):
+    """call() and the bytes its traced allocations peaked at above what it
+    still holds when it returns: its transient memory."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
+
+
+@pytest.mark.parametrize("group", [cyclic_group, _prefix_cyclic_group], ids=["cyclic", "prefix-ids"])
+def test_building_and_validating_a_pullback_copy_no_product_table(group):
+    # the identity cospan of Z_8: 512 elements and 32,768 compose entries.
+    # A transient copy of the product table, a tuple per row, costs about
+    # 7 B per entry here: the build's reordered rows, or the sources of the
+    # products listed whole before they are compared. Counted by tracemalloc,
+    # so the bound does not depend on the machine.
+    h = with_counting_haar(group(8))
+    c = Cospan(h, h, h, identity_hom(h.groupoid), identity_hom(h.groupoid))
+    w, built = _allocated_above_kept(lambda: build_weak_pullback(c, validate=False))
+    g = w.groupoid
+    entries = len(g.compose_map)
+    assert entries == 8**5
+    assert built / entries < 4, built
+    fresh = FiniteGroupoid(g.elements, g.units, g.range_map, g.source_map, g.inverse_map, rows=g.rows)
+    report, validated = _allocated_above_kept(lambda: validate_groupoid(fresh))
+    assert report.ok and fresh.generating_set is not None
+    assert validated / entries < 4, validated
