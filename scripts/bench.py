@@ -82,7 +82,7 @@ LADDERS = {"cyclic": range(4, 13), "pair": range(3, 8), "transformation": range(
 LADDER_RUNS = 3
 # the transient bytes per compose entry above which `--ladder` flags a
 # check-path stage at a family's largest point; a transient copy of the
-# product table, one tuple per row, costs about 6 to 9
+# product table, one tuple per row, costs about 6 to 8
 CHECK_BYTES_PER_ENTRY = 2
 DOCUMENT_STAGES = ("serialize", "parse_document", "validate")
 
