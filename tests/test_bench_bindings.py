@@ -81,8 +81,8 @@ def test_ladder_point_times_every_stage(family, n, compose_entries):
     stages |= {"serialize", "parse_document", "validate"}
     assert point["seconds"].keys() == stages
     assert all(s > 0 for s in point["seconds"].values())
-    # the traced pass reads the same stages; each keeps its result, and
-    # every stage that builds one allocates something it lets go
+    # the traced pass reads the same stages, and the build lets go of
+    # some of what it allocates
     assert point["bytes_above_kept"].keys() == stages
     assert all(isinstance(b, int) and b >= 0 for b in point["bytes_above_kept"].values())
     assert point["bytes_above_kept"]["build_weak_pullback"] > 0

@@ -25,7 +25,6 @@ from measured_groupoids.documents import (
     str_to_weight,
     weight_to_str,
 )
-
 from measured_groupoids.measures import FiniteMeasure
 
 from helpers import oracle_parse, oracle_serialize, replace, z2_cospan

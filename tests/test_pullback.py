@@ -945,7 +945,7 @@ def _allocated_above_kept(call):
 def test_building_and_validating_a_pullback_copy_no_product_table(group):
     # the identity cospan of Z_8: 512 elements and 32,768 compose entries.
     # A transient copy of the product table, a tuple per row, costs about
-    # 7 B per entry here: the build's reordered rows, or the sources of the
+    # 7 to 10 B per entry here: the build's reordered rows, or the sources of the
     # products listed whole before they are compared. Counted by tracemalloc,
     # so the bound does not depend on the machine.
     h = with_counting_haar(group(8))
